@@ -1,16 +1,17 @@
 """Bulk-synchronous master-worker engine.
 
 One master thread runs the same iteration loop as the sequential solver; K
-worker threads each own a contiguous block of the constraint rows plus a
-full replica of the moving system.  Per superstep the master broadcasts the
-current point (and the elapsed time to apply afterwards), the workers
-compute exact partial reductions over their rows and send them back, the
-master combines the reports, steps, advances its replica, and decides
-whether to stop; the final broadcast carries the exit flag.
+worker threads each own a contiguous block of the constraint rows.  Per
+superstep the master broadcasts the current snapshot of the (possibly
+moving) system and the current point, the workers compute exact partial
+reductions over their rows and send them back, the master combines the
+reports, steps, advances the source, and decides whether to stop; the final
+broadcast carries the exit flag.
 
-Workers never share mutable state: messages are value copies on queues, and
-each replica is advanced only by its owning thread, from the same elapsed
-time the master decided, so replicas cannot diverge.
+Workers never share mutable state: the point is a value copy, and a
+snapshot is immutable (its exact translated bounds are a pure function of
+the row, computed on demand), so every worker reads the same system the
+master's membership test sees, without a replica of its own.
 
 With ``ordered_reduce`` (the default) the reports are combined as exact
 expansions in ascending worker order and rounded once, which makes the
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DynamicSystemSource, as_source
+from .dynamics import as_source
 from .geometry import InequalitySystem
 from .solver import SolveOutcome, SolverConfig, _run_loop, partial_reduction
 from .summation import VectorExpansion
@@ -144,12 +145,11 @@ def superstep(
 
 
 class _Worker(threading.Thread):
-    def __init__(self, index: int, partition: Partition, source: DynamicSystemSource,
+    def __init__(self, index: int, partition: Partition,
                  inbox: queue.Queue, outbox: queue.Queue):
         super().__init__(name=f"bsf-worker-{index}", daemon=True)
         self.index = index
         self.partition = partition
-        self.source = source
         self.inbox = inbox
         self.outbox = outbox
         self.supersteps = 0
@@ -161,12 +161,9 @@ class _Worker(threading.Thread):
                 msg = self.inbox.get()
                 if msg[0] == "exit":
                     break
-                _, x, dt = msg
-                report = compute_report(self.source.snapshot(), self.partition, x)
+                _, sys, x = msg
+                report = compute_report(sys, self.partition, x)
                 self.outbox.put(("report", report))
-                # replica update happens after reporting, mirroring the
-                # master's step-then-advance order
-                self.source.advance(dt)
                 self.supersteps += 1
                 self.rows_processed += self.partition.size
         except Exception as exc:  # noqa: BLE001 - surfaces as EngineError
@@ -189,7 +186,7 @@ class MasterWorkerEngine:
     def run(self) -> SolveOutcome:
         outbox: queue.Queue = queue.Queue()
         workers = [
-            _Worker(p.worker_index, p, self.source.clone(), queue.Queue(), outbox)
+            _Worker(p.worker_index, p, queue.Queue(), outbox)
             for p in self.partitions
         ]
         for w in workers:
@@ -197,9 +194,9 @@ class MasterWorkerEngine:
         ordered = self.engine_config.ordered_reduce
         dim = self.source.snapshot().n
 
-        def reduction(sys, x, dt):
+        def reduction(sys, x):
             for w in workers:
-                w.inbox.put(("work", x.copy(), dt))
+                w.inbox.put(("work", sys, x.copy()))
             reports = []
             for _ in workers:
                 msg = outbox.get()

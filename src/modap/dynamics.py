@@ -5,6 +5,15 @@ Translating the region by v maps ``{x : Ax <= b}`` to ``{x : Ax <= b + Av}``,
 so only the right-hand side changes; the coefficient rows and their cached
 norms are shared across every snapshot.
 
+A translated snapshot costs one matrix-vector product, ``w = A v``, and
+no per-row Python work.  It keeps the base bounds, v and the float64
+estimate ``b + w``, which the filtered row passes of :mod:`modap.geometry`
+use with the extra bound term ``|b_i| + ||a_i|| ||v||``.  The exact bound
+``b_i + <a_i, v>`` (inner product exactly rounded) is computed only for the
+rows those passes evaluate exactly, and for all rows on the first read of
+``.b``; every value that reaches an iterate or a trace comes from these
+exact bounds.
+
 Two clock modes drive the motion: a virtual clock that advances a fixed
 quantum per solver iteration (deterministic, machine-independent, the
 default) and a wall clock that reproduces a real-time race against the
@@ -13,13 +22,13 @@ moving region but is excluded from reproducibility assertions.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import InequalitySystem
-from .summation import exact_dot
 
 __all__ = [
     "STATIONARY",
@@ -60,14 +69,16 @@ class DynamicsSpec:
             raise ValueError(f"unknown dynamics mode {self.mode!r}")
         if self.clock not in (CLOCK_VIRTUAL, CLOCK_WALL):
             raise ValueError(f"unknown clock mode {self.clock!r}")
-        if not self.seconds_per_iteration > 0:
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
+        if not (self.seconds_per_iteration > 0 and math.isfinite(self.seconds_per_iteration)):
             raise ValueError(
-                f"seconds_per_iteration must be positive, got {self.seconds_per_iteration}"
+                f"seconds_per_iteration must be positive and finite, got {self.seconds_per_iteration}"
             )
         if self.direction is not None:
             d = np.asarray(self.direction, dtype=np.float64)
-            if d.ndim != 1 or not np.linalg.norm(d) > 0:
-                raise ValueError("direction must be a non-zero 1-D vector")
+            if d.ndim != 1 or not np.isfinite(d).all() or not np.linalg.norm(d) > 0:
+                raise ValueError("direction must be a finite, non-zero 1-D vector")
             self.direction = d
 
 
@@ -75,19 +86,18 @@ def translate(sys: InequalitySystem, v) -> InequalitySystem:
     """System whose feasible region is the original's translated by v.
 
     Rows are unchanged; ``b' = b + A v`` so that ``x`` is feasible for the
-    original iff ``x + v`` is feasible for the result.
+    original iff ``x + v`` is feasible for the result.  ``b'`` is held
+    implicitly (see the module docstring); its bits are those of
+    ``b_i + exact_dot(a_i, v)``.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (sys.n,):
         raise ValueError(
             f"dimension mismatch: displacement has shape {v.shape}, expected ({sys.n},)"
         )
-    new_b = np.fromiter(
-        (float(sys.b[i]) + exact_dot(sys.a[i], v) for i in range(sys.m)),
-        dtype=np.float64,
-        count=sys.m,
-    )
-    return sys.with_rhs(new_b)
+    if not np.isfinite(v).all():
+        raise ValueError("displacement must be finite")
+    return sys._translated(v)
 
 
 class DynamicSystemSource:
@@ -97,9 +107,9 @@ class DynamicSystemSource:
     cumulative displacement, so advancing in two half-steps matches one full
     step to the last bit of the displacement accumulation.
 
-    A source is confined to one owner.  The engine hands each worker a
-    :meth:`clone`; replicas stay in lockstep because every replica applies
-    the same elapsed time per iteration, decided once by the master.
+    A source is confined to one owner; its snapshots are immutable and may
+    be shared, which is how the engine hands the current system to its
+    workers.
     """
 
     def __init__(self, base: InequalitySystem, spec: DynamicsSpec | None = None):
@@ -146,16 +156,6 @@ class DynamicSystemSource:
         dt = now - self._last_wall
         self._last_wall = now
         return dt
-
-    def clone(self) -> "DynamicSystemSource":
-        """Independent source with identical state (base system shared,
-        displacement state copied)."""
-        c = DynamicSystemSource(self.base, self.spec)
-        c.current_time = self.current_time
-        c.cumulative_displacement = self.cumulative_displacement.copy()
-        if self.spec.mode == TRANSLATION:
-            c._current = translate(c.base, c.cumulative_displacement)
-        return c
 
 
 def as_source(obj) -> DynamicSystemSource:

@@ -15,6 +15,29 @@ Conventions:
   * every row-level reduction goes through :mod:`modap.summation`, so all
     results are independent of evaluation order and of how the row list is
     partitioned across workers.
+
+Filtered row passes.  :func:`violated_slices`, :func:`eps_membership` and
+:func:`max_relative_violation` start with one float64 matrix-vector product
+``t = A[start:stop] @ x - b`` and a forward error bound per row,
+
+    e_i = (n + 8) 2^-52 (N_i ||x|| + s_i + |t_i|) + (n + 8) 2^-1022,
+
+where ``N_i >= ||a_i||`` is a rigorous upper bound derived from the cached
+squared norm (so it stays valid for a row like ``[1e-160]`` whose squared
+norm has underflowed), ``||x||`` is bounded the same way, and ``s_i`` is 0
+for a system with an explicit right-hand side and ``|b_i| + N_i ||v||`` for
+one translated by v (see :func:`modap.dynamics.translate`).  The last,
+underflow, term is dropped when it cannot arise: x = 0 on an untranslated
+system makes every product, and so t_i, exact.  ``t_i <= -e_i`` proves the
+exact residual is at most 0, so the row is satisfied and skipped.  Every
+other row (violated, near its hyperplane, or with an estimate or bound that
+is not finite) goes through the exact path, ``math.fsum`` as before.  The
+bound only decides which rows may be skipped; every value these functions
+return (slices, the membership decision, the maximum violation) comes from
+the exact path, bit for bit.  This is a floating-point filter in the sense
+of Shewchuk (DCG 18, 1997), with the dot-product error bound of Ogita, Rump
+and Oishi (SISC 26(6), 2005); it assumes IEEE-754 binary64 with subnormal
+inputs kept, which numpy and CPython provide.
 """
 
 from __future__ import annotations
@@ -42,6 +65,14 @@ __all__ = [
     "vector_norm",
 ]
 
+_TWO_U = 2.0 ** -52  # twice the unit roundoff of float64
+_MIN_NORMAL = 2.0 ** -1022
+# a bound at or above this leaves the row to the exact path, which then
+# behaves (overflow included) exactly as without the filter
+_FILTER_LIMIT = 2.0 ** 960
+# relative slack on computed norm bounds; their own rounding is below 5 ulp
+_NORM_SLACK = 1.0 + 2.0 ** -48
+
 
 class FeasiblePointError(ValueError):
     """Raised when an operator that needs a violated inequality is handed a
@@ -51,13 +82,19 @@ class FeasiblePointError(ValueError):
 class InequalitySystem:
     """Dense inequality system ``A x <= b`` with cached squared row norms.
 
-    Every coefficient row must be non-zero.  Instances are treated as
-    immutable: translation and right-hand-side updates go through
-    :meth:`with_rhs`, which shares the coefficient matrix and the cached
-    norms instead of recomputing them.
+    Every coefficient row must be non-zero, every coefficient and bound
+    finite.  Instances are treated as immutable: translation and
+    right-hand-side updates go through :meth:`with_rhs` and
+    :func:`modap.dynamics.translate`, which share the coefficient matrix
+    and the cached norms instead of recomputing them.
+
+    A translated system holds ``b' = b + A v`` implicitly: :meth:`rhs`
+    computes one exact bound on demand, and the first read of :attr:`b`
+    builds the whole vector, with the same bits either way.
     """
 
-    __slots__ = ("a", "b", "row_norms_sq", "row_norms")
+    __slots__ = ("a", "row_norms_sq", "row_norms", "_norm_bounds", "_b",
+                 "_base_b", "_shift", "_b_estimate", "_slack")
 
     def __init__(self, a, b):
         a = np.array(a, dtype=np.float64, order="C")
@@ -71,9 +108,14 @@ class InequalitySystem:
             raise ValueError(
                 f"right-hand side has length {b.shape[0]}, expected m = {m}"
             )
+        _check_finite_rhs(b)
         norms_sq = np.fromiter(
-            (exact_dot(row, row) for row in a), dtype=np.float64, count=m
+            (_squared_norm(row) for row in a), dtype=np.float64, count=m
         )
+        for i in np.flatnonzero(~np.isfinite(norms_sq)).tolist():
+            if not np.isfinite(a[i]).all():
+                raise ValueError(f"row {i} has a non-finite coefficient")
+            raise ValueError(f"row {i}: its squared norm overflows float64")
         for i, v in enumerate(norms_sq.tolist()):
             if v == 0.0:
                 raise ValueError(
@@ -81,9 +123,27 @@ class InequalitySystem:
                     "coefficient row"
                 )
         self.a = a
-        self.b = b
         self.row_norms_sq = norms_sq
         self.row_norms = np.sqrt(norms_sq)
+        # ||a_i||^2 <= (norms_sq + (n + 1) 2^-1022) / (1 - u)^2: each square
+        # and their sum round once, losing at most 2^-1022 to underflow
+        self._norm_bounds = np.sqrt(norms_sq + (n + 1) * _MIN_NORMAL) * _NORM_SLACK
+        self._set_rhs(b)
+
+    def _set_rhs(self, b, estimate=None, base_b=None, shift=None, slack=None) -> None:
+        self._b = b
+        self._b_estimate = b if estimate is None else estimate
+        self._base_b = base_b
+        self._shift = shift
+        self._slack = slack
+
+    def _sharing_rows(self) -> "InequalitySystem":
+        obj = object.__new__(InequalitySystem)
+        obj.a = self.a
+        obj.row_norms_sq = self.row_norms_sq
+        obj.row_norms = self.row_norms
+        obj._norm_bounds = self._norm_bounds
+        return obj
 
     @property
     def n(self) -> int:
@@ -92,6 +152,29 @@ class InequalitySystem:
     @property
     def m(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        """The right-hand side; built row by row on first read for a
+        translated system."""
+        b = self._b
+        if b is None:
+            b = np.fromiter((self.rhs(i) for i in range(self.m)),
+                            dtype=np.float64, count=self.m)
+            self._b = b
+        return b
+
+    def rhs(self, i: int) -> float:
+        """Bound of row i, exact: for a system translated by v it is
+        ``b_i + <a_i, v>`` with the inner product exactly rounded.
+
+        A pure function of the (immutable) system, so threads sharing a
+        system may call it at the same time.
+        """
+        b = self._b
+        if b is not None:
+            return float(b[i])
+        return float(self._base_b[i]) + exact_dot(self.a[i], self._shift)
 
     def with_rhs(self, b) -> "InequalitySystem":
         """New system with the same rows and a fresh right-hand side.
@@ -104,15 +187,41 @@ class InequalitySystem:
             raise ValueError(
                 f"right-hand side has length {b.shape[0]}, expected m = {self.m}"
             )
-        obj = object.__new__(InequalitySystem)
-        obj.a = self.a
-        obj.b = b
-        obj.row_norms_sq = self.row_norms_sq
-        obj.row_norms = self.row_norms
+        _check_finite_rhs(b)
+        obj = self._sharing_rows()
+        obj._set_rhs(b)
+        return obj
+
+    def _translated(self, v: np.ndarray) -> "InequalitySystem":
+        """System with bounds ``b + A v`` held implicitly (see
+        :func:`modap.dynamics.translate`, which validates v).
+
+        One matrix-vector product gives the filter's estimate of the new
+        bounds; its error, and that of the exact bounds :meth:`rhs` will
+        compute, is covered by the per-row slack ``|b_i| + N_i ||v||``.
+        Translating a translated system first builds its exact bounds.
+        """
+        base_b = self.b
+        obj = self._sharing_rows()
+        slack = np.abs(base_b) + self._norm_bounds * _norm_bound(v)
+        obj._set_rhs(None, base_b + self.a @ v, base_b, v.copy(), slack)
         return obj
 
     def __repr__(self) -> str:
         return f"InequalitySystem(m={self.m}, n={self.n})"
+
+
+def _check_finite_rhs(b: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        raise ValueError(f"bound of row {int(bad[0])} is not finite: {float(b[bad[0]])!r}")
+
+
+def _squared_norm(row: np.ndarray) -> float:
+    try:
+        return exact_dot(row, row)
+    except OverflowError:  # the squares are non-negative: the sum overflows
+        return math.inf
 
 
 @dataclass
@@ -141,11 +250,42 @@ def _check_row(sys: InequalitySystem, i: int) -> None:
         raise IndexError(f"row index {i} out of range for system with m = {sys.m}")
 
 
+def _exact_residual(sys: InequalitySystem, i: int, x: np.ndarray) -> float:
+    return exact_dot(sys.a[i], x) - sys.rhs(i)
+
+
+def _norm_bound(v: np.ndarray) -> float:
+    """Upper bound on ``||v||``; 0 only for the zero vector.  ``math.hypot``
+    is within one ulp (2^-1074 for a subnormal result) and does not overflow
+    or underflow on the way."""
+    h = math.hypot(*v.tolist())
+    return h * _NORM_SLACK + 2.0 ** -1074 if h else 0.0
+
+
+def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int) -> list[int]:
+    """Rows in [start, stop), ascending, that the float64 filter cannot prove
+    satisfied (see the module docstring for the bound)."""
+    xnorm = _norm_bound(x)
+    coef = (sys.n + 8) * _TWO_U
+    with np.errstate(all="ignore"):
+        t = sys.a[start:stop] @ x
+        t -= sys._b_estimate[start:stop]
+        scale = sys._norm_bounds[start:stop] * xnorm
+        if sys._slack is not None:
+            scale += sys._slack[start:stop]
+        scale += np.abs(t)
+        e = coef * scale
+        if xnorm or sys._slack is not None:
+            e += (sys.n + 8) * _MIN_NORMAL
+        settled = (t <= -e) & (e < _FILTER_LIMIT)
+    return (np.flatnonzero(~settled) + start).tolist()
+
+
 def residual(sys: InequalitySystem, i: int, x) -> float:
     """Signed residual ``<a_i, x> - b_i``; positive iff x violates row i."""
     _check_row(sys, i)
     x = _as_point(x, sys.n)
-    return exact_dot(sys.a[i], x) - float(sys.b[i])
+    return _exact_residual(sys, i, x)
 
 
 def reflection_vector(sys: InequalitySystem, i: int, x) -> np.ndarray:
@@ -156,7 +296,7 @@ def reflection_vector(sys: InequalitySystem, i: int, x) -> np.ndarray:
     """
     _check_row(sys, i)
     x = _as_point(x, sys.n)
-    r = exact_dot(sys.a[i], x) - float(sys.b[i])
+    r = _exact_residual(sys, i, x)
     return (r / float(sys.row_norms_sq[i])) * sys.a[i]
 
 
@@ -168,7 +308,7 @@ def orthogonal_projection(sys: InequalitySystem, i: int, x) -> np.ndarray:
 
 def _slice_direction(sys: InequalitySystem, i: int, x: np.ndarray):
     """Slice vector for a validated point, or None when row i is satisfied."""
-    r = exact_dot(sys.a[i], x) - float(sys.b[i])
+    r = _exact_residual(sys, i, x)
     if r > 0.0:
         return (r / float(sys.row_norms_sq[i])) * sys.a[i]
     return None
@@ -192,12 +332,13 @@ def violated_slices(
 
     Internal kernel shared by the sequential solver and the worker threads;
     both must evaluate each row identically for parallel runs to reproduce
-    sequential ones bit for bit.
+    sequential ones bit for bit.  Rows the filter proves satisfied are
+    skipped; the slices come from the exact path.
     """
     if stop is None:
         stop = sys.m
     out = []
-    for i in range(start, stop):
+    for i in _unsettled_rows(sys, x, start, stop):
         d = _slice_direction(sys, i, x)
         if d is not None:
             out.append(d)
@@ -258,9 +399,9 @@ def eps_membership(sys: InequalitySystem, x, eps: float) -> bool:
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = _as_point(x, sys.n)
-    a, b, norms = sys.a, sys.b, sys.row_norms
-    for i in range(sys.m):
-        r = exact_dot(a[i], x) - float(b[i])
+    norms = sys.row_norms
+    for i in _unsettled_rows(sys, x, 0, sys.m):
+        r = _exact_residual(sys, i, x)
         if r > 0.0 and r / float(norms[i]) >= eps:
             return False
     return True
@@ -273,10 +414,10 @@ def max_relative_violation(sys: InequalitySystem, x) -> float:
     factor leaves the value unchanged.
     """
     x = _as_point(x, sys.n)
-    a, b, norms = sys.a, sys.b, sys.row_norms
+    norms = sys.row_norms
     worst = 0.0
-    for i in range(sys.m):
-        r = exact_dot(a[i], x) - float(b[i])
+    for i in _unsettled_rows(sys, x, 0, sys.m):
+        r = _exact_residual(sys, i, x)
         if r > 0.0:
             v = r / float(norms[i])
             if v > worst:
@@ -285,5 +426,22 @@ def max_relative_violation(sys: InequalitySystem, x) -> float:
 
 
 def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm via the exactly rounded self inner product."""
-    return math.sqrt(exact_dot(v, v))
+    """Euclidean norm via the exactly rounded self inner product.
+
+    When that sum of squares is 0, subnormal or overflows, v is first
+    scaled by a power of two, so a non-zero vector never gets norm 0, nor
+    inf unless its norm exceeds the float64 range.  In the normal range the
+    result keeps its bits: ``sqrt(exact_dot(v, v))``.
+    """
+    s = _squared_norm(v)
+    if _MIN_NORMAL <= s < math.inf:
+        return math.sqrt(s)
+    big = float(np.max(np.abs(v))) if v.size else 0.0
+    if big == 0.0 or not math.isfinite(big):
+        return math.sqrt(s)
+    k = math.frexp(big)[1]
+    scaled = np.ldexp(v, -k)
+    try:
+        return math.ldexp(math.sqrt(exact_dot(scaled, scaled)), k)
+    except OverflowError:  # the norm itself exceeds the float64 range
+        return math.inf

@@ -34,7 +34,7 @@ from .geometry import (
     vector_norm,
     violated_slices,
 )
-from .summation import VectorExpansion, exact_dot
+from .summation import VectorExpansion
 
 __all__ = [
     "VARIANT_AP",
@@ -72,10 +72,12 @@ class SolverConfig:
     initial_point: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not self.step_length > 0:
-            raise ValueError(f"step_length must be positive, got {self.step_length}")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not (self.step_length > 0 and math.isfinite(self.step_length)):
+            raise ValueError(
+                f"step_length must be positive and finite, got {self.step_length}"
+            )
         if self.variant not in (VARIANT_AP, VARIANT_MODAP):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.max_iterations < 1:
@@ -166,7 +168,7 @@ def _apply_step(
     """Next iterate from the reduced slice sum y with h > 0 violated rows."""
     if variant == VARIANT_AP:
         return x - y / h
-    norm = math.sqrt(exact_dot(y, y))
+    norm = vector_norm(y)
     if norm == 0.0:
         raise ValueError(
             "violation direction vanished although rows are violated; "
@@ -198,10 +200,10 @@ def modap_step(sys: InequalitySystem, x, step_length: float) -> tuple[np.ndarray
 def _run_loop(src, config: SolverConfig, reduction) -> SolveOutcome:
     """Shared iteration skeleton for the sequential and parallel engines.
 
-    ``reduction(sys, x, dt) -> (y, h)`` supplies the reduced slice sum;
-    everything else (membership test, step, source updates, bookkeeping) is
-    identical between engines, which is what the bit-level equivalence
-    contract rests on.
+    ``reduction(sys, x) -> (y, h)`` supplies the reduced slice sum over the
+    snapshot ``sys``; everything else (membership test, step, source
+    updates, bookkeeping) is identical between engines, which is what the
+    bit-level equivalence contract rests on.
     """
     n = src.snapshot().n
     if config.initial_point is None:
@@ -212,34 +214,46 @@ def _run_loop(src, config: SolverConfig, reduction) -> SolveOutcome:
             raise ValueError(
                 f"initial point has shape {x.shape}, expected ({n},)"
             )
+        if not np.isfinite(x).all():
+            raise ValueError("initial point must be finite")
     trace: list[IterationRecord] | None = [] if config.record_trace else None
     iterates: list[np.ndarray] | None = (
         [x.copy()] if config.record_iterates else None
     )
     t_start = time.perf_counter()
     iterations = 0
+    # the trace's max violation, measured on the snapshot and point that the
+    # next membership test sees; "max violation < eps" is the same decision
+    # as eps_membership (both skip a row whose r > 0 is false), so it saves
+    # that pass
+    last_violation = None
     while True:
         sys = src.snapshot()
-        if eps_membership(sys, x, config.eps):
+        if last_violation is None:
+            member = eps_membership(sys, x, config.eps)
+        else:
+            member = last_violation < config.eps
+        if member:
             status = SolveStatus.CONVERGED
             break
         if iterations >= config.max_iterations:
             status = SolveStatus.BUDGET_EXHAUSTED
             break
         dt = src.next_elapsed()
-        y, h = reduction(sys, x, dt)
+        y, h = reduction(sys, x)
         x_next = _apply_step(x, y, h, config.variant, config.step_length)
         step_vec = x_next - x
         x = x_next
         iterations += 1
         src.advance(dt)
         if trace is not None:
+            last_violation = max_relative_violation(src.snapshot(), x)
             trace.append(
                 IterationRecord(
                     k=iterations,
                     h=h,
                     step_norm=vector_norm(step_vec),
-                    max_violation=max_relative_violation(src.snapshot(), x),
+                    max_violation=last_violation,
                     virtual_time=src.current_time,
                     wall_time=time.perf_counter() - t_start,
                 )
@@ -266,7 +280,7 @@ def solve(source, config: SolverConfig | None = None) -> SolveOutcome:
         config = SolverConfig()
     src = dynamics.as_source(source)
 
-    def reduction(sys, x, dt):
+    def reduction(sys, x):
         acc, h = partial_reduction(sys, x)
         return acc.rounded(), h
 

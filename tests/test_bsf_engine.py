@@ -1,9 +1,12 @@
+import sys as sys_module
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modap.bsf_engine as bsf_engine
+import modap.dynamics as dynamics
 from conftest import brute_force_feasible, random_feasible_system
 from modap import (
     DynamicsSpec,
@@ -131,6 +134,53 @@ class TestRunParallel:
         four = run_parallel(self._fresh(sys, moving=True), cfg, EngineConfig(workers=4))
         assert four.iterations == one.iterations
         assert all(np.array_equal(a, b) for a, b in zip(four.iterates, one.iterates))
+
+    @pytest.mark.parametrize("workers", [2, 7])
+    def test_moving_bit_identical_to_sequential(self, rng, workers):
+        # the workers read one shared snapshot at once; switching threads
+        # often gives a race on its lazily computed bounds a chance to show
+        sys, _ = random_feasible_system(rng, 8, 19)
+        cfg = SolverConfig(record_iterates=True, record_trace=True)
+        seq = solve(self._fresh(sys, moving=True), cfg)
+        interval = sys_module.getswitchinterval()
+        sys_module.setswitchinterval(1e-6)
+        try:
+            par = run_parallel(self._fresh(sys, moving=True), cfg,
+                               EngineConfig(workers=workers))
+        finally:
+            sys_module.setswitchinterval(interval)
+        assert par.iterations == seq.iterations > 0
+        assert all(np.array_equal(a, b) for a, b in zip(par.iterates, seq.iterates))
+        assert [r.max_violation for r in par.trace] == [r.max_violation for r in seq.trace]
+
+    def test_workers_share_the_masters_snapshot(self, monkeypatch):
+        # the system is translated once per iteration, by the master; the
+        # workers keep no replica of their own
+        calls = []
+        real_translate = dynamics.translate
+
+        def counting_translate(sys, v):
+            calls.append(v)
+            return real_translate(sys, v)
+
+        seen = []
+        real_report = bsf_engine.compute_report
+
+        def recording_report(sys, part, x):
+            seen.append(sys)
+            return real_report(sys, part, x)
+
+        monkeypatch.setattr(dynamics, "translate", counting_translate)
+        monkeypatch.setattr(bsf_engine, "compute_report", recording_report)
+        source = DynamicSystemSource(
+            generate_model_problem(ModelProblemSpec(n=20)),
+            DynamicsSpec(mode="translation", rate=1.0),
+        )
+        out = run_parallel(source, SolverConfig(), EngineConfig(workers=2))
+        assert out.converged
+        assert len(calls) == out.iterations
+        assert len(seen) == 2 * out.iterations
+        assert all(seen[2 * k] is seen[2 * k + 1] for k in range(out.iterations))
 
     def test_generator_instance_converges_and_passes_brute_force(self):
         sys = generate_model_problem(ModelProblemSpec(n=10))

@@ -139,3 +139,27 @@ def test_bad_arguments_exit_one():
         text=True,
     )
     assert proc.returncode == 1
+
+
+def test_nan_system_file_exits_one(tmp_path, capsys):
+    # printf '2 2\n1 0 nan\n0 1 1\n' used to end as status=converged iterations=0
+    path = tmp_path / "s.txt"
+    path.write_text("2 2\n1 0 nan\n0 1 1\n")
+    out = tmp_path / "m.csv"
+    code = main(["solve", "--set", f"problem.file={path}", "--set", f"output.path={out}"])
+    assert code == 1
+    assert "bound of row 0 is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_flags_exit_one(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    base = ["solve", "--set", "problem.n=4", "--set", f"output.path={out}"]
+    for flags, message in [
+        (["--rate", "nan", "--set", "dynamics.mode=translation"], "rate must be finite"),
+        (["--lambda", "inf"], "step_length must be positive and finite"),
+        (["--eps", "nan"], "eps must be positive and finite"),
+    ]:
+        assert main(base + flags) == 1
+        assert message in capsys.readouterr().err
+    assert not out.exists()

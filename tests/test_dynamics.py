@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,16 +142,6 @@ class TestSnapshot:
         expected = translate(HALF, v)
         assert np.array_equal(src.snapshot().b, expected.b)
 
-    def test_clone_is_independent_and_identical(self):
-        src = DynamicSystemSource(HALF, DynamicsSpec(mode="translation", rate=2.0))
-        src.advance(0.5)
-        twin = src.clone()
-        assert np.array_equal(twin.snapshot().b, src.snapshot().b)
-        src.advance(0.5)
-        assert not np.array_equal(twin.snapshot().b, src.snapshot().b)
-        twin.advance(0.5)
-        assert np.array_equal(twin.snapshot().b, src.snapshot().b)
-
 
 def test_translation_rate_zero_equals_stationary(rng):
     sys, _ = random_feasible_system(rng, 6, 14)
@@ -159,6 +152,30 @@ def test_translation_rate_zero_equals_stationary(rng):
     )
     assert still.iterations == moving.iterations
     assert all(np.array_equal(a, b) for a, b in zip(still.iterates, moving.iterates))
+
+
+def test_spec_rejects_non_finite():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rate must be finite"):
+            DynamicsSpec(mode="translation", rate=value)
+    with pytest.raises(ValueError, match="seconds_per_iteration"):
+        DynamicsSpec(seconds_per_iteration=math.inf)
+    with pytest.raises(ValueError, match="direction"):
+        DynamicsSpec(mode="translation", rate=1.0, direction=np.array([1.0, math.inf]))
+    with pytest.raises(ValueError, match="displacement must be finite"):
+        translate(HALF, [math.nan, 0.0])
+
+
+def test_translated_bounds_match_the_eager_translation():
+    sys = InequalitySystem([[1.0, 1e-17], [3.0, -1.0]], [1.0, 0.5])
+    v = np.array([0.1, 1e17])
+    want = oracles.translate(sys, v).b
+    moved = translate(sys, v)
+    # row by row on demand, then the whole vector on first read
+    assert [moved.rhs(i) for i in range(sys.m)] == want.tolist()
+    assert moved.b.tobytes() == want.tobytes()
+    twice = translate(moved, v)
+    assert twice.b.tobytes() == oracles.translate(oracles.translate(sys, v), v).b.tobytes()
 
 
 def test_spec_validation():

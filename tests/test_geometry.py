@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modap import (
@@ -57,6 +57,22 @@ class TestInequalitySystem:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             InequalitySystem([[1.0, 0.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("a,b,match", [
+        ([[1.0, math.nan]], [1.0], "row 0 has a non-finite coefficient"),
+        ([[1.0, 0.0], [math.inf, 1.0]], [1.0, 1.0], "row 1 has a non-finite coefficient"),
+        ([[1.0, 0.0]], [math.nan], "bound of row 0 is not finite"),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, -math.inf], "bound of row 1 is not finite"),
+        ([[1e200, 0.0]], [1.0], "row 0: its squared norm overflows"),
+        ([[1e154, 1e154]], [1.0], "row 0: its squared norm overflows"),
+    ])
+    def test_non_finite_input_rejected(self, a, b, match):
+        with pytest.raises(ValueError, match=match):
+            InequalitySystem(a, b)
+
+    def test_with_rhs_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="not finite"):
+            BOX.with_rhs([1.0, math.nan])
 
     def test_with_rhs_shares_rows(self):
         other = BOX.with_rhs([2.0, 3.0])
@@ -247,6 +263,8 @@ def test_row_scaling_leaves_decisions_unchanged(sys_x, c):
 
 @settings(max_examples=80)
 @given(system_strategy(), st.floats(min_value=1e-3, max_value=10.0))
+# phi = [1e-200]: its square underflows to 0
+@example((InequalitySystem([[1.0]], [-1e-200]), np.array([0.0])), 1.0)
 def test_fixed_step_has_requested_length(sys_x, length):
     sys, x = sys_x
     _, h = pseudo_projection(sys, x)
@@ -280,3 +298,36 @@ def test_phi_reconstruction(sys_x):
 
 def test_vector_norm_matches_math():
     assert vector_norm(np.array([3.0, 4.0])) == 5.0
+
+
+def test_vector_norm_rescales_outside_the_normal_range():
+    assert vector_norm(np.zeros(3)) == 0.0
+    assert vector_norm(np.array([1e-200])) == 1e-200
+    assert vector_norm(np.array([3e-170, 4e-170])) == pytest.approx(5e-170, rel=1e-15)
+    assert vector_norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert vector_norm(np.array([1e308, 1e308])) == pytest.approx(math.sqrt(2) * 1e308)
+    assert vector_norm(np.array([1.5e308, 1.5e308])) == math.inf
+    assert math.isnan(vector_norm(np.array([math.nan, 1.0])))
+
+
+@settings(max_examples=80)
+@given(st.lists(st.floats(min_value=-1e100, max_value=1e100), min_size=1, max_size=6))
+def test_vector_norm_keeps_its_bits_in_the_normal_range(values):
+    v = np.array(values)
+    s = math.fsum((v * v).tolist())
+    if s >= 2.0 ** -1022:
+        assert vector_norm(v) == math.sqrt(s)
+
+
+@settings(max_examples=150)
+@given(
+    system_strategy(),
+    st.lists(st.booleans(), min_size=5, max_size=5),
+    st.floats(min_value=5e-324, max_value=1e300),
+)
+def test_membership_is_max_violation_below_eps(sys_x, nan_at, eps):
+    """The solver decides membership from the trace's max violation; the two
+    must agree for every eps > 0, also when residuals are NaN."""
+    sys, x = sys_x
+    x = np.where(np.array(nan_at[: sys.n]), math.nan, x)
+    assert eps_membership(sys, x, eps) == (max_relative_violation(sys, x) < eps)

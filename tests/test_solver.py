@@ -206,3 +206,23 @@ class TestSolverConfigValidation:
             SolverConfig(variant="nope")
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("field", ["eps", "step_length"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        # step_length=inf used to converge at [-inf, -inf]
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SolverConfig(**{field: value})
+
+    def test_non_finite_initial_point_rejected(self):
+        # [nan, 0] used to converge in 0 iterations
+        for point in ([math.nan, 0.0], [math.inf, 0.0]):
+            with pytest.raises(ValueError, match="initial point must be finite"):
+                solve(BOX, SolverConfig(initial_point=point))
+
+
+def test_tiny_direction_still_steps():
+    # the slice sum [1e-200] squares to 0; its norm must not
+    x_next, h = modap_step(InequalitySystem([[1.0]], [-1e-200]), [0.0], 1.0)
+    assert h == 1
+    assert np.array_equal(x_next, [-1.0])
