@@ -54,7 +54,6 @@ from .geometry import (
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    MetricsRow,
     ModelProblemSpec,
     SystemFormatError,
     generate_model_problem,

@@ -3,9 +3,9 @@
 One master thread runs the same iteration loop as the sequential solver; K
 worker threads each own a contiguous block of the constraint rows.  Per
 superstep the master broadcasts the current snapshot of the (possibly
-moving) system and the current point, the workers compute exact partial
-reductions over their rows and send them back, the master combines the
-reports, steps, advances the source, and decides whether to stop; the final
+moving) system and the current point, the workers compute the slices of
+their violated rows and send them back, the master sums the reports,
+steps, advances the source, and decides whether to stop; the final
 broadcast carries the exit flag.
 
 Workers never share mutable state: the point is a value copy, and a
@@ -13,26 +13,26 @@ snapshot is immutable (its exact translated bounds are a pure function of
 the row, computed on demand), so every worker reads the same system the
 master's membership test sees, without a replica of its own.
 
-With ``ordered_reduce`` (the default) the reports are combined as exact
-expansions in ascending worker order and rounded once, which makes the
-reduced sum bit-identical to the sequential engine's for every worker
-count.  Without it the master adds the already-rounded partial vectors in
-arrival order, which is faster to reason about as a baseline but
-reproducible only to rounding noise.
+Each report carries the worker's violated rows' slices, stacked, and their
+count.  The master stacks the reports in arrival order and sums each
+coordinate once, exactly rounded (:func:`modap.summation.column_sums`).  An
+exactly rounded sum depends only on the multiset of addends, so the reduced
+sum is bit-identical to the sequential engine's for every worker count and
+every arrival order.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import as_source
 from .geometry import InequalitySystem
 from .solver import SolveOutcome, SolverConfig, _run_loop, partial_reduction
-from .summation import VectorExpansion
+from .summation import column_sums
 
 __all__ = [
     "EngineConfig",
@@ -68,7 +68,6 @@ class Partition:
 @dataclass
 class EngineConfig:
     workers: int = 1
-    ordered_reduce: bool = True
 
     def __post_init__(self):
         if self.workers < 1:
@@ -77,16 +76,12 @@ class EngineConfig:
 
 @dataclass
 class WorkerReport:
-    """One worker's superstep result: its partial slice sum and violated count.
-
-    ``expansion`` carries the partial sum exactly (unrounded) for the ordered
-    combine; ``partial_y`` is the same sum rounded once.
-    """
+    """One worker's superstep result: the slices of its violated rows,
+    stacked ``(partial_h, n)`` in row order, and their count."""
 
     worker_index: int
-    partial_y: np.ndarray
+    slices: np.ndarray
     partial_h: int
-    expansion: VectorExpansion | None = field(repr=False, default=None)
 
 
 def partition_rows(m: int, workers: int) -> list[Partition]:
@@ -108,31 +103,19 @@ def partition_rows(m: int, workers: int) -> list[Partition]:
 
 def compute_report(sys: InequalitySystem, part: Partition, x: np.ndarray) -> WorkerReport:
     """Worker-side math for one superstep over one partition."""
-    acc, h = partial_reduction(sys, x, part.start, part.stop)
-    return WorkerReport(part.worker_index, acc.rounded(), h, acc)
+    block, h = partial_reduction(sys, x, part.start, part.stop)
+    return WorkerReport(part.worker_index, block, h)
 
 
-def combine_reports(
-    reports: list[WorkerReport], dim: int, ordered: bool = True
-) -> tuple[np.ndarray, int]:
-    """Master-side combination of the worker reports."""
-    h = sum(r.partial_h for r in reports)
-    if ordered:
-        total = VectorExpansion(dim)
-        for r in sorted(reports, key=lambda rep: rep.worker_index):
-            total.merge(r.expansion)
-        return total.rounded(), h
-    y = np.zeros(dim)
-    for r in reports:
-        y = y + r.partial_y
-    return y, h
+def combine_reports(reports: list[WorkerReport]) -> tuple[np.ndarray, int]:
+    """Master-side combination of the worker reports, in any order: the
+    exactly rounded sum of all their slices and the total count."""
+    block = np.concatenate([r.slices for r in reports])
+    return column_sums(block), sum(r.partial_h for r in reports)
 
 
 def superstep(
-    sys: InequalitySystem,
-    x: np.ndarray,
-    partitions: list[Partition],
-    ordered_reduce: bool = True,
+    sys: InequalitySystem, x: np.ndarray, partitions: list[Partition]
 ) -> tuple[np.ndarray, int]:
     """One map+reduce superstep over explicit partitions, without threads.
 
@@ -141,7 +124,7 @@ def superstep(
     map/reduce.
     """
     reports = [compute_report(sys, p, x) for p in partitions]
-    return combine_reports(reports, sys.n, ordered_reduce)
+    return combine_reports(reports)
 
 
 class _Worker(threading.Thread):
@@ -191,8 +174,6 @@ class MasterWorkerEngine:
         ]
         for w in workers:
             w.start()
-        ordered = self.engine_config.ordered_reduce
-        dim = self.source.snapshot().n
 
         def reduction(sys, x):
             for w in workers:
@@ -203,7 +184,7 @@ class MasterWorkerEngine:
                 if msg[0] == "error":
                     raise EngineError(f"worker {msg[1]} failed: {msg[2]!r}") from msg[2]
                 reports.append(msg[1])
-            return combine_reports(reports, dim, ordered)
+            return combine_reports(reports)
 
         try:
             outcome = _run_loop(self.source, self.solver_config, reduction)

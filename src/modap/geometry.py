@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .summation import VectorExpansion, exact_dot
+from .summation import column_sums, exact_dot
 
 __all__ = [
     "FeasiblePointError",
@@ -357,10 +357,7 @@ def pseudo_projection(sys: InequalitySystem, x) -> tuple[np.ndarray, int]:
     h = len(slices)
     if h == 0:
         return np.zeros(sys.n), 0
-    acc = VectorExpansion(sys.n)
-    for d in slices:
-        acc.add(d)
-    return acc.rounded() / h, h
+    return column_sums(np.array(slices)) / h, h
 
 
 def fixed_step_direction(sys: InequalitySystem, x, step_length: float) -> np.ndarray:

@@ -43,6 +43,7 @@ from .geometry import InequalitySystem
 from .solver import (
     VARIANT_AP,
     VARIANT_MODAP,
+    IterationRecord,
     SolveOutcome,
     SolverConfig,
     solve,
@@ -51,7 +52,6 @@ from .solver import (
 __all__ = [
     "ModelProblemSpec",
     "ExperimentConfig",
-    "MetricsRow",
     "ConfigError",
     "SystemFormatError",
     "generate_model_problem",
@@ -125,16 +125,6 @@ def interior_witness(spec: ModelProblemSpec) -> np.ndarray:
 
 
 @dataclass
-class MetricsRow:
-    iteration: int
-    h: int
-    step_norm: float
-    max_violation: float
-    virtual_time: float
-    wall_time: float
-
-
-@dataclass
 class ExperimentConfig:
     """One experiment: problem, solver, engine, dynamics, output."""
 
@@ -142,7 +132,6 @@ class ExperimentConfig:
     solver: SolverConfig
     engine: EngineConfig | None = None  # None = run the sequential engine
     dynamics: DynamicsSpec | None = None
-    seed: int = 0
     output_path: str = "metrics.csv"
     system_file: str | None = None
 
@@ -217,19 +206,6 @@ def load_system(path) -> InequalitySystem:
 # ---------------------------------------------------------------------------
 # config files
 
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
-
-
-def _parse_bool(s: str) -> bool:
-    low = s.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ValueError(f"expected a boolean, got {s!r}")
-
-
 def _parse_choice(*options: str):
     def cast(s: str) -> str:
         if s not in options:
@@ -250,12 +226,10 @@ CONFIG_SCHEMA = {
     "solver.variant": _parse_choice(VARIANT_AP, VARIANT_MODAP),
     "solver.max_iterations": int,
     "engine.workers": int,
-    "engine.ordered_reduce": _parse_bool,
     "dynamics.mode": _parse_choice(STATIONARY, TRANSLATION),
     "dynamics.rate": float,
     "dynamics.clock": _parse_choice(CLOCK_VIRTUAL, CLOCK_WALL),
     "dynamics.seconds_per_iteration": float,
-    "seed": int,
     "output.path": str,
 }
 
@@ -312,12 +286,7 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
     workers = typed.get("engine.workers", 0)
     if workers < 0:
         raise ConfigError(f"engine.workers must be >= 0, got {workers}")
-    engine = None
-    if workers >= 1:
-        engine = EngineConfig(
-            workers=workers,
-            ordered_reduce=typed.get("engine.ordered_reduce", True),
-        )
+    engine = EngineConfig(workers=workers) if workers >= 1 else None
     dynamics = DynamicsSpec(
         mode=typed.get("dynamics.mode", STATIONARY),
         rate=typed.get("dynamics.rate", 0.0),
@@ -329,7 +298,6 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
         solver=solver,
         engine=engine,
         dynamics=dynamics,
-        seed=typed.get("seed", 0),
         output_path=typed.get("output.path", "metrics.csv"),
         system_file=typed.get("problem.file"),
     )
@@ -341,12 +309,14 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
 METRICS_HEADER = "iteration,h,step_norm,max_violation,virtual_time,wall_time"
 
 
-def _write_metrics(path: Path, rows: list[MetricsRow], summary: dict, wall_mode: bool) -> None:
+def _write_metrics(
+    path: Path, rows: list[IterationRecord], summary: dict, wall_mode: bool
+) -> None:
     lines = [METRICS_HEADER]
     for r in rows:
         wall = _format_float(r.wall_time) if wall_mode else ""
         lines.append(
-            f"{r.iteration},{r.h},{_format_float(r.step_norm)},"
+            f"{r.k},{r.h},{_format_float(r.step_norm)},"
             f"{_format_float(r.max_violation)},{_format_float(r.virtual_time)},{wall}"
         )
     for key, value in summary.items():
@@ -367,23 +337,12 @@ def run_experiment(config: ExperimentConfig, output_path=None) -> tuple[SolveOut
     else:
         outcome = run_parallel(source, solver_config, config.engine)
 
-    rows = [
-        MetricsRow(
-            iteration=r.k,
-            h=r.h,
-            step_norm=r.step_norm,
-            max_violation=r.max_violation,
-            virtual_time=r.virtual_time,
-            wall_time=r.wall_time,
-        )
-        for r in (outcome.trace or [])
-    ]
+    rows = outcome.trace or []
     wall_mode = config.dynamics.clock == CLOCK_WALL
     summary = {
         "status": outcome.status.value,
         "iterations": outcome.iterations,
         "virtual_time": _format_float(source.current_time),
-        "seed": config.seed,
     }
     if wall_mode and rows:
         summary["wall_time"] = _format_float(rows[-1].wall_time)

@@ -34,7 +34,7 @@ from .geometry import (
     vector_norm,
     violated_slices,
 )
-from .summation import VectorExpansion
+from .summation import column_sums
 
 __all__ = [
     "VARIANT_AP",
@@ -120,18 +120,16 @@ class SolveOutcome:
 
 def partial_reduction(
     sys: InequalitySystem, x: np.ndarray, start: int = 0, stop: int | None = None
-) -> tuple[VectorExpansion, int]:
-    """Exact sum of the violated rows' slices in [start, stop) plus the count.
+) -> tuple[np.ndarray, int]:
+    """The violated rows' slices in [start, stop), stacked ``(h, n)``, and h.
 
     Shared by the sequential reduce and the engine workers: a full-range call
-    and any set of covering partial calls accumulate the same addends, so
-    their merged, rounded results are bit-identical.
+    and any set of covering partial calls give the same rows, so the
+    :func:`~modap.summation.column_sums` of their stacked blocks are
+    bit-identical.
     """
-    acc = VectorExpansion(sys.n)
     slices = violated_slices(sys, x, start, stop)
-    for d in slices:
-        acc.add(d)
-    return acc, len(slices)
+    return np.array(slices).reshape(len(slices), sys.n), len(slices)
 
 
 def map_stage(sys: InequalitySystem, x) -> list[SliceResult]:
@@ -149,17 +147,13 @@ def reduce_stage(slices: list[SliceResult]) -> tuple[np.ndarray, int]:
     if not slices:
         raise ValueError("reduce_stage needs a non-empty slice list")
     n = slices[0].direction.shape[0]
-    acc = VectorExpansion(n)
-    h = 0
     for s in slices:
         if s.direction.shape != (n,):
             raise ValueError(
                 f"dimension mismatch among slices: {s.direction.shape} vs ({n},)"
             )
-        if s.violated:
-            acc.add(s.direction)
-            h += 1
-    return acc.rounded(), h
+    violated = [s.direction for s in slices if s.violated]
+    return column_sums(np.array(violated).reshape(len(violated), n)), len(violated)
 
 
 def _apply_step(
@@ -180,10 +174,10 @@ def _apply_step(
 def ap_step(sys: InequalitySystem, x) -> tuple[np.ndarray, int]:
     """One averaged-projection step: ``x - phi(x)``; identity when feasible."""
     x = _as_point(x, sys.n)
-    acc, h = partial_reduction(sys, x)
+    block, h = partial_reduction(sys, x)
     if h == 0:
         return x.copy(), 0
-    return _apply_step(x, acc.rounded(), h, VARIANT_AP, 0.0), h
+    return _apply_step(x, column_sums(block), h, VARIANT_AP, 0.0), h
 
 
 def modap_step(sys: InequalitySystem, x, step_length: float) -> tuple[np.ndarray, int]:
@@ -191,10 +185,10 @@ def modap_step(sys: InequalitySystem, x, step_length: float) -> tuple[np.ndarray
     if not step_length > 0:
         raise ValueError(f"step_length must be positive, got {step_length}")
     x = _as_point(x, sys.n)
-    acc, h = partial_reduction(sys, x)
+    block, h = partial_reduction(sys, x)
     if h == 0:
         return x.copy(), 0
-    return _apply_step(x, acc.rounded(), h, VARIANT_MODAP, step_length), h
+    return _apply_step(x, column_sums(block), h, VARIANT_MODAP, step_length), h
 
 
 def _run_loop(src, config: SolverConfig, reduction) -> SolveOutcome:
@@ -241,7 +235,13 @@ def _run_loop(src, config: SolverConfig, reduction) -> SolveOutcome:
             break
         dt = src.next_elapsed()
         y, h = reduction(sys, x)
-        x_next = _apply_step(x, y, h, config.variant, config.step_length)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            x_next = _apply_step(x, y, h, config.variant, config.step_length)
+        if not np.isfinite(x_next).all():
+            raise ValueError(
+                f"iteration {iterations + 1} left float64: the step from the "
+                "violated rows' slices is not finite"
+            )
         step_vec = x_next - x
         x = x_next
         iterations += 1
@@ -281,7 +281,7 @@ def solve(source, config: SolverConfig | None = None) -> SolveOutcome:
     src = dynamics.as_source(source)
 
     def reduction(sys, x):
-        acc, h = partial_reduction(sys, x)
-        return acc.rounded(), h
+        block, h = partial_reduction(sys, x)
+        return column_sums(block), h
 
     return _run_loop(src, config, reduction)

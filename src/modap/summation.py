@@ -1,4 +1,4 @@
-"""Exactly rounded float64 accumulation primitives.
+"""Exactly rounded float64 sums.
 
 Every row-level reduction in the solver (inner products, squared norms, and
 the sum of violation slices) is computed with exactly rounded summation,
@@ -6,13 +6,13 @@ i.e. the result is the correctly rounded value of the exact real sum.  An
 exactly rounded sum depends only on the multiset of addends, never on
 evaluation order, grouping, or SIMD backend.  This is what lets the
 master-worker engine return bit-identical iterates for any worker count:
-each worker keeps its partial sum as an exact expansion (a short list of
-non-overlapping doubles whose exact sum equals the partial sum), the master
-concatenates expansions, and the total is rounded once.
+each worker reports the slices of its violated rows, the master stacks the
+reports in whatever order they arrive, and :func:`column_sums` rounds each
+coordinate's sum once.
 
-The expansion arithmetic is the classic two-sum cascade used by
-``math.fsum`` internally; it requires IEEE-754 round-to-nearest, which
-CPython guarantees for float64.
+Both functions use ``math.fsum`` (Shewchuk's expansion arithmetic, DCG 18,
+1997, in C), which requires IEEE-754 round-to-nearest; CPython guarantees
+it for float64.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-__all__ = ["exact_dot", "grow_expansion", "VectorExpansion"]
+__all__ = ["exact_dot", "column_sums"]
 
 
 def exact_dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -34,58 +34,16 @@ def exact_dot(u: np.ndarray, v: np.ndarray) -> float:
     return math.fsum((u * v).tolist())
 
 
-def grow_expansion(partials: list[float], value: float) -> None:
-    """Add ``value`` into ``partials`` in place, keeping the sum exact.
+def column_sums(block: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of each column of an ``(h, n)`` block of slices.
 
-    Invariant: sum(partials) as an exact real number equals the exact sum
-    of every value ever grown into the list.  Components stay
-    non-overlapping, so the list stays short (typically 1-3 entries).
+    ``h = 0`` gives ``zeros(n)``.  A column whose exact sum is zero gives
+    ``+0.0`` (the ``+ 0.0`` fixes the sign that ``math.fsum`` gives a column
+    of only ``-0.0``), so the result depends on the multiset of rows alone.
+    Raises ``ValueError`` when a column's exact sum overflows float64.
     """
-    x = value
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
-class VectorExpansion:
-    """Per-coordinate exact accumulator for sums of float64 vectors.
-
-    ``add`` folds one vector into the running sum, ``merge`` folds in another
-    accumulator (both exact), and ``rounded`` rounds each coordinate once.
-    Two accumulators that saw the same addends in any order and any grouping
-    round to identical bits.
-    """
-
-    __slots__ = ("dim", "_partials")
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._partials: list[list[float]] = [[] for _ in range(dim)]
-
-    def add(self, vec: np.ndarray) -> None:
-        for j, v in enumerate(vec.tolist()):
-            if v:
-                grow_expansion(self._partials[j], v)
-
-    def merge(self, other: "VectorExpansion") -> None:
-        if other.dim != self.dim:
-            raise ValueError(
-                f"dimension mismatch: cannot merge expansion of dim {other.dim} "
-                f"into dim {self.dim}"
-            )
-        for mine, theirs in zip(self._partials, other._partials):
-            for v in theirs:
-                grow_expansion(mine, v)
-
-    def rounded(self) -> np.ndarray:
-        return np.fromiter(
-            (math.fsum(p) for p in self._partials), dtype=np.float64, count=self.dim
-        )
+    try:
+        sums = [math.fsum(col) + 0.0 for col in block.T.tolist()]
+    except OverflowError as exc:
+        raise ValueError("the sum of the violated rows' slices overflows float64") from exc
+    return np.array(sums, dtype=np.float64)

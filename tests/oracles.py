@@ -1,11 +1,18 @@
-"""Unfiltered row passes: every row through the exact path.
+"""Earlier implementations of the package's exact kernels, kept as oracles.
 
-These are the package's row loops as they were before the float64 filter,
-kept as oracles: the filtered kernels in ``modap.geometry`` and the lazy
-translation in ``modap.dynamics`` must reproduce them bit for bit.  Each
-takes the same arguments as its library counterpart, so a test can patch it
-in where the program looks the name up.
+The row loops are the package's as they were before the float64 filter:
+the filtered kernels in ``modap.geometry`` and the lazy translation in
+``modap.dynamics`` must reproduce them bit for bit.  Each takes the same
+arguments as its library counterpart, so a test can patch it in where the
+program looks the name up.
+
+``grow_expansion`` and ``VectorExpansion`` are the hand-written expansion
+arithmetic (Shewchuk, DCG 18, 1997) that summed the slices before
+``modap.summation.column_sums``; the column sums must equal their rounded
+results bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -56,3 +63,56 @@ def translate(sys, v):
         count=sys.m,
     )
     return sys.with_rhs(new_b)
+
+
+def grow_expansion(partials, value):
+    """Add ``value`` into ``partials`` in place, keeping the sum exact.
+
+    Invariant: sum(partials) as an exact real number equals the exact sum
+    of every value ever grown into the list.  Components stay
+    non-overlapping, so the list stays short (typically 1-3 entries).
+    """
+    x = value
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+class VectorExpansion:
+    """Per-coordinate exact accumulator for sums of float64 vectors.
+
+    ``add`` folds one vector into the running sum, ``merge`` folds in another
+    accumulator (both exact), and ``rounded`` rounds each coordinate once.
+    """
+
+    def __init__(self, dim):
+        self.dim = dim
+        self._partials = [[] for _ in range(dim)]
+
+    def add(self, vec):
+        for j, v in enumerate(vec.tolist()):
+            if v:
+                grow_expansion(self._partials[j], v)
+
+    def merge(self, other):
+        if other.dim != self.dim:
+            raise ValueError(
+                f"dimension mismatch: cannot merge expansion of dim {other.dim} "
+                f"into dim {self.dim}"
+            )
+        for mine, theirs in zip(self._partials, other._partials):
+            for v in theirs:
+                grow_expansion(mine, v)
+
+    def rounded(self):
+        return np.fromiter(
+            (math.fsum(p) for p in self._partials), dtype=np.float64, count=self.dim
+        )

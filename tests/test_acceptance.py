@@ -226,7 +226,7 @@ def test_criterion_5_parallel_bit_identity():
                 par = run_parallel(
                     DynamicSystemSource(sys, spec),
                     cfg,
-                    EngineConfig(workers=workers, ordered_reduce=True),
+                    EngineConfig(workers=workers),
                 )
                 assert par.status == seq.status
                 assert par.iterations == seq.iterations
@@ -315,7 +315,6 @@ def test_criterion_9_round_trip_and_determinism(tmp_path):
             "--set", "problem.n=9",
             "--set", "dynamics.mode=translation",
             "--set", "dynamics.rate=1.5",
-            "--set", "engine.ordered_reduce=true",
             "--workers", "4",
             "--variant", "modap",
         ]

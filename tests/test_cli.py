@@ -163,3 +163,35 @@ def test_non_finite_flags_exit_one(tmp_path, capsys):
         assert main(base + flags) == 1
         assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_finite_iterate_exits_one(tmp_path, capsys):
+    # printf '1 1\n1e-150 -1e300\n' used to end as status=converged
+    # iterations=1 at x = nan (modap) or -inf (ap)
+    path = tmp_path / "s.txt"
+    path.write_text("1 1\n1e-150 -1e300\n")
+    out = tmp_path / "m.csv"
+    for variant in ("ap", "modap"):
+        code = main(["solve", "--set", f"problem.file={path}", "--set", f"output.path={out}",
+                     "--variant", variant])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: iteration 1 ")
+        assert "not finite" in err
+    assert not out.exists()
+
+
+def test_overflowing_slice_sum_exits_one(tmp_path, capsys):
+    # both slices are finite, their first coordinates sum past float64;
+    # the sum used to fail with "-inf + inf in fsum"
+    path = tmp_path / "s.txt"
+    path.write_text("2 2\n1 0 -1.6e308\n1 1e-300 -1.6e308\n")
+    out = tmp_path / "m.csv"
+    for workers in ("0", "2"):
+        code = main(["solve", "--set", f"problem.file={path}", "--set", f"output.path={out}",
+                     "--workers", workers])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "overflows float64" in err
+    assert not out.exists()

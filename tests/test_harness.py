@@ -146,7 +146,6 @@ engine.workers = 3
 dynamics.mode = translation
 dynamics.rate = 2.5
 dynamics.seconds_per_iteration = 0.05
-seed = 7
 output.path = out.csv
 """
         )
@@ -158,7 +157,6 @@ output.path = out.csv
         assert cfg.engine.workers == 3
         assert cfg.dynamics.mode == "translation"
         assert cfg.dynamics.rate == 2.5
-        assert cfg.seed == 7
         assert cfg.output_path == "out.csv"
 
     def test_defaults_when_empty(self):

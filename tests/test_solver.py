@@ -226,3 +226,15 @@ def test_tiny_direction_still_steps():
     x_next, h = modap_step(InequalitySystem([[1.0]], [-1e-200]), [0.0], 1.0)
     assert h == 1
     assert np.array_equal(x_next, [-1.0])
+
+
+# at x = 0 the slice of row [1e-150] is (1e300 / 1e-300) * 1e-150, which
+# overflows to inf; the step then ends at -inf (ap) or nan (modap), a point
+# that every row's membership test used to accept as converged
+OVERFLOWING_SLICE = InequalitySystem([[1e-150], [1.0]], [-1e300, 5.0])
+
+
+@pytest.mark.parametrize("variant", ["ap", "modap"])
+def test_non_finite_iterate_is_an_error(variant):
+    with pytest.raises(ValueError, match="iteration 1 .* not finite"):
+        solve(OVERFLOWING_SLICE, SolverConfig(variant=variant))
