@@ -3,22 +3,25 @@
 One master thread runs the same iteration loop as the sequential solver; K
 worker threads each own a contiguous block of the constraint rows.  Per
 superstep the master broadcasts the current snapshot of the (possibly
-moving) system and the current point, the workers compute the slices of
-their violated rows and send them back, the master sums the reports,
-steps, advances the source, and decides whether to stop; the final
-broadcast carries the exit flag.
+moving) system and the current point, and each worker makes the one
+filtered row pass over its rows (see :mod:`modap.geometry`).  The master
+makes no row pass: it decides whether to stop from the maximum of the
+workers' maxima, else sums their slices, steps and advances the source.
+k iterations take k + 1 supersteps; the final broadcast carries the exit
+flag.
 
 Workers never share mutable state: the point is a value copy, and a
 snapshot is immutable (its exact translated bounds are a pure function of
 the row, computed on demand), so every worker reads the same system the
 master's membership test sees, without a replica of its own.
 
-Each report carries the worker's violated rows' slices, stacked, and their
-count.  The master stacks the reports in arrival order and sums each
-coordinate once, exactly rounded (:func:`modap.summation.column_sums`).  An
-exactly rounded sum depends only on the multiset of addends, so the reduced
-sum is bit-identical to the sequential engine's for every worker count and
-every arrival order.
+Each report carries the worker's violated rows' slices, stacked, their
+count and their largest normalized violation.  The master stacks the
+reports in arrival order and, when it steps, sums each coordinate once,
+exactly rounded (:func:`modap.summation.column_sums`).  An exactly rounded
+sum depends only on the multiset of addends, and a maximum is exact, so the
+step and the stop decision are bit-identical to the sequential engine's for
+every worker count and every arrival order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numpy as np
 from .dynamics import as_source
 from .geometry import InequalitySystem
 from .solver import SolveOutcome, SolverConfig, _run_loop, partial_reduction
-from .summation import column_sums
 
 __all__ = [
     "EngineConfig",
@@ -77,11 +79,13 @@ class EngineConfig:
 @dataclass
 class WorkerReport:
     """One worker's superstep result: the slices of its violated rows,
-    stacked ``(partial_h, n)`` in row order, and their count."""
+    stacked ``(partial_h, n)`` in row order, their count, and their largest
+    normalized violation (0 when there are none)."""
 
     worker_index: int
     slices: np.ndarray
     partial_h: int
+    max_violation: float
 
 
 def partition_rows(m: int, workers: int) -> list[Partition]:
@@ -103,28 +107,28 @@ def partition_rows(m: int, workers: int) -> list[Partition]:
 
 def compute_report(sys: InequalitySystem, part: Partition, x: np.ndarray) -> WorkerReport:
     """Worker-side math for one superstep over one partition."""
-    block, h = partial_reduction(sys, x, part.start, part.stop)
-    return WorkerReport(part.worker_index, block, h)
+    return WorkerReport(part.worker_index, *partial_reduction(sys, x, part.start, part.stop))
 
 
-def combine_reports(reports: list[WorkerReport]) -> tuple[np.ndarray, int]:
-    """Master-side combination of the worker reports, in any order: the
-    exactly rounded sum of all their slices and the total count."""
+def combine_reports(reports: list[WorkerReport]) -> tuple[np.ndarray, int, float]:
+    """Master-side combination of the worker reports, in any order: all
+    their slices stacked, the total count and the largest violation, as
+    :func:`~modap.solver.partial_reduction` gives them for every row."""
     block = np.concatenate([r.slices for r in reports])
-    return column_sums(block), sum(r.partial_h for r in reports)
+    return (block, sum(r.partial_h for r in reports),
+            max(r.max_violation for r in reports))
 
 
 def superstep(
     sys: InequalitySystem, x: np.ndarray, partitions: list[Partition]
-) -> tuple[np.ndarray, int]:
-    """One map+reduce superstep over explicit partitions, without threads.
+) -> tuple[np.ndarray, int, float]:
+    """One superstep's row pass over explicit partitions, without threads.
 
     This is exactly the math the threaded engine performs; with a single
-    partition covering every row it degenerates to the sequential
-    map/reduce.
+    partition covering every row it is the sequential
+    :func:`~modap.solver.partial_reduction`.
     """
-    reports = [compute_report(sys, p, x) for p in partitions]
-    return combine_reports(reports)
+    return combine_reports([compute_report(sys, p, x) for p in partitions])
 
 
 class _Worker(threading.Thread):
@@ -149,8 +153,10 @@ class _Worker(threading.Thread):
                 self.outbox.put(("report", report))
                 self.supersteps += 1
                 self.rows_processed += self.partition.size
-        except Exception as exc:  # noqa: BLE001 - surfaces as EngineError
+        except BaseException as exc:  # noqa: BLE001 - surfaces as EngineError
             self.outbox.put(("error", self.index, exc))
+            if not isinstance(exc, Exception):
+                raise  # SystemExit and the like still end the thread
 
 
 class MasterWorkerEngine:
@@ -175,7 +181,7 @@ class MasterWorkerEngine:
         for w in workers:
             w.start()
 
-        def reduction(sys, x):
+        def evaluate(sys, x):
             for w in workers:
                 w.inbox.put(("work", sys, x.copy()))
             reports = []
@@ -187,7 +193,7 @@ class MasterWorkerEngine:
             return combine_reports(reports)
 
         try:
-            outcome = _run_loop(self.source, self.solver_config, reduction)
+            outcome = _run_loop(self.source, self.solver_config, evaluate)
         finally:
             for w in workers:
                 w.inbox.put(("exit",))

@@ -16,8 +16,11 @@ Conventions:
     results are independent of evaluation order and of how the row list is
     partitioned across workers.
 
-Filtered row passes.  :func:`violated_slices`, :func:`eps_membership` and
-:func:`max_relative_violation` start with one float64 matrix-vector product
+Filtered row passes.  :func:`violated_slices` is the one row pass of an
+iteration: it returns the violated rows' slices and the largest normalized
+violation together, so the step, the membership test and the trace read the
+same evaluation; :func:`eps_membership` and :func:`max_relative_violation`
+are thin wrappers over it.  It starts with one float64 matrix-vector product
 ``t = A[start:stop] @ x - b`` and a forward error bound per row,
 
     e_i = (n + 8) 2^-52 (N_i ||x|| + s_i + |t_i|) + (n + 8) 2^-1022,
@@ -31,13 +34,15 @@ underflow, term is dropped when it cannot arise: x = 0 on an untranslated
 system makes every product, and so t_i, exact.  ``t_i <= -e_i`` proves the
 exact residual is at most 0, so the row is satisfied and skipped.  Every
 other row (violated, near its hyperplane, or with an estimate or bound that
-is not finite) goes through the exact path, ``math.fsum`` as before.  The
-bound only decides which rows may be skipped; every value these functions
-return (slices, the membership decision, the maximum violation) comes from
-the exact path, bit for bit.  This is a floating-point filter in the sense
-of Shewchuk (DCG 18, 1997), with the dot-product error bound of Ogita, Rump
-and Oishi (SISC 26(6), 2005); it assumes IEEE-754 binary64 with subnormal
-inputs kept, which numpy and CPython provide.
+is not finite) goes through the exact path: its elementwise products, taken
+for all such rows at once, and one ``math.fsum`` per row, the bits of
+:func:`~modap.summation.exact_dot`.  The bound only decides which rows may
+be skipped; every value the pass returns (slices, the maximum violation,
+and so the membership decision) comes from the exact path, bit for bit.
+This is a floating-point filter in the sense of Shewchuk (DCG 18, 1997),
+with the dot-product error bound of Ogita, Rump and Oishi (SISC 26(6),
+2005); it assumes IEEE-754 binary64 with subnormal inputs kept, which numpy
+and CPython provide.
 """
 
 from __future__ import annotations
@@ -262,7 +267,7 @@ def _norm_bound(v: np.ndarray) -> float:
     return h * _NORM_SLACK + 2.0 ** -1074 if h else 0.0
 
 
-def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int) -> list[int]:
+def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Rows in [start, stop), ascending, that the float64 filter cannot prove
     satisfied (see the module docstring for the bound)."""
     xnorm = _norm_bound(x)
@@ -278,7 +283,7 @@ def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int)
         if xnorm or sys._slack is not None:
             e += (sys.n + 8) * _MIN_NORMAL
         settled = (t <= -e) & (e < _FILTER_LIMIT)
-    return (np.flatnonzero(~settled) + start).tolist()
+    return np.flatnonzero(~settled) + start
 
 
 def residual(sys: InequalitySystem, i: int, x) -> float:
@@ -306,43 +311,47 @@ def orthogonal_projection(sys: InequalitySystem, i: int, x) -> np.ndarray:
     return x - reflection_vector(sys, i, x)
 
 
-def _slice_direction(sys: InequalitySystem, i: int, x: np.ndarray):
-    """Slice vector for a validated point, or None when row i is satisfied."""
-    r = _exact_residual(sys, i, x)
-    if r > 0.0:
-        return (r / float(sys.row_norms_sq[i])) * sys.a[i]
-    return None
-
-
 def positive_slice(sys: InequalitySystem, i: int, x) -> SliceResult:
     """Positive slice of the reflection vector: the reflection when row i is
     violated, the zero vector otherwise."""
     _check_row(sys, i)
     x = _as_point(x, sys.n)
-    d = _slice_direction(sys, i, x)
-    if d is None:
-        return SliceResult(np.zeros(sys.n), 0)
-    return SliceResult(d, 1)
+    r = _exact_residual(sys, i, x)
+    if r > 0.0:
+        return SliceResult((r / float(sys.row_norms_sq[i])) * sys.a[i], 1)
+    return SliceResult(np.zeros(sys.n), 0)
 
 
 def violated_slices(
     sys: InequalitySystem, x: np.ndarray, start: int = 0, stop: int | None = None
-) -> list[np.ndarray]:
-    """Slice vectors of the violated rows in [start, stop), ascending index.
+) -> tuple[np.ndarray, float]:
+    """One filtered pass over rows [start, stop): the violated rows' slice
+    vectors stacked ``(h, n)`` in ascending row order, and the largest
+    normalized violation ``r_i / ||a_i||`` among them (0 when h = 0).
 
     Internal kernel shared by the sequential solver and the worker threads;
     both must evaluate each row identically for parallel runs to reproduce
-    sequential ones bit for bit.  Rows the filter proves satisfied are
-    skipped; the slices come from the exact path.
+    sequential ones bit for bit.  A maximum does not depend on order, so
+    the maxima of covering partial passes give the full pass's bits.
     """
     if stop is None:
         stop = sys.m
-    out = []
-    for i in _unsettled_rows(sys, x, start, stop):
-        d = _slice_direction(sys, i, x)
-        if d is not None:
-            out.append(d)
-    return out
+    rows = _unsettled_rows(sys, x, start, stop)
+    a = sys.a[rows]
+    with np.errstate(all="ignore"):  # a non-finite slice fails the step's check
+        px = (a * x).tolist()
+        if sys._b is not None:
+            r = [math.fsum(p) - b for p, b in zip(px, sys._b[rows].tolist())]
+        else:  # the exact bound b_i + <a_i, v> of InequalitySystem.rhs
+            pv = (a * sys._shift).tolist()
+            r = [math.fsum(p) - (b + math.fsum(q))
+                 for p, q, b in zip(px, pv, sys._base_b[rows].tolist())]
+        r = np.array(r, dtype=np.float64)
+        hit = r > 0.0
+        r, rows = r[hit], rows[hit]
+        block = (r / sys.row_norms_sq[rows])[:, None] * a[hit]
+        worst = float((r / sys.row_norms[rows]).max()) if r.size else 0.0
+    return block, worst
 
 
 def pseudo_projection(sys: InequalitySystem, x) -> tuple[np.ndarray, int]:
@@ -352,12 +361,11 @@ def pseudo_projection(sys: InequalitySystem, x) -> tuple[np.ndarray, int]:
     violated rows.  When every row is satisfied (h = 0) the direction is the
     zero vector by convention; callers treat that as "feasible, stop".
     """
-    x = _as_point(x, sys.n)
-    slices = violated_slices(sys, x)
-    h = len(slices)
+    block, _ = violated_slices(sys, _as_point(x, sys.n))
+    h = block.shape[0]
     if h == 0:
         return np.zeros(sys.n), 0
-    return column_sums(np.array(slices)) / h, h
+    return column_sums(block) / h, h
 
 
 def fixed_step_direction(sys: InequalitySystem, x, step_length: float) -> np.ndarray:
@@ -378,8 +386,14 @@ def fixed_step_direction(sys: InequalitySystem, x, step_length: float) -> np.nda
             "point satisfies every inequality; the fixed-length step direction "
             "is undefined"
         )
-    norm = vector_norm(direction)
-    return (step_length / norm) * direction
+    return _rescaled(direction, vector_norm(direction), step_length)
+
+
+def _rescaled(v: np.ndarray, norm: float, length: float) -> np.ndarray:
+    """``(length / norm) * v``, or ``length * (v / norm)`` when a tiny norm
+    makes the factor overflow, so that v keeps a finite length."""
+    factor = length / norm
+    return factor * v if factor < math.inf else length * (v / norm)
 
 
 def eps_satisfies(sys: InequalitySystem, i: int, x, eps: float) -> bool:
@@ -393,15 +407,9 @@ def eps_satisfies(sys: InequalitySystem, i: int, x, eps: float) -> bool:
 
 def eps_membership(sys: InequalitySystem, x, eps: float) -> bool:
     """True iff every row is satisfied or violated by less than ``eps``."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    x = _as_point(x, sys.n)
-    norms = sys.row_norms
-    for i in _unsettled_rows(sys, x, 0, sys.m):
-        r = _exact_residual(sys, i, x)
-        if r > 0.0 and r / float(norms[i]) >= eps:
-            return False
-    return True
+    return max_relative_violation(sys, x) < eps
 
 
 def max_relative_violation(sys: InequalitySystem, x) -> float:
@@ -410,16 +418,7 @@ def max_relative_violation(sys: InequalitySystem, x) -> float:
     Row-scale invariant: rescaling a row and its bound by the same positive
     factor leaves the value unchanged.
     """
-    x = _as_point(x, sys.n)
-    norms = sys.row_norms
-    worst = 0.0
-    for i in _unsettled_rows(sys, x, 0, sys.m):
-        r = _exact_residual(sys, i, x)
-        if r > 0.0:
-            v = r / float(norms[i])
-            if v > worst:
-                worst = v
-    return worst
+    return violated_slices(sys, _as_point(x, sys.n))[1]
 
 
 def vector_norm(v: np.ndarray) -> float:

@@ -7,11 +7,14 @@ the updated system.  AP subtracts the averaged violation direction, which
 is a Fejer-monotone move; ModAP rescales that direction to a fixed length
 so steps do not decay near the boundary of a moving region.
 
-Iteration structure: the membership check runs at the top of the loop, so a
-point that is already feasible converges with zero steps, and a violated
-count of zero can never reach the step computation (h = 0 implies the check
-above it already passed).  From the first step onward the observable cycle
-is exactly step -> advance source -> check against the updated system.
+Iteration structure: each (snapshot, point) gets exactly one filtered row
+pass (:func:`partial_reduction`), giving the violated rows' slices, their
+count h and the largest normalized violation.  The pass on the starting
+point is the first membership test, so a feasible start takes no step.
+Each iteration is then step -> advance source -> one pass on the updated
+system, whose maximum is both the trace's value and the next membership
+test, and whose slices, summed only if the loop steps again, give the next
+direction (h = 0 means a maximum of 0 < eps, so it never reaches a step).
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ from enum import Enum
 import numpy as np
 
 from . import dynamics
-from .geometry import (
+# bench/tracer.py traces eps_membership and max_relative_violation here
+from .geometry import (  # noqa: F401
     InequalitySystem,
     SliceResult,
     _as_point,
+    _rescaled,
     eps_membership,
     max_relative_violation,
     positive_slice,
@@ -120,16 +125,17 @@ class SolveOutcome:
 
 def partial_reduction(
     sys: InequalitySystem, x: np.ndarray, start: int = 0, stop: int | None = None
-) -> tuple[np.ndarray, int]:
-    """The violated rows' slices in [start, stop), stacked ``(h, n)``, and h.
+) -> tuple[np.ndarray, int, float]:
+    """The filtered pass over [start, stop): the violated rows' slices
+    stacked ``(h, n)``, h, and their largest normalized violation.
 
-    Shared by the sequential reduce and the engine workers: a full-range call
+    Shared by the sequential solver and the engine workers: a full-range call
     and any set of covering partial calls give the same rows, so the
-    :func:`~modap.summation.column_sums` of their stacked blocks are
-    bit-identical.
+    :func:`~modap.summation.column_sums` of their stacked blocks, and the
+    maximum of their maxima, are bit-identical.
     """
-    slices = violated_slices(sys, x, start, stop)
-    return np.array(slices).reshape(len(slices), sys.n), len(slices)
+    block, worst = violated_slices(sys, x, start, stop)
+    return block, block.shape[0], worst
 
 
 def map_stage(sys: InequalitySystem, x) -> list[SliceResult]:
@@ -168,13 +174,13 @@ def _apply_step(
             "violation direction vanished although rows are violated; "
             "the system looks infeasible"
         )
-    return x - (step_length / norm) * y
+    return x - _rescaled(y, norm, step_length)
 
 
 def ap_step(sys: InequalitySystem, x) -> tuple[np.ndarray, int]:
     """One averaged-projection step: ``x - phi(x)``; identity when feasible."""
     x = _as_point(x, sys.n)
-    block, h = partial_reduction(sys, x)
+    block, h, _ = partial_reduction(sys, x)
     if h == 0:
         return x.copy(), 0
     return _apply_step(x, column_sums(block), h, VARIANT_AP, 0.0), h
@@ -185,19 +191,20 @@ def modap_step(sys: InequalitySystem, x, step_length: float) -> tuple[np.ndarray
     if not step_length > 0:
         raise ValueError(f"step_length must be positive, got {step_length}")
     x = _as_point(x, sys.n)
-    block, h = partial_reduction(sys, x)
+    block, h, _ = partial_reduction(sys, x)
     if h == 0:
         return x.copy(), 0
     return _apply_step(x, column_sums(block), h, VARIANT_MODAP, step_length), h
 
 
-def _run_loop(src, config: SolverConfig, reduction) -> SolveOutcome:
+def _run_loop(src, config: SolverConfig, evaluate) -> SolveOutcome:
     """Shared iteration skeleton for the sequential and parallel engines.
 
-    ``reduction(sys, x) -> (y, h)`` supplies the reduced slice sum over the
-    snapshot ``sys``; everything else (membership test, step, source
-    updates, bookkeeping) is identical between engines, which is what the
-    bit-level equivalence contract rests on.
+    ``evaluate(sys, x) -> (block, h, max_violation)`` is the filtered row
+    pass over the snapshot ``sys`` (see :func:`partial_reduction`);
+    everything else (membership decision, slice sum, step, source updates,
+    bookkeeping) is identical between engines, which is what the bit-level
+    equivalence contract rests on.
     """
     n = src.snapshot().n
     if config.initial_point is None:
@@ -216,27 +223,18 @@ def _run_loop(src, config: SolverConfig, reduction) -> SolveOutcome:
     )
     t_start = time.perf_counter()
     iterations = 0
-    # the trace's max violation, measured on the snapshot and point that the
-    # next membership test sees; "max violation < eps" is the same decision
-    # as eps_membership (both skip a row whose r > 0 is false), so it saves
-    # that pass
-    last_violation = None
+    block, h, violation = evaluate(src.snapshot(), x)
     while True:
-        sys = src.snapshot()
-        if last_violation is None:
-            member = eps_membership(sys, x, config.eps)
-        else:
-            member = last_violation < config.eps
-        if member:
+        if violation < config.eps:
             status = SolveStatus.CONVERGED
             break
         if iterations >= config.max_iterations:
             status = SolveStatus.BUDGET_EXHAUSTED
             break
         dt = src.next_elapsed()
-        y, h = reduction(sys, x)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            x_next = _apply_step(x, y, h, config.variant, config.step_length)
+            x_next = _apply_step(x, column_sums(block), h, config.variant,
+                                 config.step_length)
         if not np.isfinite(x_next).all():
             raise ValueError(
                 f"iteration {iterations + 1} left float64: the step from the "
@@ -246,14 +244,15 @@ def _run_loop(src, config: SolverConfig, reduction) -> SolveOutcome:
         x = x_next
         iterations += 1
         src.advance(dt)
+        step_h = h
+        block, h, violation = evaluate(src.snapshot(), x)
         if trace is not None:
-            last_violation = max_relative_violation(src.snapshot(), x)
             trace.append(
                 IterationRecord(
                     k=iterations,
-                    h=h,
+                    h=step_h,
                     step_norm=vector_norm(step_vec),
-                    max_violation=last_violation,
+                    max_violation=violation,
                     virtual_time=src.current_time,
                     wall_time=time.perf_counter() - t_start,
                 )
@@ -278,10 +277,4 @@ def solve(source, config: SolverConfig | None = None) -> SolveOutcome:
     """
     if config is None:
         config = SolverConfig()
-    src = dynamics.as_source(source)
-
-    def reduction(sys, x):
-        block, h = partial_reduction(sys, x)
-        return column_sums(block), h
-
-    return _run_loop(src, config, reduction)
+    return _run_loop(dynamics.as_source(source), config, partial_reduction)

@@ -1,10 +1,12 @@
 """Earlier implementations of the package's exact kernels, kept as oracles.
 
 The row loops are the package's as they were before the float64 filter:
-the filtered kernels in ``modap.geometry`` and the lazy translation in
-``modap.dynamics`` must reproduce them bit for bit.  Each takes the same
-arguments as its library counterpart, so a test can patch it in where the
-program looks the name up.
+the filtered row pass in ``modap.geometry`` and the lazy translation in
+``modap.dynamics`` must reproduce them bit for bit.  :func:`row_pass`
+combines two of them as the counterpart of the one pass,
+``modap.geometry.violated_slices``; it and :func:`translate` take the same
+arguments as their library counterparts, so a test can patch them in where
+the program looks the name up.
 
 ``grow_expansion`` and ``VectorExpansion`` are the hand-written expansion
 arithmetic (Shewchuk, DCG 18, 1997) that summed the slices before
@@ -42,17 +44,25 @@ def eps_membership(sys, x, eps):
     return True
 
 
-def max_relative_violation(sys, x):
+def max_relative_violation(sys, x, start=0, stop=None):
+    if stop is None:
+        stop = sys.m
     x = np.asarray(x, dtype=np.float64)
     a, b, norms = sys.a, sys.b, sys.row_norms
     worst = 0.0
-    for i in range(sys.m):
+    for i in range(start, stop):
         r = exact_dot(a[i], x) - float(b[i])
         if r > 0.0:
             v = r / float(norms[i])
             if v > worst:
                 worst = v
     return worst
+
+
+def row_pass(sys, x, start=0, stop=None):
+    slices = violated_slices(sys, x, start, stop)
+    return (np.array(slices).reshape(len(slices), sys.n),
+            max_relative_violation(sys, x, start, stop))
 
 
 def translate(sys, v):

@@ -1,4 +1,5 @@
 import sys as sys_module
+import threading
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from modap import (
     compute_report,
     generate_model_problem,
     map_stage,
+    max_relative_violation,
     partition_rows,
     reduce_stage,
     run_parallel,
     solve,
     superstep,
 )
+from modap.summation import column_sums
 
 BOX = InequalitySystem([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
@@ -69,10 +72,11 @@ class TestPartitioning:
 class TestSuperstep:
     def test_single_partition_matches_sequential_reduce(self):
         x = np.array([3.0, 2.0])
-        y, h = superstep(BOX, x, partition_rows(BOX.m, 1))
+        block, h, worst = superstep(BOX, x, partition_rows(BOX.m, 1))
         y_seq, h_seq = reduce_stage(map_stage(BOX, x))
-        assert np.array_equal(y, y_seq)
+        assert np.array_equal(column_sums(block), y_seq)
         assert h == h_seq
+        assert worst == max_relative_violation(BOX, x) == 2.0
 
     def test_one_row_per_worker_hand_values(self):
         x = np.array([3.0, 2.0])
@@ -81,16 +85,20 @@ class TestSuperstep:
         assert [r.worker_index for r in reports] == [0, 1]
         assert np.array_equal(reports[0].slices, [[2.0, 0.0]])
         assert reports[0].partial_h == 1
+        assert reports[0].max_violation == 2.0
         assert np.array_equal(reports[1].slices, [[0.0, 1.0]])
         assert reports[1].partial_h == 1
-        y, h = combine_reports(reports)
-        assert np.array_equal(y, [2.0, 1.0])
+        assert reports[1].max_violation == 1.0
+        block, h, worst = combine_reports(reports)
+        assert np.array_equal(column_sums(block), [2.0, 1.0])
         assert h == 2
+        assert worst == 2.0
         # a worker whose rows are all satisfied reports an empty block
         reports[1] = compute_report(BOX, parts[1], np.array([3.0, 0.0]))
         assert reports[1].slices.shape == (0, 2)
         assert reports[1].partial_h == 0
-        assert combine_reports(reports)[1] == 1
+        assert reports[1].max_violation == 0.0
+        assert combine_reports(reports)[1:] == (1, 2.0)
 
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.randoms())
@@ -103,19 +111,22 @@ class TestSuperstep:
         x = rng.standard_normal(3)
         parts = partition_rows(sys.m, workers)
         reports = [compute_report(sys, p, x) for p in parts]
-        y, h = combine_reports(reports)
+        block, h, worst = combine_reports(reports)
         rnd.shuffle(reports)
-        y_shuffled, h_shuffled = combine_reports(reports)
-        y_seq, h_seq = superstep(sys, x, partition_rows(sys.m, 1))
+        block_shuffled, h_shuffled, worst_shuffled = combine_reports(reports)
+        block_seq, h_seq, worst_seq = superstep(sys, x, partition_rows(sys.m, 1))
+        y, y_shuffled, y_seq = map(column_sums, (block, block_shuffled, block_seq))
         assert y_shuffled.tobytes() == y.tobytes() == y_seq.tobytes()
         assert h_shuffled == h == h_seq
+        assert worst_shuffled == worst == worst_seq == max_relative_violation(sys, x)
 
     def test_feasible_point_zero_everywhere(self):
         x = np.array([0.0, 0.0])
         for k in (1, 2):
-            y, h = superstep(BOX, x, partition_rows(BOX.m, k))
-            assert np.array_equal(y, [0.0, 0.0])
+            block, h, worst = superstep(BOX, x, partition_rows(BOX.m, k))
+            assert np.array_equal(column_sums(block), [0.0, 0.0])
             assert h == 0
+            assert worst == 0.0
 
     def test_partial_h_bounded_by_partition_size(self, rng):
         sys, _ = random_feasible_system(rng, 6, 17)
@@ -127,7 +138,7 @@ class TestSuperstep:
     def test_h_matches_brute_force_count(self, rng):
         sys, _ = random_feasible_system(rng, 5, 13)
         x = rng.uniform(-20, 20, 5)
-        _, h = superstep(sys, x, partition_rows(sys.m, 4))
+        _, h, _ = superstep(sys, x, partition_rows(sys.m, 4))
         expected = sum(
             1
             for i in range(sys.m)
@@ -203,8 +214,10 @@ class TestRunParallel:
         out = run_parallel(source, SolverConfig(), EngineConfig(workers=2))
         assert out.converged
         assert len(calls) == out.iterations
-        assert len(seen) == 2 * out.iterations
-        assert all(seen[2 * k] is seen[2 * k + 1] for k in range(out.iterations))
+        # one superstep on the starting point, then one per iteration
+        supersteps = out.iterations + 1
+        assert len(seen) == 2 * supersteps
+        assert all(seen[2 * k] is seen[2 * k + 1] for k in range(supersteps))
 
     def test_generator_instance_converges_and_passes_brute_force(self):
         sys = generate_model_problem(ModelProblemSpec(n=10))
@@ -224,21 +237,24 @@ class TestRunParallel:
             EngineConfig(workers=4),
         )
         out = engine.run()
-        assert engine.worker_superstep_counts == [out.iterations] * 4
+        # the first superstep tests the starting point; each later one
+        # follows a step
+        assert engine.worker_superstep_counts == [out.iterations + 1] * 4
         sizes = [p.size for p in engine.partitions]
         assert engine.worker_rows_processed == [
-            s * out.iterations for s in sizes
+            s * (out.iterations + 1) for s in sizes
         ]
         assert sum(sizes) == sys.m
 
-    def test_feasible_start_runs_zero_supersteps(self):
+    def test_feasible_start_runs_one_superstep(self):
+        # the workers' pass on the starting point is the membership test
         engine = MasterWorkerEngine(
             DynamicSystemSource(BOX), SolverConfig(), EngineConfig(workers=2)
         )
         out = engine.run()
         assert out.status is SolveStatus.CONVERGED
         assert out.iterations == 0
-        assert engine.worker_superstep_counts == [0, 0]
+        assert engine.worker_superstep_counts == [1, 1]
 
     def test_worker_failure_aborts_with_engine_error(self, rng, monkeypatch):
         sys, _ = random_feasible_system(rng, 6, 12)
@@ -253,6 +269,36 @@ class TestRunParallel:
         monkeypatch.setattr(bsf_engine, "compute_report", broken)
         with pytest.raises(EngineError, match="worker 1"):
             run_parallel(self._fresh(sys), SolverConfig(), EngineConfig(workers=3))
+
+    # the worker thread re-raises SystemExit once it has told the master
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_worker_exit_without_exception_aborts_the_run(self, rng, monkeypatch):
+        # SystemExit is no Exception; a worker that let it pass posted
+        # nothing, and the master waited for its report forever
+        sys, _ = random_feasible_system(rng, 6, 12)
+        real = bsf_engine.compute_report
+
+        def exiting(system, part, x):
+            if part.worker_index == 1:
+                raise SystemExit(3)
+            return real(system, part, x)
+
+        monkeypatch.setattr(bsf_engine, "compute_report", exiting)
+        raised = []
+
+        def run():
+            try:
+                run_parallel(self._fresh(sys), SolverConfig(), EngineConfig(workers=2))
+            except BaseException as exc:  # noqa: BLE001 - inspected below
+                raised.append(exc)
+
+        master = threading.Thread(target=run, daemon=True)
+        master.start()
+        master.join(timeout=30)
+        assert not master.is_alive(), "the run hangs after a worker exited"
+        assert len(raised) == 1
+        assert isinstance(raised[0], EngineError)
+        assert "worker 1" in str(raised[0])
 
     @pytest.mark.parametrize("variant", ["ap", "modap"])
     def test_non_finite_iterate_is_an_error(self, variant):

@@ -1,12 +1,14 @@
-"""The filtered row passes against the unfiltered oracles in ``oracles.py``.
+"""The filtered row pass against the unfiltered oracles in ``oracles.py``.
 
 The filter may only decide which rows skip the exact path, so every result
 must match the oracle bit for bit, at points on and a few ulps off the
 hyperplanes, at x = 0, at subnormal and huge magnitudes, for rows whose
-squared norm has underflowed, and on translated systems.
+squared norm has underflowed, and on translated systems.  A solve makes one
+pass per (snapshot, point).
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -53,10 +55,19 @@ def _bits(value):
     return value if value[0] == "raised" else ("ok", np.float64(value[1]).tobytes())
 
 
-def _slice_bits(value):
+def _pass_bits(value):
+    """Bits of a row pass's ``(slices, max_violation)`` outcome."""
     if value[0] == "raised":
         return value
-    return ("ok", [d.tobytes() for d in value[1]])
+    slices, worst = value[1]
+    return ("ok", [d.tobytes() for d in slices], np.float64(worst).tobytes())
+
+
+def _membership_oracle(sys, x, eps):
+    # the one pass evaluates every unsettled row, so an overflow in the exact
+    # path raises even where the old loop had already returned False
+    oracles.max_relative_violation(sys, x)
+    return oracles.eps_membership(sys, x, eps)
 
 
 def _scaled(draw, scales, size):
@@ -121,23 +132,36 @@ def filter_cases(draw):
 @given(filter_cases(), st.data())
 def test_filtered_kernels_equal_the_oracles_bit_for_bit(case, data):
     fast, exact, x = case
-    start = data.draw(st.integers(0, fast.m - 1))
-    stop = data.draw(st.integers(start + 1, fast.m))
-    # the filtered kernels run first, on a system whose translated bounds
+    m = fast.m
+    start = data.draw(st.integers(0, m - 1))
+    stop = data.draw(st.integers(start + 1, m))
+    # a cover of all rows by consecutive ranges, some possibly empty
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=3)))
+    cover = list(zip([0] + cuts, cuts + [m]))
+    # the filtered pass runs first, on a system whose translated bounds
     # have not been materialised yet
+    ranged = _outcome(violated_slices, fast, x, start, stop)
+    parts = [_outcome(violated_slices, fast, x, lo, hi) for lo, hi in cover]
     got = [
-        _slice_bits(_outcome(violated_slices, fast, x, start, stop)),
+        _pass_bits(ranged),
+        [_pass_bits(part) for part in parts],
         _bits(_outcome(max_relative_violation, fast, x)),
     ]
     for eps in (1e-7, 5e-324, 1.0):
         got.append(_outcome(eps_membership, fast, x, eps))
     want = [
-        _slice_bits(_outcome(oracles.violated_slices, exact, x, start, stop)),
+        _pass_bits(_outcome(oracles.row_pass, exact, x, start, stop)),
+        [_pass_bits(_outcome(oracles.row_pass, exact, x, lo, hi)) for lo, hi in cover],
         _bits(_outcome(oracles.max_relative_violation, exact, x)),
     ]
     for eps in (1e-7, 5e-324, 1.0):
-        want.append(_outcome(oracles.eps_membership, exact, x, eps))
+        want.append(_outcome(_membership_oracle, exact, x, eps))
     assert got == want
+    if ranged[0] == "ok":
+        assert ranged[1][0].shape == (len(got[0][1]), fast.n)
+    # the maximum over a cover of the rows is the full pass's maximum
+    if all(part[0] == "ok" for part in parts):
+        assert _bits(("ok", max(part[1][1] for part in parts))) == got[2]
     assert fast.b.tobytes() == exact.b.tobytes()
 
 
@@ -148,7 +172,8 @@ def test_tiny_row_with_underflowed_norm():
     for x in ([1.0, 5.0], [math.nextafter(1.0, 2.0), 0.0], [math.nextafter(1.0, 0.0), 0.0]):
         x = np.array(x)
         assert max_relative_violation(sys, x) == oracles.max_relative_violation(sys, x)
-        assert len(violated_slices(sys, x)) == len(oracles.violated_slices(sys, x))
+        assert _pass_bits(("ok", violated_slices(sys, x))) == _pass_bits(
+            ("ok", oracles.row_pass(sys, x)))
 
 
 def _model_source(n):
@@ -160,42 +185,54 @@ def _model_source(n):
 
 def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     """A bound that is too loose would send every row to the slow path
-    without changing any result; count the exact inner products."""
-    n = 200
-    calls = [0]
+    without changing any result; count the rows each pass sends to the exact
+    path, and the passes: one per (snapshot, point), none on the engine's
+    master."""
+    passes = []
+    real_unsettled = geometry._unsettled_rows
+
+    def counting_unsettled(sys, x, start, stop):
+        rows = real_unsettled(sys, x, start, stop)
+        passes.append((sys, np.array(x), start, stop, len(rows),
+                       threading.current_thread()))
+        return rows
+
+    dots = [0]
 
     def counting_dot(u, v):
-        calls[0] += 1
+        dots[0] += 1
         return exact_dot(u, v)
 
-    passes = []
+    translate_dots = []
 
-    def counted(name, fn):
-        def wrapper(sys, x, *args):
-            before = calls[0]
-            result = fn(sys, x, *args)
-            passes.append((name, sys, np.array(x), calls[0] - before))
-            return result
-        return wrapper
+    def counting_translate(sys, v):
+        before = dots[0]
+        result = translate(sys, v)
+        translate_dots.append(dots[0] - before)
+        return result
 
+    monkeypatch.setattr(geometry, "_unsettled_rows", counting_unsettled)
     monkeypatch.setattr(geometry, "exact_dot", counting_dot)
-    for name in ("eps_membership", "violated_slices", "max_relative_violation"):
-        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
-    monkeypatch.setattr(dynamics, "translate", counted("translate", dynamics.translate))
-    out = solve(_model_source(n), SolverConfig(record_trace=True))
-    monkeypatch.undo()
+    monkeypatch.setattr(dynamics, "translate", counting_translate)
+    for workers, record_trace in [(0, True), (0, False), (2, True)]:
+        passes.clear()
+        translate_dots.clear()
+        config = SolverConfig(record_trace=record_trace)
+        if workers:
+            out = run_parallel(_model_source(200), config, EngineConfig(workers=workers))
+        else:
+            out = solve(_model_source(200), config)
 
-    assert out.converged and out.iterations >= 3
-    names = {name for name, *_ in passes}
-    assert names == {"eps_membership", "violated_slices", "max_relative_violation", "translate"}
-    for name, sys, x, count in passes:
-        if name == "translate":
-            assert count == 0
-            continue
-        h = len(oracles.violated_slices(sys, x))
-        # an exactly evaluated row of a translated system takes two inner
-        # products: one with x and one for its bound
-        assert count <= 2 * (h + 2), (name, h, count)
+        assert out.converged and out.iterations >= 3
+        # one pass on the starting point, then one after each step
+        assert len(passes) == max(1, workers) * (out.iterations + 1)
+        if workers:
+            assert threading.current_thread() not in {p[-1] for p in passes}
+        for sys, x, start, stop, count, _ in passes:
+            h = len(oracles.violated_slices(sys, x, start, stop))
+            assert count <= h + 2, (workers, h, count)
+        # translating computes no exact bound; a pass computes those it needs
+        assert translate_dots == [0] * out.iterations
 
 
 @pytest.mark.parametrize("workers,record_trace", [(0, True), (0, False), (2, True)])
@@ -207,8 +244,8 @@ def test_oracle_kernels_reproduce_a_translating_solve(monkeypatch, workers, reco
         return solve(_model_source(200), config)
 
     fast = run()
-    for name in ("eps_membership", "violated_slices", "max_relative_violation"):
-        monkeypatch.setattr(solver, name, getattr(oracles, name))
+    # the loop's one row pass, for both engines
+    monkeypatch.setattr(solver, "violated_slices", oracles.row_pass)
     monkeypatch.setattr(dynamics, "translate", oracles.translate)
     exact = run()
 
