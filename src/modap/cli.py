@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from . import cost_model
+from .bsf_engine import EngineError
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -114,14 +115,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_costmodel(args) -> int:
-    base = cost_model.CostParams(
-        n=1,
-        m=1,
-        tau_op=args.tau_op,
-        tau_tr=args.tau_tr,
-        latency=args.latency,
-        update_breadth=args.breadth,
-    )
     n_values = args.n_values if args.n_values else [args.n]
     lines = [
         "# assumed cost parameters (not measured): "
@@ -132,8 +125,8 @@ def _cmd_costmodel(args) -> int:
         m = args.m if args.m is not None else 2 * n + 2
         rep = cost_model.report(
             cost_model.CostParams(
-                n=n, m=m, tau_op=base.tau_op, tau_tr=base.tau_tr,
-                latency=base.latency, update_breadth=base.update_breadth,
+                n=n, m=m, tau_op=args.tau_op, tau_tr=args.tau_tr,
+                latency=args.latency, update_breadth=args.breadth,
             )
         )
         c, t = rep.counts, rep.times
@@ -198,7 +191,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SystemFormatError, ValueError, OSError) as exc:
+    except (ConfigError, SystemFormatError, ValueError, OSError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

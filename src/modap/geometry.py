@@ -35,7 +35,8 @@ system makes every product, and so t_i, exact.  ``t_i <= -e_i`` proves the
 exact residual is at most 0, so the row is satisfied and skipped.  Every
 other row (violated, near its hyperplane, or with an estimate or bound that
 is not finite) goes through the exact path: its elementwise products, taken
-for all such rows at once, and one ``math.fsum`` per row, the bits of
+for all such rows at once, and their exactly rounded row sums
+(:func:`~modap.summation.row_sums`, vectorised over the block), the bits of
 :func:`~modap.summation.exact_dot`.  The bound only decides which rows may
 be skipped; every value the pass returns (slices, the maximum violation,
 and so the membership decision) comes from the exact path, bit for bit.
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .summation import column_sums, exact_dot
+from .summation import column_sums, exact_dot, row_sums
 
 __all__ = [
     "FeasiblePointError",
@@ -77,6 +78,9 @@ _MIN_NORMAL = 2.0 ** -1022
 _FILTER_LIMIT = 2.0 ** 960
 # relative slack on computed norm bounds; their own rounding is below 5 ulp
 _NORM_SLACK = 1.0 + 2.0 ** -48
+# row blocks of whole-matrix sums (squared norms, translated bounds) hold at
+# most this many elements, so their temporaries stay near 0.5 MB each
+_BLOCK_ELEMENTS = 2 ** 16
 
 
 class FeasiblePointError(ValueError):
@@ -114,9 +118,13 @@ class InequalitySystem:
                 f"right-hand side has length {b.shape[0]}, expected m = {m}"
             )
         _check_finite_rhs(b)
-        norms_sq = np.fromiter(
-            (_squared_norm(row) for row in a), dtype=np.float64, count=m
-        )
+        norms_sq = np.empty(m)
+        for rows in _row_blocks(m, n):
+            part = a[rows]
+            try:
+                norms_sq[rows] = row_sums(part * part)
+            except OverflowError:  # the squares are non-negative: a sum overflows
+                norms_sq[rows] = [_squared_norm(row) for row in part]
         for i in np.flatnonzero(~np.isfinite(norms_sq)).tolist():
             if not np.isfinite(a[i]).all():
                 raise ValueError(f"row {i} has a non-finite coefficient")
@@ -164,8 +172,11 @@ class InequalitySystem:
         translated system."""
         b = self._b
         if b is None:
-            b = np.fromiter((self.rhs(i) for i in range(self.m)),
-                            dtype=np.float64, count=self.m)
+            b = np.empty(self.m)
+            for rows in _row_blocks(self.m, self.n):
+                b[rows] = self._base_b[rows] + _exact_sums(
+                    self.a[rows] * self._shift, range(self.m)[rows],
+                    "its translated bound")
             self._b = b
         return b
 
@@ -220,6 +231,28 @@ def _check_finite_rhs(b: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:
         raise ValueError(f"bound of row {int(bad[0])} is not finite: {float(b[bad[0]])!r}")
+
+
+def _row_blocks(m: int, n: int):
+    """Consecutive row slices of an ``(m, n)`` matrix, each of at most
+    :data:`_BLOCK_ELEMENTS` elements (one row at least), so that a
+    whole-matrix sum needs only small temporaries."""
+    step = max(1, _BLOCK_ELEMENTS // n)
+    return [slice(lo, lo + step) for lo in range(0, m, step)]
+
+
+def _exact_sums(products: np.ndarray, rows, what: str) -> np.ndarray:
+    """:func:`~modap.summation.row_sums` of the products of ``rows``; a sum
+    that overflows is reported as an ``OverflowError`` naming its row."""
+    try:
+        return row_sums(products)
+    except OverflowError:
+        for i, p in zip(rows, products):
+            try:
+                math.fsum(p.tolist())
+            except OverflowError as exc:
+                raise OverflowError(f"row {i}: {what} overflows float64") from exc
+        raise
 
 
 def _squared_norm(row: np.ndarray) -> float:
@@ -339,14 +372,12 @@ def violated_slices(
     rows = _unsettled_rows(sys, x, start, stop)
     a = sys.a[rows]
     with np.errstate(all="ignore"):  # a non-finite slice fails the step's check
-        px = (a * x).tolist()
+        r = _exact_sums(a * x, rows, "its residual")
         if sys._b is not None:
-            r = [math.fsum(p) - b for p, b in zip(px, sys._b[rows].tolist())]
+            r -= sys._b[rows]
         else:  # the exact bound b_i + <a_i, v> of InequalitySystem.rhs
-            pv = (a * sys._shift).tolist()
-            r = [math.fsum(p) - (b + math.fsum(q))
-                 for p, q, b in zip(px, pv, sys._base_b[rows].tolist())]
-        r = np.array(r, dtype=np.float64)
+            r -= sys._base_b[rows] + _exact_sums(a * sys._shift, rows,
+                                                 "its translated bound")
         hit = r > 0.0
         r, rows = r[hit], rows[hit]
         block = (r / sys.row_norms_sq[rows])[:, None] * a[hit]

@@ -105,9 +105,13 @@ class ModelProblemSpec:
 def generate_model_problem(spec: ModelProblemSpec) -> InequalitySystem:
     """Instantiate the model family; always m = 2n + 2 rows."""
     n = spec.n
-    eye = np.eye(n)
-    ones = np.ones((1, n))
-    a = np.vstack([eye, -eye, ones, -ones])
+    # [I; -I; 1; -1], built in place: -I has -0.0 off its diagonal
+    a = np.zeros((2 * n + 2, n))
+    a[n:2 * n] = -0.0
+    np.fill_diagonal(a[:n], 1.0)
+    np.fill_diagonal(a[n:2 * n], -1.0)
+    a[2 * n] = 1.0
+    a[2 * n + 1] = -1.0
     b = np.concatenate(
         [
             np.full(n, spec.box_upper),

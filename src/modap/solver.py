@@ -132,9 +132,13 @@ def partial_reduction(
     Shared by the sequential solver and the engine workers: a full-range call
     and any set of covering partial calls give the same rows, so the
     :func:`~modap.summation.column_sums` of their stacked blocks, and the
-    maximum of their maxima, are bit-identical.
+    maximum of their maxima, are bit-identical.  Raises ``ValueError``
+    naming the row when a row's exact residual or bound overflows float64.
     """
-    block, worst = violated_slices(sys, x, start, stop)
+    try:
+        block, worst = violated_slices(sys, x, start, stop)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from exc
     return block, block.shape[0], worst
 
 
@@ -177,24 +181,27 @@ def _apply_step(
     return x - _rescaled(y, norm, step_length)
 
 
-def ap_step(sys: InequalitySystem, x) -> tuple[np.ndarray, int]:
-    """One averaged-projection step: ``x - phi(x)``; identity when feasible."""
+def _step(sys: InequalitySystem, x, variant: str,
+          step_length: float) -> tuple[np.ndarray, int]:
+    """One step of ``variant`` from x and the violated count; identity when
+    feasible."""
     x = _as_point(x, sys.n)
     block, h, _ = partial_reduction(sys, x)
     if h == 0:
         return x.copy(), 0
-    return _apply_step(x, column_sums(block), h, VARIANT_AP, 0.0), h
+    return _apply_step(x, column_sums(block), h, variant, step_length), h
+
+
+def ap_step(sys: InequalitySystem, x) -> tuple[np.ndarray, int]:
+    """One averaged-projection step: ``x - phi(x)``; identity when feasible."""
+    return _step(sys, x, VARIANT_AP, 0.0)
 
 
 def modap_step(sys: InequalitySystem, x, step_length: float) -> tuple[np.ndarray, int]:
     """One fixed-length step of size ``step_length``; identity when feasible."""
     if not step_length > 0:
         raise ValueError(f"step_length must be positive, got {step_length}")
-    x = _as_point(x, sys.n)
-    block, h, _ = partial_reduction(sys, x)
-    if h == 0:
-        return x.copy(), 0
-    return _apply_step(x, column_sums(block), h, VARIANT_MODAP, step_length), h
+    return _step(sys, x, VARIANT_MODAP, step_length)
 
 
 def _run_loop(src, config: SolverConfig, evaluate) -> SolveOutcome:

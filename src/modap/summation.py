@@ -10,9 +10,33 @@ each worker reports the slices of its violated rows, the master stacks the
 reports in whatever order they arrive, and :func:`column_sums` rounds each
 coordinate's sum once.
 
-Both functions use ``math.fsum`` (Shewchuk's expansion arithmetic, DCG 18,
-1997, in C), which requires IEEE-754 round-to-nearest; CPython guarantees
-it for float64.
+Bulk sums go through :func:`row_sums`, the exactly rounded sum of each row
+of a 2-D block, vectorised over the whole block.  It takes two error-free
+extraction levels of AccSum (Rump, Ogita and Oishi, "Accurate
+floating-point summation part I: faithful rounding", SISC 31(1), 2008).
+For a row p of ``n <= 2^M`` addends (``M >= 1``) and a power of two
+``sigma_1 > 2^M max|p|``, ``q = (sigma + p) - sigma`` is exact, a multiple
+of ``2^-53 sigma`` and at most ``2^-M sigma`` in magnitude, so the q of a row
+sum exactly in any order (numpy's pairwise ``sum`` included); the
+remainders ``p - q`` are exact and at most ``2^-53 sigma_1 = 2^-M sigma_2``,
+which is the same precondition one level down.  The two level sums
+``tau_1 + tau_2`` are split exactly into ``res + delta`` by TwoSum, ``res``
+being their rounded sum.  If nothing is left after the second level, the
+exact sum is ``tau_1 + tau_2`` and ``res`` is its rounding, ties to even
+included.  Otherwise what is left is at most ``B = n 2^-53 sigma_2`` in
+magnitude, and ``res`` is the rounded exact sum when ``|delta| + B`` is
+less than half the gap from ``res`` to its nearer neighbour.  This is a
+floating-point filter in the sense of Shewchuk (DCG 18, 1997): rows the
+test cannot decide (sums within ``B`` of a midpoint, rows of zeros, where
+``math.fsum`` fixes the sign, non-finite addends, and a row maximum outside
+``[2^-900, 2^900]``, where the extraction could overflow or the gaps and
+bounds leave the normal range) go to ``math.fsum`` (Shewchuk's expansion
+arithmetic, in C), as do blocks too small for the vectorised path's fixed
+cost to pay off (:data:`SMALL_BLOCK`).  An exactly rounded sum is unique,
+so both paths give the same bits, and since every sum that could overflow
+or meets an infinity is left to ``math.fsum``, so are the errors.  Both
+need IEEE-754 round-to-nearest, which CPython and numpy guarantee for
+float64.
 """
 
 from __future__ import annotations
@@ -21,7 +45,18 @@ import math
 
 import numpy as np
 
-__all__ = ["exact_dot", "column_sums"]
+__all__ = ["exact_dot", "row_sums", "column_sums"]
+
+# a block whose element count plus four times its row count is below this
+# is summed by one math.fsum per row.  Measured on a 2-vCPU Xeon VM (Python
+# 3.11, numpy 2.4): fsum costs about 0.045 us per element plus 0.18 us per
+# row, the vectorised path about 55 us plus 0.005 us per element, so
+# (1, 1000) stays on fsum and a column sum of one 1000-wide slice does not
+SMALL_BLOCK = 1200
+_U = 2.0 ** -53
+# a row maximum in this range keeps every sigma, bound and gap normal
+_MIN_MAX = 2.0 ** -900
+_MAX_MAX = 2.0 ** 900
 
 
 def exact_dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -34,6 +69,45 @@ def exact_dot(u: np.ndarray, v: np.ndarray) -> float:
     return math.fsum((u * v).tolist())
 
 
+def row_sums(block: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of each row of an ``(h, n)`` float64 block.
+
+    Equal bit for bit to ``math.fsum`` of each row, including its
+    ``OverflowError`` (a finite row whose sum overflows) and ``ValueError``
+    (``inf`` and ``-inf`` in one row); see the module docstring.
+    """
+    h, n = block.shape
+    if n == 0 or block.size + 4 * h < SMALL_BLOCK:
+        return np.array([math.fsum(row) for row in block.tolist()],
+                        dtype=np.float64).reshape(h)
+    with np.errstate(all="ignore"):  # undecided rows are redone by fsum
+        top = np.maximum(block.max(axis=1), -block.min(axis=1))
+        ok = (top >= _MIN_MAX) & (top <= _MAX_MAX)
+        m_bits = max(1, (n - 1).bit_length())  # 2^M >= n, M >= 1
+        sigma = np.ldexp(1.0, np.frexp(np.where(ok, top, 1.0))[1] + m_bits)[:, None]
+        q = sigma + block
+        q -= sigma
+        tau1 = q.sum(axis=1)
+        rest = block - q  # |rest| <= 2^-53 sigma = 2^-M sigma_2
+        sigma *= 2.0 ** (m_bits - 53)
+        q = sigma + rest
+        q -= sigma
+        tau2 = q.sum(axis=1)
+        rest -= q
+        tail = rest.any(axis=1)
+        # TwoSum: tau1 + tau2 = res + delta exactly
+        res = tau1 + tau2
+        z = res - tau1
+        delta = (tau1 - (res - z)) + (tau2 - z)
+        bound = n * _U * sigma[:, 0]  # |sum of rest| <= n 2^-53 sigma_2
+        mag = np.abs(res)
+        half_gap = 0.5 * (mag - np.nextafter(mag, 0.0))
+        ok &= ~tail | (np.abs(delta) + bound < half_gap)
+    for i in np.flatnonzero(~ok).tolist():
+        res[i] = math.fsum(block[i].tolist())
+    return res
+
+
 def column_sums(block: np.ndarray) -> np.ndarray:
     """Exactly rounded sum of each column of an ``(h, n)`` block of slices.
 
@@ -43,7 +117,6 @@ def column_sums(block: np.ndarray) -> np.ndarray:
     Raises ``ValueError`` when a column's exact sum overflows float64.
     """
     try:
-        sums = [math.fsum(col) + 0.0 for col in block.T.tolist()]
+        return row_sums(block.T) + 0.0
     except OverflowError as exc:
         raise ValueError("the sum of the violated rows' slices overflows float64") from exc
-    return np.array(sums, dtype=np.float64)

@@ -195,3 +195,19 @@ def test_overflowing_slice_sum_exits_one(tmp_path, capsys):
         assert err.startswith("error:")
         assert "overflows float64" in err
     assert not out.exists()
+
+
+def test_overflowing_residual_exits_one(tmp_path, capsys):
+    # the first step lands near x = (-5e299, -5e299), where row 1's two
+    # finite products sum past float64
+    path = tmp_path / "s.txt"
+    path.write_text("2 2\n1e-8 1e-8 -1e292\n3e8 3e8 1\n")
+    out = tmp_path / "m.csv"
+    for workers in ("0", "2"):
+        code = main(["solve", "--set", f"problem.file={path}", "--set", f"output.path={out}",
+                     "--set", "solver.variant=ap", "--workers", workers])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "row 1: its residual overflows float64" in err
+    assert not out.exists()

@@ -34,7 +34,7 @@ from modap import (
     translate,
 )
 from modap.geometry import violated_slices
-from modap.summation import exact_dot
+from modap.summation import SMALL_BLOCK, exact_dot
 
 # row and point scales: 2^-530 puts a squared row norm in the subnormal
 # range (like [1e-160]), 2^-1060 makes the coordinates themselves subnormal,
@@ -163,6 +163,26 @@ def test_filtered_kernels_equal_the_oracles_bit_for_bit(case, data):
     if all(part[0] == "ok" for part in parts):
         assert _bits(("ok", max(part[1][1] for part in parts))) == got[2]
     assert fast.b.tobytes() == exact.b.tobytes()
+
+
+@pytest.mark.parametrize("translated", [False, True])
+def test_wide_pass_equals_the_oracle(translated):
+    # enough unsettled rows for the vectorised row sums; entries spread over
+    # 2^80, so that the sums cancel and round, and every row on or an ulp
+    # off its hyperplane at x
+    rng = np.random.default_rng(6)
+    n = 120
+    a = rng.standard_normal((400, n)) * 2.0 ** rng.integers(-40, 40, (400, n))
+    x = rng.standard_normal(n)
+    v = rng.standard_normal(n) * 1e-3 if translated else np.zeros(n)
+    b = np.array([exact_dot(row, x) - exact_dot(row, v) for row in a])
+    b[::3] = np.nextafter(b[::3], -np.inf)
+    base = InequalitySystem(a, b)
+    fast, exact = (translate(base, v), oracles.translate(base, v)) if translated else (base, base)
+    for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
+        assert len(geometry._unsettled_rows(fast, point, 0, 400)) * n >= 4 * SMALL_BLOCK
+        assert _pass_bits(("ok", violated_slices(fast, point))) == _pass_bits(
+            ("ok", oracles.row_pass(exact, point)))
 
 
 def test_tiny_row_with_underflowed_norm():

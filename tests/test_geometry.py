@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from modap import (
     FeasiblePointError,
     InequalitySystem,
@@ -17,6 +18,7 @@ from modap import (
     pseudo_projection,
     reflection_vector,
     residual,
+    translate,
     vector_norm,
 )
 
@@ -50,6 +52,18 @@ class TestInequalitySystem:
         fresh = (a * a).sum(axis=1)
         assert np.allclose(sys.row_norms_sq, fresh, rtol=1e-12)
 
+    def test_blocked_set_up_sums_equal_the_row_loop(self):
+        # rows spread over 2^120 so the sums cancel and round, in several
+        # row blocks of the vectorised path
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((700, 300)) * 2.0 ** rng.integers(-60, 60, (700, 300))
+        sys = InequalitySystem(a, np.ones(700))
+        want = [math.fsum((row * row).tolist()) for row in a]
+        assert sys.row_norms_sq.tobytes() == np.array(want).tobytes()
+        v = rng.standard_normal(300)
+        moved = translate(sys, v)
+        assert moved.b.tobytes() == oracles.translate(sys, v).b.tobytes()
+
     def test_zero_row_rejected_with_index(self):
         with pytest.raises(ValueError, match="row 1"):
             InequalitySystem([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
@@ -65,6 +79,9 @@ class TestInequalitySystem:
         ([[1.0, 0.0], [0.0, 1.0]], [1.0, -math.inf], "bound of row 1 is not finite"),
         ([[1e200, 0.0]], [1.0], "row 0: its squared norm overflows"),
         ([[1e154, 1e154]], [1.0], "row 0: its squared norm overflows"),
+        # wide enough for the vectorised sums
+        ([[1.0] * 700, [1e154, 1e154] + [0.0] * 698], [1.0, 1.0],
+         "row 1: its squared norm overflows"),
     ])
     def test_non_finite_input_rejected(self, a, b, match):
         with pytest.raises(ValueError, match=match):

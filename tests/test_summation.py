@@ -3,10 +3,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modap.summation import column_sums, exact_dot
+from modap import summation
+from modap.summation import SMALL_BLOCK, column_sums, exact_dot, row_sums
 from oracles import VectorExpansion, grow_expansion
 
 finite_floats = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
@@ -103,3 +104,105 @@ def test_vector_expansion_merge_dim_mismatch():
     a, b = VectorExpansion(2), VectorExpansion(3)
     with pytest.raises(ValueError, match="dimension"):
         a.merge(b)
+
+
+# values for row_sums: ties to even (1 + 2^-53 is a midpoint), cancellation,
+# subnormals, signed zeros, the edges of the vectorised range (2^-900 and
+# 2^900) and values whose sums overflow
+pool_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.0, 2.0 ** -53, 3 * 2.0 ** -54, 2.0 ** -53 + 2.0 ** -105, 1e16,
+                     5e-324, 2.2250738585072014e-308, 0.0, -0.0, 2.0 ** -900,
+                     2.0 ** 900, 1.6e308, 1.7976931348623157e308, math.inf]),
+)
+
+
+@st.composite
+def sum_blocks(draw):
+    """A block drawn from a small pool of values, with random signs.
+
+    Its shape puts it on either side of the small-block cut-off; some rows
+    are all ``-0.0`` and some are a pool value and its negation around
+    another pool value, which cancel exactly.
+    """
+    width = draw(st.sampled_from([0, 1, 2, 3, 17, 300, 1300]))
+    height = draw(st.integers(0, 8 if width >= 300 else 500))
+    pool = np.array(draw(st.lists(pool_values, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = rng.choice(pool, size=(height, width)) * rng.choice([-1.0, 1.0], size=(height, width))
+    for i in range(height):
+        kind = rng.integers(8)
+        if kind == 0:
+            block[i] = -0.0
+        elif kind == 1 and width >= 3:
+            big, small = rng.choice(pool, size=2)
+            block[i, :3] = [big, small, -big]
+    return block
+
+
+def _fsum_rows(block):
+    """The oracle: one ``math.fsum`` per row."""
+    return np.array([math.fsum(row) for row in block.tolist()],
+                    dtype=np.float64).reshape(block.shape[0])
+
+
+def _bits(sum_rows, block):
+    """Bits of ``sum_rows(block)``, or the type and message it raises."""
+    try:
+        return sum_rows(block).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(sum_blocks())
+@example(np.array([[1.0, 2.0 ** -53] + [0.0] * 1298] * 3))  # a tie: stays 1.0
+@example(np.array([[1.0, 3 * 2.0 ** -54] + [0.0] * 1298] * 3))  # rounds up
+@example(np.array([[1e16, 1.0, -1e16] + [0.0] * 1297] * 3))
+# just below the midpoint under 1.0, whose lower gap is half its upper one
+@example(np.array([[1.0, -2.0 ** -54 + 2.0 ** -90, -2.0 ** -88] + [0.0] * 1297] * 3))
+@example(np.full((400, 2), -0.0))
+@example(np.full((400, 2), 5e-324))
+@example(np.array([[1.6e308, 1.6e308] + [0.0] * 1298] * 3))  # overflows
+@example(np.array([[math.inf, -math.inf] + [0.0] * 1298] * 3))
+@example(np.empty((600, 0)))
+@example(np.empty((0, 1300)))
+def test_row_sums_equal_fsum_bit_for_bit(block):
+    # the transposed view is what column_sums hands over
+    for view in (block, block.T):
+        assert _bits(row_sums, view) == _bits(_fsum_rows, view)
+
+
+def _counting_fsum(monkeypatch):
+    calls = []
+    real = math.fsum
+
+    def fsum(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(summation.math, "fsum", fsum)
+    return calls
+
+
+def test_a_sum_near_a_midpoint_goes_to_fsum(monkeypatch):
+    # 1 + 2^-53 + 2^-105 is 2^-105 above the midpoint between 1 and its
+    # successor, far closer than the bound on the extraction's remainder
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((4, 1300))
+    block[2] = 0.0
+    block[2, :2] = [1.0, 2.0 ** -53 + 2.0 ** -105]
+    want = _fsum_rows(block).tobytes()
+    calls = _counting_fsum(monkeypatch)
+    assert row_sums(block).tobytes() == want
+    assert row_sums(block)[2] == math.nextafter(1.0, 2.0)
+    assert calls == [1300, 1300]  # row 2, once per call
+
+
+def test_a_gaussian_block_needs_no_fallback(monkeypatch):
+    block = np.random.default_rng(4).standard_normal((200, 100))
+    assert block.size + 4 * 200 >= SMALL_BLOCK
+    want = [_fsum_rows(view).tobytes() for view in (block, block.T)]
+    calls = _counting_fsum(monkeypatch)
+    assert [row_sums(view).tobytes() for view in (block, block.T)] == want
+    assert calls == []
