@@ -7,8 +7,11 @@ moving) system and the current point, and each worker makes the one
 filtered row pass over its rows (see :mod:`modap.geometry`).  The master
 makes no row pass: it decides whether to stop from the maximum of the
 workers' maxima, else sums their slices, steps and advances the source.
-k iterations take k + 1 supersteps; the final broadcast carries the exit
-flag.
+Its work per superstep is O(n) plus the slice sum (O(h n) for h violated
+rows): a translated snapshot holds v rather than new bounds, and each
+worker takes ``x - v`` itself for the one matrix-vector product over its
+rows.  k iterations take k + 1 supersteps; the final broadcast carries the
+exit flag.
 
 Workers never share mutable state: the point is a value copy, and a
 snapshot is immutable (its exact translated bounds are a pure function of

@@ -3,9 +3,10 @@
 The model prices one superstep of the master-worker iteration: the master
 ships the current point to each worker, workers process the whole
 constraint list between them, partial sums travel back, and the master
-combines them, steps, and evaluates the stopping test.  From the counts and
-three machine constants it predicts ``k_max``, the worker count beyond
-which adding workers no longer speeds the iteration up.
+combines them, evaluates the stopping test, steps, and advances the
+source.  From the counts and three machine constants it predicts
+``k_max``, the worker count beyond which adding workers no longer speeds
+the iteration up.
 
 Counting convention (one operation per scalar multiply, add/subtract,
 compare, or divide), per constraint row of the map stage:
@@ -27,10 +28,28 @@ test suite counts this exact tally.
 Transfer counts: the master sends the n-vector point plus the update
 payload (1 value when a single entry of the source data changes per
 iteration, (n + 1) m when all of it does), and receives one n-vector per
-worker.  The stopping test plus the step cost the master
-(6n + 11) m + 5n + 8 operations.  Default machine constants are plausible
-for a commodity cluster and are assumptions, not measurements; the CLI
-labels them as such.
+worker.
+
+The master makes no row pass: the workers' reports carry the largest
+violation, so its stopping test is a comparison, and a translated snapshot
+holds v instead of new bounds, so advancing the source is O(n).  Per
+superstep, for the modap step on a translating source, and leaving out the
+combine of the reports (``c_a``):
+
+    stopping test: eps and budget           2 compares
+    ||y||^2 of the slice sum y              n multiplies + (n - 1) adds
+    square root, range and zero tests       4
+    step factor, its test, rescaled y       n + 2
+    x - step, finiteness test, step vector  3n
+    iteration count                         1
+    clock: test and add                     2
+    displacement += velocity * dt           2n
+    translate: finite v, bound on ||v||     3n + 3
+    ------------------------------------------------------
+    total                                   11n + 13
+
+Default machine constants are plausible for a commodity cluster and are
+assumptions, not measurements; the CLI labels them as such.
 """
 
 from __future__ import annotations
@@ -133,7 +152,7 @@ def operation_counts(n: int, m: int, update_breadth: str = BREADTH_SINGLE) -> Co
         c_map=(5 * n + 1) * m,
         c_a=n,
         c_r=n,
-        c_p=(6 * n + 11) * m + 5 * n + 8,
+        c_p=11 * n + 13,
         c_u=c_u,
     )
 

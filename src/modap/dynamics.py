@@ -5,14 +5,15 @@ Translating the region by v maps ``{x : Ax <= b}`` to ``{x : Ax <= b + Av}``,
 so only the right-hand side changes; the coefficient rows and their cached
 norms are shared across every snapshot.
 
-A translated snapshot costs one matrix-vector product, ``w = A v``, and
-no per-row Python work.  It keeps the base bounds, v and the float64
-estimate ``b + w``, which the filtered row passes of :mod:`modap.geometry`
-use with the extra bound term ``|b_i| + ||a_i|| ||v||``.  The exact bound
-``b_i + <a_i, v>`` (inner product exactly rounded) is computed only for the
-rows those passes evaluate exactly, and for all rows on the first read of
-``.b``; every value that reaches an iterate or a trace comes from these
-exact bounds.
+A translated snapshot costs O(n): it keeps the base bounds, a copy of v
+and a norm bound of v, and makes no matrix-vector product.  The filtered
+row pass of :mod:`modap.geometry` estimates a translated residual with its
+one product, ``A (x - v) - b``, and widens its error bound by
+``|b_i| + ||a_i|| ||v||`` to cover the rounding of ``x - v`` and of the
+exact bound.  The exact bound ``b_i + <a_i, v>`` (inner product exactly
+rounded) is computed only for the rows a pass evaluates exactly, and for
+all rows on the first read of ``.b``; every value that reaches an iterate
+or a trace comes from these exact bounds.
 
 Two clock modes drive the motion: a virtual clock that advances a fixed
 quantum per solver iteration (deterministic, machine-independent, the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InequalitySystem
+from .geometry import _MIN_NORMAL, InequalitySystem
 
 __all__ = [
     "STATIONARY",
@@ -77,9 +78,21 @@ class DynamicsSpec:
             )
         if self.direction is not None:
             d = np.asarray(self.direction, dtype=np.float64)
-            if d.ndim != 1 or not np.isfinite(d).all() or not np.linalg.norm(d) > 0:
+            if d.ndim != 1 or not np.isfinite(d).all() or not d.any():
                 raise ValueError("direction must be a finite, non-zero 1-D vector")
             self.direction = d
+
+
+def _unit(d: np.ndarray) -> np.ndarray:
+    """``d / ||d||`` for a finite non-zero d.  When ``d @ d`` leaves the
+    normal range, d is first scaled by a power of two, so a huge or tiny d
+    still gets a unit vector; otherwise the bits are those of
+    ``d / np.linalg.norm(d)``."""
+    with np.errstate(over="ignore", under="ignore"):
+        square = float(d @ d)
+    if not _MIN_NORMAL <= square < math.inf:
+        d = np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
+    return d / np.linalg.norm(d)
 
 
 def translate(sys: InequalitySystem, v) -> InequalitySystem:
@@ -126,8 +139,7 @@ class DynamicSystemSource:
                     raise ValueError(
                         f"direction has shape {d.shape}, expected ({base.n},)"
                     )
-                unit = d / np.linalg.norm(d)
-                self._velocity = (self.spec.rate * np.sqrt(base.n)) * unit
+                self._velocity = (self.spec.rate * np.sqrt(base.n)) * _unit(d)
         else:
             self._velocity = np.zeros(base.n)
         self._current = base

@@ -23,15 +23,26 @@ same evaluation; :func:`eps_membership` and :func:`max_relative_violation`
 are thin wrappers over it.  It starts with one float64 matrix-vector product
 ``t = A[start:stop] @ x - b`` and a forward error bound per row,
 
-    e_i = (n + 8) 2^-52 (N_i ||x|| + s_i + |t_i|) + (n + 8) 2^-1022,
+    e_i = (n + 8) 2^-52 (N_i ||x|| + |t_i|) + (n + 8) 2^-1022,
 
 where ``N_i >= ||a_i||`` is a rigorous upper bound derived from the cached
 squared norm (so it stays valid for a row like ``[1e-160]`` whose squared
-norm has underflowed), ``||x||`` is bounded the same way, and ``s_i`` is 0
-for a system with an explicit right-hand side and ``|b_i| + N_i ||v||`` for
-one translated by v (see :func:`modap.dynamics.translate`).  The last,
+norm has underflowed) and ``||x||`` is bounded the same way.  The last,
 underflow, term is dropped when it cannot arise: x = 0 on an untranslated
-system makes every product, and so t_i, exact.  ``t_i <= -e_i`` proves the
+system makes every product, and so t_i, exact.  A system translated by v (see
+:func:`modap.dynamics.translate`) keeps its base bounds b and v, and the
+same one product estimates its residual as ``t = A[start:stop] @ (x - v) - b``
+with
+
+    e_i = (n + 8) 2^-52 (N_i (||x|| + ||v||) + |b_i| + |t_i|) + (n + 8) 2^-1022.
+
+This is rigorous because ``fl(x - v)`` is within ``2^-53 |x - v|`` of
+``x - v`` componentwise (exactly equal where the difference is subnormal),
+so it adds at most ``2^-53 N_i (||x|| + ||v||)`` to the dot product's own
+error, and because the exact path compares against the rounded bound
+``b_i + <a_i, v>``, which lies within ``2^-52 (|b_i| + N_i ||v||)`` of the
+exact one; the factor ``n + 8`` leaves room for both.  An ``x - v`` that
+overflows gives a non-finite t_i or e_i.  ``t_i <= -e_i`` proves the
 exact residual is at most 0, so the row is satisfied and skipped.  Every
 other row (violated, near its hyperplane, or with an estimate or bound that
 is not finite) goes through the exact path: its elementwise products, taken
@@ -97,13 +108,14 @@ class InequalitySystem:
     :func:`modap.dynamics.translate`, which share the coefficient matrix
     and the cached norms instead of recomputing them.
 
-    A translated system holds ``b' = b + A v`` implicitly: :meth:`rhs`
-    computes one exact bound on demand, and the first read of :attr:`b`
-    builds the whole vector, with the same bits either way.
+    A translated system holds ``b' = b + A v`` implicitly, as the base
+    bounds b, v and a norm bound of v: :meth:`rhs` computes one exact bound
+    on demand, and the first read of :attr:`b` builds the whole vector,
+    with the same bits either way.
     """
 
     __slots__ = ("a", "row_norms_sq", "row_norms", "_norm_bounds", "_b",
-                 "_base_b", "_shift", "_b_estimate", "_slack")
+                 "_base_b", "_shift", "_shift_norm")
 
     def __init__(self, a, b):
         a = np.array(a, dtype=np.float64, order="C")
@@ -143,12 +155,11 @@ class InequalitySystem:
         self._norm_bounds = np.sqrt(norms_sq + (n + 1) * _MIN_NORMAL) * _NORM_SLACK
         self._set_rhs(b)
 
-    def _set_rhs(self, b, estimate=None, base_b=None, shift=None, slack=None) -> None:
+    def _set_rhs(self, b, base_b=None, shift=None) -> None:
         self._b = b
-        self._b_estimate = b if estimate is None else estimate
         self._base_b = base_b
         self._shift = shift
-        self._slack = slack
+        self._shift_norm = None if shift is None else _norm_bound(shift)
 
     def _sharing_rows(self) -> "InequalitySystem":
         obj = object.__new__(InequalitySystem)
@@ -212,15 +223,13 @@ class InequalitySystem:
         """System with bounds ``b + A v`` held implicitly (see
         :func:`modap.dynamics.translate`, which validates v).
 
-        One matrix-vector product gives the filter's estimate of the new
-        bounds; its error, and that of the exact bounds :meth:`rhs` will
-        compute, is covered by the per-row slack ``|b_i| + N_i ||v||``.
-        Translating a translated system first builds its exact bounds.
+        O(n): it keeps the base bounds, a copy of v and a norm bound of v,
+        which the filter reads through ``A (x - v) - b`` (see the module
+        docstring).  Translating a translated system first builds its exact
+        bounds.
         """
-        base_b = self.b
         obj = self._sharing_rows()
-        slack = np.abs(base_b) + self._norm_bounds * _norm_bound(v)
-        obj._set_rhs(None, base_b + self.a @ v, base_b, v.copy(), slack)
+        obj._set_rhs(None, self.b, v.copy())
         return obj
 
     def __repr__(self) -> str:
@@ -305,15 +314,21 @@ def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int)
     satisfied (see the module docstring for the bound)."""
     xnorm = _norm_bound(x)
     coef = (sys.n + 8) * _TWO_U
+    shift = sys._shift
     with np.errstate(all="ignore"):
-        t = sys.a[start:stop] @ x
-        t -= sys._b_estimate[start:stop]
-        scale = sys._norm_bounds[start:stop] * xnorm
-        if sys._slack is not None:
-            scale += sys._slack[start:stop]
+        if shift is None:
+            t = sys.a[start:stop] @ x
+            t -= sys._b[start:stop]
+            scale = sys._norm_bounds[start:stop] * xnorm
+        else:
+            base_b = sys._base_b[start:stop]
+            t = sys.a[start:stop] @ (x - shift)
+            t -= base_b
+            scale = sys._norm_bounds[start:stop] * (xnorm + sys._shift_norm)
+            scale += np.abs(base_b)
         scale += np.abs(t)
         e = coef * scale
-        if xnorm or sys._slack is not None:
+        if xnorm or shift is not None:
             e += (sys.n + 8) * _MIN_NORMAL
         settled = (t <= -e) & (e < _FILTER_LIMIT)
     return np.flatnonzero(~settled) + start

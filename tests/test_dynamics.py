@@ -119,6 +119,17 @@ class TestAdvance:
         assert np.linalg.norm(default.cumulative_displacement) == pytest.approx(expected_speed)
         assert np.linalg.norm(custom.cumulative_displacement) == pytest.approx(expected_speed)
 
+    @pytest.mark.parametrize("direction,unit", [
+        ([1e300, 1e300, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0]),  # d @ d overflows
+        ([1e-170, 0.0, 0.0], [1.0, 0.0, 0.0]),  # d @ d underflows to 0
+    ])
+    def test_huge_and_tiny_directions_keep_the_speed(self, direction, unit):
+        sys = InequalitySystem(np.eye(3), np.ones(3))
+        src = DynamicSystemSource(sys, DynamicsSpec(
+            mode="translation", rate=2.0, direction=np.array(direction)))
+        src.advance(1.0)
+        assert src.cumulative_displacement == pytest.approx(2.0 * np.sqrt(3) * np.array(unit))
+
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             DynamicsSpec(mode="translation", rate=1.0, direction=np.zeros(2))

@@ -7,6 +7,7 @@ squared norm has underflowed, and on translated systems.  A solve makes one
 pass per (snapshot, point).
 """
 
+import collections
 import math
 import threading
 
@@ -41,6 +42,9 @@ from modap.summation import SMALL_BLOCK, exact_dot
 # 2^450 and 2^500 push products towards the top of the range and past it
 ROW_SCALES = [-530, -200, 0, 0, 0, 200, 450]
 POINT_SCALES = [-1060, -500, 0, 0, 0, 300, 500]
+# a translated system may also move by, and be evaluated at, up to about
+# 1e308, so that x - v, the filter's estimate or its bound overflow
+HUGE_SCALES = [1000, 1023]
 
 
 def _outcome(fn, *args):
@@ -95,26 +99,54 @@ def filter_cases(draw):
     """A system (base or translated), its unfiltered twin, and a point.
 
     Bounds are drawn at random, at 0, or a few ulps from ``<a_i, x>``, so
-    that many rows sit on or next to their hyperplane at x.
+    that many rows sit on or next to their hyperplane at x.  A translated
+    system and its point may lie near the top of the float64 range, and v
+    may be nearly parallel to a row's hyperplane.
     """
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 8))
     a = np.array([_scaled(draw, ROW_SCALES, n) for _ in range(m)])
-    x = np.zeros(n) if draw(st.booleans()) else _scaled(draw, POINT_SCALES, n)
-    v = _scaled(draw, POINT_SCALES, n) if draw(st.booleans()) else None
+    translated = draw(st.booleans())
+    scales = POINT_SCALES + HUGE_SCALES if translated else POINT_SCALES
+    x = np.zeros(n) if draw(st.booleans()) else _scaled(draw, scales, n)
+    motion = draw(st.sampled_from(["free", "tangent", "tangent", "tangent", "opposite"]))
+    v = None
+    if translated and motion == "opposite" and x.any():
+        # x - v = 2x overflows in the largest entry of x; rows scaled down
+        # keep more products <a_i, x> finite
+        x = np.ldexp(x, 1024 - math.frexp(float(np.abs(x).max()))[1])
+        v = -x
+        a = np.ldexp(a, -64)
+    elif translated:
+        v = _scaled(draw, scales, n)
+    tangent = translated and motion == "tangent"
+    if tangent:
+        # v nearly parallel to row 0's hyperplane: <a_0, v> cancels, so only
+        # the ||v|| term of the bound covers the rounding of x - v and of
+        # the product, which a violated row 0 then needs; v / 3 makes that
+        # rounding rarely exact
+        with np.errstate(all="ignore"):
+            v = v / 3
+            v = v - (a[0] @ v / (a[0] @ a[0])) * a[0]
+    assume(np.isfinite(x).all() and (v is None or np.isfinite(v).all()))
     b = np.empty(m)
     try:
         for i in range(m):
-            kind = draw(st.sampled_from(["near", "near", "zero", "random"]))
+            violated = tangent and i == 0
+            kind = "near" if violated else draw(
+                st.sampled_from(["near", "near", "zero", "random"]))
             if kind == "zero":
                 b[i] = 0.0
             elif kind == "random":
                 b[i] = draw(st.floats(-5, 5)) * 2.0 ** draw(st.sampled_from(POINT_SCALES))
             else:
-                target = exact_dot(a[i], x)
-                if v is not None:
-                    target -= exact_dot(a[i], v)
-                b[i] = _near(target, draw(st.integers(-3, 3)))
+                try:
+                    target = exact_dot(a[i], x)
+                    if v is not None:
+                        target -= exact_dot(a[i], v)
+                except (OverflowError, ValueError):  # the pass and the oracle raise
+                    target = 0.0
+                b[i] = _near(target, draw(st.integers(-3, -1 if violated else 3)))
         assume(np.isfinite(b).all())
         base = InequalitySystem(a, b)
         if v is None:
@@ -203,19 +235,76 @@ def _model_source(n):
     )
 
 
+class _CountingMatrix(np.ndarray):
+    """Stands in for ``sys.a`` and counts, per thread, the numpy calls that
+    read it (``@`` is ``np.matmul``); the results of ufuncs are plain
+    arrays, so the count stays with the matrix and its row blocks."""
+
+    calls = collections.Counter()  # (thread id, numpy name) -> calls
+    lock = threading.Lock()
+
+    def _count(self, name):
+        with self.lock:
+            self.calls[threading.get_ident(), name] += 1
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self._count(ufunc.__name__)
+        plain = [i.view(np.ndarray) if isinstance(i, _CountingMatrix) else i
+                 for i in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _CountingMatrix)
+                                  else o for o in kwargs["out"])
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        self._count(func.__name__)
+        return super().__array_function__(func, types, args, kwargs)
+
+    @classmethod
+    def on_this_thread(cls):
+        me = threading.get_ident()
+        with cls.lock:
+            return collections.Counter({name: c for (t, name), c in cls.calls.items()
+                                        if t == me})
+
+
+def _counting_model_source(n):
+    src = _model_source(n)
+    src.base.a = src.base.a.view(_CountingMatrix)
+    return src
+
+
 def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     """A bound that is too loose would send every row to the slow path
     without changing any result; count the rows each pass sends to the exact
     path, and the passes: one per (snapshot, point), none on the engine's
-    master."""
+    master.  Each pass makes exactly one matrix-vector product, and moving
+    the system reads the matrix not at all."""
     passes = []
     real_unsettled = geometry._unsettled_rows
+    real_pass = solver.violated_slices
+    real_advance = DynamicSystemSource.advance
 
     def counting_unsettled(sys, x, start, stop):
         rows = real_unsettled(sys, x, start, stop)
         passes.append((sys, np.array(x), start, stop, len(rows),
                        threading.current_thread()))
         return rows
+
+    pass_products = []
+
+    def counting_pass(sys, x, start=0, stop=None):
+        before = _CountingMatrix.on_this_thread()
+        result = real_pass(sys, x, start, stop)
+        pass_products.append((_CountingMatrix.on_this_thread() - before)["matmul"])
+        return result
+
+    advance_calls = []
+
+    def counting_advance(src, elapsed):
+        before = _CountingMatrix.on_this_thread()
+        real_advance(src, elapsed)
+        advance_calls.append(_CountingMatrix.on_this_thread() - before)
 
     dots = [0]
 
@@ -234,14 +323,20 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     monkeypatch.setattr(geometry, "_unsettled_rows", counting_unsettled)
     monkeypatch.setattr(geometry, "exact_dot", counting_dot)
     monkeypatch.setattr(dynamics, "translate", counting_translate)
+    monkeypatch.setattr(solver, "violated_slices", counting_pass)
+    monkeypatch.setattr(DynamicSystemSource, "advance", counting_advance)
     for workers, record_trace in [(0, True), (0, False), (2, True)]:
         passes.clear()
         translate_dots.clear()
+        pass_products.clear()
+        advance_calls.clear()
+        _CountingMatrix.calls.clear()
         config = SolverConfig(record_trace=record_trace)
         if workers:
-            out = run_parallel(_model_source(200), config, EngineConfig(workers=workers))
+            out = run_parallel(_counting_model_source(200), config,
+                               EngineConfig(workers=workers))
         else:
-            out = solve(_model_source(200), config)
+            out = solve(_counting_model_source(200), config)
 
         assert out.converged and out.iterations >= 3
         # one pass on the starting point, then one after each step
@@ -253,6 +348,11 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
             assert count <= h + 2, (workers, h, count)
         # translating computes no exact bound; a pass computes those it needs
         assert translate_dots == [0] * out.iterations
+        # one matrix-vector product per pass, none outside the passes
+        assert pass_products == [1] * len(passes)
+        assert sum(c for (_, name), c in _CountingMatrix.calls.items()
+                   if name == "matmul") == len(passes)
+        assert advance_calls == [collections.Counter()] * out.iterations
 
 
 @pytest.mark.parametrize("workers,record_trace", [(0, True), (0, False), (2, True)])
