@@ -6,75 +6,36 @@ a fixed-step variant (modap) that keeps converging while the feasible
 region translates.  Includes a bulk-synchronous master-worker engine whose
 iterates reproduce the sequential ones bit for bit, an analytic cost model
 predicting how far the parallelism scales, and an experiment harness with
-a CLI.
+a CLI.  The package namespace holds what a caller needs to build, solve
+and store a system; everything else is imported from its module.
 """
 
-from .bsf_engine import (
-    EngineConfig,
-    EngineError,
-    MasterWorkerEngine,
-    Partition,
-    WorkerReport,
-    combine_reports,
-    compute_report,
-    partition_rows,
-    run_parallel,
-    superstep,
-)
-from .cost_model import (
-    CostCounts,
-    CostParams,
-    CostReport,
-    StageTimes,
-    k_max,
-    operation_counts,
-    stage_times,
-)
-from .dynamics import (
-    DynamicsSpec,
-    DynamicSystemSource,
-    as_source,
-    translate,
-)
-from .geometry import (
-    FeasiblePointError,
-    InequalitySystem,
-    SliceResult,
-    eps_membership,
-    eps_satisfies,
-    fixed_step_direction,
-    max_relative_violation,
-    orthogonal_projection,
-    positive_slice,
-    pseudo_projection,
-    reflection_vector,
-    residual,
-    vector_norm,
-)
+from .bsf_engine import EngineConfig, EngineError, run_parallel
+from .dynamics import DynamicsSpec, DynamicSystemSource
+from .geometry import InequalitySystem
 from .harness import (
-    ConfigError,
-    ExperimentConfig,
     ModelProblemSpec,
-    SystemFormatError,
     generate_model_problem,
-    interior_witness,
     load_system,
-    run_experiment,
-    run_rate_sweep,
     save_system,
 )
-from .solver import (
-    VARIANT_AP,
-    VARIANT_MODAP,
-    IterationRecord,
-    SolveOutcome,
-    SolveStatus,
-    SolverConfig,
-    ap_step,
-    map_stage,
-    modap_step,
-    reduce_stage,
-    solve,
-)
+from .solver import SolveOutcome, SolverConfig, SolveStatus, solve
+
+__all__ = [
+    "InequalitySystem",
+    "SolverConfig",
+    "SolveStatus",
+    "SolveOutcome",
+    "solve",
+    "EngineConfig",
+    "EngineError",
+    "run_parallel",
+    "DynamicsSpec",
+    "DynamicSystemSource",
+    "ModelProblemSpec",
+    "generate_model_problem",
+    "load_system",
+    "save_system",
+]
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ assumptions, not measurements; the CLI labels them as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "BREADTH_SINGLE",
@@ -68,7 +68,6 @@ __all__ = [
     "stage_times",
     "k_max",
     "report",
-    "sweep",
 ]
 
 BREADTH_SINGLE = "single"
@@ -195,21 +194,3 @@ def report(params: CostParams) -> CostReport:
         k_max=k_max(params),
     )
 
-
-def sweep(base: CostParams, n_values: list[int], m_for_n=None) -> list[tuple[int, int, float, float]]:
-    """Rows ``(n, m, k_max_single, k_max_full)`` for each requested dimension.
-
-    ``m`` defaults to the model-problem shape 2n + 2 unless ``m_for_n``
-    overrides it.
-    """
-    if not n_values:
-        raise ValueError("n_values must be non-empty")
-    if m_for_n is None:
-        m_for_n = lambda n: 2 * n + 2  # noqa: E731 - tiny default rule
-    rows = []
-    for n in n_values:
-        m = m_for_n(n)
-        single = replace(base, n=n, m=m, update_breadth=BREADTH_SINGLE)
-        full = replace(base, n=n, m=m, update_breadth=BREADTH_FULL)
-        rows.append((n, m, k_max(single), k_max(full)))
-    return rows

@@ -1,10 +1,13 @@
-"""Pointwise operators over dense systems of linear inequalities.
+"""Dense systems of linear inequalities and the one row pass over them.
 
-A system is ``A x <= b`` with m rows in R^n.  The operators here are the
-building blocks of the projection solvers: signed residuals, reflection
-vectors, orthogonal projections onto the bounding hyperplanes, positive
-slices of reflections, the averaged violation direction (pseudo-projection)
-and its fixed-length rescaling, and tolerance-based membership tests.
+A system is ``A x <= b`` with m rows in R^n.  :class:`InequalitySystem`
+holds the rows, their cached norms and the bounds, given or translated.
+:func:`violated_slices` evaluates every row at a point x in one pass: it
+returns the positive slices of the violated rows, i.e. the reflection
+vectors ``((<a_i, x> - b_i) / ||a_i||^2) a_i`` of the rows whose residual
+is positive, and the largest normalized violation.  The solvers average
+the slices into the step direction (the pseudo-projection) and compare the
+maximum with eps (the membership test).
 
 Conventions:
   * points and directions are plain 1-D float64 numpy arrays;
@@ -60,23 +63,13 @@ and CPython provide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .summation import column_sums, exact_dot, row_sums
+from .summation import exact_dot, row_sums
 
 __all__ = [
-    "FeasiblePointError",
     "InequalitySystem",
-    "SliceResult",
-    "residual",
-    "reflection_vector",
-    "orthogonal_projection",
-    "positive_slice",
-    "pseudo_projection",
-    "fixed_step_direction",
-    "eps_satisfies",
     "eps_membership",
     "max_relative_violation",
     "vector_norm",
@@ -94,24 +87,19 @@ _NORM_SLACK = 1.0 + 2.0 ** -48
 _BLOCK_ELEMENTS = 2 ** 16
 
 
-class FeasiblePointError(ValueError):
-    """Raised when an operator that needs a violated inequality is handed a
-    point that already satisfies the whole system."""
-
-
 class InequalitySystem:
     """Dense inequality system ``A x <= b`` with cached squared row norms.
 
     Every coefficient row must be non-zero, every coefficient and bound
-    finite.  Instances are treated as immutable: translation and
-    right-hand-side updates go through :meth:`with_rhs` and
-    :func:`modap.dynamics.translate`, which share the coefficient matrix
+    finite.  Instances are treated as immutable: a translation goes through
+    :func:`modap.dynamics.translate`, which shares the coefficient matrix
     and the cached norms instead of recomputing them.
 
     A translated system holds ``b' = b + A v`` implicitly, as the base
-    bounds b, v and a norm bound of v: :meth:`rhs` computes one exact bound
-    on demand, and the first read of :attr:`b` builds the whole vector,
-    with the same bits either way.
+    bounds b, v and a norm bound of v: a row pass computes the exact bounds
+    of the rows it evaluates exactly, and the first read of :attr:`b`
+    builds the whole vector, with the same bits either way.  A bound that
+    overflows float64 raises ``OverflowError`` naming its row.
     """
 
     __slots__ = ("a", "row_norms_sq", "row_norms", "_norm_bounds", "_b",
@@ -185,39 +173,20 @@ class InequalitySystem:
         if b is None:
             b = np.empty(self.m)
             for rows in _row_blocks(self.m, self.n):
-                b[rows] = self._base_b[rows] + _exact_sums(
-                    self.a[rows] * self._shift, range(self.m)[rows],
-                    "its translated bound")
+                b[rows] = self._exact_bounds(range(self.m)[rows])
             self._b = b
         return b
 
-    def rhs(self, i: int) -> float:
-        """Bound of row i, exact: for a system translated by v it is
-        ``b_i + <a_i, v>`` with the inner product exactly rounded.
-
-        A pure function of the (immutable) system, so threads sharing a
-        system may call it at the same time.
-        """
-        b = self._b
-        if b is not None:
-            return float(b[i])
-        return float(self._base_b[i]) + exact_dot(self.a[i], self._shift)
-
-    def with_rhs(self, b) -> "InequalitySystem":
-        """New system with the same rows and a fresh right-hand side.
-
-        The coefficient matrix and cached norms are shared, not copied; rows
-        never change through this path so the cache stays valid.
-        """
-        b = np.array(b, dtype=np.float64).reshape(-1)
-        if b.shape != (self.m,):
-            raise ValueError(
-                f"right-hand side has length {b.shape[0]}, expected m = {self.m}"
-            )
-        _check_finite_rhs(b)
-        obj = self._sharing_rows()
-        obj._set_rhs(b)
-        return obj
+    def _exact_bounds(self, rows) -> np.ndarray:
+        """``b_i + <a_i, v>`` of a translated system for ``rows`` (a range
+        or an index array), the inner product exactly rounded."""
+        what = "its translated bound"
+        with np.errstate(over="ignore"):
+            b = self._base_b[rows] + _exact_sums(self.a[rows] * self._shift, rows, what)
+        bad = np.flatnonzero(~np.isfinite(b))
+        if bad.size:
+            raise OverflowError(f"row {rows[bad[0]]}: {what} overflows float64")
+        return b
 
     def _translated(self, v: np.ndarray) -> "InequalitySystem":
         """System with bounds ``b + A v`` held implicitly (see
@@ -271,18 +240,6 @@ def _squared_norm(row: np.ndarray) -> float:
         return math.inf
 
 
-@dataclass
-class SliceResult:
-    """Positive slice of one row's reflection vector plus its violation flag.
-
-    ``violated`` is 1 iff the row's residual is strictly positive, which is
-    exactly when ``direction`` is non-zero.
-    """
-
-    direction: np.ndarray
-    violated: int
-
-
 def _as_point(x, n: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != n:
@@ -290,15 +247,6 @@ def _as_point(x, n: int) -> np.ndarray:
             f"dimension mismatch: expected a point of length {n}, got shape {arr.shape}"
         )
     return arr
-
-
-def _check_row(sys: InequalitySystem, i: int) -> None:
-    if not 0 <= i < sys.m:
-        raise IndexError(f"row index {i} out of range for system with m = {sys.m}")
-
-
-def _exact_residual(sys: InequalitySystem, i: int, x: np.ndarray) -> float:
-    return exact_dot(sys.a[i], x) - sys.rhs(i)
 
 
 def _norm_bound(v: np.ndarray) -> float:
@@ -334,42 +282,6 @@ def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int)
     return np.flatnonzero(~settled) + start
 
 
-def residual(sys: InequalitySystem, i: int, x) -> float:
-    """Signed residual ``<a_i, x> - b_i``; positive iff x violates row i."""
-    _check_row(sys, i)
-    x = _as_point(x, sys.n)
-    return _exact_residual(sys, i, x)
-
-
-def reflection_vector(sys: InequalitySystem, i: int, x) -> np.ndarray:
-    """Reflection of x with respect to hyperplane i.
-
-    ``rho = ((<a_i, x> - b_i) / ||a_i||^2) a_i``; subtracting it from x lands
-    on the hyperplane.
-    """
-    _check_row(sys, i)
-    x = _as_point(x, sys.n)
-    r = _exact_residual(sys, i, x)
-    return (r / float(sys.row_norms_sq[i])) * sys.a[i]
-
-
-def orthogonal_projection(sys: InequalitySystem, i: int, x) -> np.ndarray:
-    """Orthogonal projection of x onto hyperplane i: ``x - rho``."""
-    x = _as_point(x, sys.n)
-    return x - reflection_vector(sys, i, x)
-
-
-def positive_slice(sys: InequalitySystem, i: int, x) -> SliceResult:
-    """Positive slice of the reflection vector: the reflection when row i is
-    violated, the zero vector otherwise."""
-    _check_row(sys, i)
-    x = _as_point(x, sys.n)
-    r = _exact_residual(sys, i, x)
-    if r > 0.0:
-        return SliceResult((r / float(sys.row_norms_sq[i])) * sys.a[i], 1)
-    return SliceResult(np.zeros(sys.n), 0)
-
-
 def violated_slices(
     sys: InequalitySystem, x: np.ndarray, start: int = 0, stop: int | None = None
 ) -> tuple[np.ndarray, float]:
@@ -388,11 +300,7 @@ def violated_slices(
     a = sys.a[rows]
     with np.errstate(all="ignore"):  # a non-finite slice fails the step's check
         r = _exact_sums(a * x, rows, "its residual")
-        if sys._b is not None:
-            r -= sys._b[rows]
-        else:  # the exact bound b_i + <a_i, v> of InequalitySystem.rhs
-            r -= sys._base_b[rows] + _exact_sums(a * sys._shift, rows,
-                                                 "its translated bound")
+        r -= sys._b[rows] if sys._b is not None else sys._exact_bounds(rows)
         hit = r > 0.0
         r, rows = r[hit], rows[hit]
         block = (r / sys.row_norms_sq[rows])[:, None] * a[hit]
@@ -400,55 +308,11 @@ def violated_slices(
     return block, worst
 
 
-def pseudo_projection(sys: InequalitySystem, x) -> tuple[np.ndarray, int]:
-    """Averaged violation direction and the count of violated rows.
-
-    Returns ``(sum of positive slices / h, h)`` where h is the number of
-    violated rows.  When every row is satisfied (h = 0) the direction is the
-    zero vector by convention; callers treat that as "feasible, stop".
-    """
-    block, _ = violated_slices(sys, _as_point(x, sys.n))
-    h = block.shape[0]
-    if h == 0:
-        return np.zeros(sys.n), 0
-    return column_sums(block) / h, h
-
-
-def fixed_step_direction(sys: InequalitySystem, x, step_length: float) -> np.ndarray:
-    """Averaged violation direction rescaled to constant length.
-
-    Returns ``step_length * phi / ||phi||`` where phi is the pseudo-projection
-    direction.  The fixed length is what keeps the iteration moving at full
-    speed near the boundary of a moving feasible region.
-
-    Raises :class:`FeasiblePointError` when x satisfies every row; check the
-    violated count first.
-    """
-    if step_length <= 0:
-        raise ValueError(f"step_length must be positive, got {step_length}")
-    direction, h = pseudo_projection(sys, x)
-    if h == 0:
-        raise FeasiblePointError(
-            "point satisfies every inequality; the fixed-length step direction "
-            "is undefined"
-        )
-    return _rescaled(direction, vector_norm(direction), step_length)
-
-
 def _rescaled(v: np.ndarray, norm: float, length: float) -> np.ndarray:
     """``(length / norm) * v``, or ``length * (v / norm)`` when a tiny norm
     makes the factor overflow, so that v keeps a finite length."""
     factor = length / norm
     return factor * v if factor < math.inf else length * (v / norm)
-
-
-def eps_satisfies(sys: InequalitySystem, i: int, x, eps: float) -> bool:
-    """True iff x satisfies row i, or violates it by less than ``eps`` in
-    normalized distance ``|<a_i,x> - b_i| / ||a_i||``."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    r = residual(sys, i, x)
-    return r <= 0.0 or r / float(sys.row_norms[i]) < eps
 
 
 def eps_membership(sys: InequalitySystem, x, eps: float) -> bool:

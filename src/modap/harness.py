@@ -55,7 +55,6 @@ __all__ = [
     "ConfigError",
     "SystemFormatError",
     "generate_model_problem",
-    "interior_witness",
     "save_system",
     "load_system",
     "parse_config_file",
@@ -121,11 +120,6 @@ def generate_model_problem(spec: ModelProblemSpec) -> InequalitySystem:
         ]
     )
     return InequalitySystem(a, b)
-
-
-def interior_witness(spec: ModelProblemSpec) -> np.ndarray:
-    """The (100, ..., 100) point, interior under the default bounds."""
-    return np.full(spec.n, 100.0)
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Sequential reference engine for the AP and ModAP iterations.
 
-Both variants repeat: compute the positive slices of every row at the
-current point (the map stage), sum them and count the violated rows (the
-reduce stage), step, let the source advance, and test membership against
-the updated system.  AP subtracts the averaged violation direction, which
+Both variants repeat: compute the positive slices of the violated rows at
+the current point (the map), sum them and count the violated rows (the
+reduce), step, let the source advance, and test membership against the
+updated system.  AP subtracts the averaged violation direction, which
 is a Fejer-monotone move; ModAP rescales that direction to a fixed length
 so steps do not decay near the boundary of a moving region.
 
@@ -30,12 +30,9 @@ from . import dynamics
 # bench/tracer.py traces eps_membership and max_relative_violation here
 from .geometry import (  # noqa: F401
     InequalitySystem,
-    SliceResult,
-    _as_point,
     _rescaled,
     eps_membership,
     max_relative_violation,
-    positive_slice,
     vector_norm,
     violated_slices,
 )
@@ -48,10 +45,6 @@ __all__ = [
     "SolveStatus",
     "SolveOutcome",
     "IterationRecord",
-    "ap_step",
-    "modap_step",
-    "map_stage",
-    "reduce_stage",
     "solve",
 ]
 
@@ -142,30 +135,6 @@ def partial_reduction(
     return block, block.shape[0], worst
 
 
-def map_stage(sys: InequalitySystem, x) -> list[SliceResult]:
-    """Positive slice of every row at x, in row order (length m)."""
-    x = _as_point(x, sys.n)
-    return [positive_slice(sys, i, x) for i in range(sys.m)]
-
-
-def reduce_stage(slices: list[SliceResult]) -> tuple[np.ndarray, int]:
-    """Sum of the slice directions and of the violation flags.
-
-    The sum is exactly rounded, so it matches any partitioned evaluation of
-    the same list.
-    """
-    if not slices:
-        raise ValueError("reduce_stage needs a non-empty slice list")
-    n = slices[0].direction.shape[0]
-    for s in slices:
-        if s.direction.shape != (n,):
-            raise ValueError(
-                f"dimension mismatch among slices: {s.direction.shape} vs ({n},)"
-            )
-    violated = [s.direction for s in slices if s.violated]
-    return column_sums(np.array(violated).reshape(len(violated), n)), len(violated)
-
-
 def _apply_step(
     x: np.ndarray, y: np.ndarray, h: int, variant: str, step_length: float
 ) -> np.ndarray:
@@ -179,29 +148,6 @@ def _apply_step(
             "the system looks infeasible"
         )
     return x - _rescaled(y, norm, step_length)
-
-
-def _step(sys: InequalitySystem, x, variant: str,
-          step_length: float) -> tuple[np.ndarray, int]:
-    """One step of ``variant`` from x and the violated count; identity when
-    feasible."""
-    x = _as_point(x, sys.n)
-    block, h, _ = partial_reduction(sys, x)
-    if h == 0:
-        return x.copy(), 0
-    return _apply_step(x, column_sums(block), h, variant, step_length), h
-
-
-def ap_step(sys: InequalitySystem, x) -> tuple[np.ndarray, int]:
-    """One averaged-projection step: ``x - phi(x)``; identity when feasible."""
-    return _step(sys, x, VARIANT_AP, 0.0)
-
-
-def modap_step(sys: InequalitySystem, x, step_length: float) -> tuple[np.ndarray, int]:
-    """One fixed-length step of size ``step_length``; identity when feasible."""
-    if not step_length > 0:
-        raise ValueError(f"step_length must be positive, got {step_length}")
-    return _step(sys, x, VARIANT_MODAP, step_length)
 
 
 def _run_loop(src, config: SolverConfig, evaluate) -> SolveOutcome:

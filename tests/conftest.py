@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from modap import InequalitySystem
+from modap import InequalitySystem, SolverConfig, solve
 
 
 def brute_force_max_violation(a_rows, b_vals, x):
@@ -57,3 +57,11 @@ def random_feasible_system(rng, n, m, margin_lo=2.0, margin_hi=4.0, center_lo=4.
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def one_iteration(system, x, variant, step_length=1.0):
+    """A traced solve from x stopped after one iteration; the smallest eps
+    makes it step whenever a row is violated."""
+    config = SolverConfig(variant=variant, step_length=step_length, eps=5e-324,
+                          max_iterations=1, record_trace=True, initial_point=x)
+    return solve(system, config)

@@ -1,4 +1,10 @@
-"""Earlier implementations of the package's exact kernels, kept as oracles.
+"""Per-row definitions and earlier implementations of the package's exact
+kernels, kept as oracles.
+
+:func:`residual`, :func:`reflection_vector`, :func:`orthogonal_projection`,
+:func:`positive_slice` and :func:`eps_satisfies` are the paper's per-row
+operators, written over ``sys.b`` and ``exact_dot``; the package computes
+them only inside its one row pass, ``modap.geometry.violated_slices``.
 
 The row loops are the package's as they were before the float64 filter:
 the filtered row pass in ``modap.geometry`` and the lazy translation in
@@ -18,7 +24,30 @@ import math
 
 import numpy as np
 
+from modap import InequalitySystem
 from modap.summation import exact_dot
+
+
+def residual(sys, i, x):
+    return exact_dot(sys.a[i], x) - float(sys.b[i])
+
+
+def reflection_vector(sys, i, x):
+    return (residual(sys, i, x) / float(sys.row_norms_sq[i])) * sys.a[i]
+
+
+def orthogonal_projection(sys, i, x):
+    return x - reflection_vector(sys, i, x)
+
+
+def positive_slice(sys, i, x):
+    """The reflection vector of a violated row, the zero vector otherwise."""
+    return reflection_vector(sys, i, x) if residual(sys, i, x) > 0.0 else np.zeros(sys.n)
+
+
+def eps_satisfies(sys, i, x, eps):
+    r = residual(sys, i, x)
+    return r <= 0.0 or r / float(sys.row_norms[i]) < eps
 
 
 def violated_slices(sys, x, start=0, stop=None):
@@ -26,7 +55,7 @@ def violated_slices(sys, x, start=0, stop=None):
         stop = sys.m
     out = []
     for i in range(start, stop):
-        r = exact_dot(sys.a[i], x) - float(sys.b[i])
+        r = residual(sys, i, x)
         if r > 0.0:
             out.append((r / float(sys.row_norms_sq[i])) * sys.a[i])
     return out
@@ -36,10 +65,9 @@ def eps_membership(sys, x, eps):
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = np.asarray(x, dtype=np.float64)
-    a, b, norms = sys.a, sys.b, sys.row_norms
     for i in range(sys.m):
-        r = exact_dot(a[i], x) - float(b[i])
-        if r > 0.0 and r / float(norms[i]) >= eps:
+        r = residual(sys, i, x)
+        if r > 0.0 and r / float(sys.row_norms[i]) >= eps:
             return False
     return True
 
@@ -48,12 +76,11 @@ def max_relative_violation(sys, x, start=0, stop=None):
     if stop is None:
         stop = sys.m
     x = np.asarray(x, dtype=np.float64)
-    a, b, norms = sys.a, sys.b, sys.row_norms
     worst = 0.0
     for i in range(start, stop):
-        r = exact_dot(a[i], x) - float(b[i])
+        r = residual(sys, i, x)
         if r > 0.0:
-            v = r / float(norms[i])
+            v = r / float(sys.row_norms[i])
             if v > worst:
                 worst = v
     return worst
@@ -72,7 +99,7 @@ def translate(sys, v):
         dtype=np.float64,
         count=sys.m,
     )
-    return sys.with_rhs(new_b)
+    return InequalitySystem(sys.a, new_b)
 
 
 def grow_expansion(partials, value):

@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_feasible, random_feasible_system
+import oracles
+from conftest import brute_force_feasible, one_iteration, random_feasible_system
 from modap import (
     DynamicsSpec,
     DynamicSystemSource,
@@ -20,27 +21,16 @@ from modap import (
     ModelProblemSpec,
     SolverConfig,
     SolveStatus,
-    eps_membership,
-    eps_satisfies,
-    fixed_step_direction,
     generate_model_problem,
-    interior_witness,
     load_system,
-    map_stage,
-    max_relative_violation,
-    orthogonal_projection,
-    positive_slice,
-    pseudo_projection,
-    reduce_stage,
-    reflection_vector,
-    residual,
     run_parallel,
     save_system,
     solve,
-    vector_norm,
 )
 from modap.cli import main as cli_main
 from modap.cost_model import BREADTH_FULL, CostParams, k_max
+from modap.geometry import eps_membership, max_relative_violation, violated_slices
+from modap.summation import column_sums
 from test_cost_model import counted_map_ops_per_row
 
 
@@ -80,63 +70,67 @@ def test_criterion_1_operator_invariants():
             sys = InequalitySystem(a, b)
             x = rng.uniform(-5, 5, n)
 
-            direction, h = pseudo_projection(sys, x)
+            block, _ = violated_slices(sys, x)
+            h = block.shape[0]
             total = np.zeros(n)
-            flags = 0
+            slices = []
             for i in range(m):
                 # projection lands on the hyperplane
-                p = orthogonal_projection(sys, i, x)
+                p = oracles.orthogonal_projection(sys, i, x)
                 bi = float(sys.b[i])
                 assert abs(float(np.dot(sys.a[i], p)) - bi) <= abs(bi) * 1e-12 + 1e-12
                 # slice/flag equivalence
-                s = positive_slice(sys, i, x)
-                r = residual(sys, i, x)
-                assert s.violated == (1 if r > 0 else 0)
-                if s.violated:
-                    assert np.array_equal(s.direction, reflection_vector(sys, i, x))
+                s = oracles.positive_slice(sys, i, x)
+                if oracles.residual(sys, i, x) > 0:
+                    assert np.array_equal(s, oracles.reflection_vector(sys, i, x))
+                    slices.append(s)
                 else:
-                    assert not s.direction.any()
-                total += s.direction
-                flags += s.violated
+                    assert not s.any()
+                total += s
+            # the one pass returns exactly the violated rows' slices, in order
+            assert h == len(slices)
+            assert np.array_equal(block, np.array(slices).reshape(h, n))
             # phi reconstruction
-            assert h == flags
-            assert np.allclose(direction * h, total, atol=1e-10)
+            assert np.allclose(column_sums(block), total, atol=1e-10)
             # membership agrees with the row-by-row test exactly
             assert eps_membership(sys, x, 1e-7) == all(
-                eps_satisfies(sys, i, x, 1e-7) for i in range(m)
+                oracles.eps_satisfies(sys, i, x, 1e-7) for i in range(m)
             )
             # row scaling leaves decisions unchanged
             c = float(rng.uniform(0.01, 100.0))
             scaled = InequalitySystem(a * c, b * c)
             i = int(rng.integers(0, m))
-            s1, s2 = positive_slice(sys, i, x), positive_slice(scaled, i, x)
-            assert s1.violated == s2.violated
-            assert np.allclose(s1.direction, s2.direction, atol=1e-10, rtol=1e-10)
-            assert eps_satisfies(sys, i, x, 1e-7) == eps_satisfies(scaled, i, x, 1e-7)
+            s1, s2 = oracles.positive_slice(sys, i, x), oracles.positive_slice(scaled, i, x)
+            assert (oracles.residual(sys, i, x) > 0) == (oracles.residual(scaled, i, x) > 0)
+            assert np.allclose(s1, s2, atol=1e-10, rtol=1e-10)
+            assert (oracles.eps_satisfies(sys, i, x, 1e-7)
+                    == oracles.eps_satisfies(scaled, i, x, 1e-7))
             assert max_relative_violation(sys, x) == pytest.approx(
                 max_relative_violation(scaled, x), abs=1e-10, rel=1e-10
             )
-            # fixed-length step has the requested length
+            # the solver's fixed-length step has the requested length
             if h > 0:
                 lam = float(rng.uniform(0.1, 5.0))
-                assert vector_norm(fixed_step_direction(sys, x, lam)) == pytest.approx(
-                    lam, rel=1e-12
-                )
+                out = one_iteration(sys, x, "modap", lam)
+                assert out.trace[0].step_norm == pytest.approx(lam, rel=1e-12)
 
 
 def test_criterion_2_list_formulation_equals_direct_formula():
-    with _criterion(2, "map/reduce equals the direct averaged direction", 2.0):
+    with _criterion(2, "per-row map/reduce equals the one row pass", 2.0):
         rng = np.random.default_rng(2)
         for _ in range(200):
             n = int(rng.integers(1, 16))
             m = int(rng.integers(1, 41))
             sys, _ = random_feasible_system(rng, n, m)
             x = rng.uniform(-15, 15, n)
-            y, h = reduce_stage(map_stage(sys, x))
-            direction, h2 = pseudo_projection(sys, x)
-            assert h == h2
+            slices = [oracles.positive_slice(sys, i, x) for i in range(m)
+                      if oracles.residual(sys, i, x) > 0]
+            y, h = sum(slices, np.zeros(n)), len(slices)
+            block, _ = violated_slices(sys, x)
+            assert h == block.shape[0]
+            direction = column_sums(block)
             if h > 0:
-                assert np.allclose(y / h, direction, atol=1e-12, rtol=1e-12)
+                assert np.allclose(y / h, direction / h, atol=1e-12, rtol=1e-12)
             else:
                 assert not y.any() and not direction.any()
 
@@ -157,7 +151,8 @@ def _stationary_generator_runs():
                     record_iterates=True,
                 ),
             )
-            runs[(variant, n)] = (system, interior_witness(spec), out)
+            # (100, ..., 100) is interior under the default bounds
+            runs[(variant, n)] = (system, np.full(n, 100.0), out)
     return runs
 
 

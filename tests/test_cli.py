@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -132,6 +134,20 @@ def test_console_entry_point_runs():
     assert "k_max" in proc.stdout
 
 
+def test_stall_comparison_script_runs():
+    # the script imports from the package namespace, which no other test does
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "stall_comparison.py"),
+         "--n", "3", "--budget", "50", "--rates", "0.1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("model problem n=3, quantum=0.1s, budget=50, lambda=1.0\n")
+
+
 def test_bad_arguments_exit_one():
     proc = subprocess.run(
         [sys.executable, "-m", "modap", "solve", "--variant", "fastest"],
@@ -197,17 +213,33 @@ def test_overflowing_slice_sum_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_overflowing_residual_exits_one(tmp_path, capsys):
+TRANSLATING = ["dynamics.mode=translation", "dynamics.seconds_per_iteration=1"]
+OVERFLOWS = [
     # the first step lands near x = (-5e299, -5e299), where row 1's two
     # finite products sum past float64
+    ("1e-8 1e-8 -1e292\n3e8 3e8 1", ["solver.variant=ap"],
+     "row 1: its residual overflows float64"),
+    # after one second row 0's bound is 1.5e308 + 1e308, past float64; it
+    # used to read inf (status=converged) or, with the signs flipped, to
+    # end as a non-finite step
+    ("1 0 1.5e308\n0 1 -1", ["dynamics.rate=1e308", *TRANSLATING],
+     "row 0: its translated bound overflows float64"),
+    ("1 0 -1.5e308\n0 1 1", ["dynamics.rate=-1e308", *TRANSLATING],
+     "row 0: its translated bound overflows float64"),
+]
+
+
+def test_overflowing_residual_exits_one(tmp_path, capsys):
     path = tmp_path / "s.txt"
-    path.write_text("2 2\n1e-8 1e-8 -1e292\n3e8 3e8 1\n")
     out = tmp_path / "m.csv"
-    for workers in ("0", "2"):
-        code = main(["solve", "--set", f"problem.file={path}", "--set", f"output.path={out}",
-                     "--set", "solver.variant=ap", "--workers", workers])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "row 1: its residual overflows float64" in err
-    assert not out.exists()
+    for system, settings, message in OVERFLOWS:
+        path.write_text(f"2 2\n{system}\n")
+        sets = [arg for key in settings for arg in ("--set", key)]
+        for workers in ("0", "2"):
+            code = main(["solve", "--set", f"problem.file={path}",
+                         "--set", f"output.path={out}", *sets, "--workers", workers])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert message in err
+        assert not out.exists()

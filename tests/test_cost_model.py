@@ -12,7 +12,6 @@ from modap.cost_model import (
     operation_counts,
     report,
     stage_times,
-    sweep,
 )
 
 
@@ -142,30 +141,21 @@ class TestKMax:
 
 
 class TestSweep:
-    def test_singleton_matches_direct(self):
-        base = CostParams(1, 1)
-        rows = sweep(base, [100])
-        n, m, single, full = rows[0]
-        assert (n, m) == (100, 202)
-        assert single == k_max(CostParams(100, 202))
-        assert full == k_max(CostParams(100, 202, update_breadth=BREADTH_FULL))
+    """k_max over n on the model problem, m = 2n + 2, for both update
+    regimes (``modap costmodel --n-values ... --breadth single|full``)."""
 
     def test_single_column_increases(self):
-        rows = sweep(CostParams(1, 1), [100, 1000, 10_000])
-        singles = [r[2] for r in rows]
+        singles = [k_max(CostParams(n, 2 * n + 2)) for n in (100, 1000, 10_000)]
         assert singles[0] < singles[1] < singles[2]
 
     def test_full_column_flat_beyond_1e3(self):
-        rows = sweep(
-            CostParams(1, 1, tau_op=2.5e-10, tau_tr=2.5e-10), [10**3, 10**4, 10**5]
-        )
-        fulls = [r[3] for r in rows]
+        fulls = [
+            k_max(CostParams(n, 2 * n + 2, tau_op=2.5e-10, tau_tr=2.5e-10,
+                             update_breadth=BREADTH_FULL))
+            for n in (10**3, 10**4, 10**5)
+        ]
         spread = (max(fulls) - min(fulls)) / min(fulls)
         assert spread < 0.10
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(CostParams(1, 1), [])
 
 
 def test_report_consistency():

@@ -12,10 +12,10 @@ from modap import (
     DynamicSystemSource,
     InequalitySystem,
     SolverConfig,
-    eps_membership,
     solve,
-    translate,
 )
+from modap.dynamics import translate
+from modap.geometry import eps_membership, violated_slices
 
 HALF = InequalitySystem([[1.0, 0.0]], [1.0])
 
@@ -182,8 +182,12 @@ def test_translated_bounds_match_the_eager_translation():
     v = np.array([0.1, 1e17])
     want = oracles.translate(sys, v).b
     moved = translate(sys, v)
-    # row by row on demand, then the whole vector on first read
-    assert [moved.rhs(i) for i in range(sys.m)] == want.tolist()
+    # row by row on demand in a pass that evaluates both rows exactly, then
+    # the whole vector on first read
+    x = np.array([1.0, -1e17])
+    assert [d.tobytes() for d in violated_slices(moved, x)[0]] == [
+        d.tobytes() for d in oracles.violated_slices(oracles.translate(sys, v), x)]
+    assert moved._b is None
     assert moved.b.tobytes() == want.tobytes()
     twice = translate(moved, v)
     assert twice.b.tobytes() == oracles.translate(oracles.translate(sys, v), v).b.tobytes()

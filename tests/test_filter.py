@@ -27,14 +27,12 @@ from modap import (
     InequalitySystem,
     ModelProblemSpec,
     SolverConfig,
-    eps_membership,
     generate_model_problem,
-    max_relative_violation,
     run_parallel,
     solve,
-    translate,
 )
-from modap.geometry import violated_slices
+from modap.dynamics import translate
+from modap.geometry import eps_membership, max_relative_violation, violated_slices
 from modap.summation import SMALL_BLOCK, exact_dot
 
 # row and point scales: 2^-530 puts a squared row norm in the subnormal

@@ -6,21 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from modap import (
-    FeasiblePointError,
-    InequalitySystem,
-    eps_membership,
-    eps_satisfies,
-    fixed_step_direction,
-    max_relative_violation,
-    orthogonal_projection,
-    positive_slice,
-    pseudo_projection,
-    reflection_vector,
-    residual,
-    translate,
-    vector_norm,
-)
+from conftest import one_iteration
+from modap import InequalitySystem
+from modap.dynamics import translate
+from modap.geometry import eps_membership, max_relative_violation, vector_norm, violated_slices
+from modap.summation import column_sums
 
 BOX = InequalitySystem([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])  # x1 <= 1, x2 <= 1
 
@@ -87,128 +77,123 @@ class TestInequalitySystem:
         with pytest.raises(ValueError, match=match):
             InequalitySystem(a, b)
 
-    def test_with_rhs_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="not finite"):
-            BOX.with_rhs([1.0, math.nan])
-
-    def test_with_rhs_shares_rows(self):
-        other = BOX.with_rhs([2.0, 3.0])
-        assert other.a is BOX.a
-        assert other.row_norms_sq is BOX.row_norms_sq
-        assert np.array_equal(other.b, [2.0, 3.0])
+    @pytest.mark.parametrize("bound,shift", [(1.5e308, 1e308), (-1.5e308, -1e308)])
+    def test_overflowing_translated_bound_rejected(self, bound, shift):
+        # 1.5e308 + 1e308 is past float64 although both terms are finite
+        sys = InequalitySystem([[1.0, 0.0], [0.0, 1.0]], [bound, 1.0])
+        moved = translate(sys, [shift, 0.0])
+        match = "row 0: its translated bound overflows float64"
+        with pytest.raises(OverflowError, match=match):
+            violated_slices(moved, np.array([bound, 0.0]))
+        with pytest.raises(OverflowError, match=match):
+            moved.b
 
 
 class TestResidual:
     def test_hand_dot_product(self):
         sys = InequalitySystem([[3.0, 4.0]], [5.0])
-        assert residual(sys, 0, [1.0, 1.0]) == 2.0
+        assert oracles.residual(sys, 0, [1.0, 1.0]) == 2.0
+        block, worst = violated_slices(sys, np.array([1.0, 1.0]))
+        assert np.array_equal(block, [[2.0 / 25.0 * 3.0, 2.0 / 25.0 * 4.0]])
+        assert worst == 2.0 / 5.0
 
     def test_point_on_hyperplane(self):
         sys = InequalitySystem([[1.0, 0.0]], [0.0])
-        assert residual(sys, 0, [0.0, 0.0]) == 0.0
+        assert oracles.residual(sys, 0, [0.0, 0.0]) == 0.0
+        assert violated_slices(sys, np.zeros(2))[0].shape == (0, 2)
 
     def test_feasible_interior(self):
         sys = InequalitySystem([[1.0, 0.0]], [1.0])
-        assert residual(sys, 0, [0.5, 7.0]) == -0.5
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            residual(BOX, 2, [0.0, 0.0])
-        with pytest.raises(IndexError):
-            residual(BOX, -1, [0.0, 0.0])
+        assert oracles.residual(sys, 0, [0.5, 7.0]) == -0.5
+        assert violated_slices(sys, np.array([0.5, 7.0]))[0].shape == (0, 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            residual(BOX, 0, [0.0, 0.0, 0.0])
+            max_relative_violation(BOX, [0.0, 0.0, 0.0])
 
 
 class TestReflectionAndProjection:
     def test_reflection_hand_value(self):
         sys = InequalitySystem([[0.0, 2.0]], [2.0])
-        assert np.array_equal(reflection_vector(sys, 0, [0.0, 3.0]), [0.0, 2.0])
+        assert np.array_equal(violated_slices(sys, np.array([0.0, 3.0]))[0], [[0.0, 2.0]])
 
     def test_reflection_zero_on_hyperplane(self):
         sys = InequalitySystem([[1.0, 2.0]], [5.0])
-        assert np.array_equal(reflection_vector(sys, 0, [1.0, 2.0]), [0.0, 0.0])
+        assert np.array_equal(oracles.reflection_vector(sys, 0, [1.0, 2.0]), [0.0, 0.0])
+        assert violated_slices(sys, np.array([1.0, 2.0]))[0].shape == (0, 2)
 
     def test_reflection_points_away_for_interior(self):
         sys = InequalitySystem([[1.0, 0.0]], [0.0])
-        assert np.array_equal(reflection_vector(sys, 0, [-2.0, 5.0]), [-2.0, 0.0])
+        assert np.array_equal(oracles.reflection_vector(sys, 0, [-2.0, 5.0]), [-2.0, 0.0])
+        assert violated_slices(sys, np.array([-2.0, 5.0]))[0].shape == (0, 2)
 
     def test_projection_hand_values(self):
+        # the projection is x minus the row's slice
         sys = InequalitySystem([[0.0, 2.0]], [2.0])
-        assert np.array_equal(orthogonal_projection(sys, 0, [0.0, 3.0]), [0.0, 1.0])
+        x = np.array([0.0, 3.0])
+        assert np.array_equal(x - violated_slices(sys, x)[0][0], [0.0, 1.0])
         sys2 = InequalitySystem([[1.0, 1.0]], [0.0])
-        assert np.allclose(orthogonal_projection(sys2, 0, [1.0, 1.0]), [0.0, 0.0], atol=1e-15)
+        x = np.array([1.0, 1.0])
+        assert np.allclose(x - violated_slices(sys2, x)[0][0], [0.0, 0.0], atol=1e-15)
 
 
 class TestPositiveSlice:
     def test_feasible_point_gives_zero_slice(self):
         sys = InequalitySystem([[1.0, 0.0]], [1.0])
-        res = positive_slice(sys, 0, [0.5, 7.0])
-        assert res.violated == 0
-        assert np.array_equal(res.direction, [0.0, 0.0])
+        assert violated_slices(sys, np.array([0.5, 7.0]))[0].shape == (0, 2)
 
     def test_violated_point_hand_value(self):
         sys = InequalitySystem([[1.0, 0.0]], [1.0])
-        res = positive_slice(sys, 0, [3.0, 0.0])
-        assert res.violated == 1
-        assert np.array_equal(res.direction, [2.0, 0.0])
+        assert np.array_equal(violated_slices(sys, np.array([3.0, 0.0]))[0], [[2.0, 0.0]])
 
     def test_boundary_counts_as_satisfied(self):
         sys = InequalitySystem([[1.0, 0.0]], [1.0])
-        res = positive_slice(sys, 0, [1.0, 5.0])
-        assert res.violated == 0
-        assert np.array_equal(res.direction, [0.0, 0.0])
+        assert violated_slices(sys, np.array([1.0, 5.0]))[0].shape == (0, 2)
 
 
 class TestPseudoProjection:
     def test_two_violated_rows_hand_average(self):
-        direction, h = pseudo_projection(BOX, [3.0, 2.0])
-        assert h == 2
-        assert np.array_equal(direction, [1.0, 0.5])
+        block, _ = violated_slices(BOX, np.array([3.0, 2.0]))
+        assert block.shape[0] == 2
+        assert np.array_equal(column_sums(block) / 2, [1.0, 0.5])
 
     def test_feasible_point(self):
-        direction, h = pseudo_projection(BOX, [0.0, 0.0])
-        assert h == 0
-        assert np.array_equal(direction, [0.0, 0.0])
+        block, _ = violated_slices(BOX, np.zeros(2))
+        assert block.shape[0] == 0
+        assert np.array_equal(column_sums(block), [0.0, 0.0])
 
     def test_single_violation_equals_slice(self):
-        direction, h = pseudo_projection(BOX, [3.0, 0.0])
-        assert h == 1
-        assert np.array_equal(direction, positive_slice(BOX, 0, [3.0, 0.0]).direction)
+        x = np.array([3.0, 0.0])
+        block, _ = violated_slices(BOX, x)
+        assert block.shape[0] == 1
+        assert np.array_equal(column_sums(block), oracles.positive_slice(BOX, 0, x))
 
 
 class TestFixedStepDirection:
     def test_hand_normalization(self):
-        # single row with phi(x) = (3, 4)
+        # single row with phi(x) = (3, 4): the step is (1.2, 1.6)
         sys = InequalitySystem([[3.0, 4.0]], [0.0])
-        step = fixed_step_direction(sys, [3.0, 4.0], 2.0)
-        assert step == pytest.approx([1.2, 1.6], rel=1e-12)
+        out = one_iteration(sys, [3.0, 4.0], "modap", 2.0)
+        assert out.solution == pytest.approx([3.0 - 1.2, 4.0 - 1.6], rel=1e-12)
 
     def test_axis_aligned(self):
         sys = InequalitySystem([[0.0, 5.0]], [0.0])
-        step = fixed_step_direction(sys, [0.0, 5.0], 1.0)
-        assert step == pytest.approx([0.0, 1.0], rel=1e-12)
-
-    def test_feasible_point_raises(self):
-        with pytest.raises(FeasiblePointError):
-            fixed_step_direction(BOX, [0.0, 0.0], 1.0)
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_step_direction(BOX, [3.0, 2.0], 0.0)
+        out = one_iteration(sys, [0.0, 5.0], "modap", 1.0)
+        assert out.solution == pytest.approx([0.0, 4.0], rel=1e-12)
 
 
 class TestEpsMembership:
     def test_feasible_any_eps(self):
         sys = InequalitySystem([[1.0, 0.0]], [1.0])
-        assert eps_satisfies(sys, 0, [0.0, 0.0], 1e-12)
+        assert oracles.eps_satisfies(sys, 0, [0.0, 0.0], 1e-12)
+        assert eps_membership(sys, [0.0, 0.0], 1e-12)
 
     def test_small_violation_inside_eps(self):
         sys = InequalitySystem([[1.0, 0.0]], [1.0])
-        assert eps_satisfies(sys, 0, [1.0 + 5e-8, 0.0], 1e-7)
-        assert not eps_satisfies(sys, 0, [2.0, 0.0], 1e-7)
+        assert oracles.eps_satisfies(sys, 0, [1.0 + 5e-8, 0.0], 1e-7)
+        assert not oracles.eps_satisfies(sys, 0, [2.0, 0.0], 1e-7)
+        assert eps_membership(sys, [1.0 + 5e-8, 0.0], 1e-7)
+        assert not eps_membership(sys, [2.0, 0.0], 1e-7)
 
     def test_membership_examples(self):
         assert eps_membership(BOX, [0.0, 0.0], 1e-7)
@@ -243,7 +228,7 @@ class TestMaxRelativeViolation:
 def test_projection_lands_on_hyperplane(sys_x):
     sys, x = sys_x
     for i in range(sys.m):
-        p = orthogonal_projection(sys, i, x)
+        p = oracles.orthogonal_projection(sys, i, x)
         lhs = float(np.dot(sys.a[i], p))
         assert abs(lhs - float(sys.b[i])) <= abs(float(sys.b[i])) * 1e-12 + 1e-12
 
@@ -251,15 +236,19 @@ def test_projection_lands_on_hyperplane(sys_x):
 @settings(max_examples=80)
 @given(system_strategy())
 def test_slice_flag_matches_residual_sign(sys_x):
+    """The pass returns the reflection of exactly the rows with a positive
+    residual, in row order."""
     sys, x = sys_x
+    want = []
     for i in range(sys.m):
-        res = positive_slice(sys, i, x)
-        r = residual(sys, i, x)
-        assert res.violated == (1 if r > 0 else 0)
-        if res.violated:
-            assert np.array_equal(res.direction, reflection_vector(sys, i, x))
+        s = oracles.positive_slice(sys, i, x)
+        if oracles.residual(sys, i, x) > 0:
+            assert np.array_equal(s, oracles.reflection_vector(sys, i, x))
+            want.append(s)
         else:
-            assert np.array_equal(res.direction, np.zeros(sys.n))
+            assert np.array_equal(s, np.zeros(sys.n))
+    block, _ = violated_slices(sys, x)
+    assert np.array_equal(block, np.array(want).reshape(len(want), sys.n))
 
 
 @settings(max_examples=60)
@@ -268,11 +257,14 @@ def test_row_scaling_leaves_decisions_unchanged(sys_x, c):
     sys, x = sys_x
     scaled = InequalitySystem(sys.a * c, sys.b * c)
     for i in range(sys.m):
-        s1 = positive_slice(sys, i, x)
-        s2 = positive_slice(scaled, i, x)
-        assert s1.violated == s2.violated
-        assert np.allclose(s1.direction, s2.direction, atol=1e-10, rtol=1e-10)
-        assert eps_satisfies(sys, i, x, 1e-7) == eps_satisfies(scaled, i, x, 1e-7)
+        s1 = oracles.positive_slice(sys, i, x)
+        s2 = oracles.positive_slice(scaled, i, x)
+        assert (oracles.residual(sys, i, x) > 0) == (oracles.residual(scaled, i, x) > 0)
+        assert np.allclose(s1, s2, atol=1e-10, rtol=1e-10)
+        assert oracles.eps_satisfies(sys, i, x, 1e-7) == oracles.eps_satisfies(scaled, i, x, 1e-7)
+    block1, block2 = violated_slices(sys, x)[0], violated_slices(scaled, x)[0]
+    assert block1.shape == block2.shape
+    assert np.allclose(block1, block2, atol=1e-10, rtol=1e-10)
     assert max_relative_violation(sys, x) == pytest.approx(
         max_relative_violation(scaled, x), abs=1e-10, rel=1e-10
     )
@@ -284,11 +276,11 @@ def test_row_scaling_leaves_decisions_unchanged(sys_x, c):
 @example((InequalitySystem([[1.0]], [-1e-200]), np.array([0.0])), 1.0)
 def test_fixed_step_has_requested_length(sys_x, length):
     sys, x = sys_x
-    _, h = pseudo_projection(sys, x)
-    if h == 0:
+    if violated_slices(sys, x)[0].shape[0] == 0:
         return
-    step = fixed_step_direction(sys, x, length)
-    assert vector_norm(step) == pytest.approx(length, rel=1e-12)
+    out = one_iteration(sys, x, "modap", length)
+    assert out.iterations == 1
+    assert out.trace[0].step_norm == pytest.approx(length, rel=1e-12)
 
 
 @settings(max_examples=80)
@@ -297,7 +289,7 @@ def test_membership_equals_forall_rows(sys_x):
     sys, x = sys_x
     eps = 1e-7
     assert eps_membership(sys, x, eps) == all(
-        eps_satisfies(sys, i, x, eps) for i in range(sys.m)
+        oracles.eps_satisfies(sys, i, x, eps) for i in range(sys.m)
     )
 
 
@@ -305,12 +297,12 @@ def test_membership_equals_forall_rows(sys_x):
 @given(system_strategy())
 def test_phi_reconstruction(sys_x):
     sys, x = sys_x
-    direction, h = pseudo_projection(sys, x)
+    block, _ = violated_slices(sys, x)
     total = np.zeros(sys.n)
     for i in range(sys.m):
-        total = total + positive_slice(sys, i, x).direction
-    assert np.allclose(direction * h, total, atol=1e-10)
-    assert h == sum(positive_slice(sys, i, x).violated for i in range(sys.m))
+        total = total + oracles.positive_slice(sys, i, x)
+    assert np.allclose(column_sums(block), total, atol=1e-10)
+    assert block.shape[0] == sum(oracles.residual(sys, i, x) > 0 for i in range(sys.m))
 
 
 def test_vector_norm_matches_math():

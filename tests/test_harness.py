@@ -3,28 +3,27 @@ import pytest
 
 from conftest import brute_force_feasible
 from modap import (
-    ConfigError,
     DynamicsSpec,
     InequalitySystem,
     ModelProblemSpec,
     SolveStatus,
-    SystemFormatError,
-    eps_membership,
     generate_model_problem,
-    interior_witness,
     load_system,
-    run_experiment,
-    run_rate_sweep,
     save_system,
     solve,
     SolverConfig,
 )
+from modap.geometry import eps_membership
 from modap.harness import (
     METRICS_HEADER,
+    ConfigError,
     ExperimentConfig,
+    SystemFormatError,
     build_experiment_config,
     parse_config_file,
     parse_overrides,
+    run_experiment,
+    run_rate_sweep,
 )
 
 
@@ -50,18 +49,16 @@ class TestModelProblem:
 
     @pytest.mark.parametrize("n", [2, 5, 37, 120])
     def test_witness_strictly_interior_for_n_at_least_2(self, n):
-        spec = ModelProblemSpec(n=n)
-        sys = generate_model_problem(spec)
-        w = interior_witness(spec)
+        sys = generate_model_problem(ModelProblemSpec(n=n))
+        w = np.full(n, 100.0)  # interior under the default bounds
         residuals = sys.a @ w - sys.b
         assert (residuals < 0).all()
 
     def test_witness_feasible_at_n1(self):
         # at n=1 the witness sits exactly on the lower sum bound, so it is
         # feasible but not strict there
-        spec = ModelProblemSpec(n=1)
-        sys = generate_model_problem(spec)
-        assert eps_membership(sys, interior_witness(spec), 1e-9)
+        sys = generate_model_problem(ModelProblemSpec(n=1))
+        assert eps_membership(sys, np.array([100.0]), 1e-9)
 
     def test_both_variants_converge_on_generator(self):
         for n in (5, 40):

@@ -3,49 +3,53 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_feasible, random_feasible_system
+import oracles
+from conftest import brute_force_feasible, one_iteration, random_feasible_system
 from modap import (
     DynamicsSpec,
     DynamicSystemSource,
     InequalitySystem,
     SolverConfig,
     SolveStatus,
-    ap_step,
-    map_stage,
-    modap_step,
-    positive_slice,
-    pseudo_projection,
-    reduce_stage,
     solve,
 )
+from modap.geometry import violated_slices
+from modap.summation import column_sums
 
 BOX = InequalitySystem([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 HALF = InequalitySystem([[1.0, 0.0]], [1.0])
 
 
+def step(sys, x, variant, step_length=1.0):
+    """The solver's first step from x and its violated count h; a feasible
+    start takes no step."""
+    out = one_iteration(sys, x, variant, step_length)
+    return out.solution, out.trace[0].h if out.iterations else 0
+
+
 class TestSteps:
     def test_ap_single_row_lands_on_hyperplane(self):
-        x_next, h = ap_step(HALF, [3.0, 0.0])
+        x_next, h = step(HALF, [3.0, 0.0], "ap")
         assert h == 1
         assert np.array_equal(x_next, [1.0, 0.0])
 
     def test_ap_feasible_identity(self):
-        x_next, h = ap_step(HALF, [0.0, 0.0])
+        x_next, h = step(HALF, [0.0, 0.0], "ap")
         assert h == 0
         assert np.array_equal(x_next, [0.0, 0.0])
 
     def test_ap_two_rows_hand_value(self):
-        x_next, h = ap_step(BOX, [3.0, 2.0])
+        x_next, h = step(BOX, [3.0, 2.0], "ap")
         assert h == 2
         assert np.array_equal(x_next, [2.0, 1.5])
 
     def test_modap_single_row(self):
-        x_next, h = modap_step(HALF, [3.0, 0.0], 0.5)
+        x_next, h = step(HALF, [3.0, 0.0], "modap", 0.5)
         assert h == 1
         assert np.array_equal(x_next, [2.5, 0.0])
 
     def test_modap_feasible_identity(self):
-        x_next, h = modap_step(BOX, [0.5, 0.5], 1.0)
+        x_next, h = step(BOX, [0.5, 0.5], "modap")
         assert h == 0
         assert np.array_equal(x_next, [0.5, 0.5])
 
@@ -53,7 +57,7 @@ class TestSteps:
         # oracle: phi = (1, 0.5); x - phi/||phi|| computed with plain math
         norm = math.sqrt(1.0**2 + 0.5**2)
         expected = [3.0 - 1.0 / norm, 2.0 - 0.5 / norm]
-        x_next, h = modap_step(BOX, [3.0, 2.0], 1.0)
+        x_next, h = step(BOX, [3.0, 2.0], "modap")
         assert h == 2
         assert x_next == pytest.approx(expected, rel=1e-12)
         assert x_next == pytest.approx([2.1056, 1.5528], abs=1e-4)
@@ -61,51 +65,43 @@ class TestSteps:
     def test_modap_step_length_is_exact_length(self):
         x = np.array([3.0, 2.0])
         for lam in (0.25, 1.0, 2.0):
-            x_next, h = modap_step(BOX, x, lam)
+            x_next, h = step(BOX, x, "modap", lam)
             assert h == 2
             assert np.linalg.norm(x_next - x) == pytest.approx(lam, rel=1e-12)
 
 
 class TestMapReduce:
+    """The map and reduce of the paper's list formulation, on the rows of
+    the one pass: the violated rows' slices, then their column sums."""
+
     def test_map_stage_hand_values(self):
-        slices = map_stage(BOX, [3.0, 2.0])
-        assert len(slices) == BOX.m
-        assert np.array_equal(slices[0].direction, [2.0, 0.0])
-        assert slices[0].violated == 1
-        assert np.array_equal(slices[1].direction, [0.0, 1.0])
-        assert slices[1].violated == 1
+        block, _ = violated_slices(BOX, np.array([3.0, 2.0]))
+        assert np.array_equal(block, [[2.0, 0.0], [0.0, 1.0]])
 
     def test_map_stage_feasible_all_zero(self):
-        slices = map_stage(BOX, [0.0, 0.0])
-        assert all(s.violated == 0 for s in slices)
-        assert all(np.array_equal(s.direction, [0.0, 0.0]) for s in slices)
+        block, _ = violated_slices(BOX, np.zeros(2))
+        assert block.shape == (0, 2)
 
     def test_map_stage_singleton_matches_positive_slice(self):
-        slices = map_stage(HALF, [3.0, 4.0])
-        assert len(slices) == 1
-        direct = positive_slice(HALF, 0, [3.0, 4.0])
-        assert np.array_equal(slices[0].direction, direct.direction)
-        assert slices[0].violated == direct.violated
+        x = np.array([3.0, 4.0])
+        block, _ = violated_slices(HALF, x)
+        assert block.shape == (1, 2)
+        assert np.array_equal(block[0], oracles.positive_slice(HALF, 0, x))
 
     def test_reduce_stage_hand_sum(self):
-        y, h = reduce_stage(map_stage(BOX, [3.0, 2.0]))
-        assert h == 2
-        assert np.array_equal(y, [2.0, 1.0])
+        block, _ = violated_slices(BOX, np.array([3.0, 2.0]))
+        assert block.shape[0] == 2
+        assert np.array_equal(column_sums(block), [2.0, 1.0])
 
     def test_reduce_stage_all_zero(self):
-        y, h = reduce_stage(map_stage(BOX, [0.0, 0.0]))
-        assert h == 0
-        assert np.array_equal(y, [0.0, 0.0])
+        block, _ = violated_slices(BOX, np.zeros(2))
+        assert block.shape[0] == 0
+        assert np.array_equal(column_sums(block), [0.0, 0.0])
 
     def test_reduce_stage_singleton_identity(self):
-        slices = map_stage(HALF, [3.0, 0.0])
-        y, h = reduce_stage(slices)
-        assert np.array_equal(y, slices[0].direction)
-        assert h == slices[0].violated
-
-    def test_reduce_stage_rejects_empty(self):
-        with pytest.raises(ValueError):
-            reduce_stage([])
+        block, _ = violated_slices(HALF, np.array([3.0, 0.0]))
+        assert np.array_equal(column_sums(block), block[0])
+        assert block.shape[0] == 1
 
     def test_list_formulation_equals_direct_formula(self, rng):
         for _ in range(30):
@@ -113,11 +109,14 @@ class TestMapReduce:
             m = int(rng.integers(1, 20))
             sys, _ = random_feasible_system(rng, n, m)
             x = rng.uniform(-10, 10, n)
-            y, h = reduce_stage(map_stage(sys, x))
-            direction, h2 = pseudo_projection(sys, x)
-            assert h == h2
+            slices = [oracles.positive_slice(sys, i, x) for i in range(m)
+                      if oracles.residual(sys, i, x) > 0]
+            h = len(slices)
+            block, _ = violated_slices(sys, x)
+            assert h == block.shape[0]
             if h > 0:
-                assert np.allclose(y / h, direction, atol=1e-12, rtol=1e-12)
+                y = sum(slices, np.zeros(n))
+                assert np.allclose(y / h, column_sums(block) / h, atol=1e-12, rtol=1e-12)
 
 
 class TestSolve:
@@ -223,7 +222,7 @@ class TestSolverConfigValidation:
 
 def test_tiny_direction_still_steps():
     # the slice sum [1e-200] squares to 0; its norm must not
-    x_next, h = modap_step(InequalitySystem([[1.0]], [-1e-200]), [0.0], 1.0)
+    x_next, h = step(InequalitySystem([[1.0]], [-1e-200]), [0.0], "modap")
     assert h == 1
     assert np.array_equal(x_next, [-1.0])
 
