@@ -121,8 +121,10 @@ class InequalitySystem:
         norms_sq = np.empty(m)
         for rows in _row_blocks(m, n):
             part = a[rows]
+            with np.errstate(over="ignore"):  # an infinite square is reported below
+                squares = part * part
             try:
-                norms_sq[rows] = row_sums(part * part)
+                norms_sq[rows] = row_sums(squares)
             except OverflowError:  # the squares are non-negative: a sum overflows
                 norms_sq[rows] = [_squared_norm(row) for row in part]
         for i in np.flatnonzero(~np.isfinite(norms_sq)).tolist():
@@ -220,16 +222,17 @@ def _row_blocks(m: int, n: int):
 
 
 def _exact_sums(products: np.ndarray, rows, what: str) -> np.ndarray:
-    """:func:`~modap.summation.row_sums` of the products of ``rows``; a sum
-    that overflows is reported as an ``OverflowError`` naming its row."""
+    """:func:`~modap.summation.row_sums` of the products of ``rows``.  A sum
+    that overflows (``OverflowError``), or products that overflow with both
+    signs (``ValueError``), raise the same type with a message naming the row."""
     try:
         return row_sums(products)
-    except OverflowError:
+    except (OverflowError, ValueError):
         for i, p in zip(rows, products):
             try:
                 math.fsum(p.tolist())
-            except OverflowError as exc:
-                raise OverflowError(f"row {i}: {what} overflows float64") from exc
+            except (OverflowError, ValueError) as exc:
+                raise type(exc)(f"row {i}: {what} overflows float64") from exc
         raise
 
 

@@ -219,6 +219,10 @@ OVERFLOWS = [
     # finite products sum past float64
     ("1e-8 1e-8 -1e292\n3e8 3e8 1", ["solver.variant=ap"],
      "row 1: its residual overflows float64"),
+    # the first step lands near x = (-5e294, -5e294), where row 1's products
+    # overflow to inf and -inf, which math.fsum rejects with a ValueError
+    ("1e-5 1e-5 -1e290\n1e20 -1e20 1", ["solver.variant=ap"],
+     "row 1: its residual overflows float64"),
     # after one second row 0's bound is 1.5e308 + 1e308, past float64; it
     # used to read inf (status=converged) or, with the signs flipped, to
     # end as a non-finite step

@@ -161,6 +161,25 @@ def _bits(sum_rows, block):
 @example(np.array([[1e16, 1.0, -1e16] + [0.0] * 1297] * 3))
 # just below the midpoint under 1.0, whose lower gap is half its upper one
 @example(np.array([[1.0, -2.0 ** -54 + 2.0 ** -90, -2.0 ** -88] + [0.0] * 1297] * 3))
+# a level-1 midpoint tie whose remainder sum is exact: 1.5 stays, the
+# odd 1.5 + 2^-52 rounds up to even; level 2 sees nothing left and decides
+@example(np.array([[1.5, 2.0 ** -53] + [0.0] * 1298,
+                   [1.5 + 2.0 ** -52, 2.0 ** -53] + [0.0] * 1298]))
+# remainders whose float sum is inexact: 2^-125 is lost to 2^-53 + 2^-70,
+# and the bound still decides both rows at level 1 on either side of the
+# midpoint; with 2^-110 in place of 2^-70 only math.fsum decides
+@example(np.array([[1.5, 2.0 ** -53, 2.0 ** -70, 2.0 ** -125] + [0.0] * 1296,
+                   [1.5, 2.0 ** -53, -2.0 ** -70, 2.0 ** -125] + [0.0] * 1296,
+                   [1.5, 2.0 ** -53, 2.0 ** -110] + [0.0] * 1297,
+                   [1.5, 2.0 ** -53, -2.0 ** -110] + [0.0] * 1297]))
+# numpy's eight-way pairwise sum rounds the remainders to 2^-53 - 2^-106,
+# below the midpoint that their exact sum 2^-53 + 2^-109 is above; only the
+# bound keeps level 1 from deciding 1.5
+@example(np.array([[1.5, 2.0 ** -53] + [0.0] * 6 + [1.75 * 2.0 ** -107] + [0.0] * 21
+                   + [-1.5 * 2.0 ** -107] + [0.0] * 1269] * 2))
+# widths where M steps from 10 to 11; at 1024 the maxima sum to nearly sigma
+@example(np.array([[2.0 - 2.0 ** -52] * 1023 + [2.0 ** -60], [-1.0] * 1024]))
+@example(np.array([[2.0 - 2.0 ** -52] * 1024 + [2.0 ** -60], [-1.0] * 1025]))
 @example(np.full((400, 2), -0.0))
 @example(np.full((400, 2), 5e-324))
 @example(np.array([[1.6e308, 1.6e308] + [0.0] * 1298] * 3))  # overflows
@@ -206,3 +225,30 @@ def test_a_gaussian_block_needs_no_fallback(monkeypatch):
     calls = _counting_fsum(monkeypatch)
     assert [row_sums(view).tobytes() for view in (block, block.T)] == want
     assert calls == []
+
+
+def _counting_level2(monkeypatch):
+    rows = []
+    real = summation._level2
+
+    def level2(rest, *args):
+        rows.append(len(rest))
+        return real(rest, *args)
+
+    monkeypatch.setattr(summation, "_level2", level2)
+    return rows
+
+
+def test_level_1_decides_most_rows(monkeypatch):
+    # a Gaussian row's sum lies exactly on a midpoint now and then, which
+    # only level 2 decides; none of these sums of squares does
+    gauss = np.random.default_rng(4).standard_normal((200, 100))
+    squares = np.random.default_rng(5).standard_normal((65, 1000)) ** 2
+    want = [_fsum_rows(view).tobytes() for view in (gauss, squares)]
+    calls = _counting_fsum(monkeypatch)
+    deep = _counting_level2(monkeypatch)
+    assert row_sums(gauss).tobytes() == want[0]
+    assert 0 < sum(deep) < 20 and calls == []
+    deep.clear()
+    assert row_sums(squares).tobytes() == want[1]
+    assert deep == [] and calls == []
