@@ -1,30 +1,26 @@
 """Bulk-synchronous master-worker engine.
 
-One master thread runs the same iteration loop as the sequential solver; K
-worker threads each own a contiguous block of the constraint rows.  Per
-superstep the master broadcasts the current snapshot of the (possibly
-moving) system and the current point, and each worker makes the one
-filtered row pass over its rows (see :mod:`modap.geometry`).  The master
-makes no row pass: it decides whether to stop from the maximum of the
-workers' maxima, else sums their slices, steps and advances the source.
-Its work per superstep is O(n) plus the slice sum (O(h n) for h violated
-rows): a translated snapshot holds v rather than new bounds, and each
-worker takes ``x - v`` itself for the one matrix-vector product over its
-rows.  k iterations take k + 1 supersteps; the final broadcast carries the
-exit flag.
+:func:`run_parallel` is the engine.  The calling thread is the master and
+runs the sequential solver's loop; K daemon threads each run a closure that
+owns one contiguous block of the constraint rows and serves its own inbox.
+Per superstep the master sends every worker the current snapshot of the
+(possibly moving) system and a copy of the point, and each worker posts the
+report of its one filtered row pass (see :mod:`modap.geometry`) to a shared
+outbox.  The master makes no row pass: it stops on the maximum of the
+workers' maxima, else sums their slices, steps and advances the source,
+O(n) plus the O(h n) slice sum, since a translated snapshot holds v rather
+than new bounds.  k iterations take k + 1 supersteps; then ``None`` stops
+each worker.  A worker that raises posts its partition index and the
+exception and keeps serving, and the master raises :class:`EngineError`.
 
-Workers never share mutable state: the point is a value copy, and a
-snapshot is immutable (its exact translated bounds are a pure function of
-the row, computed on demand), so every worker reads the same system the
-master's membership test sees, without a replica of its own.
-
-Each report carries the worker's violated rows' slices, stacked, their
-count and their largest normalized violation.  The master stacks the
-reports in arrival order and, when it steps, sums each coordinate once,
-exactly rounded (:func:`modap.summation.column_sums`).  An exactly rounded
-sum depends only on the multiset of addends, and a maximum is exact, so the
-step and the stop decision are bit-identical to the sequential engine's for
-every worker count and every arrival order.
+Workers share no mutable state: the point is a copy, and a snapshot is
+immutable (its exact translated bounds are a pure function of the row), so
+every worker reads the system the master's loop sees.  The master stacks
+the reports in arrival order and sums each coordinate once, exactly rounded
+(:func:`modap.summation.column_sums`).  An exactly rounded sum depends only
+on the multiset of addends, and a maximum is exact, so the step and the
+stop decision are bit-identical to the sequential engine's for every worker
+count and arrival order.  :func:`superstep` is the same math without threads.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ __all__ = [
     "compute_report",
     "combine_reports",
     "superstep",
-    "MasterWorkerEngine",
     "run_parallel",
 ]
 
@@ -134,83 +129,47 @@ def superstep(
     return combine_reports([compute_report(sys, p, x) for p in partitions])
 
 
-class _Worker(threading.Thread):
-    def __init__(self, index: int, partition: Partition,
-                 inbox: queue.Queue, outbox: queue.Queue):
-        super().__init__(name=f"bsf-worker-{index}", daemon=True)
-        self.index = index
-        self.partition = partition
-        self.inbox = inbox
-        self.outbox = outbox
-        self.supersteps = 0
-        self.rows_processed = 0
-
-    def run(self):
-        try:
-            while True:
-                msg = self.inbox.get()
-                if msg[0] == "exit":
-                    break
-                _, sys, x = msg
-                report = compute_report(sys, self.partition, x)
-                self.outbox.put(("report", report))
-                self.supersteps += 1
-                self.rows_processed += self.partition.size
-        except BaseException as exc:  # noqa: BLE001 - surfaces as EngineError
-            self.outbox.put(("error", self.index, exc))
-            if not isinstance(exc, Exception):
-                raise  # SystemExit and the like still end the thread
-
-
-class MasterWorkerEngine:
-    """Threaded engine; create, :meth:`run` once, then inspect counters."""
-
-    def __init__(self, source, solver_config: SolverConfig,
-                 engine_config: EngineConfig | None = None):
-        self.source = as_source(source)
-        self.solver_config = solver_config
-        self.engine_config = engine_config if engine_config is not None else EngineConfig()
-        m = self.source.snapshot().m
-        self.partitions = partition_rows(m, self.engine_config.workers)
-        self.worker_superstep_counts: list[int] = []
-        self.worker_rows_processed: list[int] = []
-
-    def run(self) -> SolveOutcome:
-        outbox: queue.Queue = queue.Queue()
-        workers = [
-            _Worker(p.worker_index, p, queue.Queue(), outbox)
-            for p in self.partitions
-        ]
-        for w in workers:
-            w.start()
-
-        def evaluate(sys, x):
-            for w in workers:
-                w.inbox.put(("work", sys, x.copy()))
-            reports = []
-            for _ in workers:
-                msg = outbox.get()
-                if msg[0] == "error":
-                    raise EngineError(f"worker {msg[1]} failed: {msg[2]!r}") from msg[2]
-                reports.append(msg[1])
-            return combine_reports(reports)
-
-        try:
-            outcome = _run_loop(self.source, self.solver_config, evaluate)
-        finally:
-            for w in workers:
-                w.inbox.put(("exit",))
-            for w in workers:
-                w.join()
-            self.worker_superstep_counts = [w.supersteps for w in workers]
-            self.worker_rows_processed = [w.rows_processed for w in workers]
-        return outcome
-
-
 def run_parallel(source, solver_config: SolverConfig | None = None,
                  engine_config: EngineConfig | None = None) -> SolveOutcome:
-    """Parallel run with semantics identical to :func:`modap.solver.solve`."""
+    """Parallel run with semantics identical to :func:`modap.solver.solve`;
+    a worker's exception is the cause of the :class:`EngineError` raised."""
+    source = as_source(source)
     if solver_config is None:
         solver_config = SolverConfig()
-    engine = MasterWorkerEngine(source, solver_config, engine_config)
-    return engine.run()
+    if engine_config is None:
+        engine_config = EngineConfig()
+    partitions = partition_rows(source.snapshot().m, engine_config.workers)
+    outbox = queue.SimpleQueue()
+    inboxes = [queue.SimpleQueue() for _ in partitions]
+
+    def serve(part: Partition, inbox: queue.SimpleQueue) -> None:
+        while (msg := inbox.get()) is not None:
+            try:
+                outbox.put(compute_report(msg[0], part, msg[1]))
+            except BaseException as exc:  # noqa: BLE001 - raised by the master
+                outbox.put((part.worker_index, exc))
+
+    threads = [threading.Thread(target=serve, args=(p, inbox), daemon=True,
+                                name=f"bsf-worker-{p.worker_index}")
+               for p, inbox in zip(partitions, inboxes)]
+    for t in threads:
+        t.start()
+
+    def evaluate(sys, x):
+        for inbox in inboxes:
+            inbox.put((sys, x.copy()))
+        reports = []
+        for _ in inboxes:
+            msg = outbox.get()
+            if isinstance(msg, tuple):
+                raise EngineError(f"worker {msg[0]} failed: {msg[1]!r}") from msg[1]
+            reports.append(msg)
+        return combine_reports(reports)
+
+    try:
+        return _run_loop(source, solver_config, evaluate)
+    finally:
+        for inbox in inboxes:
+            inbox.put(None)
+        for t in threads:
+            t.join()

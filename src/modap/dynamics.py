@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _MIN_NORMAL, InequalitySystem
+from .geometry import InequalitySystem
 
 __all__ = [
     "STATIONARY",
@@ -52,18 +52,15 @@ CLOCK_WALL = "wall"
 class DynamicsSpec:
     """How (and whether) the system moves.
 
-    ``rate`` is the per-coordinate displacement in units per second: by
-    default every coordinate gains ``rate * elapsed``, so the total
-    displacement speed is ``sqrt(n) * rate``.  An optional ``direction``
-    replaces the all-ones displacement with ``rate * sqrt(n)`` along the
-    normalized direction, preserving the total speed for a given rate.
+    ``rate`` is the per-coordinate displacement in units per second: every
+    coordinate gains ``rate * elapsed``, so the total displacement speed is
+    ``sqrt(n) * rate``.
     """
 
     mode: str = STATIONARY
     rate: float = 0.0
     clock: str = CLOCK_VIRTUAL
     seconds_per_iteration: float = 0.01
-    direction: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in (STATIONARY, TRANSLATION):
@@ -76,23 +73,6 @@ class DynamicsSpec:
             raise ValueError(
                 f"seconds_per_iteration must be positive and finite, got {self.seconds_per_iteration}"
             )
-        if self.direction is not None:
-            d = np.asarray(self.direction, dtype=np.float64)
-            if d.ndim != 1 or not np.isfinite(d).all() or not d.any():
-                raise ValueError("direction must be a finite, non-zero 1-D vector")
-            self.direction = d
-
-
-def _unit(d: np.ndarray) -> np.ndarray:
-    """``d / ||d||`` for a finite non-zero d.  When ``d @ d`` leaves the
-    normal range, d is first scaled by a power of two, so a huge or tiny d
-    still gets a unit vector; otherwise the bits are those of
-    ``d / np.linalg.norm(d)``."""
-    with np.errstate(over="ignore", under="ignore"):
-        square = float(d @ d)
-    if not _MIN_NORMAL <= square < math.inf:
-        d = np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
-    return d / np.linalg.norm(d)
 
 
 def translate(sys: InequalitySystem, v) -> InequalitySystem:
@@ -130,18 +110,8 @@ class DynamicSystemSource:
         self.spec = spec if spec is not None else DynamicsSpec()
         self.current_time = 0.0
         self.cumulative_displacement = np.zeros(base.n)
-        if self.spec.mode == TRANSLATION:
-            if self.spec.direction is None:
-                self._velocity = self.spec.rate * np.ones(base.n)
-            else:
-                d = self.spec.direction
-                if d.shape != (base.n,):
-                    raise ValueError(
-                        f"direction has shape {d.shape}, expected ({base.n},)"
-                    )
-                self._velocity = (self.spec.rate * np.sqrt(base.n)) * _unit(d)
-        else:
-            self._velocity = np.zeros(base.n)
+        rate = self.spec.rate if self.spec.mode == TRANSLATION else 0.0
+        self._velocity = rate * np.ones(base.n)
         self._current = base
         self._last_wall = time.perf_counter()
 

@@ -131,12 +131,13 @@ class InequalitySystem:
             if not np.isfinite(a[i]).all():
                 raise ValueError(f"row {i} has a non-finite coefficient")
             raise ValueError(f"row {i}: its squared norm overflows float64")
-        for i, v in enumerate(norms_sq.tolist()):
-            if v == 0.0:
-                raise ValueError(
-                    f"row {i} is the zero vector; every inequality needs a non-zero "
-                    "coefficient row"
-                )
+        for i in np.flatnonzero(norms_sq == 0.0).tolist():
+            if a[i].any():
+                raise ValueError(f"row {i}: its squared norm underflows float64")
+            raise ValueError(
+                f"row {i} is the zero vector; every inequality needs a non-zero "
+                "coefficient row"
+            )
         self.a = a
         self.row_norms_sq = norms_sq
         self.row_norms = np.sqrt(norms_sq)

@@ -167,6 +167,11 @@ def load_system(path) -> InequalitySystem:
             data_lines.append(line)
     if not data_lines:
         raise SystemFormatError(f"{path}: empty system file")
+    # float() and int() read "1_0" as 10; the file format has no digit separators
+    if "_" in "".join(data_lines):
+        i = next(i for i, line in enumerate(data_lines) if "_" in line)
+        where = "the header" if i == 0 else f"row {i - 1}"
+        raise SystemFormatError(f"{path}: {where} has a non-numeric value with '_'")
     header = data_lines[0].split()
     if len(header) != 2:
         raise SystemFormatError(

@@ -24,7 +24,6 @@ from modap import (
     solve,
 )
 from modap.bsf_engine import (
-    MasterWorkerEngine,
     combine_reports,
     compute_report,
     partition_rows,
@@ -230,49 +229,58 @@ class TestRunParallel:
         assert out.status is SolveStatus.CONVERGED
         assert brute_force_feasible(sys, out.solution, 1e-7)
 
-    def test_exit_synchronization_no_extra_supersteps(self, rng):
+    @staticmethod
+    def _count_reports(monkeypatch):
+        """Partitions passed to ``compute_report``, one entry per call."""
+        parts = []
+        real_report = bsf_engine.compute_report
+
+        def counting_report(sys, part, x):
+            parts.append(part)
+            return real_report(sys, part, x)
+
+        monkeypatch.setattr(bsf_engine, "compute_report", counting_report)
+        return parts
+
+    def test_exit_synchronization_no_extra_supersteps(self, rng, monkeypatch):
         sys, _ = random_feasible_system(rng, 7, 16)
-        engine = MasterWorkerEngine(
-            self._fresh(sys, moving=True),
-            SolverConfig(max_iterations=300),
-            EngineConfig(workers=4),
-        )
-        out = engine.run()
+        parts = self._count_reports(monkeypatch)
+        out = run_parallel(self._fresh(sys, moving=True),
+                           SolverConfig(max_iterations=300), EngineConfig(workers=4))
         # the first superstep tests the starting point; each later one
         # follows a step
-        assert engine.worker_superstep_counts == [out.iterations + 1] * 4
-        sizes = [p.size for p in engine.partitions]
-        assert engine.worker_rows_processed == [
+        sizes = [p.size for p in partition_rows(sys.m, 4)]
+        calls = [[p for p in parts if p.worker_index == w] for w in range(4)]
+        assert [len(c) for c in calls] == [out.iterations + 1] * 4
+        assert [sum(p.size for p in c) for c in calls] == [
             s * (out.iterations + 1) for s in sizes
         ]
         assert sum(sizes) == sys.m
 
-    def test_feasible_start_runs_one_superstep(self):
+    def test_feasible_start_runs_one_superstep(self, monkeypatch):
         # the workers' pass on the starting point is the membership test
-        engine = MasterWorkerEngine(
-            DynamicSystemSource(BOX), SolverConfig(), EngineConfig(workers=2)
-        )
-        out = engine.run()
+        parts = self._count_reports(monkeypatch)
+        out = run_parallel(DynamicSystemSource(BOX), SolverConfig(), EngineConfig(workers=2))
         assert out.status is SolveStatus.CONVERGED
         assert out.iterations == 0
-        assert engine.worker_superstep_counts == [1, 1]
+        assert sorted(p.worker_index for p in parts) == [0, 1]
 
     def test_worker_failure_aborts_with_engine_error(self, rng, monkeypatch):
         sys, _ = random_feasible_system(rng, 6, 12)
 
         real = bsf_engine.compute_report
+        fault = RuntimeError("injected fault")
 
         def broken(system, part, x):
             if part.worker_index == 1:
-                raise RuntimeError("injected fault")
+                raise fault
             return real(system, part, x)
 
         monkeypatch.setattr(bsf_engine, "compute_report", broken)
-        with pytest.raises(EngineError, match="worker 1"):
+        with pytest.raises(EngineError, match="worker 1") as info:
             run_parallel(self._fresh(sys), SolverConfig(), EngineConfig(workers=3))
+        assert info.value.__cause__ is fault
 
-    # the worker thread re-raises SystemExit once it has told the master
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_worker_exit_without_exception_aborts_the_run(self, rng, monkeypatch):
         # SystemExit is no Exception; a worker that let it pass posted
         # nothing, and the master waited for its report forever

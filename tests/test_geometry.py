@@ -72,6 +72,8 @@ class TestInequalitySystem:
         # wide enough for the vectorised sums
         ([[1.0] * 700, [1e154, 1e154] + [0.0] * 698], [1.0, 1.0],
          "row 1: its squared norm overflows"),
+        # not the zero vector: (1e-170)^2 underflows to 0
+        ([[1.0, 0.0], [1e-170, 0.0]], [1.0, -1e-170], "row 1: its squared norm underflows"),
     ])
     def test_non_finite_input_rejected(self, a, b, match):
         with pytest.raises(ValueError, match=match):

@@ -121,6 +121,17 @@ class TestSystemFiles:
         with pytest.raises(SystemFormatError, match="header"):
             load_system(path)
 
+    @pytest.mark.parametrize("text,match", [
+        ("1 1\n1_0 5\n", "row 0"),  # float() would read 10
+        ("# my_box\n1 2\n1 1\n-1 0_0\n", "row 1"),
+        ("1_0 1\n" + "1 " * 10 + "5\n", "header"),
+    ])
+    def test_digit_separators_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(SystemFormatError, match=f"{match} has a non-numeric value"):
+            load_system(path)
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("# box\n\n1 1\n2.0 4.0  # row 0\n")
