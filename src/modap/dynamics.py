@@ -2,13 +2,13 @@
 
 The moving-system model is a rigid translation of the feasible region.
 Translating the region by v maps ``{x : Ax <= b}`` to ``{x : Ax <= b + Av}``,
-so only the right-hand side changes; the coefficient rows and their cached
-norms are shared across every snapshot.
+so only the right-hand side changes; the stored coefficient rows (the CSR
+arrays) and their cached norms are shared across every snapshot.
 
 A translated snapshot costs O(n): it keeps the base bounds, a copy of v
-and a norm bound of v, and makes no matrix-vector product.  The filtered
-row pass of :mod:`modap.geometry` estimates a translated residual with its
-one product, ``A (x - v) - b``, and widens its error bound by
+and a norm bound of v, and reads no coefficient.  The filtered row pass of
+:mod:`modap.geometry` estimates a translated residual with its one pass
+over the stored entries, ``A (x - v) - b``, and widens its error bound by
 ``|b_i| + ||a_i|| ||v||`` to cover the rounding of ``x - v`` and of the
 exact bound.  The exact bound ``b_i + <a_i, v>`` (inner product exactly
 rounded) is computed only for the rows a pass evaluates exactly, and for

@@ -1,41 +1,56 @@
-"""Dense systems of linear inequalities and the one row pass over them.
+"""Systems of linear inequalities, stored as sparse rows, and the one row
+pass over them.
 
 A system is ``A x <= b`` with m rows in R^n.  :class:`InequalitySystem`
-holds the rows, their cached norms and the bounds, given or translated.
-:func:`violated_slices` evaluates every row at a point x in one pass: it
-returns the positive slices of the violated rows, i.e. the reflection
-vectors ``((<a_i, x> - b_i) / ||a_i||^2) a_i`` of the rows whose residual
-is positive, and the largest normalized violation.  The solvers average
-the slices into the step direction (the pseudo-projection) and compare the
+stores the coefficient rows once, in compressed sparse row (CSR) form:
+row i's non-zero coefficients are ``data[indptr[i]:indptr[i + 1]]``, in the
+strictly ascending columns ``indices[indptr[i]:indptr[i + 1]]``.  Exact
+zeros, ``+0.0`` and ``-0.0``, are not stored, so every kernel below reads
+only the stored entries and costs O(nnz) rather than O(m n).  A block of
+rows that are all fully stored (``nnz_i = n``) is read as a 2-D view of
+``data``, so a dense input keeps its BLAS product and its dense row block;
+the view is not a second copy.  The system also holds the rows' cached
+norms and the bounds, given or translated.  :func:`violated_slices`
+evaluates every row at a point x in one pass: it returns the positive
+slices of the violated rows, i.e. the reflection vectors
+``((<a_i, x> - b_i) / ||a_i||^2) a_i`` of the rows whose residual is
+positive, and the largest normalized violation.  The solvers average the
+slices into the step direction (the pseudo-projection) and compare the
 maximum with eps (the membership test).
 
 Conventions:
-  * points and directions are plain 1-D float64 numpy arrays;
+  * points and directions are plain 1-D float64 numpy arrays, and so are
+    the slices: a dense ``(h, n)`` block;
   * a row is *violated* by x iff its residual <a_i, x> - b_i is strictly
     positive (equality counts as satisfied);
   * squared row norms are computed once per system and cached, never per
     call;
   * every row-level reduction goes through :mod:`modap.summation`, so all
     results are independent of evaluation order and of how the row list is
-    partitioned across workers.
+    partitioned across workers.  A sum over the stored entries has the bits
+    of the sum over the whole dense row: a zero addend does not change an
+    exactly rounded sum, and every zero sum is ``+0.0``.
 
 Filtered row passes.  :func:`violated_slices` is the one row pass of an
 iteration: it returns the violated rows' slices and the largest normalized
 violation together, so the step, the membership test and the trace read the
 same evaluation; :func:`eps_membership` and :func:`max_relative_violation`
-are thin wrappers over it.  It starts with one float64 matrix-vector product
-``t = A[start:stop] @ x - b`` and a forward error bound per row,
+are thin wrappers over it.  It starts with one float64 pass over the stored
+entries of rows [start, stop), ``t = A[start:stop] x - b`` (one
+``np.add.reduceat`` of the entrywise products, or one matrix-vector product
+on a fully stored block), and a forward error bound per row,
 
     e_i = (n + 8) 2^-52 (N_i ||x|| + |t_i|) + (n + 8) 2^-1022,
 
 where ``N_i >= ||a_i||`` is a rigorous upper bound derived from the cached
 squared norm (so it stays valid for a row like ``[1e-160]`` whose squared
-norm has underflowed) and ``||x||`` is bounded the same way.  The last,
-underflow, term is dropped when it cannot arise: x = 0 on an untranslated
-system makes every product, and so t_i, exact.  A system translated by v (see
-:func:`modap.dynamics.translate`) keeps its base bounds b and v, and the
-same one product estimates its residual as ``t = A[start:stop] @ (x - v) - b``
-with
+norm has underflowed) and ``||x||`` is bounded the same way.  The row sums
+``nnz_i <= n`` products, so ``n + 8`` bounds its rounding whichever the
+path.  The last, underflow, term is dropped when it cannot arise: x = 0 on
+an untranslated system makes every product, and so t_i, exact.  A system
+translated by v (see :func:`modap.dynamics.translate`) keeps its base
+bounds b and v, and the same one pass estimates its residual as
+``t = A[start:stop] (x - v) - b`` with
 
     e_i = (n + 8) 2^-52 (N_i (||x|| + ||v||) + |b_i| + |t_i|) + (n + 8) 2^-1022.
 
@@ -48,16 +63,16 @@ exact one; the factor ``n + 8`` leaves room for both.  An ``x - v`` that
 overflows gives a non-finite t_i or e_i.  ``t_i <= -e_i`` proves the
 exact residual is at most 0, so the row is satisfied and skipped.  Every
 other row (violated, near its hyperplane, or with an estimate or bound that
-is not finite) goes through the exact path: its elementwise products, taken
-for all such rows at once, and their exactly rounded row sums
-(:func:`~modap.summation.row_sums`, vectorised over the block), the bits of
-:func:`~modap.summation.exact_dot`.  The bound only decides which rows may
-be skipped; every value the pass returns (slices, the maximum violation,
-and so the membership decision) comes from the exact path, bit for bit.
-This is a floating-point filter in the sense of Shewchuk (DCG 18, 1997),
-with the dot-product error bound of Ogita, Rump and Oishi (SISC 26(6),
-2005); it assumes IEEE-754 binary64 with subnormal inputs kept, which numpy
-and CPython provide.
+is not finite) goes through the exact path: the products of its stored
+entries, taken for all such rows at once, and their exactly rounded row
+sums (:func:`~modap.summation.row_sums`, vectorised over the block), the
+bits of :func:`~modap.summation.exact_dot` over the dense row.  The bound
+only decides which rows may be skipped; every value the pass returns
+(slices, the maximum violation, and so the membership decision) comes from
+the exact path, bit for bit.  This is a floating-point filter in the sense
+of Shewchuk (DCG 18, 1997), with the dot-product error bound of Ogita, Rump
+and Oishi (SISC 26(6), 2005); it assumes IEEE-754 binary64 with subnormal
+inputs kept, which numpy and CPython provide.
 """
 
 from __future__ import annotations
@@ -66,7 +81,7 @@ import math
 
 import numpy as np
 
-from .summation import exact_dot, row_sums
+from .summation import SMALL_BLOCK, exact_dot, row_sums
 
 __all__ = [
     "InequalitySystem",
@@ -82,18 +97,27 @@ _MIN_NORMAL = 2.0 ** -1022
 _FILTER_LIMIT = 2.0 ** 960
 # relative slack on computed norm bounds; their own rounding is below 5 ulp
 _NORM_SLACK = 1.0 + 2.0 ** -48
-# row blocks of whole-matrix sums (squared norms, translated bounds) hold at
+_BOUND = "its translated bound"
+# row blocks of many-row sums (squared norms, translated bounds) hold at
 # most this many elements, so their temporaries stay near 0.5 MB each
 _BLOCK_ELEMENTS = 2 ** 16
 
 
 class InequalitySystem:
-    """Dense inequality system ``A x <= b`` with cached squared row norms.
+    """Inequality system ``A x <= b`` with its rows stored once as CSR
+    arrays and cached squared row norms.
+
+    ``InequalitySystem(a, b)`` takes a dense ``(m, n)`` array-like;
+    ``InequalitySystem((indptr, indices, data), b, n=n)`` takes the CSR
+    rows of an m x n matrix (see the module docstring), which must store no
+    zero.  Either way the system keeps ``indptr`` and ``indices`` as intp
+    and ``data`` as float64, without exact zeros.  :attr:`a` builds the
+    dense matrix on each read; set-up and the row pass never do.
 
     Every coefficient row must be non-zero, every coefficient and bound
     finite.  Instances are treated as immutable: a translation goes through
-    :func:`modap.dynamics.translate`, which shares the coefficient matrix
-    and the cached norms instead of recomputing them.
+    :func:`modap.dynamics.translate`, which shares the CSR arrays and the
+    cached norms instead of recomputing them.
 
     A translated system holds ``b' = b + A v`` implicitly, as the base
     bounds b, v and a norm bound of v: a row pass computes the exact bounds
@@ -102,43 +126,43 @@ class InequalitySystem:
     overflows float64 raises ``OverflowError`` naming its row.
     """
 
-    __slots__ = ("a", "row_norms_sq", "row_norms", "_norm_bounds", "_b",
-                 "_base_b", "_shift", "_shift_norm")
+    __slots__ = ("n", "indptr", "indices", "data", "row_norms_sq", "row_norms",
+                 "_norm_bounds", "_b", "_base_b", "_shift", "_shift_norm")
 
-    def __init__(self, a, b):
-        a = np.array(a, dtype=np.float64, order="C")
+    def __init__(self, a, b, *, n: int | None = None):
+        if n is None:
+            n, (indptr, indices, data) = _dense_to_csr(a)
+        else:
+            indptr, indices, data = _checked_csr(a, n)
+        m = indptr.size - 1
         b = np.array(b, dtype=np.float64).reshape(-1)
-        if a.ndim != 2:
-            raise ValueError(f"coefficient array must be 2-D, got shape {a.shape}")
-        m, n = a.shape
-        if m < 1 or n < 1:
-            raise ValueError(f"system must have m >= 1 rows and n >= 1 columns, got {a.shape}")
         if b.shape != (m,):
             raise ValueError(
                 f"right-hand side has length {b.shape[0]}, expected m = {m}"
             )
         _check_finite_rhs(b)
-        norms_sq = np.empty(m)
-        for rows in _row_blocks(m, n):
-            part = a[rows]
-            with np.errstate(over="ignore"):  # an infinite square is reported below
-                squares = part * part
-            try:
-                norms_sq[rows] = row_sums(squares)
-            except OverflowError:  # the squares are non-negative: a sum overflows
-                norms_sq[rows] = [_squared_norm(row) for row in part]
-        for i in np.flatnonzero(~np.isfinite(norms_sq)).tolist():
-            if not np.isfinite(a[i]).all():
-                raise ValueError(f"row {i} has a non-finite coefficient")
-            raise ValueError(f"row {i}: its squared norm overflows float64")
-        for i in np.flatnonzero(norms_sq == 0.0).tolist():
-            if a[i].any():
-                raise ValueError(f"row {i}: its squared norm underflows float64")
+        self.n, self.indptr, self.indices, self.data = n, indptr, indices, data
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
+            raise ValueError(f"row {row} has a non-finite coefficient")
+        empty = np.flatnonzero(indptr[1:] == indptr[:-1])
+        if empty.size:
             raise ValueError(
-                f"row {i} is the zero vector; every inequality needs a non-zero "
+                f"row {empty[0]} is the zero vector; every inequality needs a non-zero "
                 "coefficient row"
             )
-        self.a = a
+        try:
+            with np.errstate(over="ignore"):  # an infinite square is reported below
+                rows = np.arange(m)
+                blocks = self._blocks(rows, self._full_block(0, m))
+                (norms_sq,) = _dots(rows, blocks, [None], ["its squared norm"])
+        except OverflowError as exc:  # the squares are non-negative: a sum overflows
+            raise ValueError(str(exc)) from None
+        for i in np.flatnonzero(norms_sq == math.inf).tolist():  # a square overflows
+            raise ValueError(f"row {i}: its squared norm overflows float64")
+        for i in np.flatnonzero(norms_sq == 0.0).tolist():
+            raise ValueError(f"row {i}: its squared norm underflows float64")
         self.row_norms_sq = norms_sq
         self.row_norms = np.sqrt(norms_sq)
         # ||a_i||^2 <= (norms_sq + (n + 1) 2^-1022) / (1 - u)^2: each square
@@ -154,41 +178,101 @@ class InequalitySystem:
 
     def _sharing_rows(self) -> "InequalitySystem":
         obj = object.__new__(InequalitySystem)
-        obj.a = self.a
+        obj.n, obj.indptr, obj.indices, obj.data = self.n, self.indptr, self.indices, self.data
         obj.row_norms_sq = self.row_norms_sq
         obj.row_norms = self.row_norms
         obj._norm_bounds = self._norm_bounds
         return obj
 
     @property
-    def n(self) -> int:
-        return self.a.shape[1]
+    def m(self) -> int:
+        return self.indptr.size - 1
 
     @property
-    def m(self) -> int:
-        return self.a.shape[0]
+    def a(self) -> np.ndarray:
+        """The dense ``(m, n)`` coefficient matrix, built anew on each read."""
+        full = self._full_block(0, self.m)
+        if full is not None:
+            return full.copy()
+        return _scattered(self._blocks(np.arange(self.m)), self.m, self.n)
 
     @property
     def b(self) -> np.ndarray:
-        """The right-hand side; built row by row on first read for a
-        translated system."""
+        """The right-hand side; built on first read for a translated
+        system."""
         b = self._b
         if b is None:
-            b = np.empty(self.m)
-            for rows in _row_blocks(self.m, self.n):
-                b[rows] = self._exact_bounds(range(self.m)[rows])
+            rows = np.arange(self.m)
+            with np.errstate(over="ignore"):
+                blocks = self._blocks(rows, self._full_block(0, self.m))
+                (sums,) = _dots(rows, blocks, [self._shift], [_BOUND])
+                b = self._exact_bounds(rows, sums)
             self._b = b
         return b
 
-    def _exact_bounds(self, rows) -> np.ndarray:
-        """``b_i + <a_i, v>`` of a translated system for ``rows`` (a range
-        or an index array), the inner product exactly rounded."""
-        what = "its translated bound"
-        with np.errstate(over="ignore"):
-            b = self._base_b[rows] + _exact_sums(self.a[rows] * self._shift, rows, what)
+    def _full_block(self, start: int, stop: int) -> np.ndarray | None:
+        """Rows [start, stop) as a 2-D view of ``data`` when every one is
+        fully stored, else None.  No row stores more than n entries, so the
+        block's count says whether all store n."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        if hi - lo != (stop - start) * self.n:
+            return None
+        return self.data[lo:hi].reshape(stop - start, self.n)
+
+    def _blocks(self, rows: np.ndarray, dense=None) -> list:
+        """The entries of ``rows`` (an index array, not empty) in blocks
+        ``(part, values, columns)`` of at most :data:`_BLOCK_ELEMENTS`
+        elements, one for each part (a slice or index array) of ``rows``.
+
+        ``dense`` is the rows' dense block when all are fully stored: its
+        row blocks, with ``columns`` None, as for any block of fully stored
+        rows.  Otherwise ``values`` holds the stored entries padded with
+        ``0.0`` to the block's widest row, and ``columns`` their columns
+        padded with n.  Where padding every row to the widest would more
+        than double the entries of a block larger than
+        :data:`~modap.summation.SMALL_BLOCK`, rows go in groups whose entry
+        counts share one range ``[2^(k-1), 2^k)``, so that it never does.
+        """
+        if dense is not None:
+            return [(part, dense[part], None) for part in _row_blocks(rows.size, self.n)]
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        width, total = int(counts.max()), int(counts.sum())
+        if rows.size * width <= max(2 * total, SMALL_BLOCK):
+            groups = [(None, width, total)]
+        else:
+            width_class = np.frexp(counts)[1]
+            groups = []
+            for k in np.unique(width_class).tolist():
+                group = np.flatnonzero(width_class == k)
+                groups.append((group, int(counts[group].max()), int(counts[group].sum())))
+        blocks = []
+        for group, width, total in groups:
+            size = rows.size if group is None else group.size
+            slots = np.arange(width)
+            for part in _row_blocks(size, width):
+                if group is not None:
+                    part = group[part]
+                if size * width == total:  # no padding; fully stored rows are dense
+                    pos = starts[part, None] + slots
+                    blocks.append((part, self.data[pos],
+                                   None if width == self.n else self.indices[pos]))
+                    continue
+                last = counts[part, None] - 1
+                pos = starts[part, None] + np.minimum(slots, last)
+                stored = slots <= last
+                blocks.append((part, np.where(stored, self.data[pos], 0.0),
+                               np.where(stored, self.indices[pos], self.n)))
+        return blocks
+
+    def _exact_bounds(self, rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """``b_i + <a_i, v>`` of a translated system for ``rows`` (an index
+        array), given the exactly rounded ``sums`` ``<a_i, v>``.  The caller
+        silences overflow warnings."""
+        b = self._base_b[rows] + sums
         bad = np.flatnonzero(~np.isfinite(b))
         if bad.size:
-            raise OverflowError(f"row {rows[bad[0]]}: {what} overflows float64")
+            raise OverflowError(f"row {rows[bad[0]]}: {_BOUND} overflows float64")
         return b
 
     def _translated(self, v: np.ndarray) -> "InequalitySystem":
@@ -205,7 +289,84 @@ class InequalitySystem:
         return obj
 
     def __repr__(self) -> str:
-        return f"InequalitySystem(m={self.m}, n={self.n})"
+        return f"InequalitySystem(m={self.m}, n={self.n}, nnz={self.data.size})"
+
+
+def _dense_to_csr(a):
+    """``n`` and the CSR arrays of a dense ``(m, n)`` array-like.  The data
+    of a matrix with no zero is a copy of the matrix, 64-byte aligned,
+    which OpenBLAS reads faster: a 1000 x 100 matrix-vector product took
+    15-18 us aligned and 22-23 us at a 16-byte offset (2-vCPU x86-64 VM,
+    numpy 2.4 with OpenBLAS 0.3.31)."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"coefficient array must be 2-D, got shape {a.shape}")
+    m, n = a.shape
+    if m < 1 or n < 1:
+        raise ValueError(f"system must have m >= 1 rows and n >= 1 columns, got {a.shape}")
+    stored = a != 0.0
+    indptr = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
+    if indptr[-1] != a.size:
+        return n, (indptr, np.nonzero(stored)[1], a[stored])
+    buffer = np.empty(a.size + 8)
+    skip = (-buffer.ctypes.data % 64) // 8
+    data = buffer[skip:skip + a.size]
+    data.reshape(m, n)[...] = a
+    return n, (indptr, np.tile(np.arange(n), m), data)
+
+
+def _checked_csr(rows, n: int):
+    """Copies of CSR arrays ``(indptr, indices, data)``, checked."""
+    indptr, indices, data = (np.array(part, dtype=dtype).reshape(-1)
+                             for part, dtype in zip(rows, (np.intp, np.intp, np.float64)))
+    if n < 1 or indptr.size < 2:
+        raise ValueError(f"system must have m >= 1 rows and n >= 1 columns, got "
+                         f"({indptr.size - 1}, {n})")
+    if (indptr[0] != 0 or indptr[-1] != data.size or indices.size != data.size
+            or (np.diff(indptr) < 0).any()):
+        raise ValueError("CSR indptr must ascend from 0 to len(data) = len(indices)")
+    ascending = np.diff(indices) > 0
+    starts = indptr[1:-1]
+    ascending[starts[(starts > 0) & (starts < data.size)] - 1] = True  # row boundaries
+    if not ascending.all() or (indices < 0).any() or (indices >= n).any():
+        raise ValueError(f"CSR columns must lie in [0, {n}) and ascend within each row")
+    if (data == 0.0).any():
+        raise ValueError("CSR rows must store no zero coefficient")
+    return indptr, indices, data
+
+
+def _dots(rows: np.ndarray, blocks: list, ys, whats) -> list[np.ndarray]:
+    """For each y of ``ys``, ``<a_i, y>`` exactly rounded for every row i of
+    ``rows``, or ``||a_i||^2`` for ``y = None``, from their ``blocks`` (see
+    :meth:`InequalitySystem._blocks`; a zero pads nothing into an exact
+    sum).  ``whats`` name the sums in errors, raised as by
+    :func:`_exact_sums` and for the first y first.  The caller silences
+    overflow warnings."""
+    sums = []
+    for y, what in zip(ys, whats):
+        out = np.empty(rows.size) if len(blocks) > 1 else None
+        for part, values, columns in blocks:
+            other = (values if y is None else y if columns is None
+                     else y.take(columns, mode="clip"))  # padding reads y[n - 1]
+            if out is None:  # one block: its part is every row, in order
+                out = _exact_sums(values * other, rows, what)
+            else:
+                out[part] = _exact_sums(values * other, rows[part], what)
+        sums.append(out)
+    return sums
+
+
+def _scattered(blocks: list, size: int, n: int) -> np.ndarray:
+    """The ``size`` rows of padded ``blocks`` as a dense block, ``+0.0``
+    wherever no entry is stored."""
+    out = np.zeros((size, n + 1))
+    for part, values, columns in blocks:
+        if columns is None:
+            out[part, :n] = values
+        else:
+            out[np.arange(size)[part, None], columns] = values  # padding: column n
+    return out[:, :n]
 
 
 def _check_finite_rhs(b: np.ndarray) -> None:
@@ -215,9 +376,9 @@ def _check_finite_rhs(b: np.ndarray) -> None:
 
 
 def _row_blocks(m: int, n: int):
-    """Consecutive row slices of an ``(m, n)`` matrix, each of at most
+    """Consecutive row slices of an ``(m, n)`` block, each of at most
     :data:`_BLOCK_ELEMENTS` elements (one row at least), so that a
-    whole-matrix sum needs only small temporaries."""
+    many-row sum needs only small temporaries."""
     step = max(1, _BLOCK_ELEMENTS // n)
     return [slice(lo, lo + step) for lo in range(0, m, step)]
 
@@ -267,14 +428,20 @@ def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int)
     xnorm = _norm_bound(x)
     coef = (sys.n + 8) * _TWO_U
     shift = sys._shift
+    dense = sys._full_block(start, stop)
     with np.errstate(all="ignore"):
+        y = x if shift is None else x - shift
+        if dense is not None:
+            t = dense @ y
+        else:
+            lo, hi = sys.indptr[start], sys.indptr[stop]
+            t = np.add.reduceat(sys.data[lo:hi] * y[sys.indices[lo:hi]],
+                                sys.indptr[start:stop] - lo)
         if shift is None:
-            t = sys.a[start:stop] @ x
             t -= sys._b[start:stop]
             scale = sys._norm_bounds[start:stop] * xnorm
         else:
             base_b = sys._base_b[start:stop]
-            t = sys.a[start:stop] @ (x - shift)
             t -= base_b
             scale = sys._norm_bounds[start:stop] * (xnorm + sys._shift_norm)
             scale += np.abs(base_b)
@@ -301,13 +468,25 @@ def violated_slices(
     if stop is None:
         stop = sys.m
     rows = _unsettled_rows(sys, x, start, stop)
-    a = sys.a[rows]
+    if not rows.size:
+        return np.zeros((0, sys.n)), 0.0
+    dense = sys._full_block(start, stop)
+    if dense is None:
+        a, blocks = None, sys._blocks(rows)
+    else:
+        a = dense[rows - start]
+        blocks = [(slice(None), a, None)]
     with np.errstate(all="ignore"):  # a non-finite slice fails the step's check
-        r = _exact_sums(a * x, rows, "its residual")
-        r -= sys._b[rows] if sys._b is not None else sys._exact_bounds(rows)
+        if sys._b is not None:
+            (r,) = _dots(rows, blocks, [x], ["its residual"])
+            r -= sys._b[rows]
+        else:
+            r, sums = _dots(rows, blocks, [x, sys._shift], ["its residual", _BOUND])
+            r -= sys._exact_bounds(rows, sums)
         hit = r > 0.0
         r, rows = r[hit], rows[hit]
-        block = (r / sys.row_norms_sq[rows])[:, None] * a[hit]
+        a = (_scattered(blocks, hit.size, sys.n) if a is None else a)[hit]
+        block = (r / sys.row_norms_sq[rows])[:, None] * a
         worst = float((r / sys.row_norms[rows]).max()) if r.size else 0.0
     return block, worst
 

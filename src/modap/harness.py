@@ -104,13 +104,11 @@ class ModelProblemSpec:
 def generate_model_problem(spec: ModelProblemSpec) -> InequalitySystem:
     """Instantiate the model family; always m = 2n + 2 rows."""
     n = spec.n
-    # [I; -I; 1; -1], built in place: -I has -0.0 off its diagonal
-    a = np.zeros((2 * n + 2, n))
-    a[n:2 * n] = -0.0
-    np.fill_diagonal(a[:n], 1.0)
-    np.fill_diagonal(a[n:2 * n], -1.0)
-    a[2 * n] = 1.0
-    a[2 * n + 1] = -1.0
+    # [I; -I; 1; -1] as CSR rows: its 4n non-zeros, one per row and then
+    # two full rows
+    indptr = np.concatenate([np.arange(2 * n + 1), [3 * n, 4 * n]])
+    indices = np.tile(np.arange(n), 4)
+    data = np.repeat([1.0, -1.0, 1.0, -1.0], n)
     b = np.concatenate(
         [
             np.full(n, spec.box_upper),
@@ -119,7 +117,7 @@ def generate_model_problem(spec: ModelProblemSpec) -> InequalitySystem:
             [-spec.sum_lower],
         ]
     )
-    return InequalitySystem(a, b)
+    return InequalitySystem((indptr, indices, data), b, n=n)
 
 
 @dataclass
@@ -147,13 +145,17 @@ def _format_float(v: float) -> str:
 
 
 def save_system(sys: InequalitySystem, path) -> None:
-    """Write a system file; floats use shortest round-trip formatting so
-    load(save(sys)) reproduces the arrays exactly."""
+    """Write a system file from the stored rows; floats use shortest
+    round-trip formatting so load(save(sys)) reproduces the arrays exactly.
+    A coefficient that is not stored is written ``0.0``."""
     path = Path(path)
     lines = [f"{sys.n} {sys.m}"]
-    for i in range(sys.m):
-        parts = [_format_float(v) for v in sys.a[i]]
-        parts.append(_format_float(sys.b[i]))
+    indptr, indices, data = sys.indptr.tolist(), sys.indices.tolist(), sys.data.tolist()
+    for i, bound in enumerate(sys.b.tolist()):
+        parts = ["0.0"] * sys.n
+        for j in range(indptr[i], indptr[i + 1]):
+            parts[indices[j]] = _format_float(data[j])
+        parts.append(_format_float(bound))
         lines.append(" ".join(parts))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
@@ -200,6 +202,7 @@ def load_system(path) -> InequalitySystem:
             raise SystemFormatError(f"{path}: row {i} has a non-numeric value") from exc
         a[i] = vals[:n]
         b[i] = vals[n]
+    del data_lines, rows  # the text is parsed: free it before the system is built
     try:
         return InequalitySystem(a, b)
     except ValueError as exc:

@@ -38,7 +38,8 @@ fixes the sign, non-finite addends, and a row maximum outside ``[2^-900,
 2^900]``, where the extraction could overflow or the gaps and bounds leave
 the normal range) go to ``math.fsum`` (Shewchuk's expansion arithmetic, in
 C), as do blocks too small for the vectorised path's fixed cost to pay off
-(:data:`SMALL_BLOCK`).  An exactly rounded sum is unique, so both paths
+(:data:`SMALL_BLOCK`); a one-column block is its own sum, plus ``+0.0``
+for fsum's sign of zero.  An exactly rounded sum is unique, so both paths
 give the same bits, and since every sum that could overflow or meets an
 infinity is left to ``math.fsum``, so are the errors.  Both need IEEE-754
 round-to-nearest, which CPython and numpy guarantee for float64.
@@ -83,6 +84,8 @@ def row_sums(block: np.ndarray) -> np.ndarray:
     (``inf`` and ``-inf`` in one row); see the module docstring.
     """
     h, n = block.shape
+    if n == 1:  # fsum of one addend: the addend, with +0.0 for -0.0
+        return block[:, 0] + 0.0
     if n == 0 or block.size + 4 * h < SMALL_BLOCK:
         return np.array([math.fsum(row) for row in block.tolist()],
                         dtype=np.float64).reshape(h)

@@ -50,14 +50,21 @@ def eps_satisfies(sys, i, x, eps):
     return r <= 0.0 or r / float(sys.row_norms[i]) < eps
 
 
+def _residuals(sys, x, start, stop):
+    """``(i, residual, a_i)`` for rows [start, stop), reading the dense
+    matrix once."""
+    a, b = sys.a, sys.b
+    for i in range(start, stop):
+        yield i, exact_dot(a[i], x) - float(b[i]), a[i]
+
+
 def violated_slices(sys, x, start=0, stop=None):
     if stop is None:
         stop = sys.m
     out = []
-    for i in range(start, stop):
-        r = residual(sys, i, x)
+    for i, r, row in _residuals(sys, x, start, stop):
         if r > 0.0:
-            out.append((r / float(sys.row_norms_sq[i])) * sys.a[i])
+            out.append((r / float(sys.row_norms_sq[i])) * row)
     return out
 
 
@@ -65,8 +72,7 @@ def eps_membership(sys, x, eps):
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = np.asarray(x, dtype=np.float64)
-    for i in range(sys.m):
-        r = residual(sys, i, x)
+    for i, r, _ in _residuals(sys, x, 0, sys.m):
         if r > 0.0 and r / float(sys.row_norms[i]) >= eps:
             return False
     return True
@@ -77,8 +83,7 @@ def max_relative_violation(sys, x, start=0, stop=None):
         stop = sys.m
     x = np.asarray(x, dtype=np.float64)
     worst = 0.0
-    for i in range(start, stop):
-        r = residual(sys, i, x)
+    for i, r, _ in _residuals(sys, x, start, stop):
         if r > 0.0:
             v = r / float(sys.row_norms[i])
             if v > worst:
@@ -94,12 +99,32 @@ def row_pass(sys, x, start=0, stop=None):
 
 def translate(sys, v):
     v = np.asarray(v, dtype=np.float64)
+    a, b = sys.a, sys.b
     new_b = np.fromiter(
-        (float(sys.b[i]) + exact_dot(sys.a[i], v) for i in range(sys.m)),
+        (float(b[i]) + exact_dot(a[i], v) for i in range(sys.m)),
         dtype=np.float64,
         count=sys.m,
     )
-    return InequalitySystem(sys.a, new_b)
+    return InequalitySystem(a, new_b)
+
+
+def dense_row_pass(a, b, x, v=None):
+    """The row pass over a dense matrix ``a`` as given, ``-0.0`` entries
+    included, before any storage: residuals ``fsum(a_i * x) - b_i``, with
+    the bound ``b_i + fsum(a_i * v)`` for a translation by v; the slices
+    ``(r_i / fsum(a_i * a_i)) a_i`` of the violated rows stacked ``(h, n)``,
+    and their largest ``r_i / sqrt(fsum(a_i * a_i))`` (0 when h = 0)."""
+    a = np.asarray(a, dtype=np.float64)
+    slices, worst = [], 0.0
+    for row, bound in zip(a, np.asarray(b, dtype=np.float64).tolist()):
+        if v is not None:
+            bound += exact_dot(row, v)
+        r = exact_dot(row, x) - bound
+        if r > 0.0:
+            norm_sq = exact_dot(row, row)
+            slices.append((r / norm_sq) * row)
+            worst = max(worst, r / math.sqrt(norm_sq))
+    return np.array(slices).reshape(len(slices), a.shape[1]), worst
 
 
 def grow_expansion(partials, value):

@@ -33,7 +33,7 @@ from modap import (
 )
 from modap.dynamics import translate
 from modap.geometry import eps_membership, max_relative_violation, violated_slices
-from modap.summation import SMALL_BLOCK, exact_dot
+from modap.summation import SMALL_BLOCK, column_sums, exact_dot
 
 # row and point scales: 2^-530 puts a squared row norm in the subnormal
 # range (like [1e-160]), 2^-1060 makes the coordinates themselves subnormal,
@@ -226,6 +226,103 @@ def test_tiny_row_with_underflowed_norm():
             ("ok", oracles.row_pass(sys, x)))
 
 
+@st.composite
+def stored_cases(draw):
+    """A dense matrix with explicit ``0.0`` and ``-0.0`` entries, fully
+    stored rows mixed with sparse ones, bounds that put x on, or an ulp to
+    either side of, each row's hyperplane, x, and a displacement or None."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal((m, n)) * 2.0 ** rng.integers(-30, 30, (m, n))
+    zeros = rng.random((m, n)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    zeros[rng.random(m) < 0.3] = False  # fully stored rows
+    a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    empty = np.flatnonzero(~a.any(axis=1))
+    a[empty, rng.integers(0, n, empty.size)] = rng.choice([1.0, -3.0], size=empty.size)
+    x = rng.standard_normal(n) * 4.0
+    v = rng.standard_normal(n) if draw(st.booleans()) else None
+    b = [_near(exact_dot(row, x) - (0.0 if v is None else exact_dot(row, v)), ulps)
+         for row, ulps in zip(a, rng.integers(-1, 2, m).tolist())]
+    return a, np.array(b), x, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored_cases(), st.data())
+def test_stored_rows_pass_equals_the_dense_oracle(case, data):
+    """The pass over the stored entries against the pass over the dense
+    input.  h and the maximum match it bit for bit; the slices match it once
+    the ``-0.0`` entries, which are not stored, read ``+0.0``, and their
+    column sums match it as given."""
+    a, b, x, v = case
+    base = InequalitySystem(a, b)
+    assert not (base.data == 0.0).any()
+    sys = base if v is None else translate(base, v)
+    cut = data.draw(st.integers(0, base.m))
+    for point in (x, np.zeros(base.n)):
+        slices, worst = violated_slices(sys, point)
+        raw = oracles.dense_row_pass(a, b, point, v)
+        stored = oracles.dense_row_pass(a + 0.0, b, point, v)
+        assert slices.shape == raw[0].shape
+        assert np.float64(worst).tobytes() == np.float64(raw[1]).tobytes()
+        assert slices.tobytes() == stored[0].tobytes()
+        assert column_sums(slices).tobytes() == column_sums(raw[0]).tobytes()
+        parts = [violated_slices(sys, point, 0, cut), violated_slices(sys, point, cut, base.m)]
+        assert np.concatenate([p[0] for p in parts]).tobytes() == slices.tobytes()
+        assert max(p[1] for p in parts) == worst
+
+
+@pytest.mark.parametrize("translated", [False, True])
+def test_mixed_widths_equal_the_dense_oracle(translated):
+    # rows of many entry counts, so the exact path pads several width
+    # classes, with -0.0 entries and every row on or an ulp off its
+    # hyperplane, so that the vectorised row sums decide most of them
+    rng = np.random.default_rng(9)
+    n, m = 120, 400
+    a = np.where(rng.random((m, n)) < 0.5, 0.0, -0.0)
+    for i, count in enumerate(rng.choice([1, 2, 3, 7, 30, 64, 65, 120], m).tolist()):
+        cols = rng.choice(n, count, replace=False)
+        a[i, cols] = rng.standard_normal(count) * 2.0 ** rng.integers(-40, 40, count)
+    x = rng.standard_normal(n)
+    v = rng.standard_normal(n) * 1e-3 if translated else None
+    b = np.array([_near(exact_dot(row, x) - (0.0 if v is None else exact_dot(row, v)), k)
+                  for row, k in zip(a, rng.integers(-1, 2, m).tolist())])
+    base = InequalitySystem(a, b)
+    sys = base if v is None else translate(base, v)
+    for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
+        slices, worst = violated_slices(sys, point)
+        raw = oracles.dense_row_pass(a, b, point, v)
+        assert slices.shape == raw[0].shape and worst == raw[1]
+        assert slices.tobytes() == oracles.dense_row_pass(a + 0.0, b, point, v)[0].tobytes()
+    assert len(geometry._unsettled_rows(sys, x, 0, m)) * n >= 4 * SMALL_BLOCK
+
+
+@pytest.mark.parametrize("translated", [False, True])
+def test_full_row_view_and_gather_path_agree(translated):
+    """A fully stored system is read through its 2-D view; one sparse row
+    appended sends every row through the gather path.  The shared rows give
+    the same bits either way."""
+    rng = np.random.default_rng(10)
+    n, m = 60, 300
+    a = rng.standard_normal((m, n))
+    x = rng.standard_normal(n)
+    v = rng.standard_normal(n) * 1e-3 if translated else np.zeros(n)
+    b = np.array([exact_dot(row, x) - exact_dot(row, v) for row in a])
+    b[::3] = np.nextafter(b[::3], -np.inf)
+    sparse_row = np.zeros(n)
+    sparse_row[[3, 17]] = [1.0, -2.0]
+    full = InequalitySystem(a, b)
+    mixed = InequalitySystem(np.vstack([a, sparse_row]), np.append(b, 1e300))
+    assert full._full_block(0, m) is not None and mixed._full_block(0, m + 1) is None
+    if translated:
+        full, mixed = translate(full, v), translate(mixed, v)
+    for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
+        assert len(geometry._unsettled_rows(full, point, 0, m)) * n >= 4 * SMALL_BLOCK
+        assert _pass_bits(("ok", violated_slices(full, point))) == _pass_bits(
+            ("ok", violated_slices(mixed, point)))
+    assert full.b.tobytes() == mixed.b[:m].tobytes()
+
+
 def _model_source(n):
     return DynamicSystemSource(
         generate_model_problem(ModelProblemSpec(n=n)),
@@ -233,24 +330,24 @@ def _model_source(n):
     )
 
 
-class _CountingMatrix(np.ndarray):
-    """Stands in for ``sys.a`` and counts, per thread, the numpy calls that
-    read it (``@`` is ``np.matmul``); the results of ufuncs are plain
-    arrays, so the count stays with the matrix and its row blocks."""
+class _CountingEntries(np.ndarray):
+    """Stands in for ``sys.data`` and counts, per thread, the numpy calls that
+    read it and how many stored entries each read; slices and gathers of it
+    count too, while the results of ufuncs are plain arrays."""
 
-    calls = collections.Counter()  # (thread id, numpy name) -> calls
+    calls = collections.Counter()  # (thread id, numpy name, entries read) -> calls
     lock = threading.Lock()
 
     def _count(self, name):
         with self.lock:
-            self.calls[threading.get_ident(), name] += 1
+            self.calls[threading.get_ident(), name, self.size] += 1
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         self._count(ufunc.__name__)
-        plain = [i.view(np.ndarray) if isinstance(i, _CountingMatrix) else i
+        plain = [i.view(np.ndarray) if isinstance(i, _CountingEntries) else i
                  for i in inputs]
         if "out" in kwargs:
-            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _CountingMatrix)
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _CountingEntries)
                                   else o for o in kwargs["out"])
         return getattr(ufunc, method)(*plain, **kwargs)
 
@@ -259,16 +356,16 @@ class _CountingMatrix(np.ndarray):
         return super().__array_function__(func, types, args, kwargs)
 
     @classmethod
-    def on_this_thread(cls):
-        me = threading.get_ident()
+    def on_thread(cls, thread_id):
         with cls.lock:
-            return collections.Counter({name: c for (t, name), c in cls.calls.items()
-                                        if t == me})
+            return collections.Counter({(name, size): c
+                                        for (t, name, size), c in cls.calls.items()
+                                        if t == thread_id})
 
 
 def _counting_model_source(n):
     src = _model_source(n)
-    src.base.a = src.base.a.view(_CountingMatrix)
+    src.base.data = src.base.data.view(_CountingEntries)
     return src
 
 
@@ -276,33 +373,44 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     """A bound that is too loose would send every row to the slow path
     without changing any result; count the rows each pass sends to the exact
     path, and the passes: one per (snapshot, point), none on the engine's
-    master.  Each pass makes exactly one matrix-vector product, and moving
-    the system reads the matrix not at all."""
+    master.  Each pass makes exactly one product over the stored entries of
+    its rows, and otherwise reads only those of its exact rows; moving the
+    system reads them not at all."""
     passes = []
     real_unsettled = geometry._unsettled_rows
     real_pass = solver.violated_slices
     real_advance = DynamicSystemSource.advance
+    exact_rows = threading.local()
 
     def counting_unsettled(sys, x, start, stop):
         rows = real_unsettled(sys, x, start, stop)
         passes.append((sys, np.array(x), start, stop, len(rows),
                        threading.current_thread()))
+        exact_rows.rows = rows
         return rows
 
-    pass_products = []
+    pass_reads = []
 
     def counting_pass(sys, x, start=0, stop=None):
-        before = _CountingMatrix.on_this_thread()
+        me = threading.get_ident()
+        before = _CountingEntries.on_thread(me)
         result = real_pass(sys, x, start, stop)
-        pass_products.append((_CountingMatrix.on_this_thread() - before)["matmul"])
+        stop = sys.m if stop is None else stop
+        rows = exact_rows.rows
+        # a translated snapshot's exact path also takes its rows' bounds
+        products = 1 if sys._shift is None else 2
+        pass_reads.append((sys.indptr[stop] - sys.indptr[start],
+                           products * int((sys.indptr[rows + 1] - sys.indptr[rows]).sum()),
+                           _CountingEntries.on_thread(me) - before))
         return result
 
     advance_calls = []
 
     def counting_advance(src, elapsed):
-        before = _CountingMatrix.on_this_thread()
+        me = threading.get_ident()
+        before = _CountingEntries.on_thread(me)
         real_advance(src, elapsed)
-        advance_calls.append(_CountingMatrix.on_this_thread() - before)
+        advance_calls.append(_CountingEntries.on_thread(me) - before)
 
     dots = [0]
 
@@ -326,30 +434,38 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     for workers, record_trace in [(0, True), (0, False), (2, True)]:
         passes.clear()
         translate_dots.clear()
-        pass_products.clear()
+        pass_reads.clear()
         advance_calls.clear()
-        _CountingMatrix.calls.clear()
+        _CountingEntries.calls.clear()
         config = SolverConfig(record_trace=record_trace)
         if workers:
             out = run_parallel(_counting_model_source(200), config,
                                EngineConfig(workers=workers))
         else:
             out = solve(_counting_model_source(200), config)
+        reads_in_solve = _CountingEntries.calls.copy()  # the oracles below read too
 
         assert out.converged and out.iterations >= 3
         # one pass on the starting point, then one after each step
         assert len(passes) == max(1, workers) * (out.iterations + 1)
         if workers:
             assert threading.current_thread() not in {p[-1] for p in passes}
+            assert threading.get_ident() not in {t for t, _, _ in reads_in_solve}
         for sys, x, start, stop, count, _ in passes:
             h = len(oracles.violated_slices(sys, x, start, stop))
             assert count <= h + 2, (workers, h, count)
         # translating computes no exact bound; a pass computes those it needs
         assert translate_dots == [0] * out.iterations
-        # one matrix-vector product per pass, none outside the passes
-        assert pass_products == [1] * len(passes)
-        assert sum(c for (_, name), c in _CountingMatrix.calls.items()
-                   if name == "matmul") == len(passes)
+        # one product over the stored entries of the pass's rows; whatever
+        # else the pass reads belongs to its exact rows
+        assert len(pass_reads) == len(passes)
+        for stored, exact, reads in pass_reads:
+            assert reads[("multiply", stored)] == 1, (stored, reads)
+            rest = reads - collections.Counter({("multiply", stored): 1})
+            assert sum(size * c for (_, size), c in rest.items()) <= exact, (exact, reads)
+        # nothing outside the passes reads the stored entries
+        assert sum(reads_in_solve.values()) == sum(
+            sum(reads.values()) for _, _, reads in pass_reads)
         assert advance_calls == [collections.Counter()] * out.iterations
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import one_iteration
-from modap import InequalitySystem
+from modap import InequalitySystem, ModelProblemSpec, generate_model_problem
 from modap.dynamics import translate
 from modap.geometry import eps_membership, max_relative_violation, vector_norm, violated_slices
 from modap.summation import column_sums
@@ -53,6 +54,77 @@ class TestInequalitySystem:
         v = rng.standard_normal(300)
         moved = translate(sys, v)
         assert moved.b.tobytes() == oracles.translate(sys, v).b.tobytes()
+
+    def test_csr_rows_equal_the_dense_input(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((40, 9))
+        a[rng.random((40, 9)) < 0.4] = 0.0
+        a[rng.random((40, 9)) < 0.2] = -0.0
+        a[::5] = rng.standard_normal((8, 9))  # fully stored rows
+        a[:, 4] += 1.0  # no zero row
+        b = rng.standard_normal(40)
+        dense = InequalitySystem(a, b)
+        stored = a != 0.0
+        assert dense.indptr.tolist() == [0] + np.cumsum(stored.sum(axis=1)).tolist()
+        assert dense.indices.tolist() == np.nonzero(stored)[1].tolist()
+        assert dense.data.tobytes() == a[stored].tobytes()
+        csr = InequalitySystem((dense.indptr.tolist(), dense.indices.tolist(),
+                                dense.data.tolist()), b, n=9)
+        for name in ("indptr", "indices", "data", "row_norms_sq", "b"):
+            assert getattr(csr, name).tobytes() == getattr(dense, name).tobytes()
+        assert csr.indptr.dtype == csr.indices.dtype == np.intp
+        assert np.array_equal(csr.a, a)
+
+    @pytest.mark.parametrize("rows,n,match", [
+        (([1, 2], [0], [1.0]), 2, "indptr"),
+        (([0, 2, 1], [0, 1], [1.0, 2.0]), 2, "indptr"),
+        (([0, 2], [0], [1.0, 2.0]), 2, "indptr"),
+        (([0, 1], [2], [1.0]), 2, "columns"),
+        (([0, 1], [-1], [1.0]), 2, "columns"),
+        (([0, 2], [1, 0], [1.0, 2.0]), 2, "columns"),
+        (([0, 2], [1, 1], [1.0, 2.0]), 2, "columns"),
+        (([0, 2], [0, 1], [1.0, -0.0]), 2, "no zero"),
+        (([0, 1], [0], [1.0]), 0, "n >= 1"),
+        (([0], [], []), 2, "m >= 1"),
+        (([0, 1, 1], [0], [1.0]), 2, "row 1 is the zero vector"),
+    ])
+    def test_bad_csr_rows_rejected(self, rows, n, match):
+        m = max(len(rows[0]) - 1, 1)
+        with pytest.raises(ValueError, match=match):
+            InequalitySystem(rows, np.ones(m), n=n)
+
+    def test_dense_accessor_is_built_on_each_read(self):
+        sys = InequalitySystem([[1.0, -0.0], [2.0, 3.0]], [1.0, 1.0])
+        dense = sys.a
+        assert dense is not sys.a
+        assert dense.tobytes() == np.array([[1.0, 0.0], [2.0, 3.0]]).tobytes()
+        dense[0, 0] = 7.0
+        assert sys.a[0, 0] == 1.0
+        with pytest.raises(AttributeError):
+            sys.a = dense
+
+    def test_sparse_set_up_and_passes_allocate_no_dense_matrix(self):
+        # 8 m n = 256 MB dwarfs the 4n = 16000 stored entries; the limit is
+        # one bit per dense entry, 4 MB, where set-up's O(m) arrays need 1.6
+        n = 4000
+        m = 2 * n + 2
+        generate_model_problem(ModelProblemSpec(n=2))  # lazy imports and caches
+        violated_slices(translate(generate_model_problem(ModelProblemSpec(n=2)),
+                                  np.ones(2)), np.zeros(2))
+        tracemalloc.start()
+        try:
+            sys = generate_model_problem(ModelProblemSpec(n=n))
+            peaks = [tracemalloc.get_traced_memory()[1]]
+            moved = translate(sys, np.full(n, 0.5))
+            inside, corner = np.full(n, 100.0), np.r_[0.0, np.full(n - 1, 100.0)]
+            for snapshot, x, h in [(sys, np.zeros(n), 1), (sys, inside, 0),
+                                   (moved, inside, 0), (moved, corner, 1)]:
+                tracemalloc.reset_peak()
+                assert violated_slices(snapshot, x)[0].shape == (h, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < m * n / 8, peaks
 
     def test_zero_row_rejected_with_index(self):
         with pytest.raises(ValueError, match="row 1"):

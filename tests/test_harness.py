@@ -42,6 +42,13 @@ class TestModelProblem:
         assert np.array_equal(sys.a, expected_a)
         assert np.array_equal(sys.b, expected_b)
 
+    def test_stores_only_its_4n_entries(self):
+        sys = generate_model_problem(ModelProblemSpec(n=3))
+        assert sys.indptr.tolist() == [0, 1, 2, 3, 4, 5, 6, 9, 12]
+        assert sys.indices.tolist() == [0, 1, 2] * 4
+        assert sys.data.tolist() == [1.0] * 3 + [-1.0] * 3 + [1.0] * 3 + [-1.0] * 3
+        assert sys.indptr.dtype == sys.indices.dtype == np.intp
+
     @pytest.mark.parametrize("n", [1, 10, 1000])
     def test_m_is_2n_plus_2(self, n):
         sys = generate_model_problem(ModelProblemSpec(n=n))
@@ -86,6 +93,22 @@ class TestSystemFiles:
         back = load_system(path)
         assert np.array_equal(back.a, sys.a)
         assert np.array_equal(back.b, sys.b)
+        for name in ("indptr", "indices", "data", "b", "row_norms_sq"):
+            assert getattr(back, name).tobytes() == getattr(sys, name).tobytes()
+
+    def test_written_from_the_stored_rows(self, tmp_path):
+        # a coefficient that is not stored is written 0.0, so -I has no -0.0
+        path = tmp_path / "sys.txt"
+        save_system(generate_model_problem(ModelProblemSpec(n=2)), path)
+        assert path.read_text() == (
+            "2 6\n1.0 0.0 200.0\n0.0 1.0 200.0\n-1.0 0.0 0.0\n0.0 -1.0 0.0\n"
+            "1.0 1.0 300.0\n-1.0 -1.0 -100.0\n")
+        # a -0.0 in a file is not stored either: the loaded rows are the same
+        signed = tmp_path / "signed.txt"
+        signed.write_text(path.read_text().replace("0.0 -1.0 0.0", "-0.0 -1.0 0.0"))
+        back, again = load_system(path), load_system(signed)
+        for name in ("indptr", "indices", "data", "b"):
+            assert getattr(back, name).tobytes() == getattr(again, name).tobytes()
 
     def test_round_trip_preserves_awkward_floats(self, tmp_path):
         sys = InequalitySystem(

@@ -186,6 +186,10 @@ def _bits(sum_rows, block):
 @example(np.array([[math.inf, -math.inf] + [0.0] * 1298] * 3))
 @example(np.empty((600, 0)))
 @example(np.empty((0, 1300)))
+# one column: the addend itself, with fsum's +0.0 for -0.0
+@example(np.array([[-0.0], [5e-324], [-5e-324], [math.inf], [-math.inf], [math.nan]]))
+@example(np.full((1000, 1), -0.0))
+@example(np.full((1000, 1), -math.nan))
 def test_row_sums_equal_fsum_bit_for_bit(block):
     # the transposed view is what column_sums hands over
     for view in (block, block.T):
