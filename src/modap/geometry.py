@@ -422,9 +422,10 @@ def _norm_bound(v: np.ndarray) -> float:
     return h * _NORM_SLACK + 2.0 ** -1074 if h else 0.0
 
 
-def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows in [start, stop), ascending, that the float64 filter cannot prove
-    satisfied (see the module docstring for the bound)."""
+def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int):
+    """Rows in [start, stop) that the float64 filter cannot prove satisfied
+    (see the module docstring for the bound), ascending and counted from
+    start, and the rows' full block (:meth:`InequalitySystem._full_block`)."""
     xnorm = _norm_bound(x)
     coef = (sys.n + 8) * _TWO_U
     shift = sys._shift
@@ -450,7 +451,7 @@ def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int)
         if xnorm or shift is not None:
             e += (sys.n + 8) * _MIN_NORMAL
         settled = (t <= -e) & (e < _FILTER_LIMIT)
-    return np.flatnonzero(~settled) + start
+    return np.flatnonzero(~settled), dense
 
 
 def violated_slices(
@@ -467,14 +468,14 @@ def violated_slices(
     """
     if stop is None:
         stop = sys.m
-    rows = _unsettled_rows(sys, x, start, stop)
-    if not rows.size:
+    local, dense = _unsettled_rows(sys, x, start, stop)
+    if not local.size:
         return np.zeros((0, sys.n)), 0.0
-    dense = sys._full_block(start, stop)
+    rows = local + start
     if dense is None:
         a, blocks = None, sys._blocks(rows)
     else:
-        a = dense[rows - start]
+        a = dense[local]
         blocks = [(slice(None), a, None)]
     with np.errstate(all="ignore"):  # a non-finite slice fails the step's check
         if sys._b is not None:
@@ -483,9 +484,11 @@ def violated_slices(
         else:
             r, sums = _dots(rows, blocks, [x, sys._shift], ["its residual", _BOUND])
             r -= sys._exact_bounds(rows, sums)
+        if a is None:
+            a = _scattered(blocks, rows.size, sys.n)
         hit = r > 0.0
-        r, rows = r[hit], rows[hit]
-        a = (_scattered(blocks, hit.size, sys.n) if a is None else a)[hit]
+        if not hit.all():
+            r, rows, a = r[hit], rows[hit], a[hit]
         block = (r / sys.row_norms_sq[rows])[:, None] * a
         worst = float((r / sys.row_norms[rows]).max()) if r.size else 0.0
     return block, worst

@@ -11,37 +11,59 @@ reports in whatever order they arrive, and :func:`column_sums` rounds each
 coordinate's sum once.
 
 Bulk sums go through :func:`row_sums`, the exactly rounded sum of each row
-of a 2-D block, vectorised over the whole block.  It runs one error-free
-extraction level of AccSum (Rump, Ogita and Oishi, "Accurate floating-point
-summation part I: faithful rounding", SISC 31(1), 2008) and bounds the rest.
-For a row p of ``n <= 2^M`` addends (``M >= 1``) and a power of two
-``sigma > 2^M max|p|``, ``q = (sigma + p) - sigma`` is exact, a multiple of
-``u sigma`` (``u = 2^-53``) and at most ``2^-M sigma``, so the q of a row
-sum exactly in any order to ``tau_1``; the remainders ``r = p - q`` are
-exact and at most ``u sigma``.  Any order sums them to a ``tau_2`` within
-``gamma_{n-1} sum|r|``, ``gamma_k = k u / (1 - k u)``, of their exact sum
-(Higham, "Accuracy and Stability of Numerical Algorithms", 2002, sec. 4.2),
-subnormal remainders included, since an addition with a subnormal result is
-exact.  So ``B = 2 n u * n u sigma`` bounds that error; the 2 covers
-``gamma_{n-1} <= 2 n u`` (``n <= 2^52``) and rounding ``n^2``.  TwoSum
-splits ``tau_1 + tau_2`` exactly into ``res + delta``, ``res`` their rounded
-sum, the rounded exact sum if ``|delta| + B`` is less than half the gap from
-``res`` to its nearer neighbour.  A sum on a midpoint (0.7 % of the rows of
-a standard normal ``(1000, 100)`` block) fails this test however small B
-is, so undecided rows take a second level on their remainders: ``sigma_2 =
-2^(M-53) sigma`` meets the same precondition, and at most ``n u sigma_2``
-is left after it.  If nothing is, ``res`` is the rounding of the exact
-``tau_1 + tau_2``, ties to even included; otherwise that bound is B.  This
-is a floating-point filter in the sense of Shewchuk (DCG 18, 1997): rows it
-cannot decide (sums near a midpoint, rows of zeros, where ``math.fsum``
-fixes the sign, non-finite addends, and a row maximum outside ``[2^-900,
-2^900]``, where the extraction could overflow or the gaps and bounds leave
-the normal range) go to ``math.fsum`` (Shewchuk's expansion arithmetic, in
-C), as do blocks too small for the vectorised path's fixed cost to pay off
-(:data:`SMALL_BLOCK`); a one-column block is its own sum, plus ``+0.0``
-for fsum's sign of zero.  An exactly rounded sum is unique, so both paths
-give the same bits, and since every sum that could overflow or meets an
-infinity is left to ``math.fsum``, so are the errors.  Both need IEEE-754
+of a 2-D block, vectorised over the whole block.  It runs error-free
+extraction levels of AccSum (Rump, Ogita and Oishi, "Accurate
+floating-point summation part I: faithful rounding", SISC 31(1), 2008) and
+bounds the rest.  For a row p of ``n <= 2^M`` addends (``M >= 1``) and a
+power of two ``sigma > 2^M max|p|``, ``q = (sigma + p) - sigma`` is exact,
+a multiple of ``u sigma`` (``u = 2^-53``) and at most ``2^-M sigma``, so
+the q of a row sum exactly in any order to ``tau_1``; the remainders ``r =
+p - q`` are exact and at most ``u sigma``.  Any order sums them to a
+``tau_2`` within ``gamma_{n-1} sum|r|``, ``gamma_k = k u / (1 - k u)``, of
+their exact sum (Higham, "Accuracy and Stability of Numerical Algorithms",
+2002, sec. 4.2), subnormal remainders included, since an addition with a
+subnormal result is exact.  So ``B = 2 n u * n u sigma`` bounds that
+error; the 2 covers ``gamma_{n-1} <= 2 n u`` (``n <= 2^52``) and rounding
+``n^2``.  TwoSum splits ``tau_1 + tau_2`` exactly into ``res + delta``,
+``res`` their rounded sum, the rounded exact sum if ``|delta| + B`` is less
+than half the gap from ``res`` to its nearer neighbour.  A sum on a
+midpoint (0.7 % of the rows of a standard normal ``(1000, 100)`` block)
+fails this test however small B is, so undecided rows take a second level
+on their remainders: ``sigma_2 = 2^(M-53) sigma`` meets the same
+precondition, and at most ``n u sigma_2`` is left after it.  If nothing is,
+``res`` is the rounding of the exact ``tau_1 + tau_2``, ties to even
+included; otherwise that bound is B.  This is a floating-point filter in
+the sense of Shewchuk (DCG 18, 1997).
+
+Nothing above needs sigma to be the smallest power of two that fits a row,
+so :func:`row_sums` first takes one sigma for the whole block, from its
+largest magnitude ``top``: ``sigma = 2^(e + M)`` with ``top < 2^e``
+exceeds ``2^M max|p|`` for every row p of the block at once.  The levels
+then run as flat operations with one scalar, which cost about a third of
+the same operations with a column of per-row sigmas, and a standard normal
+block is decided by them alone.  A row far below ``top`` (its gaps smaller
+than B) is left undecided, so the order of the paths is:
+
+1. level 1, then level 2 on the rows it leaves, with the block's sigma,
+   when ``top`` lies in ``[2^-900, 2^900]``;
+2. the same two levels with a sigma per row, from each row's own maximum,
+   for the rows the block levels leave, and for the whole block when
+   ``top`` is outside that range or not finite;
+3. ``math.fsum`` (Shewchuk's expansion arithmetic, in C) for the rows
+   neither decides: sums near a midpoint, rows of ``-0.0`` alone (whose
+   sign of zero is fsum's to fix; any other exactly cancelling row sums to
+   ``+0.0``, which the block levels give it), non-finite addends, and a
+   row maximum outside ``[2^-900, 2^900]``, where the extraction could
+   overflow or the gaps and bounds leave the normal range.
+
+A row within range of the block's scale thus costs one pass of flat
+operations; a row far below it costs what it did with a sigma per row
+alone, plus its share of the block pass.  Blocks too small for the
+vectorised path's fixed cost to pay off (:data:`SMALL_BLOCK`) go straight
+to ``math.fsum``; a one-column block is its own sum, plus ``+0.0`` for
+fsum's sign of zero.  An exactly rounded sum is unique, so every path gives
+the same bits, and since every sum that could overflow or meets an
+infinity is left to ``math.fsum``, so are the errors.  All need IEEE-754
 round-to-nearest, which CPython and numpy guarantee for float64.
 """
 
@@ -54,9 +76,13 @@ import numpy as np
 __all__ = ["exact_dot", "row_sums", "column_sums"]
 
 # a block whose element count plus four times its row count is below this
-# is summed by one math.fsum per row.  Measured on a 2-vCPU Xeon VM (Python
-# 3.11, numpy 2.4): fsum costs about 0.045 us per element plus 0.18 us per
-# row, the vectorised path about 50 us plus 0.003 us per element, so
+# is summed by one math.fsum per row.  scripts/sum_kernel.py fits both paths
+# (BENCH_summation.json; 2-vCPU Xeon VM, Python 3.11, numpy 2.4): fsum about
+# 0.055 us per element plus 0.2 us per row, the vectorised path about 40 us
+# plus 0.004 us per element, and some 30 us more when level 2 runs, which
+# is common in rows of 32 or fewer addends.  A single row breaks even near
+# 1000 elements, while fsum stays ahead on blocks of about 1000 elements in
+# rows of 8 to 32 (56 against 73 us at (64, 16)), so the cut-off is kept:
 # (1, 1000) stays on fsum and a column sum of one 1000-wide slice does not
 SMALL_BLOCK = 1200
 _U = 2.0 ** -53
@@ -89,23 +115,50 @@ def row_sums(block: np.ndarray) -> np.ndarray:
     if n == 0 or block.size + 4 * h < SMALL_BLOCK:
         return np.array([math.fsum(row) for row in block.tolist()],
                         dtype=np.float64).reshape(h)
-    with np.errstate(all="ignore"):  # undecided rows are redone by fsum
-        top = np.maximum(block.max(axis=1), -block.min(axis=1))
-        ok = (top >= _MIN_MAX) & (top <= _MAX_MAX)
-        m_bits = max(1, (n - 1).bit_length())  # 2^M >= n, M >= 1
-        sigma = np.ldexp(1.0, np.frexp(np.where(ok, top, 1.0))[1] + m_bits)[:, None]
-        q = sigma + block
-        q -= sigma
-        tau1 = q.sum(axis=1)
-        q -= block  # minus the remainders, exactly
-        bound = n * n * 2.0 ** -105 * sigma[:, 0]  # B = 2 n u * n u sigma
-        res, sure = _rounded(tau1, -q.sum(axis=1), bound)
-        again = np.flatnonzero(ok & ~sure)
-        if again.size:
-            res[again], sure[again] = _level2(q[again], sigma[again], tau1[again], m_bits)
+    m_bits = max(1, (n - 1).bit_length())  # 2^M >= n, M >= 1
+    with np.errstate(all="ignore"):  # undecided rows are redone row by row
+        top = max(block.max(), -block.min())
+        if not _MIN_MAX <= top <= _MAX_MAX:  # also nan
+            return _row_levels(block, m_bits)
+        sigma = np.array([[math.ldexp(1.0, math.frexp(top)[1] + m_bits)]])
+        res, sure = _levels(block, sigma, m_bits, True)
+        zero = np.flatnonzero(res == 0.0)
+        if zero.size:  # a sum of -0.0 alone takes fsum's sign of zero
+            sure[zero] &= ~np.signbit(block[zero]).all(axis=1)
+        left = np.flatnonzero(~sure)
+        if left.size:
+            res[left] = _row_levels(block[left], m_bits)
+    return res
+
+
+def _row_levels(block: np.ndarray, m_bits: int) -> np.ndarray:
+    """The two levels with a sigma per row, and ``math.fsum`` for the rows
+    they leave.  The caller silences numpy's warnings."""
+    top = np.maximum(block.max(axis=1), -block.min(axis=1))
+    ok = (top >= _MIN_MAX) & (top <= _MAX_MAX)
+    sigma = np.ldexp(1.0, np.frexp(np.where(ok, top, 1.0))[1] + m_bits)[:, None]
+    res, sure = _levels(block, sigma, m_bits, ok)
     for i in np.flatnonzero(~(ok & sure)).tolist():
         res[i] = math.fsum(block[i].tolist())
     return res
+
+
+def _levels(block: np.ndarray, sigma: np.ndarray, m_bits: int, ok):
+    """Level 1 with ``sigma``, one power of two per row ``(h, 1)`` or for
+    the whole block ``(1, 1)``, then level 2 for the rows in ``ok`` that it
+    leaves undecided: the sums, and which rows they decide."""
+    q = sigma + block
+    q -= sigma
+    tau1 = q.sum(axis=1)
+    q -= block  # minus the remainders, exactly
+    n = block.shape[1]
+    bound = n * n * 2.0 ** -105 * sigma[:, 0]  # B = 2 n u * n u sigma
+    res, sure = _rounded(tau1, -q.sum(axis=1), bound)
+    again = np.flatnonzero(ok & ~sure)
+    if again.size:
+        res[again], sure[again] = _level2(q[again], sigma if len(sigma) == 1 else sigma[again],
+                                          tau1[again], m_bits)
+    return res, sure
 
 
 def _rounded(tau1: np.ndarray, tau2: np.ndarray, bound: np.ndarray):

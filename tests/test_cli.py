@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 
 from modap import generate_model_problem, load_system, ModelProblemSpec
 from modap.cli import main
+from modap.summation import SMALL_BLOCK
 
 
 def test_solve_exit_zero_and_metrics_written(tmp_path, capsys):
@@ -146,6 +148,23 @@ def test_stall_comparison_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("model problem n=3, quantum=0.1s, budget=50, lambda=1.0\n")
+
+
+def test_sum_kernel_script_runs(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "BENCH_summation.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "sum_kernel.py"), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert {"python", "numpy", "blas_threads"} <= record["machine"].keys()
+    paths = {tuple(c["shape"]): c["path"] for c in record["workload_shapes"]}
+    assert paths[(1, 1000)] == "fsum" and paths[(243, 100)] == "vectorised"
+    assert record["crossover"]["small_block"] == SMALL_BLOCK
 
 
 def test_bad_arguments_exit_one():

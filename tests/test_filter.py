@@ -210,7 +210,7 @@ def test_wide_pass_equals_the_oracle(translated):
     base = InequalitySystem(a, b)
     fast, exact = (translate(base, v), oracles.translate(base, v)) if translated else (base, base)
     for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
-        assert len(geometry._unsettled_rows(fast, point, 0, 400)) * n >= 4 * SMALL_BLOCK
+        assert len(geometry._unsettled_rows(fast, point, 0, 400)[0]) * n >= 4 * SMALL_BLOCK
         assert _pass_bits(("ok", violated_slices(fast, point))) == _pass_bits(
             ("ok", oracles.row_pass(exact, point)))
 
@@ -294,7 +294,7 @@ def test_mixed_widths_equal_the_dense_oracle(translated):
         raw = oracles.dense_row_pass(a, b, point, v)
         assert slices.shape == raw[0].shape and worst == raw[1]
         assert slices.tobytes() == oracles.dense_row_pass(a + 0.0, b, point, v)[0].tobytes()
-    assert len(geometry._unsettled_rows(sys, x, 0, m)) * n >= 4 * SMALL_BLOCK
+    assert len(geometry._unsettled_rows(sys, x, 0, m)[0]) * n >= 4 * SMALL_BLOCK
 
 
 @pytest.mark.parametrize("translated", [False, True])
@@ -317,7 +317,7 @@ def test_full_row_view_and_gather_path_agree(translated):
     if translated:
         full, mixed = translate(full, v), translate(mixed, v)
     for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
-        assert len(geometry._unsettled_rows(full, point, 0, m)) * n >= 4 * SMALL_BLOCK
+        assert len(geometry._unsettled_rows(full, point, 0, m)[0]) * n >= 4 * SMALL_BLOCK
         assert _pass_bits(("ok", violated_slices(full, point))) == _pass_bits(
             ("ok", violated_slices(mixed, point)))
     assert full.b.tobytes() == mixed.b[:m].tobytes()
@@ -383,11 +383,11 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     exact_rows = threading.local()
 
     def counting_unsettled(sys, x, start, stop):
-        rows = real_unsettled(sys, x, start, stop)
+        rows, dense = real_unsettled(sys, x, start, stop)
         passes.append((sys, np.array(x), start, stop, len(rows),
                        threading.current_thread()))
-        exact_rows.rows = rows
-        return rows
+        exact_rows.rows = rows + start
+        return rows, dense
 
     pass_reads = []
 

@@ -256,3 +256,83 @@ def test_level_1_decides_most_rows(monkeypatch):
     deep.clear()
     assert row_sums(squares).tobytes() == want[1]
     assert deep == [] and calls == []
+
+
+@st.composite
+def scaled_blocks(draw):
+    """A standard normal block whose rows each take a scale from 2^-1000 to
+    2^1000, with rows of ``+0.0``, of ``-0.0``, of subnormals and a normal
+    row below 2^-900 among them.  Row 0 keeps scale 1, so that the block
+    scale lies in the vectorised range; both the block and its transpose are
+    too large for the small-block path."""
+    h = draw(st.integers(16, 48))
+    n = draw(st.integers(80, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = rng.standard_normal((h, n)) * 2.0 ** rng.integers(-1000, 1001, (h, 1))
+    block[0] = rng.standard_normal(n)
+    kinds = rng.integers(0, 8, h)
+    kinds[0] = 7
+    for i in np.flatnonzero(kinds == 0):
+        block[i] = 0.0
+    for i in np.flatnonzero(kinds == 1):
+        block[i] = -0.0
+    for i in np.flatnonzero(kinds == 2):
+        block[i] = rng.integers(-2 ** 20, 2 ** 20, n) * 5e-324
+    for i in np.flatnonzero(kinds == 3):
+        block[i] = rng.standard_normal(n) * 2.0 ** -950
+    return block
+
+
+@settings(deadline=None)
+@given(scaled_blocks())
+def test_row_sums_of_rows_on_many_scales_equal_fsum(block):
+    assert block.size + 4 * min(block.shape) >= SMALL_BLOCK
+    for view in (block, block.T):
+        assert _bits(row_sums, view) == _bits(_fsum_rows, view)
+
+
+def _counting_row_levels(monkeypatch):
+    rows = []
+    real = summation._row_levels
+
+    def row_levels(block, m_bits):
+        rows.append(len(block))
+        return real(block, m_bits)
+
+    monkeypatch.setattr(summation, "_row_levels", row_levels)
+    return rows
+
+
+def test_the_block_levels_alone_decide_a_gaussian_block(monkeypatch):
+    block = np.random.default_rng(7).standard_normal((243, 100))
+    want = [_fsum_rows(view).tobytes() for view in (block, block.T)]
+    calls = _counting_fsum(monkeypatch)
+    per_row = _counting_row_levels(monkeypatch)
+    assert [row_sums(view).tobytes() for view in (block, block.T)] == want
+    assert per_row == [] and calls == []
+
+
+def test_only_rows_far_below_the_block_scale_take_the_per_row_levels(monkeypatch):
+    block = np.random.default_rng(8).standard_normal((243, 100))
+    block[::10] *= 2.0 ** -600
+    want = _fsum_rows(block).tobytes()
+    calls = _counting_fsum(monkeypatch)
+    per_row = _counting_row_levels(monkeypatch)
+    assert row_sums(block).tobytes() == want
+    assert per_row == [25] and calls == []
+
+
+def test_zero_sums_are_decided_by_the_block_levels(monkeypatch):
+    # the column sums of three sparse slices: most columns are zero, one
+    # holds +0.0 and -0.0, one cancels exactly; only the column of -0.0
+    # alone takes fsum's sign of zero
+    block = np.zeros((3, 1000))
+    block[:, :10] = np.random.default_rng(9).standard_normal((3, 10))
+    block[:, 10] = [0.0, -0.0, -0.0]
+    block[:, 11] = [1.0, -3.0, 2.0]
+    block[:, 12] = -0.0
+    want = _fsum_rows(block.T).tobytes()
+    calls = _counting_fsum(monkeypatch)
+    per_row = _counting_row_levels(monkeypatch)
+    assert row_sums(block.T).tobytes() == want
+    assert per_row == [1] and calls == [3]
