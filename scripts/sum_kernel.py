@@ -10,13 +10,15 @@ benchmark's workloads sum: ``(h, 100)`` residual products and ``(100, h)``
 transposed slices (the column sums) of a random-dense pass with h violated
 or unsettled rows, the ``(2, 1000)`` set-up norms and ``(1, 1000)`` exact
 rows of the n = 1000 model problem, and a ``(1, 100)`` single row.  Each
-shape is timed three ways, as the median over seven repeats of the mean of
-20 calls: ``row_sums`` as the solver calls it, one ``math.fsum`` per row
-(the small-block path), and the vectorised levels with the small-block
-cut-off lifted.  On the fit shapes, blocks on both sides of the cut-off,
-least squares fits each of the two paths as ``c0 + c1 size + c2 h`` and
-reports where they cross, in the ``size + k h`` form of
-``summation.SMALL_BLOCK``.  The whole run takes a few seconds.
+shape is timed three ways: ``row_sums`` as the solver calls it, one
+``math.fsum`` per row (the small-block path), and the vectorised levels
+with the small-block cut-off lifted.  The three take turns, nine repeats of
+the mean of 20 calls each, and each is reported as the median and
+quartiles of its repeats; ``path`` says which of the other two
+``row_sums`` takes.  On the fit shapes, blocks on both sides of the
+cut-off, least squares fits the medians of each of the two paths as ``c0 +
+c1 size + c2 h`` and reports where they cross, in the ``size + k h`` form
+of ``summation.SMALL_BLOCK``.  The whole run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -40,17 +42,24 @@ WORKLOAD_SHAPES = [(h, 100) for h in (50, 160, 243)] + [(100, h) for h in (50, 1
 FIT_SHAPES = [(1, 250), (1, 500), (1, 1000), (1, 2000), (2, 500), (4, 250), (8, 125),
               (16, 64), (32, 32), (64, 16), (125, 8), (250, 4)]
 CALLS = 20
-REPEATS = 7
+REPEATS = 9
 
 
-def _time_us(fn, block) -> float:
-    runs = []
+def _times_us(fns: dict, block) -> dict:
+    """Median and quartiles over REPEATS of each function's mean time per
+    call, the functions taking turns."""
+    runs = {key: [] for key in fns}
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for _ in range(CALLS):
-            fn(block)
-        runs.append((time.perf_counter() - t0) / CALLS * 1e6)
-    return statistics.median(runs)
+        for key, fn in fns.items():
+            t0 = time.perf_counter()
+            for _ in range(CALLS):
+                fn(block)
+            runs[key].append((time.perf_counter() - t0) / CALLS * 1e6)
+    out = {}
+    for key, times in runs.items():
+        q1, median, q3 = statistics.quantiles(times, n=4)
+        out[key] = {"median": median, "q1": q1, "q3": q3}
+    return out
 
 
 def _fsum_rows(block: np.ndarray) -> np.ndarray:
@@ -71,13 +80,11 @@ def measure(shape) -> dict:
     want = _fsum_rows(block).tobytes()
     if not summation.row_sums(block).tobytes() == want == _vectorised(block).tobytes():
         raise RuntimeError(f"row sums of a {shape} block differ from math.fsum")
-    small = block.size + 4 * h < summation.SMALL_BLOCK
     return {
         "shape": [h, n],
-        "path": "fsum" if small else "vectorised",
-        "row_sums_us": _time_us(summation.row_sums, block),
-        "fsum_us": _time_us(_fsum_rows, block),
-        "vectorised_us": _time_us(_vectorised, block),
+        "path": "fsum" if summation._by_fsum(h, n) else "vectorised",
+        **_times_us({"row_sums_us": summation.row_sums, "fsum_us": _fsum_rows,
+                     "vectorised_us": _vectorised}, block),
     }
 
 
@@ -87,7 +94,7 @@ def crossover(cases: list[dict]) -> dict:
     x = np.array([[1.0, c["shape"][0] * c["shape"][1], c["shape"][0]] for c in cases])
     fits = {}
     for key in ("fsum_us", "vectorised_us"):
-        y = np.array([c[key] for c in cases])
+        y = np.array([c[key]["median"] for c in cases])
         fits[key] = np.linalg.lstsq(x, y, rcond=None)[0]
     f, v = fits["fsum_us"], fits["vectorised_us"]
     per_element = f[1] - v[1]
@@ -108,17 +115,17 @@ def main() -> int:
     workload = [measure(shape) for shape in WORKLOAD_SHAPES]
     fit = [measure(shape) for shape in FIT_SHAPES]
     for case in workload + fit:
-        print(f"{str(tuple(case['shape'])):>12} {case['path']:>10}: row_sums "
-              f"{case['row_sums_us']:8.1f} us, fsum {case['fsum_us']:8.1f} us, "
-              f"vectorised {case['vectorised_us']:8.1f} us")
+        print(f"{str(tuple(case['shape'])):>12} {case['path']:>10}:", ", ".join(
+            f"{key[:-3]} {t['median']:6.1f} [{t['q1']:6.1f}, {t['q3']:6.1f}] us"
+            for key, t in case.items() if key.endswith("_us")))
     cross = crossover(fit)
     print(f"paths cross at size + {cross['k']:.1f} h = {cross['size_plus_k_h']:.0f} "
-          f"(SMALL_BLOCK = {summation.SMALL_BLOCK}, with k = 4)")
+          f"(SMALL_BLOCK = {summation.SMALL_BLOCK})")
     record = {
         "what": "summation.row_sums on seeded standard normal blocks, against one "
                 "math.fsum per row and against the vectorised levels with the "
-                f"small-block cut-off lifted; medians of {REPEATS} repeats of the mean "
-                f"of {CALLS} calls, in microseconds",
+                f"small-block cut-off lifted; median and quartiles of {REPEATS} repeats, "
+                f"taken in turns, of the mean of {CALLS} calls, in microseconds",
         "command": "PYTHONPATH=src python scripts/sum_kernel.py",
         "machine": machine(),
         "workload_shapes": workload,

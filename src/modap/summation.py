@@ -36,34 +36,31 @@ included; otherwise that bound is B.  This is a floating-point filter in
 the sense of Shewchuk (DCG 18, 1997).
 
 Nothing above needs sigma to be the smallest power of two that fits a row,
-so :func:`row_sums` first takes one sigma for the whole block, from its
-largest magnitude ``top``: ``sigma = 2^(e + M)`` with ``top < 2^e``
-exceeds ``2^M max|p|`` for every row p of the block at once.  The levels
-then run as flat operations with one scalar, which cost about a third of
-the same operations with a column of per-row sigmas, and a standard normal
-block is decided by them alone.  A row far below ``top`` (its gaps smaller
-than B) is left undecided, so the order of the paths is:
+so :func:`row_sums` takes one sigma for the whole block, from its largest
+magnitude ``top``: ``sigma = 2^(e + M)`` with ``top < 2^e`` exceeds ``2^M
+max|p|`` for every row p of the block at once.  The levels then run as
+flat operations with one scalar, which cost about a third of the same
+operations with a column of per-row sigmas, and a standard normal block is
+decided by them alone.  The order of the paths is:
 
-1. level 1, then level 2 on the rows it leaves, with the block's sigma,
-   when ``top`` lies in ``[2^-900, 2^900]``;
-2. the same two levels with a sigma per row, from each row's own maximum,
-   for the rows the block levels leave, and for the whole block when
-   ``top`` is outside that range or not finite;
-3. ``math.fsum`` (Shewchuk's expansion arithmetic, in C) for the rows
-   neither decides: sums near a midpoint, rows of ``-0.0`` alone (whose
-   sign of zero is fsum's to fix; any other exactly cancelling row sums to
-   ``+0.0``, which the block levels give it), non-finite addends, and a
-   row maximum outside ``[2^-900, 2^900]``, where the extraction could
-   overflow or the gaps and bounds leave the normal range.
+1. a block whose ``top`` is zero holds only ``+0.0`` and ``-0.0``, and
+   every row sums to ``+0.0``, as fsum gives it;
+2. level 1, then level 2 on the rows it leaves, with the block's sigma,
+   when ``top`` lies in ``[2^-900, 2^900]``; an exactly cancelling row,
+   a zero row included, is decided as ``+0.0``;
+3. ``math.fsum`` (Shewchuk's expansion arithmetic, in C) for the rows the
+   levels leave (sums near a midpoint, and rows far below ``top``, whose
+   gaps are smaller than B), and for the whole block when ``top`` is not
+   finite or lies outside that range, where the extraction could overflow
+   or the gaps and bounds leave the normal range.
 
-A row within range of the block's scale thus costs one pass of flat
-operations; a row far below it costs what it did with a sigma per row
-alone, plus its share of the block pass.  Blocks too small for the
-vectorised path's fixed cost to pay off (:data:`SMALL_BLOCK`) go straight
-to ``math.fsum``; a one-column block is its own sum, plus ``+0.0`` for
-fsum's sign of zero.  An exactly rounded sum is unique, so every path gives
-the same bits, and since every sum that could overflow or meets an
-infinity is left to ``math.fsum``, so are the errors.  All need IEEE-754
+A row far below the scale of its block thus costs one ``math.fsum`` on top
+of its share of the block pass.  Blocks too small for the vectorised
+path's fixed cost to pay off (:data:`SMALL_BLOCK`) go straight to
+``math.fsum``; a one-column block is its own sum, plus ``+0.0`` for fsum's
+sign of zero.  An exactly rounded sum is unique, so every path gives the
+same bits, and since every sum that could overflow or meets an infinity is
+left to ``math.fsum``, so are the errors.  All need IEEE-754
 round-to-nearest, which CPython and numpy guarantee for float64.
 """
 
@@ -76,17 +73,18 @@ import numpy as np
 __all__ = ["exact_dot", "row_sums", "column_sums"]
 
 # a block whose element count plus four times its row count is below this
-# is summed by one math.fsum per row.  scripts/sum_kernel.py fits both paths
-# (BENCH_summation.json; 2-vCPU Xeon VM, Python 3.11, numpy 2.4): fsum about
-# 0.055 us per element plus 0.2 us per row, the vectorised path about 40 us
-# plus 0.004 us per element, and some 30 us more when level 2 runs, which
-# is common in rows of 32 or fewer addends.  A single row breaks even near
-# 1000 elements, while fsum stays ahead on blocks of about 1000 elements in
-# rows of 8 to 32 (56 against 73 us at (64, 16)), so the cut-off is kept:
+# is summed by one math.fsum per row.  scripts/sum_kernel.py times both
+# paths (BENCH_summation.json; 2-vCPU Xeon VM, Python 3.11, numpy 2.4):
+# fsum about 0.05 us per element, the vectorised path about 40 us plus a
+# few ns per element, and more when level 2 runs, which is common in rows of
+# 32 or fewer addends.  Near the cut-off the two differ by about as much as
+# repeated runs of one path do, so only the direction is taken from them: a
+# single row of 1000 is a little cheaper vectorised, blocks of about 1000
+# elements in rows of 8 to 32 are cheaper by fsum.  The cut-off is kept:
 # (1, 1000) stays on fsum and a column sum of one 1000-wide slice does not
 SMALL_BLOCK = 1200
 _U = 2.0 ** -53
-# a row maximum in this range keeps every sigma, bound and gap normal
+# a block maximum in this range keeps every sigma, bound and gap normal
 _MIN_MAX = 2.0 ** -900
 _MAX_MAX = 2.0 ** 900
 
@@ -112,53 +110,41 @@ def row_sums(block: np.ndarray) -> np.ndarray:
     h, n = block.shape
     if n == 1:  # fsum of one addend: the addend, with +0.0 for -0.0
         return block[:, 0] + 0.0
-    if n == 0 or block.size + 4 * h < SMALL_BLOCK:
-        return np.array([math.fsum(row) for row in block.tolist()],
-                        dtype=np.float64).reshape(h)
+    if _by_fsum(h, n):
+        return _fsum_rows(block)
+    top = max(block.max(), -block.min())
+    if top == 0.0:
+        return np.zeros(h)
+    if not _MIN_MAX <= top <= _MAX_MAX:  # also nan
+        return _fsum_rows(block)
     m_bits = max(1, (n - 1).bit_length())  # 2^M >= n, M >= 1
-    with np.errstate(all="ignore"):  # undecided rows are redone row by row
-        top = max(block.max(), -block.min())
-        if not _MIN_MAX <= top <= _MAX_MAX:  # also nan
-            return _row_levels(block, m_bits)
-        sigma = np.array([[math.ldexp(1.0, math.frexp(top)[1] + m_bits)]])
-        res, sure = _levels(block, sigma, m_bits, True)
-        zero = np.flatnonzero(res == 0.0)
-        if zero.size:  # a sum of -0.0 alone takes fsum's sign of zero
-            sure[zero] &= ~np.signbit(block[zero]).all(axis=1)
-        left = np.flatnonzero(~sure)
-        if left.size:
-            res[left] = _row_levels(block[left], m_bits)
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + m_bits)
+    with np.errstate(all="ignore"):  # undecided rows are redone by fsum
+        q = sigma + block
+        q -= sigma
+        tau1 = q.sum(axis=1)
+        q -= block  # minus the remainders, exactly
+        bound = n * n * 2.0 ** -105 * sigma  # B = 2 n u * n u sigma
+        res, sure = _rounded(tau1, -q.sum(axis=1), bound)
+        again = np.flatnonzero(~sure)
+        if again.size:
+            res[again], sure[again] = _level2(q[again], sigma, tau1[again], m_bits)
+    left = np.flatnonzero(~sure)
+    if left.size:
+        res[left] = _fsum_rows(block[left])
     return res
 
 
-def _row_levels(block: np.ndarray, m_bits: int) -> np.ndarray:
-    """The two levels with a sigma per row, and ``math.fsum`` for the rows
-    they leave.  The caller silences numpy's warnings."""
-    top = np.maximum(block.max(axis=1), -block.min(axis=1))
-    ok = (top >= _MIN_MAX) & (top <= _MAX_MAX)
-    sigma = np.ldexp(1.0, np.frexp(np.where(ok, top, 1.0))[1] + m_bits)[:, None]
-    res, sure = _levels(block, sigma, m_bits, ok)
-    for i in np.flatnonzero(~(ok & sure)).tolist():
-        res[i] = math.fsum(block[i].tolist())
-    return res
+def _by_fsum(h: int, n: int) -> bool:
+    """Whether :func:`row_sums` sums an ``(h, n)`` block, ``n > 1``, by one
+    ``math.fsum`` per row: empty rows, or an element count plus four
+    times the row count below :data:`SMALL_BLOCK`."""
+    return n == 0 or h * n + 4 * h < SMALL_BLOCK
 
 
-def _levels(block: np.ndarray, sigma: np.ndarray, m_bits: int, ok):
-    """Level 1 with ``sigma``, one power of two per row ``(h, 1)`` or for
-    the whole block ``(1, 1)``, then level 2 for the rows in ``ok`` that it
-    leaves undecided: the sums, and which rows they decide."""
-    q = sigma + block
-    q -= sigma
-    tau1 = q.sum(axis=1)
-    q -= block  # minus the remainders, exactly
-    n = block.shape[1]
-    bound = n * n * 2.0 ** -105 * sigma[:, 0]  # B = 2 n u * n u sigma
-    res, sure = _rounded(tau1, -q.sum(axis=1), bound)
-    again = np.flatnonzero(ok & ~sure)
-    if again.size:
-        res[again], sure[again] = _level2(q[again], sigma if len(sigma) == 1 else sigma[again],
-                                          tau1[again], m_bits)
-    return res, sure
+def _fsum_rows(block: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(row) for row in block.tolist()],
+                    dtype=np.float64).reshape(len(block))
 
 
 def _rounded(tau1: np.ndarray, tau2: np.ndarray, bound: np.ndarray):
@@ -171,13 +157,13 @@ def _rounded(tau1: np.ndarray, tau2: np.ndarray, bound: np.ndarray):
     return res, np.abs(delta) + bound < 0.5 * (mag - np.nextafter(mag, 0.0))
 
 
-def _level2(rest: np.ndarray, sigma: np.ndarray, tau1: np.ndarray, m_bits: int):
+def _level2(rest: np.ndarray, sigma: float, tau1: np.ndarray, m_bits: int):
     """Level 2 on minus the remainders of undecided rows; overwrites ``rest``."""
     sigma = sigma * 2.0 ** (m_bits - 53)  # |rest| <= 2^-53 sigma = 2^-M sigma_2
     q = sigma + rest
     q -= sigma
     rest -= q
-    res, sure = _rounded(tau1, -q.sum(axis=1), rest.shape[1] * _U * sigma[:, 0])
+    res, sure = _rounded(tau1, -q.sum(axis=1), rest.shape[1] * _U * sigma)
     return res, sure | ~rest.any(axis=1)
 
 

@@ -291,41 +291,26 @@ def test_row_sums_of_rows_on_many_scales_equal_fsum(block):
         assert _bits(row_sums, view) == _bits(_fsum_rows, view)
 
 
-def _counting_row_levels(monkeypatch):
-    rows = []
-    real = summation._row_levels
-
-    def row_levels(block, m_bits):
-        rows.append(len(block))
-        return real(block, m_bits)
-
-    monkeypatch.setattr(summation, "_row_levels", row_levels)
-    return rows
-
-
 def test_the_block_levels_alone_decide_a_gaussian_block(monkeypatch):
     block = np.random.default_rng(7).standard_normal((243, 100))
     want = [_fsum_rows(view).tobytes() for view in (block, block.T)]
     calls = _counting_fsum(monkeypatch)
-    per_row = _counting_row_levels(monkeypatch)
     assert [row_sums(view).tobytes() for view in (block, block.T)] == want
-    assert per_row == [] and calls == []
+    assert calls == []
 
 
-def test_only_rows_far_below_the_block_scale_take_the_per_row_levels(monkeypatch):
+def test_only_rows_far_below_the_block_scale_go_to_fsum(monkeypatch):
     block = np.random.default_rng(8).standard_normal((243, 100))
     block[::10] *= 2.0 ** -600
     want = _fsum_rows(block).tobytes()
     calls = _counting_fsum(monkeypatch)
-    per_row = _counting_row_levels(monkeypatch)
     assert row_sums(block).tobytes() == want
-    assert per_row == [25] and calls == []
+    assert calls == [100] * 25
 
 
 def test_zero_sums_are_decided_by_the_block_levels(monkeypatch):
     # the column sums of three sparse slices: most columns are zero, one
-    # holds +0.0 and -0.0, one cancels exactly; only the column of -0.0
-    # alone takes fsum's sign of zero
+    # holds +0.0 and -0.0, one cancels exactly, one holds -0.0 alone
     block = np.zeros((3, 1000))
     block[:, :10] = np.random.default_rng(9).standard_normal((3, 10))
     block[:, 10] = [0.0, -0.0, -0.0]
@@ -333,6 +318,15 @@ def test_zero_sums_are_decided_by_the_block_levels(monkeypatch):
     block[:, 12] = -0.0
     want = _fsum_rows(block.T).tobytes()
     calls = _counting_fsum(monkeypatch)
-    per_row = _counting_row_levels(monkeypatch)
     assert row_sums(block.T).tobytes() == want
-    assert per_row == [1] and calls == [3]
+    assert calls == []
+
+
+def test_a_block_of_zeros_sums_to_zeros(monkeypatch):
+    # the residual products at x = 0, signed zeros among them
+    block = np.zeros((300, 100))
+    block[::7] = -0.0
+    want = _fsum_rows(block).tobytes()
+    calls = _counting_fsum(monkeypatch)
+    assert row_sums(block).tobytes() == want
+    assert calls == []
