@@ -44,7 +44,9 @@ on a fully stored block), and a forward error bound per row,
 
 where ``N_i >= ||a_i||`` is a rigorous upper bound derived from the cached
 squared norm (so it stays valid for a row like ``[1e-160]`` whose squared
-norm has underflowed) and ``||x||`` is bounded the same way.  The row sums
+norm has underflowed) and ``||x||`` is bounded from one float64 ``x @ x``,
+widened by a proven slack for its rounding, or by ``math.hypot`` where that
+sum underflows or overflows (:func:`_norm_bound`).  The row sums
 ``nnz_i <= n`` products, so ``n + 8`` bounds its rounding whichever the
 path.  The last, underflow, term is dropped when it cannot arise: x = 0 on
 an untranslated system makes every product, and so t_i, exact.  A system
@@ -66,7 +68,10 @@ other row (violated, near its hyperplane, or with an estimate or bound that
 is not finite) goes through the exact path: the products of its stored
 entries, taken for all such rows at once, and their exactly rounded row
 sums (:func:`~modap.summation.row_sums`, vectorised over the block), the
-bits of :func:`~modap.summation.exact_dot` over the dense row.  The bound
+bits of :func:`~modap.summation.exact_dot` over the dense row.  On a
+translated system the products with x and with v are stacked into one
+block, so the residuals and the exact bounds take one sum; a single such
+row is read as a view of ``data``, without a gather.  The bound
 only decides which rows may be skipped; every value the pass returns
 (slices, the maximum violation, and so the membership decision) comes from
 the exact path, bit for bit.  This is a floating-point filter in the sense
@@ -97,6 +102,9 @@ _MIN_NORMAL = 2.0 ** -1022
 _FILTER_LIMIT = 2.0 ** 960
 # relative slack on computed norm bounds; their own rounding is below 5 ulp
 _NORM_SLACK = 1.0 + 2.0 ** -48
+# _norm_bound takes sqrt(v @ v) when v @ v lies in this range
+_SQUARE_MIN = 2.0 ** -900
+_SQUARE_MAX = 2.0 ** 900
 _BOUND = "its translated bound"
 # row blocks of many-row sums (squared norms, translated bounds) hold at
 # most this many elements, so their temporaries stay near 0.5 MB each
@@ -156,7 +164,7 @@ class InequalitySystem:
             with np.errstate(over="ignore"):  # an infinite square is reported below
                 rows = np.arange(m)
                 blocks = self._blocks(rows, self._full_block(0, m))
-                (norms_sq,) = _dots(rows, blocks, [None], ["its squared norm"])
+                (norms_sq,) = _dots(rows, blocks, None, ["its squared norm"])
         except OverflowError as exc:  # the squares are non-negative: a sum overflows
             raise ValueError(str(exc)) from None
         for i in np.flatnonzero(norms_sq == math.inf).tolist():  # a square overflows
@@ -174,7 +182,10 @@ class InequalitySystem:
         self._b = b
         self._base_b = base_b
         self._shift = shift
-        self._shift_norm = None if shift is None else _norm_bound(shift)
+        self._shift_norm = None
+        if shift is not None:
+            with np.errstate(over="ignore"):
+                self._shift_norm = _norm_bound(shift)
 
     def _sharing_rows(self) -> "InequalitySystem":
         obj = object.__new__(InequalitySystem)
@@ -205,7 +216,7 @@ class InequalitySystem:
             rows = np.arange(self.m)
             with np.errstate(over="ignore"):
                 blocks = self._blocks(rows, self._full_block(0, self.m))
-                (sums,) = _dots(rows, blocks, [self._shift], [_BOUND])
+                (sums,) = _dots(rows, blocks, self._shift[None], [_BOUND])
                 b = self._exact_bounds(rows, sums)
             self._b = b
         return b
@@ -226,15 +237,21 @@ class InequalitySystem:
 
         ``dense`` is the rows' dense block when all are fully stored: its
         row blocks, with ``columns`` None, as for any block of fully stored
-        rows.  Otherwise ``values`` holds the stored entries padded with
-        ``0.0`` to the block's widest row, and ``columns`` their columns
-        padded with n.  Where padding every row to the widest would more
-        than double the entries of a block larger than
+        rows.  A single row is a ``(1, w)`` view of its stored entries in
+        ``data`` (and of its columns in ``indices``, None when the row is
+        fully stored), with no gather.  Otherwise ``values`` holds the
+        stored entries padded with ``0.0`` to the block's widest row, and
+        ``columns`` their columns padded with n.  Where padding every row to
+        the widest would more than double the entries of a block larger than
         :data:`~modap.summation.SMALL_BLOCK`, rows go in groups whose entry
         counts share one range ``[2^(k-1), 2^k)``, so that it never does.
         """
         if dense is not None:
             return [(part, dense[part], None) for part in _row_blocks(rows.size, self.n)]
+        if rows.size == 1:
+            lo, hi = self.indptr[rows[0]], self.indptr[rows[0] + 1]
+            return [(slice(None), self.data[lo:hi].reshape(1, -1),
+                     None if hi - lo == self.n else self.indices[lo:hi].reshape(1, -1))]
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
         width, total = int(counts.max()), int(counts.sum())
@@ -336,25 +353,49 @@ def _checked_csr(rows, n: int):
     return indptr, indices, data
 
 
-def _dots(rows: np.ndarray, blocks: list, ys, whats) -> list[np.ndarray]:
-    """For each y of ``ys``, ``<a_i, y>`` exactly rounded for every row i of
-    ``rows``, or ``||a_i||^2`` for ``y = None``, from their ``blocks`` (see
+def _dots(rows: np.ndarray, blocks: list, ys, whats) -> np.ndarray:
+    """``<a_i, y>`` exactly rounded for every row y of the ``(k, n)`` array
+    ``ys`` and every row i of ``rows``, as a ``(k, rows.size)`` array, or
+    ``||a_i||^2`` (k = 1) for ``ys = None``, from their ``blocks`` (see
     :meth:`InequalitySystem._blocks`; a zero pads nothing into an exact
-    sum).  ``whats`` name the sums in errors, raised as by
-    :func:`_exact_sums` and for the first y first.  The caller silences
+    sum).  The products of a block for every y are stacked into one ``(k
+    h, w)`` block, so each block takes one
+    :func:`~modap.summation.row_sums` call, however many ys.  A sum that
+    overflows (``OverflowError``), or products that overflow with both signs
+    (``ValueError``), raise the same type with a message naming the row and
+    ``whats[j]`` for the j-th y, the first y first.  The caller silences
     overflow warnings."""
-    sums = []
-    for y, what in zip(ys, whats):
-        out = np.empty(rows.size) if len(blocks) > 1 else None
+    out = np.empty((len(whats), rows.size))
+    for part, values, columns in blocks:
+        try:
+            out[:, part] = row_sums(_products(values, columns, ys)).reshape(len(whats), -1)
+        except (OverflowError, ValueError) as exc:
+            _raise_named(rows, blocks, ys, whats, exc)
+    return out
+
+
+def _products(values: np.ndarray, columns, ys) -> np.ndarray:
+    """The ``(k h, w)`` products of an ``(h, w)`` block with each of the k
+    rows of ``ys`` in turn, or its squares for ``ys = None``."""
+    if ys is None:
+        return values * values
+    # padding reads y[n - 1]
+    other = ys[:, None] if columns is None else ys.take(columns, axis=1, mode="clip")
+    return (values * other).reshape(-1, values.shape[1])
+
+
+def _raise_named(rows: np.ndarray, blocks: list, ys, whats, exc: Exception):
+    """Raise the error of the first sum of :func:`_dots` that ``math.fsum``
+    cannot take, by y and then by row, as the same type naming its row."""
+    for j, what in enumerate(whats):
         for part, values, columns in blocks:
-            other = (values if y is None else y if columns is None
-                     else y.take(columns, mode="clip"))  # padding reads y[n - 1]
-            if out is None:  # one block: its part is every row, in order
-                out = _exact_sums(values * other, rows, what)
-            else:
-                out[part] = _exact_sums(values * other, rows[part], what)
-        sums.append(out)
-    return sums
+            h = len(values)
+            for i, p in zip(rows[part], _products(values, columns, ys)[j * h:(j + 1) * h]):
+                try:
+                    math.fsum(p.tolist())
+                except (OverflowError, ValueError) as err:
+                    raise type(err)(f"row {i}: {what} overflows float64") from err
+    raise exc
 
 
 def _scattered(blocks: list, size: int, n: int) -> np.ndarray:
@@ -383,21 +424,6 @@ def _row_blocks(m: int, n: int):
     return [slice(lo, lo + step) for lo in range(0, m, step)]
 
 
-def _exact_sums(products: np.ndarray, rows, what: str) -> np.ndarray:
-    """:func:`~modap.summation.row_sums` of the products of ``rows``.  A sum
-    that overflows (``OverflowError``), or products that overflow with both
-    signs (``ValueError``), raise the same type with a message naming the row."""
-    try:
-        return row_sums(products)
-    except (OverflowError, ValueError):
-        for i, p in zip(rows, products):
-            try:
-                math.fsum(p.tolist())
-            except (OverflowError, ValueError) as exc:
-                raise type(exc)(f"row {i}: {what} overflows float64") from exc
-        raise
-
-
 def _squared_norm(row: np.ndarray) -> float:
     try:
         return exact_dot(row, row)
@@ -415,9 +441,26 @@ def _as_point(x, n: int) -> np.ndarray:
 
 
 def _norm_bound(v: np.ndarray) -> float:
-    """Upper bound on ``||v||``; 0 only for the zero vector.  ``math.hypot``
-    is within one ulp (2^-1074 for a subnormal result) and does not overflow
-    or underflow on the way."""
+    """Upper bound on ``||v||``; 0 only for the zero vector.
+
+    It takes one float64 ``s = v @ v`` in any order, fused multiply-adds
+    included: at most 2n - 1 roundings of non-negative values, each at
+    most u = 2^-53 relative or 2^-1075 absolute (a subnormal result), and
+    at most n on the way from any square to s, so ``s >= (1 - u)^n
+    ||v||^2 - n 2^-1074`` and ``||v||^2 <= (1 + gamma_n) (s + n
+    2^-1074)``, ``gamma_n = n u / (1 - n u)``.  For s in [2^-900, 2^900]
+    and ``n <= 2^52`` that is at most ``(1 + 2 n u) (1 + 2^-122) s``, so
+    ``||v|| <= (1 + n u + 2^-122) sqrt(s)``; the rounded square root and
+    the product with ``1 + 2 (n + 4) u`` (exact) lose at most one u each
+    and stay normal, and the factor covers all three.  Any other s (0,
+    not finite, or where the underflow term or the range would matter)
+    falls back to ``math.hypot``, which is within one ulp (2^-1074 for a
+    subnormal result) and does not overflow or underflow on the way.  The
+    caller silences overflow warnings.
+    """
+    s = float(v @ v)
+    if _SQUARE_MIN <= s <= _SQUARE_MAX:
+        return math.sqrt(s) * (1.0 + (v.size + 4) * _TWO_U)
     h = math.hypot(*v.tolist())
     return h * _NORM_SLACK + 2.0 ** -1074 if h else 0.0
 
@@ -426,11 +469,11 @@ def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int)
     """Rows in [start, stop) that the float64 filter cannot prove satisfied
     (see the module docstring for the bound), ascending and counted from
     start, and the rows' full block (:meth:`InequalitySystem._full_block`)."""
-    xnorm = _norm_bound(x)
     coef = (sys.n + 8) * _TWO_U
     shift = sys._shift
     dense = sys._full_block(start, stop)
     with np.errstate(all="ignore"):
+        xnorm = _norm_bound(x)
         y = x if shift is None else x - shift
         if dense is not None:
             t = dense @ y
@@ -479,10 +522,11 @@ def violated_slices(
         blocks = [(slice(None), a, None)]
     with np.errstate(all="ignore"):  # a non-finite slice fails the step's check
         if sys._b is not None:
-            (r,) = _dots(rows, blocks, [x], ["its residual"])
+            (r,) = _dots(rows, blocks, x[None], ["its residual"])
             r -= sys._b[rows]
         else:
-            r, sums = _dots(rows, blocks, [x, sys._shift], ["its residual", _BOUND])
+            r, sums = _dots(rows, blocks, np.array((x, sys._shift)),
+                            ["its residual", _BOUND])
             r -= sys._exact_bounds(rows, sums)
         if a is None:
             a = _scattered(blocks, rows.size, sys.n)

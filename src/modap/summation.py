@@ -35,6 +35,15 @@ precondition, and at most ``n u sigma_2`` is left after it.  If nothing is,
 included; otherwise that bound is B.  This is a floating-point filter in
 the sense of Shewchuk (DCG 18, 1997).
 
+Each level takes its two sums as products with a ones vector, ``q @
+ones``, which numpy hands to BLAS (or, on some strides, to its own loop);
+that costs about half of ``q.sum(axis=1)``, and leaves the order, the
+grouping and any fused multiply-adds to BLAS.  The proof above allows all
+of them: every partial sum of a row's q is a multiple of ``u sigma`` no
+larger than sigma in magnitude, so it is representable and ``tau_1`` is
+exact; the bound on ``tau_2`` holds for any order; and a multiply-add by
+1.0 rounds once, as an addition does.
+
 Nothing above needs sigma to be the smallest power of two that fits a row,
 so :func:`row_sums` takes one sigma for the whole block, from its largest
 magnitude ``top``: ``sigma = 2^(e + M)`` with ``top < 2^e`` exceeds ``2^M
@@ -78,9 +87,9 @@ __all__ = ["exact_dot", "row_sums", "column_sums"]
 # fsum about 0.05 us per element, the vectorised path about 40 us plus a
 # few ns per element, and more when level 2 runs, which is common in rows of
 # 32 or fewer addends.  Near the cut-off the two differ by about as much as
-# repeated runs of one path do, so only the direction is taken from them: a
-# single row of 1000 is a little cheaper vectorised, blocks of about 1000
-# elements in rows of 8 to 32 are cheaper by fsum.  The cut-off is kept:
+# repeated runs of one path do, so only the direction is taken from them:
+# blocks of about 1000 elements in rows of 8 to 32 are cheaper by fsum, a
+# single row of 1000 costs about the same either way.  The cut-off is kept:
 # (1, 1000) stays on fsum and a column sum of one 1000-wide slice does not
 SMALL_BLOCK = 1200
 _U = 2.0 ** -53
@@ -119,16 +128,17 @@ def row_sums(block: np.ndarray) -> np.ndarray:
         return _fsum_rows(block)
     m_bits = max(1, (n - 1).bit_length())  # 2^M >= n, M >= 1
     sigma = math.ldexp(1.0, math.frexp(top)[1] + m_bits)
+    ones = np.ones(n)
     with np.errstate(all="ignore"):  # undecided rows are redone by fsum
         q = sigma + block
         q -= sigma
-        tau1 = q.sum(axis=1)
+        tau1 = q @ ones
         q -= block  # minus the remainders, exactly
         bound = n * n * 2.0 ** -105 * sigma  # B = 2 n u * n u sigma
-        res, sure = _rounded(tau1, -q.sum(axis=1), bound)
+        res, sure = _rounded(tau1, -(q @ ones), bound)
         again = np.flatnonzero(~sure)
         if again.size:
-            res[again], sure[again] = _level2(q[again], sigma, tau1[again], m_bits)
+            res[again], sure[again] = _level2(q[again], sigma, tau1[again], m_bits, ones)
     left = np.flatnonzero(~sure)
     if left.size:
         res[left] = _fsum_rows(block[left])
@@ -157,13 +167,14 @@ def _rounded(tau1: np.ndarray, tau2: np.ndarray, bound: np.ndarray):
     return res, np.abs(delta) + bound < 0.5 * (mag - np.nextafter(mag, 0.0))
 
 
-def _level2(rest: np.ndarray, sigma: float, tau1: np.ndarray, m_bits: int):
+def _level2(rest: np.ndarray, sigma: float, tau1: np.ndarray, m_bits: int,
+            ones: np.ndarray):
     """Level 2 on minus the remainders of undecided rows; overwrites ``rest``."""
     sigma = sigma * 2.0 ** (m_bits - 53)  # |rest| <= 2^-53 sigma = 2^-M sigma_2
     q = sigma + rest
     q -= sigma
     rest -= q
-    res, sure = _rounded(tau1, -q.sum(axis=1), rest.shape[1] * _U * sigma)
+    res, sure = _rounded(tau1, -(q @ ones), rest.shape[1] * _U * sigma)
     return res, sure | ~rest.any(axis=1)
 
 

@@ -10,6 +10,7 @@ pass per (snapshot, point).
 import collections
 import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -224,6 +225,115 @@ def test_tiny_row_with_underflowed_norm():
         assert max_relative_violation(sys, x) == oracles.max_relative_violation(sys, x)
         assert _pass_bits(("ok", violated_slices(sys, x))) == _pass_bits(
             ("ok", oracles.row_pass(sys, x)))
+
+
+@st.composite
+def norm_vectors(draw):
+    """Vectors for the norm bound: any floats, subnormals (whose squares
+    underflow), entries near overflow, and Gaussian vectors scaled so that
+    ``v @ v`` lies within a few ulps of 2^-900 or 2^900, on either side."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["floats", "subnormal", "huge", "edge"]))
+    if kind == "floats":
+        return np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                      min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "subnormal":
+        v = rng.integers(-2 ** 20, 2 ** 20, n) * 5e-324
+        v[rng.random(n) < 0.2] = 2.0 ** -600
+        return v
+    if kind == "huge":
+        return rng.uniform(-1.0, 1.0, n) * 1.7976931348623157e308
+    v = rng.standard_normal(n)
+    edge = 2.0 ** draw(st.sampled_from([-900, 900]))
+    return v * (math.sqrt(edge / float(v @ v)) * (1.0 + draw(st.integers(-8, 8)) * 2.0 ** -50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(norm_vectors())
+def test_norm_bound_is_an_upper_bound(v):
+    with np.errstate(over="ignore"):
+        bound = geometry._norm_bound(v)
+    square = sum(Fraction(c) ** 2 for c in v.tolist())
+    if bound < math.inf:
+        assert Fraction(bound) ** 2 >= square
+    assert (bound == 0.0) == (square == 0)
+    norm = math.hypot(*v.tolist())
+    if norm < math.inf:  # and not much looser than the norm
+        assert bound <= norm * (1.0 + 2.0 ** -40) + 2.0 ** -1070
+
+
+def test_norm_bound_falls_back_to_hypot_outside_its_range(monkeypatch):
+    calls = []
+    real = math.hypot
+
+    def hypot(*values):
+        calls.append(len(values))
+        return real(*values)
+
+    monkeypatch.setattr(geometry.math, "hypot", hypot)
+    # v @ v = 2^900 and 2^-900 are inside, 2^902 and 2^-902 outside; a
+    # zero, a subnormal and an overflowing v @ v fall back too
+    for v, fallback in [(np.full(4, 2.0 ** 449), False), (np.full(4, 2.0 ** 450), True),
+                        (np.full(4, 2.0 ** -451), False), (np.full(4, 2.0 ** -452), True),
+                        (np.zeros(3), True), (np.array([5e-324]), True),
+                        (np.array([1e300, -1e300]), True)]:
+        calls.clear()
+        with np.errstate(over="ignore"):
+            bound = geometry._norm_bound(v)
+        assert calls == ([v.size] if fallback else [])
+        assert Fraction(bound) ** 2 >= sum(Fraction(c) ** 2 for c in v.tolist())
+
+
+def test_an_overflowing_translated_row_names_its_sum():
+    # the products 2^1023 are finite and their sums overflow; every row's
+    # estimate is infinite, so the filter leaves it to the exact path
+    big = 2.0 ** 510
+    both = translate(InequalitySystem([[big, big]], [0.0]), np.full(2, 2.0 ** 513))
+    with pytest.raises(OverflowError, match="^row 0: its residual overflows"):
+        violated_slices(both, np.full(2, 2.0 ** 513))
+    with pytest.raises(OverflowError, match="^row 0: its translated bound overflows"):
+        violated_slices(both, np.zeros(2))
+    # row 0's bound and row 1's residual overflow: the residuals go first
+    two = translate(InequalitySystem([[big, big], [big, -big]], [0.0, 0.0]),
+                    np.full(2, 2.0 ** 513))
+    with pytest.raises(OverflowError, match="^row 1: its residual overflows"):
+        violated_slices(two, np.array([2.0 ** 513, -2.0 ** 513]))
+    # the sum is finite and the bound's last addition overflows
+    last = translate(InequalitySystem([[1.0, 0.0]], [1.5e308]), np.array([1e308, 0.0]))
+    with pytest.raises(OverflowError, match="^row 0: its translated bound overflows"):
+        violated_slices(last, np.zeros(2))
+
+
+def test_a_translated_pass_takes_one_view_and_one_sum(monkeypatch):
+    sums = []
+    real = geometry.row_sums
+
+    def row_sums(block):
+        sums.append(block.shape)
+        return real(block)
+
+    monkeypatch.setattr(geometry, "row_sums", row_sums)
+    src = _model_source(10)
+    src.advance(0.03)
+    snap = src.snapshot()
+    x = np.full(10, 0.05)  # only the row -sum(x) <= -100 is unsettled
+    rows, _ = geometry._unsettled_rows(snap, x, 0, snap.m)
+    assert rows.tolist() == [21]
+    ((_, values, columns),) = snap._blocks(rows)
+    assert columns is None and np.shares_memory(values, snap.data)
+    ((_, values, columns),) = snap._blocks(np.array([3]))  # one stored entry
+    assert np.shares_memory(values, snap.data) and np.shares_memory(columns, snap.indices)
+    # residuals and translated bounds in one (2 h, w) block: one row, then
+    # a full row and a one-entry row; the oracle reads the bounds of a
+    # snapshot of its own, since a snapshot keeps them once built
+    for x, shape in [(x, (2, 10)), (np.where(np.arange(10) == 3, -1.0, x), (4, 10))]:
+        want = _pass_bits(("ok", oracles.row_pass(
+            translate(src.base, src.cumulative_displacement), x)))
+        sums.clear()
+        assert _pass_bits(("ok", violated_slices(snap, x))) == want
+        assert sums == [shape]
+        assert snap._b is None
 
 
 @st.composite

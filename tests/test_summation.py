@@ -196,6 +196,20 @@ def test_row_sums_equal_fsum_bit_for_bit(block):
         assert _bits(row_sums, view) == _bits(_fsum_rows, view)
 
 
+@settings(deadline=None)
+@given(sum_blocks())
+@example(np.random.default_rng(12).standard_normal((8, 1300)))
+def test_strided_views_and_stacked_blocks_equal_fsum_bit_for_bit(block):
+    # views with row and column strides, and the (2h, n) stack of a block
+    # and another that a translated pass sums in one call; the level sums
+    # are matrix products, which numpy runs by BLAS or by its own loop
+    # depending on the strides
+    stacked = np.vstack([block, -0.5 * block[::-1]])
+    for view in (block[::2], block[:, ::3], block[::-1, ::2], stacked):
+        for v in (view, view.T):
+            assert _bits(row_sums, v) == _bits(_fsum_rows, v)
+
+
 def _counting_fsum(monkeypatch):
     calls = []
     real = math.fsum
