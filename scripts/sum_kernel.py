@@ -8,10 +8,12 @@ Runs from the repository root and writes ``BENCH_summation.json``:
 Every block is seeded standard normal.  The workload shapes are those the
 benchmark's workloads sum: ``(h, 100)`` residual products and ``(100, h)``
 transposed slices (the column sums) of a random-dense pass with h violated
-or unsettled rows, the ``(2, 1000)`` set-up norms and ``(1, 1000)`` exact
-rows of the n = 1000 model problem, and a ``(1, 100)`` single row.  Each
-shape is timed three ways: ``row_sums`` as the solver calls it, one
-``math.fsum`` per row (the small-block path), and the vectorised levels
+or unsettled rows, the ``(2, 1000)`` stacked translated row and ``(1,
+1000)`` exact rows of the n = 1000 model problem, and a ``(1, 100)`` single
+row.  The model problem's set-up squares (2000 one-entry rows and 2 full
+rows of 1000) are its own squared entries, summed in the segment form.
+Each case is timed three ways: ``row_sums`` as the solver calls it, one
+``math.fsum`` per row or segment (the small-block path), and the vectorised levels
 with the small-block cut-off lifted.  The three take turns, nine repeats of
 the mean of 20 calls each, and each is reported as the median and
 quartiles of its repeats; ``path`` says which of the other two
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from modap import summation
+from modap import ModelProblemSpec, generate_model_problem, summation
 from sparse_scale import machine
 
 WORKLOAD_SHAPES = [(h, 100) for h in (50, 160, 243)] + [(100, h) for h in (50, 160, 243)] + [
@@ -45,7 +47,7 @@ CALLS = 20
 REPEATS = 9
 
 
-def _times_us(fns: dict, block) -> dict:
+def _times_us(fns: dict, args) -> dict:
     """Median and quartiles over REPEATS of each function's mean time per
     call, the functions taking turns."""
     runs = {key: [] for key in fns}
@@ -53,7 +55,7 @@ def _times_us(fns: dict, block) -> dict:
         for key, fn in fns.items():
             t0 = time.perf_counter()
             for _ in range(CALLS):
-                fn(block)
+                fn(*args)
             runs[key].append((time.perf_counter() - t0) / CALLS * 1e6)
     out = {}
     for key, times in runs.items():
@@ -62,30 +64,47 @@ def _times_us(fns: dict, block) -> dict:
     return out
 
 
-def _fsum_rows(block: np.ndarray) -> np.ndarray:
-    return np.array([math.fsum(row) for row in block.tolist()], dtype=np.float64)
+def _fsum_rows(values: np.ndarray, starts=None) -> np.ndarray:
+    rows = values.tolist()
+    if starts is not None:
+        rows = [rows[lo:hi] for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(rows)])]
+    return np.array([math.fsum(row) for row in rows], dtype=np.float64)
 
 
-def _vectorised(block: np.ndarray) -> np.ndarray:
+def _vectorised(*args) -> np.ndarray:
     cut, summation.SMALL_BLOCK = summation.SMALL_BLOCK, 0
     try:
-        return summation.row_sums(block)
+        return summation.row_sums(*args)
     finally:
         summation.SMALL_BLOCK = cut
+
+
+def _timed(args, what: str, rows: int) -> dict:
+    """The path ``row_sums`` takes on ``args`` and the three timings, after
+    checking that all three give the same bits."""
+    want = _fsum_rows(*args).tobytes()
+    if not summation.row_sums(*args).tobytes() == want == _vectorised(*args).tobytes():
+        raise RuntimeError(f"row sums of {what} differ from math.fsum")
+    return {
+        "path": "fsum" if summation._by_fsum(args[0].size, rows) else "vectorised",
+        **_times_us({"row_sums_us": summation.row_sums, "fsum_us": _fsum_rows,
+                     "vectorised_us": _vectorised}, args),
+    }
 
 
 def measure(shape) -> dict:
     h, n = shape
     block = np.random.default_rng(h * 10007 + n).standard_normal(shape)
-    want = _fsum_rows(block).tobytes()
-    if not summation.row_sums(block).tobytes() == want == _vectorised(block).tobytes():
-        raise RuntimeError(f"row sums of a {shape} block differ from math.fsum")
-    return {
-        "shape": [h, n],
-        "path": "fsum" if summation._by_fsum(h, n) else "vectorised",
-        **_times_us({"row_sums_us": summation.row_sums, "fsum_us": _fsum_rows,
-                     "vectorised_us": _vectorised}, block),
-    }
+    return {"shape": [h, n], **_timed((block,), f"a {shape} block", h)}
+
+
+def measure_setup_squares(n: int = 1000) -> dict:
+    """The model problem's squared entries, one segment per row."""
+    system = generate_model_problem(ModelProblemSpec(n=n))
+    starts = system.indptr[:-1]
+    widths, counts = np.unique(np.diff(system.indptr), return_counts=True)
+    return {"segments": [[int(c), int(w)] for c, w in zip(counts, widths)],
+            **_timed((system.data * system.data, starts), "the set-up squares", starts.size)}
 
 
 def crossover(cases: list[dict]) -> dict:
@@ -113,22 +132,27 @@ def main() -> int:
     parser.add_argument("--out", default="BENCH_summation.json", metavar="PATH")
     args = parser.parse_args()
     workload = [measure(shape) for shape in WORKLOAD_SHAPES]
+    segments = [measure_setup_squares()]
     fit = [measure(shape) for shape in FIT_SHAPES]
-    for case in workload + fit:
-        print(f"{str(tuple(case['shape'])):>12} {case['path']:>10}:", ", ".join(
+    for case in workload + segments + fit:
+        label = (str(tuple(case["shape"])) if "shape" in case
+                 else " + ".join(f"{h}x{w}" for h, w in case["segments"]))
+        print(f"{label:>12} {case['path']:>10}:", ", ".join(
             f"{key[:-3]} {t['median']:6.1f} [{t['q1']:6.1f}, {t['q3']:6.1f}] us"
             for key, t in case.items() if key.endswith("_us")))
     cross = crossover(fit)
     print(f"paths cross at size + {cross['k']:.1f} h = {cross['size_plus_k_h']:.0f} "
           f"(SMALL_BLOCK = {summation.SMALL_BLOCK})")
     record = {
-        "what": "summation.row_sums on seeded standard normal blocks, against one "
-                "math.fsum per row and against the vectorised levels with the "
+        "what": "summation.row_sums on seeded standard normal blocks and on the n = 1000 "
+                "model problem's set-up squares as segments, against one math.fsum per "
+                "row or segment and against the vectorised levels with the "
                 f"small-block cut-off lifted; median and quartiles of {REPEATS} repeats, "
                 f"taken in turns, of the mean of {CALLS} calls, in microseconds",
         "command": "PYTHONPATH=src python scripts/sum_kernel.py",
         "machine": machine(),
         "workload_shapes": workload,
+        "segment_shapes": segments,
         "fit_shapes": fit,
         "crossover": cross,
     }

@@ -9,8 +9,11 @@ zeros, ``+0.0`` and ``-0.0``, are not stored, so every kernel below reads
 only the stored entries and costs O(nnz) rather than O(m n).  A block of
 rows that are all fully stored (``nnz_i = n``) is read as a 2-D view of
 ``data``, so a dense input keeps its BLAS product and its dense row block;
-the view is not a second copy.  The system also holds the rows' cached
-norms and the bounds, given or translated.  :func:`violated_slices`
+the view is not a second copy.  Any other row set is read as its stored
+entries alone: a 2-D block when every row stores the same count, else the
+CSR segments themselves, which :func:`~modap.summation.row_sums` sums
+segment by segment, so no row is padded.  The system also holds the rows'
+cached norms and the bounds, given or translated.  :func:`violated_slices`
 evaluates every row at a point x in one pass: it returns the positive
 slices of the violated rows, i.e. the reflection vectors
 ``((<a_i, x> - b_i) / ||a_i||^2) a_i`` of the rows whose residual is
@@ -70,8 +73,9 @@ entries, taken for all such rows at once, and their exactly rounded row
 sums (:func:`~modap.summation.row_sums`, vectorised over the block), the
 bits of :func:`~modap.summation.exact_dot` over the dense row.  On a
 translated system the products with x and with v are stacked into one
-block, so the residuals and the exact bounds take one sum; a single such
-row is read as a view of ``data``, without a gather.  The bound
+block or segment array, so the residuals and the exact bounds take one
+sum; consecutive rows, a single row among them, are read as views of
+``data``, without a gather.  The bound
 only decides which rows may be skipped; every value the pass returns
 (slices, the maximum violation, and so the membership decision) comes from
 the exact path, bit for bit.  This is a floating-point filter in the sense
@@ -86,7 +90,7 @@ import math
 
 import numpy as np
 
-from .summation import SMALL_BLOCK, exact_dot, row_sums
+from .summation import exact_dot, row_sums
 
 __all__ = [
     "InequalitySystem",
@@ -106,8 +110,9 @@ _NORM_SLACK = 1.0 + 2.0 ** -48
 _SQUARE_MIN = 2.0 ** -900
 _SQUARE_MAX = 2.0 ** 900
 _BOUND = "its translated bound"
-# row blocks of many-row sums (squared norms, translated bounds) hold at
-# most this many elements, so their temporaries stay near 0.5 MB each
+# many-row sums (squared norms, translated bounds) take consecutive rows
+# storing at most this many entries at a time, so their temporaries stay
+# near 0.5 MB each
 _BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -162,9 +167,7 @@ class InequalitySystem:
             )
         try:
             with np.errstate(over="ignore"):  # an infinite square is reported below
-                rows = np.arange(m)
-                blocks = self._blocks(rows, self._full_block(0, m))
-                (norms_sq,) = _dots(rows, blocks, None, ["its squared norm"])
+                norms_sq = self._chunked_dots(None, "its squared norm")
         except OverflowError as exc:  # the squares are non-negative: a sum overflows
             raise ValueError(str(exc)) from None
         for i in np.flatnonzero(norms_sq == math.inf).tolist():  # a square overflows
@@ -205,7 +208,7 @@ class InequalitySystem:
         full = self._full_block(0, self.m)
         if full is not None:
             return full.copy()
-        return _scattered(self._blocks(np.arange(self.m)), self.m, self.n)
+        return _scattered(*self._gather(np.arange(self.m)), self.n)
 
     @property
     def b(self) -> np.ndarray:
@@ -213,11 +216,9 @@ class InequalitySystem:
         system."""
         b = self._b
         if b is None:
-            rows = np.arange(self.m)
             with np.errstate(over="ignore"):
-                blocks = self._blocks(rows, self._full_block(0, self.m))
-                (sums,) = _dots(rows, blocks, self._shift[None], [_BOUND])
-                b = self._exact_bounds(rows, sums)
+                sums = self._chunked_dots(self._shift[None], _BOUND)
+                b = self._exact_bounds(np.arange(self.m), sums)
             self._b = b
         return b
 
@@ -230,57 +231,41 @@ class InequalitySystem:
             return None
         return self.data[lo:hi].reshape(stop - start, self.n)
 
-    def _blocks(self, rows: np.ndarray, dense=None) -> list:
-        """The entries of ``rows`` (an index array, not empty) in blocks
-        ``(part, values, columns)`` of at most :data:`_BLOCK_ELEMENTS`
-        elements, one for each part (a slice or index array) of ``rows``.
+    def _gather(self, rows: np.ndarray) -> tuple:
+        """The stored entries of ``rows`` (an ascending index array, not
+        empty) as ``(values, columns, starts)``: views of ``data`` and
+        ``indices`` for consecutive rows, else gathered copies.  When every
+        row stores the same count w, ``values`` is their ``(h, w)`` block,
+        ``columns`` its columns (None for fully stored rows) and ``starts``
+        None; otherwise both are the 1-D entries of the rows in turn, and
+        ``starts`` the offsets at which each row begins."""
+        lo, hi = int(rows[0]), int(rows[-1]) + 1
+        if hi - lo == rows.size:  # consecutive: views
+            first = self.indptr[lo:hi + 1]
+            counts = first[1:] - first[:-1]
+            pos = slice(first[0], first[-1])
+        else:  # each entry's offset from its row's start in the result
+            first = self.indptr[rows]
+            counts = self.indptr[rows + 1] - first
+            pos = np.arange(counts.sum()) + np.repeat(first + counts - np.cumsum(counts), counts)
+        width = int(counts[0])
+        if rows.size == 1 or (counts == width).all():
+            return (self.data[pos].reshape(-1, width),
+                    None if width == self.n else self.indices[pos].reshape(-1, width), None)
+        return self.data[pos], self.indices[pos], np.cumsum(counts) - counts
 
-        ``dense`` is the rows' dense block when all are fully stored: its
-        row blocks, with ``columns`` None, as for any block of fully stored
-        rows.  A single row is a ``(1, w)`` view of its stored entries in
-        ``data`` (and of its columns in ``indices``, None when the row is
-        fully stored), with no gather.  Otherwise ``values`` holds the
-        stored entries padded with ``0.0`` to the block's widest row, and
-        ``columns`` their columns padded with n.  Where padding every row to
-        the widest would more than double the entries of a block larger than
-        :data:`~modap.summation.SMALL_BLOCK`, rows go in groups whose entry
-        counts share one range ``[2^(k-1), 2^k)``, so that it never does.
-        """
-        if dense is not None:
-            return [(part, dense[part], None) for part in _row_blocks(rows.size, self.n)]
-        if rows.size == 1:
-            lo, hi = self.indptr[rows[0]], self.indptr[rows[0] + 1]
-            return [(slice(None), self.data[lo:hi].reshape(1, -1),
-                     None if hi - lo == self.n else self.indices[lo:hi].reshape(1, -1))]
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        width, total = int(counts.max()), int(counts.sum())
-        if rows.size * width <= max(2 * total, SMALL_BLOCK):
-            groups = [(None, width, total)]
-        else:
-            width_class = np.frexp(counts)[1]
-            groups = []
-            for k in np.unique(width_class).tolist():
-                group = np.flatnonzero(width_class == k)
-                groups.append((group, int(counts[group].max()), int(counts[group].sum())))
-        blocks = []
-        for group, width, total in groups:
-            size = rows.size if group is None else group.size
-            slots = np.arange(width)
-            for part in _row_blocks(size, width):
-                if group is not None:
-                    part = group[part]
-                if size * width == total:  # no padding; fully stored rows are dense
-                    pos = starts[part, None] + slots
-                    blocks.append((part, self.data[pos],
-                                   None if width == self.n else self.indices[pos]))
-                    continue
-                last = counts[part, None] - 1
-                pos = starts[part, None] + np.minimum(slots, last)
-                stored = slots <= last
-                blocks.append((part, np.where(stored, self.data[pos], 0.0),
-                               np.where(stored, self.indices[pos], self.n)))
-        return blocks
+    def _chunked_dots(self, ys, what: str) -> np.ndarray:
+        """:func:`_dots` of every row, for ys of one row or None, summed
+        over consecutive rows that store at most :data:`_BLOCK_ELEMENTS`
+        entries at a time (one row at least)."""
+        out, lo = [], 0
+        while lo < self.m:
+            hi = int(np.searchsorted(self.indptr, self.indptr[lo] + _BLOCK_ELEMENTS,
+                                     side="right")) - 1
+            rows = np.arange(lo, max(hi, lo + 1))
+            out.append(_dots(rows, self._gather(rows), ys, [what])[0])
+            lo = rows[-1] + 1
+        return np.concatenate(out)
 
     def _exact_bounds(self, rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
         """``b_i + <a_i, v>`` of a translated system for ``rows`` (an index
@@ -335,8 +320,8 @@ def _dense_to_csr(a):
 
 def _checked_csr(rows, n: int):
     """Copies of CSR arrays ``(indptr, indices, data)``, checked."""
-    indptr, indices, data = (np.array(part, dtype=dtype).reshape(-1)
-                             for part, dtype in zip(rows, (np.intp, np.intp, np.float64)))
+    indptr, indices = (_index_array(part, what) for part, what in zip(rows, ("indptr", "columns")))
+    data = np.array(rows[2], dtype=np.float64).reshape(-1)
     if n < 1 or indptr.size < 2:
         raise ValueError(f"system must have m >= 1 rows and n >= 1 columns, got "
                          f"({indptr.size - 1}, {n})")
@@ -353,75 +338,67 @@ def _checked_csr(rows, n: int):
     return indptr, indices, data
 
 
-def _dots(rows: np.ndarray, blocks: list, ys, whats) -> np.ndarray:
-    """``<a_i, y>`` exactly rounded for every row y of the ``(k, n)`` array
-    ``ys`` and every row i of ``rows``, as a ``(k, rows.size)`` array, or
-    ``||a_i||^2`` (k = 1) for ``ys = None``, from their ``blocks`` (see
-    :meth:`InequalitySystem._blocks`; a zero pads nothing into an exact
-    sum).  The products of a block for every y are stacked into one ``(k
-    h, w)`` block, so each block takes one
-    :func:`~modap.summation.row_sums` call, however many ys.  A sum that
-    overflows (``OverflowError``), or products that overflow with both signs
-    (``ValueError``), raise the same type with a message naming the row and
-    ``whats[j]`` for the j-th y, the first y first.  The caller silences
-    overflow warnings."""
-    out = np.empty((len(whats), rows.size))
-    for part, values, columns in blocks:
-        try:
-            out[:, part] = row_sums(_products(values, columns, ys)).reshape(len(whats), -1)
-        except (OverflowError, ValueError) as exc:
-            _raise_named(rows, blocks, ys, whats, exc)
+def _index_array(part, what: str) -> np.ndarray:
+    """``part`` as a 1-D intp copy; a value that is not an integer raises
+    ``ValueError`` instead of being truncated."""
+    raw = np.asarray(part).reshape(-1)
+    with np.errstate(invalid="ignore"):  # nan and inf are reported below
+        out = raw.astype(np.intp)
+    if raw.dtype.kind not in "biu" and not (out == raw).all():
+        raise ValueError(f"CSR {what} must be integers")
     return out
 
 
-def _products(values: np.ndarray, columns, ys) -> np.ndarray:
-    """The ``(k h, w)`` products of an ``(h, w)`` block with each of the k
-    rows of ``ys`` in turn, or its squares for ``ys = None``."""
+def _dots(rows: np.ndarray, gathered: tuple, ys, whats) -> np.ndarray:
+    """``<a_i, y>`` exactly rounded for every row y of the ``(k, n)`` array
+    ``ys`` and every row i of ``rows``, as a ``(k, rows.size)`` array, or
+    ``||a_i||^2`` (k = 1) for ``ys = None``, from the rows' ``gathered``
+    entries (see :meth:`InequalitySystem._gather`).  The products for every
+    y are stacked, y by y, into one block or one segment array, so they
+    take one :func:`~modap.summation.row_sums` call, however many ys.  A
+    sum that overflows (``OverflowError``), or products that overflow with
+    both signs (``ValueError``), raise the same type with a message naming
+    the row and ``whats[j]`` for the j-th y, the first y first.  The caller
+    silences overflow warnings."""
+    values, columns, starts = gathered
     if ys is None:
-        return values * values
-    # padding reads y[n - 1]
-    other = ys[:, None] if columns is None else ys.take(columns, axis=1, mode="clip")
-    return (values * other).reshape(-1, values.shape[1])
+        products = values * values
+    else:
+        other = ys[:, None] if columns is None else ys.take(columns, axis=1)
+        products = (values * other).reshape(-1, *values.shape[1:])
+    if starts is not None:
+        starts = np.concatenate([starts + j * values.size for j in range(len(whats))])
+    try:
+        return row_sums(products, starts).reshape(len(whats), -1)
+    except (OverflowError, ValueError) as exc:
+        pieces = list(products) if starts is None else np.split(products, starts[1:])
+        for k, piece in enumerate(pieces):  # by y, then by row
+            try:
+                math.fsum(piece.tolist())
+            except (OverflowError, ValueError) as err:
+                raise type(err)(f"row {rows[k % rows.size]}: {whats[k // rows.size]} "
+                                "overflows float64") from err
+        raise exc
 
 
-def _raise_named(rows: np.ndarray, blocks: list, ys, whats, exc: Exception):
-    """Raise the error of the first sum of :func:`_dots` that ``math.fsum``
-    cannot take, by y and then by row, as the same type naming its row."""
-    for j, what in enumerate(whats):
-        for part, values, columns in blocks:
-            h = len(values)
-            for i, p in zip(rows[part], _products(values, columns, ys)[j * h:(j + 1) * h]):
-                try:
-                    math.fsum(p.tolist())
-                except (OverflowError, ValueError) as err:
-                    raise type(err)(f"row {i}: {what} overflows float64") from err
-    raise exc
-
-
-def _scattered(blocks: list, size: int, n: int) -> np.ndarray:
-    """The ``size`` rows of padded ``blocks`` as a dense block, ``+0.0``
-    wherever no entry is stored."""
-    out = np.zeros((size, n + 1))
-    for part, values, columns in blocks:
-        if columns is None:
-            out[part, :n] = values
-        else:
-            out[np.arange(size)[part, None], columns] = values  # padding: column n
-    return out[:, :n]
+def _scattered(values: np.ndarray, columns, starts, n: int) -> np.ndarray:
+    """Gathered rows (see :meth:`InequalitySystem._gather`) as a new dense
+    block, ``+0.0`` wherever no entry is stored."""
+    out = np.zeros((len(values) if starts is None else starts.size, n))
+    if columns is None:
+        out[...] = values
+    elif starts is None:
+        out[np.arange(len(values))[:, None], columns] = values
+    else:
+        counts = np.concatenate((starts[1:], [values.size])) - starts
+        out[np.repeat(np.arange(starts.size), counts), columns] = values
+    return out
 
 
 def _check_finite_rhs(b: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:
         raise ValueError(f"bound of row {int(bad[0])} is not finite: {float(b[bad[0]])!r}")
-
-
-def _row_blocks(m: int, n: int):
-    """Consecutive row slices of an ``(m, n)`` block, each of at most
-    :data:`_BLOCK_ELEMENTS` elements (one row at least), so that a
-    many-row sum needs only small temporaries."""
-    step = max(1, _BLOCK_ELEMENTS // n)
-    return [slice(lo, lo + step) for lo in range(0, m, step)]
 
 
 def _squared_norm(row: np.ndarray) -> float:
@@ -515,21 +492,18 @@ def violated_slices(
     if not local.size:
         return np.zeros((0, sys.n)), 0.0
     rows = local + start
-    if dense is None:
-        a, blocks = None, sys._blocks(rows)
-    else:
-        a = dense[local]
-        blocks = [(slice(None), a, None)]
+    a = None if dense is None else dense[local]
+    gathered = sys._gather(rows) if a is None else (a, None, None)
     with np.errstate(all="ignore"):  # a non-finite slice fails the step's check
         if sys._b is not None:
-            (r,) = _dots(rows, blocks, x[None], ["its residual"])
+            (r,) = _dots(rows, gathered, x[None], ["its residual"])
             r -= sys._b[rows]
         else:
-            r, sums = _dots(rows, blocks, np.array((x, sys._shift)),
+            r, sums = _dots(rows, gathered, np.array((x, sys._shift)),
                             ["its residual", _BOUND])
             r -= sys._exact_bounds(rows, sums)
         if a is None:
-            a = _scattered(blocks, rows.size, sys.n)
+            a = _scattered(*gathered, sys.n)
         hit = r > 0.0
         if not hit.all():
             r, rows, a = r[hit], rows[hit], a[hit]

@@ -11,7 +11,9 @@ reports in whatever order they arrive, and :func:`column_sums` rounds each
 coordinate's sum once.
 
 Bulk sums go through :func:`row_sums`, the exactly rounded sum of each row
-of a 2-D block, vectorised over the whole block.  It runs error-free
+of a 2-D block, or of each segment of a 1-D array given the segments'
+start offsets (the rows of a sparse row set, however ragged), vectorised
+over the whole block or array.  It runs error-free
 extraction levels of AccSum (Rump, Ogita and Oishi, "Accurate
 floating-point summation part I: faithful rounding", SISC 31(1), 2008) and
 bounds the rest.  For a row p of ``n <= 2^M`` addends (``M >= 1``) and a
@@ -42,7 +44,11 @@ grouping and any fused multiply-adds to BLAS.  The proof above allows all
 of them: every partial sum of a row's q is a multiple of ``u sigma`` no
 larger than sigma in magnitude, so it is representable and ``tau_1`` is
 exact; the bound on ``tau_2`` holds for any order; and a multiply-add by
-1.0 rounds once, as an addition does.
+1.0 rounds once, as an addition does.  Segments take their sums with
+``np.add.reduceat`` over the segment starts instead, in numpy's order,
+which the same argument allows, with n and M those of the widest segment,
+since a bound for n addends holds for fewer.  A block keeps ``q @ ones``:
+on ``(160, 100)`` and ``(243, 100)`` blocks ``reduceat`` costs twice as much.
 
 Nothing above needs sigma to be the smallest power of two that fits a row,
 so :func:`row_sums` takes one sigma for the whole block, from its largest
@@ -54,9 +60,9 @@ decided by them alone.  The order of the paths is:
 
 1. a block whose ``top`` is zero holds only ``+0.0`` and ``-0.0``, and
    every row sums to ``+0.0``, as fsum gives it;
-2. level 1, then level 2 on the rows it leaves, with the block's sigma,
-   when ``top`` lies in ``[2^-900, 2^900]``; an exactly cancelling row,
-   a zero row included, is decided as ``+0.0``;
+2. level 1, then, on a block, level 2 on the rows it leaves, with the
+   block's sigma, when ``top`` lies in ``[2^-900, 2^900]``; an exactly
+   cancelling row, a zero row included, is decided as ``+0.0``;
 3. ``math.fsum`` (Shewchuk's expansion arithmetic, in C) for the rows the
    levels leave (sums near a midpoint, and rows far below ``top``, whose
    gaps are smaller than B), and for the whole block when ``top`` is not
@@ -65,11 +71,12 @@ decided by them alone.  The order of the paths is:
 
 A row far below the scale of its block thus costs one ``math.fsum`` on top
 of its share of the block pass.  Blocks too small for the vectorised
-path's fixed cost to pay off (:data:`SMALL_BLOCK`) go straight to
-``math.fsum``; a one-column block is its own sum, plus ``+0.0`` for fsum's
-sign of zero.  An exactly rounded sum is unique, so every path gives the
-same bits, and since every sum that could overflow or meets an infinity is
-left to ``math.fsum``, so are the errors.  All need IEEE-754
+path's fixed cost to pay off (:data:`SMALL_BLOCK`, counting addends and
+rows) go straight to ``math.fsum``; a one-column block, or segments of one
+addend each, are their own sums, plus ``+0.0`` for fsum's sign of zero.
+An exactly rounded sum is unique, so every path gives the same bits, and
+since every sum that could overflow or meets an infinity is left to
+``math.fsum``, so are the errors.  All need IEEE-754
 round-to-nearest, which CPython and numpy guarantee for float64.
 """
 
@@ -109,52 +116,69 @@ def exact_dot(u: np.ndarray, v: np.ndarray) -> float:
         return math.fsum((u * v).tolist())
 
 
-def row_sums(block: np.ndarray) -> np.ndarray:
-    """Exactly rounded sum of each row of an ``(h, n)`` float64 block.
+def row_sums(values: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """Exactly rounded sum of each row of an ``(h, n)`` float64 block, or,
+    given ``starts``, of each segment ``values[starts[i]:starts[i + 1]]``
+    of a 1-D array (the last one ends at ``values.size``), where ``starts``
+    ascends strictly from 0, so that no segment is empty.
 
     Equal bit for bit to ``math.fsum`` of each row, including its
     ``OverflowError`` (a finite row whose sum overflows) and ``ValueError``
     (``inf`` and ``-inf`` in one row); see the module docstring.
     """
-    h, n = block.shape
-    if n == 1:  # fsum of one addend: the addend, with +0.0 for -0.0
-        return block[:, 0] + 0.0
-    if _by_fsum(h, n):
-        return _fsum_rows(block)
-    top = max(block.max(), -block.min())
+    h = len(values) if starts is None else starts.size
+    if values.size == h:  # fsum of one addend: the addend, with +0.0 for -0.0
+        return values.reshape(h) + 0.0
+    if _by_fsum(values.size, h):
+        return _fsum_rows(values, starts)
+    # the row length, or the widest segment's
+    n = values.shape[1] if starts is None else int(
+        (np.concatenate((starts[1:], [values.size])) - starts).max())
+    top = max(values.max(), -values.min())
     if top == 0.0:
         return np.zeros(h)
     if not _MIN_MAX <= top <= _MAX_MAX:  # also nan
-        return _fsum_rows(block)
+        return _fsum_rows(values, starts)
     m_bits = max(1, (n - 1).bit_length())  # 2^M >= n, M >= 1
     sigma = math.ldexp(1.0, math.frexp(top)[1] + m_bits)
     ones = np.ones(n)
+
+    def total(q):
+        return q @ ones if starts is None else np.add.reduceat(q, starts)
+
     with np.errstate(all="ignore"):  # undecided rows are redone by fsum
-        q = sigma + block
+        q = sigma + values
         q -= sigma
-        tau1 = q @ ones
-        q -= block  # minus the remainders, exactly
+        tau1 = total(q)
+        q -= values  # minus the remainders, exactly
         bound = n * n * 2.0 ** -105 * sigma  # B = 2 n u * n u sigma
-        res, sure = _rounded(tau1, -(q @ ones), bound)
+        res, sure = _rounded(tau1, -total(q), bound)
         again = np.flatnonzero(~sure)
-        if again.size:
+        if again.size and starts is None:
             res[again], sure[again] = _level2(q[again], sigma, tau1[again], m_bits, ones)
     left = np.flatnonzero(~sure)
     if left.size:
-        res[left] = _fsum_rows(block[left])
+        res[left] = _fsum_rows(values, starts, left)
     return res
 
 
-def _by_fsum(h: int, n: int) -> bool:
-    """Whether :func:`row_sums` sums an ``(h, n)`` block, ``n > 1``, by one
-    ``math.fsum`` per row: empty rows, or an element count plus four
-    times the row count below :data:`SMALL_BLOCK`."""
-    return n == 0 or h * n + 4 * h < SMALL_BLOCK
+def _by_fsum(size: int, h: int) -> bool:
+    """Whether :func:`row_sums` sums ``size`` addends in ``h`` rows or
+    segments, of more than one addend at the widest, by one ``math.fsum``
+    per row: no addends, or ``size + 4 h`` below :data:`SMALL_BLOCK`."""
+    return size == 0 or size + 4 * h < SMALL_BLOCK
 
 
-def _fsum_rows(block: np.ndarray) -> np.ndarray:
-    return np.array([math.fsum(row) for row in block.tolist()],
-                    dtype=np.float64).reshape(len(block))
+def _fsum_rows(values: np.ndarray, starts, which=None) -> np.ndarray:
+    """One ``math.fsum`` per row or segment (see :func:`row_sums`), of all
+    of them or of the index array ``which``."""
+    if starts is None:
+        rows = (values if which is None else values[which]).tolist()
+    else:
+        flat, bounds = values.tolist(), starts.tolist() + [values.size]
+        picks = range(starts.size) if which is None else which.tolist()
+        rows = [flat[bounds[i]:bounds[i + 1]] for i in picks]
+    return np.array([math.fsum(row) for row in rows], dtype=np.float64).reshape(len(rows))
 
 
 def _rounded(tau1: np.ndarray, tau2: np.ndarray, bound: np.ndarray):

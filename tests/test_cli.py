@@ -136,20 +136,6 @@ def test_console_entry_point_runs():
     assert "k_max" in proc.stdout
 
 
-def test_stall_comparison_script_runs():
-    # the script imports from the package namespace, which no other test does
-    root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "stall_comparison.py"),
-         "--n", "3", "--budget", "50", "--rates", "0.1"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("model problem n=3, quantum=0.1s, budget=50, lambda=1.0\n")
-
-
 def test_sum_kernel_script_runs(tmp_path):
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "BENCH_summation.json"
@@ -164,6 +150,9 @@ def test_sum_kernel_script_runs(tmp_path):
     assert {"python", "numpy", "blas_threads"} <= record["machine"].keys()
     paths = {tuple(c["shape"]): c["path"] for c in record["workload_shapes"]}
     assert paths[(1, 1000)] == "fsum" and paths[(243, 100)] == "vectorised"
+    # the model problem's set-up squares, summed as segments
+    (squares,) = record["segment_shapes"]
+    assert squares["segments"] == [[2000, 1], [2, 1000]] and squares["path"] == "vectorised"
     assert record["crossover"]["small_block"] == SMALL_BLOCK
 
 

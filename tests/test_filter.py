@@ -196,22 +196,34 @@ def test_filtered_kernels_equal_the_oracles_bit_for_bit(case, data):
     assert fast.b.tobytes() == exact.b.tobytes()
 
 
-@pytest.mark.parametrize("translated", [False, True])
-def test_wide_pass_equals_the_oracle(translated):
+@pytest.mark.parametrize("translated,mixed", [
+    pytest.param(False, False, id="False"),
+    pytest.param(True, False, id="True"),
+    pytest.param(False, True, id="mixed-False"),
+    pytest.param(True, True, id="mixed-True"),
+])
+def test_wide_pass_equals_the_oracle(translated, mixed):
     # enough unsettled rows for the vectorised row sums; entries spread over
     # 2^80, so that the sums cancel and round, and every row on or an ulp
-    # off its hyperplane at x
+    # off its hyperplane at x; a mixed system's rows store 1 to n entries,
+    # so that the pass sums them as segments
     rng = np.random.default_rng(6)
     n = 120
     a = rng.standard_normal((400, n)) * 2.0 ** rng.integers(-40, 40, (400, n))
     x = rng.standard_normal(n)
     v = rng.standard_normal(n) * 1e-3 if translated else np.zeros(n)
+    if mixed:
+        keep = rng.random((400, n)) < rng.random((400, 1))
+        keep[np.arange(400), rng.integers(0, n, 400)] = True
+        a[~keep] = 0.0
     b = np.array([exact_dot(row, x) - exact_dot(row, v) for row in a])
     b[::3] = np.nextafter(b[::3], -np.inf)
     base = InequalitySystem(a, b)
     fast, exact = (translate(base, v), oracles.translate(base, v)) if translated else (base, base)
     for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
-        assert len(geometry._unsettled_rows(fast, point, 0, 400)[0]) * n >= 4 * SMALL_BLOCK
+        rows = geometry._unsettled_rows(fast, point, 0, 400)[0]
+        assert (fast.indptr[rows + 1] - fast.indptr[rows]).sum() >= 4 * SMALL_BLOCK
+        assert (fast._gather(rows)[2] is not None) == mixed
         assert _pass_bits(("ok", violated_slices(fast, point))) == _pass_bits(
             ("ok", oracles.row_pass(exact, point)))
 
@@ -309,9 +321,9 @@ def test_a_translated_pass_takes_one_view_and_one_sum(monkeypatch):
     sums = []
     real = geometry.row_sums
 
-    def row_sums(block):
-        sums.append(block.shape)
-        return real(block)
+    def row_sums(values, starts=None):
+        sums.append((values.shape, None if starts is None else starts.tolist()))
+        return real(values, starts)
 
     monkeypatch.setattr(geometry, "row_sums", row_sums)
     src = _model_source(10)
@@ -320,19 +332,22 @@ def test_a_translated_pass_takes_one_view_and_one_sum(monkeypatch):
     x = np.full(10, 0.05)  # only the row -sum(x) <= -100 is unsettled
     rows, _ = geometry._unsettled_rows(snap, x, 0, snap.m)
     assert rows.tolist() == [21]
-    ((_, values, columns),) = snap._blocks(rows)
-    assert columns is None and np.shares_memory(values, snap.data)
-    ((_, values, columns),) = snap._blocks(np.array([3]))  # one stored entry
+    values, columns, starts = snap._gather(rows)
+    assert values.shape == (1, 10) and columns is None and starts is None
+    assert np.shares_memory(values, snap.data)
+    values, columns, starts = snap._gather(np.array([3]))  # one stored entry
     assert np.shares_memory(values, snap.data) and np.shares_memory(columns, snap.indices)
-    # residuals and translated bounds in one (2 h, w) block: one row, then
-    # a full row and a one-entry row; the oracle reads the bounds of a
-    # snapshot of its own, since a snapshot keeps them once built
-    for x, shape in [(x, (2, 10)), (np.where(np.arange(10) == 3, -1.0, x), (4, 10))]:
+    # residuals and translated bounds in one sum: one row as a (2, w)
+    # block, then a full row and a one-entry row as four segments; the
+    # oracle reads the bounds of a snapshot of its own, since a snapshot
+    # keeps them once built
+    for x, call in [(x, ((2, 10), None)),
+                    (np.where(np.arange(10) == 3, -1.0, x), ((22,), [0, 1, 11, 12]))]:
         want = _pass_bits(("ok", oracles.row_pass(
             translate(src.base, src.cumulative_displacement), x)))
         sums.clear()
         assert _pass_bits(("ok", violated_slices(snap, x))) == want
-        assert sums == [shape]
+        assert sums == [call]
         assert snap._b is None
 
 

@@ -10,7 +10,8 @@ import oracles
 from conftest import one_iteration
 from modap import InequalitySystem, ModelProblemSpec, generate_model_problem
 from modap.dynamics import translate
-from modap.geometry import eps_membership, max_relative_violation, vector_norm, violated_slices
+from modap.geometry import (_BLOCK_ELEMENTS, eps_membership, max_relative_violation, vector_norm,
+                            violated_slices)
 from modap.summation import column_sums
 
 BOX = InequalitySystem([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])  # x1 <= 1, x2 <= 1
@@ -45,15 +46,20 @@ class TestInequalitySystem:
 
     def test_blocked_set_up_sums_equal_the_row_loop(self):
         # rows spread over 2^120 so the sums cancel and round, in several
-        # row blocks of the vectorised path
+        # row blocks of the vectorised path; the ragged system's rows store
+        # 1 to 300 entries, so its row chunks are summed as segments
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((700, 300)) * 2.0 ** rng.integers(-60, 60, (700, 300))
-        sys = InequalitySystem(a, np.ones(700))
-        want = [math.fsum((row * row).tolist()) for row in a]
-        assert sys.row_norms_sq.tobytes() == np.array(want).tobytes()
+        dense = rng.standard_normal((700, 300)) * 2.0 ** rng.integers(-60, 60, (700, 300))
+        ragged = np.where(rng.random((700, 300)) < rng.random((700, 1)), dense, 0.0)
+        ragged[:, 0] = dense[:, 0]
         v = rng.standard_normal(300)
-        moved = translate(sys, v)
-        assert moved.b.tobytes() == oracles.translate(sys, v).b.tobytes()
+        for a in (dense, ragged):
+            sys = InequalitySystem(a, np.ones(700))
+            assert sys.data.size > _BLOCK_ELEMENTS  # more than one chunk
+            want = [math.fsum((row * row).tolist()) for row in a]
+            assert sys.row_norms_sq.tobytes() == np.array(want).tobytes()
+            moved = translate(sys, v)
+            assert moved.b.tobytes() == oracles.translate(sys, v).b.tobytes()
 
     def test_csr_rows_equal_the_dense_input(self):
         rng = np.random.default_rng(3)
@@ -87,6 +93,8 @@ class TestInequalitySystem:
         (([0, 1], [0], [1.0]), 0, "n >= 1"),
         (([0], [], []), 2, "m >= 1"),
         (([0, 1, 1], [0], [1.0]), 2, "row 1 is the zero vector"),
+        (([0, 1], [1.7], [2.0]), 3, "columns must be integers"),
+        (([0, 1.9], [0], [1.0]), 2, "indptr must be integers"),
     ])
     def test_bad_csr_rows_rejected(self, rows, n, match):
         m = max(len(rows[0]) - 1, 1)

@@ -140,22 +140,74 @@ def sum_blocks(draw):
     return block
 
 
+@st.composite
+def sum_segments(draw):
+    """Segments ``(values, starts)`` of a 1-D array for the segment form of
+    ``row_sums``, drawn from a pool as :func:`sum_blocks` draws its rows.
+
+    Up to 400 one-entry segments are mixed in among up to 12 of 2 to 1300
+    entries, so the whole lies on either side of the small-block cut-off;
+    some segments are all ``-0.0`` and some cancel exactly.
+    """
+    lengths = draw(st.lists(st.sampled_from([1, 2, 3, 17, 300, 1300]), max_size=12))
+    lengths += [1] * draw(st.integers(0 if lengths else 1, 400))
+    pool = np.array(draw(st.lists(pool_values, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rng.shuffle(lengths)
+    starts = np.cumsum([0] + lengths[:-1])
+    values = rng.choice(pool, size=sum(lengths)) * rng.choice([-1.0, 1.0], size=sum(lengths))
+    for lo, width in zip(starts.tolist(), lengths):
+        kind = rng.integers(8)
+        if kind == 0:
+            values[lo:lo + width] = -0.0
+        elif kind == 1 and width >= 3:
+            big, small = rng.choice(pool, size=2)
+            values[lo:lo + 3] = [big, small, -big]
+    return values, starts
+
+
+def _segments(*rows):
+    """``(values, starts)`` of the given rows, one segment each."""
+    return np.concatenate(rows), np.cumsum([0] + [len(r) for r in rows[:-1]])
+
+
 def _fsum_rows(block):
     """The oracle: one ``math.fsum`` per row."""
     return np.array([math.fsum(row) for row in block.tolist()],
                     dtype=np.float64).reshape(block.shape[0])
 
 
-def _bits(sum_rows, block):
-    """Bits of ``sum_rows(block)``, or the type and message it raises."""
+def _fsum_segments(values, starts):
+    """The oracle of the segment form: one ``math.fsum`` per segment."""
+    flat, ends = values.tolist(), starts.tolist()[1:] + [values.size]
+    return np.array([math.fsum(flat[lo:hi]) for lo, hi in zip(starts.tolist(), ends)],
+                    dtype=np.float64).reshape(starts.size)
+
+
+def _bits(sum_rows, *args):
+    """Bits of ``sum_rows(*args)``, or the type and message it raises."""
     try:
-        return sum_rows(block).tobytes()
+        return sum_rows(*args).tobytes()
     except (OverflowError, ValueError) as exc:
         return type(exc), str(exc)
 
 
+_WIDE = [0.0] * 1296  # pads a segment past the small-block cut-off
+
+
 @settings(deadline=None)
-@given(sum_blocks())
+@given(st.one_of(sum_blocks(), sum_segments()))
+# segments: ties, cancellation, signed zeros and one-entry segments next to
+# wide ones; a segment whose sum overflows, and inf with -inf
+@example(_segments([1.0, 2.0 ** -53] + _WIDE, [3 * 2.0 ** -54], [-0.0],
+                   [1.0, 3 * 2.0 ** -54] + _WIDE, [1e16, 1.0, -1e16] + _WIDE))
+@example(_segments(*[[x] for x in (5e-324, -0.0, 2.0 ** -900, 2.0 ** 900)] * 100,
+                   [2.0 ** 900, -2.0 ** -900, 5e-324] + _WIDE))
+@example(_segments([1.0], [1.6e308, 1.6e308] + _WIDE, [math.inf]))
+@example(_segments([1.0] * 300, [math.inf, -math.inf] + _WIDE))
+# the bound and M of the widest segment: 1300 addends of 1 + 2^-51 beside a
+# one-entry segment, whose width would make the level sum inexact
+@example(_segments([1.0], [1.0 + 2.0 ** -51] * 1300))
 @example(np.array([[1.0, 2.0 ** -53] + [0.0] * 1298] * 3))  # a tie: stays 1.0
 @example(np.array([[1.0, 3 * 2.0 ** -54] + [0.0] * 1298] * 3))  # rounds up
 @example(np.array([[1e16, 1.0, -1e16] + [0.0] * 1297] * 3))
@@ -190,9 +242,12 @@ def _bits(sum_rows, block):
 @example(np.array([[-0.0], [5e-324], [-5e-324], [math.inf], [-math.inf], [math.nan]]))
 @example(np.full((1000, 1), -0.0))
 @example(np.full((1000, 1), -math.nan))
-def test_row_sums_equal_fsum_bit_for_bit(block):
+def test_row_sums_equal_fsum_bit_for_bit(case):
+    if isinstance(case, tuple):  # the segment form
+        assert _bits(row_sums, *case) == _bits(_fsum_segments, *case)
+        return
     # the transposed view is what column_sums hands over
-    for view in (block, block.T):
+    for view in (case, case.T):
         assert _bits(row_sums, view) == _bits(_fsum_rows, view)
 
 
