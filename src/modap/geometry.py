@@ -6,20 +6,20 @@ stores the coefficient rows once, in compressed sparse row (CSR) form:
 row i's non-zero coefficients are ``data[indptr[i]:indptr[i + 1]]``, in the
 strictly ascending columns ``indices[indptr[i]:indptr[i + 1]]``.  Exact
 zeros, ``+0.0`` and ``-0.0``, are not stored, so every kernel below reads
-only the stored entries and costs O(nnz) rather than O(m n).  A block of
-rows that are all fully stored (``nnz_i = n``) is read as a 2-D view of
-``data``, so a dense input keeps its BLAS product and its dense row block;
-the view is not a second copy.  Any other row set is read as its stored
-entries alone: a 2-D block when every row stores the same count, else the
-CSR segments themselves, which :func:`~modap.summation.row_sums` sums
-segment by segment, so no row is padded.  The system also holds the rows'
-cached norms and the bounds, given or translated.  :func:`violated_slices`
-evaluates every row at a point x in one pass: it returns the positive
-slices of the violated rows, i.e. the reflection vectors
-``((<a_i, x> - b_i) / ||a_i||^2) a_i`` of the rows whose residual is
-positive, and the largest normalized violation.  The solvers average the
-slices into the step direction (the pseudo-projection) and compare the
-maximum with eps (the membership test).
+only the stored entries and costs O(nnz) rather than O(m n).  One method,
+:meth:`InequalitySystem._gather`, reads a row set, in one of two forms.
+When every row from its first to its last is fully stored (``nnz_i = n``),
+the rows are one ``(h, n)`` block: a 2-D view of ``data`` (not a second
+copy) for consecutive rows, so a dense input keeps its BLAS product and its
+dense row block.  Any other row set is read as its CSR segments, which
+:func:`~modap.summation.row_sums` sums segment by segment, so no row is
+padded.  The system also holds the rows' cached norms and the bounds, given
+or translated.  :func:`violated_slices` evaluates every row at a point x
+in one pass: it returns the positive slices of the violated rows, i.e. the
+reflection vectors ``((<a_i, x> - b_i) / ||a_i||^2) a_i`` of the rows
+whose residual is positive, and the largest normalized violation.  The
+solvers average the slices into the step direction (the pseudo-projection)
+and compare the maximum with eps (the membership test).
 
 Conventions:
   * points and directions are plain 1-D float64 numpy arrays, and so are
@@ -40,8 +40,8 @@ violation together, so the step, the membership test and the trace read the
 same evaluation; :func:`eps_membership` and :func:`max_relative_violation`
 are thin wrappers over it.  It starts with one float64 pass over the stored
 entries of rows [start, stop), ``t = A[start:stop] x - b`` (one
-``np.add.reduceat`` of the entrywise products, or one matrix-vector product
-on a fully stored block), and a forward error bound per row,
+``np.add.reduceat`` of the entrywise products of the segments, or one
+matrix-vector product on a block), and a forward error bound per row,
 
     e_i = (n + 8) 2^-52 (N_i ||x|| + |t_i|) + (n + 8) 2^-1022,
 
@@ -75,13 +75,13 @@ bits of :func:`~modap.summation.exact_dot` over the dense row.  On a
 translated system the products with x and with v are stacked into one
 block or segment array, so the residuals and the exact bounds take one
 sum; consecutive rows, a single row among them, are read as views of
-``data``, without a gather.  The bound
-only decides which rows may be skipped; every value the pass returns
-(slices, the maximum violation, and so the membership decision) comes from
-the exact path, bit for bit.  This is a floating-point filter in the sense
-of Shewchuk (DCG 18, 1997), with the dot-product error bound of Ogita, Rump
-and Oishi (SISC 26(6), 2005); it assumes IEEE-754 binary64 with subnormal
-inputs kept, which numpy and CPython provide.
+``data``, without a gather, and the slices of a block multiply it as it is
+stored.  The bound only decides which rows may be skipped; every value the
+pass returns (slices, the maximum violation, and so the membership
+decision) comes from the exact path, bit for bit.  This is a floating-point
+filter in the sense of Shewchuk (DCG 18, 1997), with the dot-product error
+bound of Ogita, Rump and Oishi (SISC 26(6), 2005); it assumes IEEE-754
+binary64 with subnormal inputs kept, which numpy and CPython provide.
 """
 
 from __future__ import annotations
@@ -205,10 +205,7 @@ class InequalitySystem:
     @property
     def a(self) -> np.ndarray:
         """The dense ``(m, n)`` coefficient matrix, built anew on each read."""
-        full = self._full_block(0, self.m)
-        if full is not None:
-            return full.copy()
-        return _scattered(*self._gather(np.arange(self.m)), self.n)
+        return _scattered(*self._gather(range(self.m)), self.n)
 
     @property
     def b(self) -> np.ndarray:
@@ -222,37 +219,32 @@ class InequalitySystem:
             self._b = b
         return b
 
-    def _full_block(self, start: int, stop: int) -> np.ndarray | None:
-        """Rows [start, stop) as a 2-D view of ``data`` when every one is
-        fully stored, else None.  No row stores more than n entries, so the
-        block's count says whether all store n."""
-        lo, hi = self.indptr[start], self.indptr[stop]
-        if hi - lo != (stop - start) * self.n:
-            return None
-        return self.data[lo:hi].reshape(stop - start, self.n)
-
-    def _gather(self, rows: np.ndarray) -> tuple:
-        """The stored entries of ``rows`` (an ascending index array, not
-        empty) as ``(values, columns, starts)``: views of ``data`` and
-        ``indices`` for consecutive rows, else gathered copies.  When every
-        row stores the same count w, ``values`` is their ``(h, w)`` block,
-        ``columns`` its columns (None for fully stored rows) and ``starts``
-        None; otherwise both are the 1-D entries of the rows in turn, and
-        ``starts`` the offsets at which each row begins."""
+    def _gather(self, rows) -> tuple:
+        """The stored entries of ``rows``, an ascending range or index
+        array, as ``(values, columns, starts)``.  When every row from the
+        first to the last is fully stored, ``values`` is the rows' ``(h, n)``
+        block, a view of ``data`` for consecutive rows, else a gathered
+        copy, and ``columns`` and ``starts`` are None; an empty ``rows``
+        gives a ``(0, n)`` block.  Otherwise they are the rows' CSR
+        segments: the 1-D entries and columns of the rows in turn, views of
+        ``data`` and ``indices`` for consecutive rows, else gathered copies,
+        and the offsets at which each row begins."""
+        if not len(rows):
+            return np.zeros((0, self.n)), None, None
         lo, hi = int(rows[0]), int(rows[-1]) + 1
-        if hi - lo == rows.size:  # consecutive: views
-            first = self.indptr[lo:hi + 1]
-            counts = first[1:] - first[:-1]
-            pos = slice(first[0], first[-1])
-        else:  # each entry's offset from its row's start in the result
-            first = self.indptr[rows]
-            counts = self.indptr[rows + 1] - first
-            pos = np.arange(counts.sum()) + np.repeat(first + counts - np.cumsum(counts), counts)
-        width = int(counts[0])
-        if rows.size == 1 or (counts == width).all():
-            return (self.data[pos].reshape(-1, width),
-                    None if width == self.n else self.indices[pos].reshape(-1, width), None)
-        return self.data[pos], self.indices[pos], np.cumsum(counts) - counts
+        first, last = self.indptr[lo], self.indptr[hi]
+        consecutive = hi - lo == len(rows)
+        if last - first == (hi - lo) * self.n:  # no row stores more than n
+            block = self.data[first:last].reshape(hi - lo, self.n)
+            return block if consecutive else block.take(rows - lo, axis=0), None, None
+        if consecutive:
+            return (self.data[first:last], self.indices[first:last],
+                    self.indptr[lo:hi] - first)
+        offsets = self.indptr[rows]
+        counts = self.indptr[rows + 1] - offsets
+        starts = np.cumsum(counts) - counts
+        pos = np.arange(counts.sum()) + np.repeat(offsets - starts, counts)
+        return self.data[pos], self.indices[pos], starts
 
     def _chunked_dots(self, ys, what: str) -> np.ndarray:
         """:func:`_dots` of every row, for ys of one row or None, summed
@@ -262,7 +254,7 @@ class InequalitySystem:
         while lo < self.m:
             hi = int(np.searchsorted(self.indptr, self.indptr[lo] + _BLOCK_ELEMENTS,
                                      side="right")) - 1
-            rows = np.arange(lo, max(hi, lo + 1))
+            rows = range(lo, max(hi, lo + 1))
             out.append(_dots(rows, self._gather(rows), ys, [what])[0])
             lo = rows[-1] + 1
         return np.concatenate(out)
@@ -349,13 +341,14 @@ def _index_array(part, what: str) -> np.ndarray:
     return out
 
 
-def _dots(rows: np.ndarray, gathered: tuple, ys, whats) -> np.ndarray:
+def _dots(rows, gathered: tuple, ys, whats) -> np.ndarray:
     """``<a_i, y>`` exactly rounded for every row y of the ``(k, n)`` array
-    ``ys`` and every row i of ``rows``, as a ``(k, rows.size)`` array, or
+    ``ys`` and every row i of ``rows``, as a ``(k, len(rows))`` array, or
     ``||a_i||^2`` (k = 1) for ``ys = None``, from the rows' ``gathered``
-    entries (see :meth:`InequalitySystem._gather`).  The products for every
-    y are stacked, y by y, into one block or one segment array, so they
-    take one :func:`~modap.summation.row_sums` call, however many ys.  A
+    entries, a block or CSR segments (see :meth:`InequalitySystem._gather`).
+    The products for every y are stacked, y by y, into one ``(k h, n)``
+    block or one segment array, so they take one
+    :func:`~modap.summation.row_sums` call, however many ys.  A
     sum that overflows (``OverflowError``), or products that overflow with
     both signs (``ValueError``), raise the same type with a message naming
     the row and ``whats[j]`` for the j-th y, the first y first.  The caller
@@ -376,21 +369,20 @@ def _dots(rows: np.ndarray, gathered: tuple, ys, whats) -> np.ndarray:
             try:
                 math.fsum(piece.tolist())
             except (OverflowError, ValueError) as err:
-                raise type(err)(f"row {rows[k % rows.size]}: {whats[k // rows.size]} "
+                raise type(err)(f"row {rows[k % len(rows)]}: {whats[k // len(rows)]} "
                                 "overflows float64") from err
         raise exc
 
 
 def _scattered(values: np.ndarray, columns, starts, n: int) -> np.ndarray:
-    """Gathered rows (see :meth:`InequalitySystem._gather`) as a new dense
-    block, ``+0.0`` wherever no entry is stored."""
+    """Gathered rows, a block or CSR segments (see
+    :meth:`InequalitySystem._gather`), as a new dense block, ``+0.0``
+    wherever no entry is stored."""
     out = np.zeros((len(values) if starts is None else starts.size, n))
-    if columns is None:
+    if starts is None:
         out[...] = values
-    elif starts is None:
-        out[np.arange(len(values))[:, None], columns] = values
     else:
-        counts = np.concatenate((starts[1:], [values.size])) - starts
+        counts = np.diff(starts, append=values.size)
         out[np.repeat(np.arange(starts.size), counts), columns] = values
     return out
 
@@ -445,19 +437,16 @@ def _norm_bound(v: np.ndarray) -> float:
 def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int):
     """Rows in [start, stop) that the float64 filter cannot prove satisfied
     (see the module docstring for the bound), ascending and counted from
-    start, and the rows' full block (:meth:`InequalitySystem._full_block`)."""
+    start.  The estimate is one product over the rows' stored entries, as
+    :meth:`InequalitySystem._gather` reads them: a matrix-vector product on
+    a block, one ``np.add.reduceat`` on CSR segments."""
     coef = (sys.n + 8) * _TWO_U
     shift = sys._shift
-    dense = sys._full_block(start, stop)
+    values, columns, starts = sys._gather(range(start, stop))
     with np.errstate(all="ignore"):
         xnorm = _norm_bound(x)
         y = x if shift is None else x - shift
-        if dense is not None:
-            t = dense @ y
-        else:
-            lo, hi = sys.indptr[start], sys.indptr[stop]
-            t = np.add.reduceat(sys.data[lo:hi] * y[sys.indices[lo:hi]],
-                                sys.indptr[start:stop] - lo)
+        t = values @ y if starts is None else np.add.reduceat(values * y[columns], starts)
         if shift is None:
             t -= sys._b[start:stop]
             scale = sys._norm_bounds[start:stop] * xnorm
@@ -471,7 +460,7 @@ def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int)
         if xnorm or shift is not None:
             e += (sys.n + 8) * _MIN_NORMAL
         settled = (t <= -e) & (e < _FILTER_LIMIT)
-    return np.flatnonzero(~settled), dense
+    return np.flatnonzero(~settled)
 
 
 def violated_slices(
@@ -488,12 +477,10 @@ def violated_slices(
     """
     if stop is None:
         stop = sys.m
-    local, dense = _unsettled_rows(sys, x, start, stop)
-    if not local.size:
+    rows = _unsettled_rows(sys, x, start, stop) + start
+    if not rows.size:
         return np.zeros((0, sys.n)), 0.0
-    rows = local + start
-    a = None if dense is None else dense[local]
-    gathered = sys._gather(rows) if a is None else (a, None, None)
+    gathered = sys._gather(rows)
     with np.errstate(all="ignore"):  # a non-finite slice fails the step's check
         if sys._b is not None:
             (r,) = _dots(rows, gathered, x[None], ["its residual"])
@@ -502,8 +489,8 @@ def violated_slices(
             r, sums = _dots(rows, gathered, np.array((x, sys._shift)),
                             ["its residual", _BOUND])
             r -= sys._exact_bounds(rows, sums)
-        if a is None:
-            a = _scattered(*gathered, sys.n)
+        # a block is multiplied as it is stored; segments are spread first
+        a = gathered[0] if gathered[2] is None else _scattered(*gathered, sys.n)
         hit = r > 0.0
         if not hit.all():
             r, rows, a = r[hit], rows[hit], a[hit]
@@ -529,8 +516,11 @@ def eps_membership(sys: InequalitySystem, x, eps: float) -> bool:
 def max_relative_violation(sys: InequalitySystem, x) -> float:
     """Largest normalized positive residual, 0 for a feasible point.
 
-    Row-scale invariant: rescaling a row and its bound by the same positive
-    factor leaves the value unchanged.
+    Scaling a row and its bound by ``c = 2^k`` leaves the value, and so
+    every eps decision, bit-identical while the scaled products, sums and
+    norms stay normal.  Any other positive factor rounds the scaled entries:
+    the value then agrees only within rounding, and a decision on a value
+    within rounding of eps may differ.
     """
     return violated_slices(sys, _as_point(x, sys.n))[1]
 

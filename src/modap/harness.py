@@ -25,6 +25,7 @@ File formats are plain text for diff-ability:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -183,13 +184,18 @@ def load_system(path) -> InequalitySystem:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise SystemFormatError(f"{path}: non-integer header {data_lines[0]!r}") from exc
+    if n < 1 or m < 1:
+        raise SystemFormatError(
+            f"{path}: header must declare n >= 1 and m >= 1, got {data_lines[0]!r}"
+        )
     rows = data_lines[1:]
     if len(rows) != m:
         raise SystemFormatError(
             f"{path}: header declares m={m} rows but the file contains {len(rows)}"
         )
-    a = np.empty((m, n))
-    b = np.empty(m)
+    # grows with the values read: whatever n the header declares, nothing is
+    # allocated for values the file does not hold
+    values = array("d")
     for i, line in enumerate(rows):
         parts = line.split()
         if len(parts) != n + 1:
@@ -197,14 +203,13 @@ def load_system(path) -> InequalitySystem:
                 f"{path}: row {i} has {len(parts)} values, expected n+1 = {n + 1}"
             )
         try:
-            vals = [float(p) for p in parts]
+            values.extend(map(float, parts))
         except ValueError as exc:
             raise SystemFormatError(f"{path}: row {i} has a non-numeric value") from exc
-        a[i] = vals[:n]
-        b[i] = vals[n]
     del data_lines, rows  # the text is parsed: free it before the system is built
+    table = np.frombuffer(values).reshape(m, n + 1)
     try:
-        return InequalitySystem(a, b)
+        return InequalitySystem(table[:, :n], table[:, n])
     except ValueError as exc:
         raise SystemFormatError(f"{path}: {exc}") from exc
 

@@ -221,7 +221,7 @@ def test_wide_pass_equals_the_oracle(translated, mixed):
     base = InequalitySystem(a, b)
     fast, exact = (translate(base, v), oracles.translate(base, v)) if translated else (base, base)
     for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
-        rows = geometry._unsettled_rows(fast, point, 0, 400)[0]
+        rows = geometry._unsettled_rows(fast, point, 0, 400)
         assert (fast.indptr[rows + 1] - fast.indptr[rows]).sum() >= 4 * SMALL_BLOCK
         assert (fast._gather(rows)[2] is not None) == mixed
         assert _pass_bits(("ok", violated_slices(fast, point))) == _pass_bits(
@@ -330,7 +330,7 @@ def test_a_translated_pass_takes_one_view_and_one_sum(monkeypatch):
     src.advance(0.03)
     snap = src.snapshot()
     x = np.full(10, 0.05)  # only the row -sum(x) <= -100 is unsettled
-    rows, _ = geometry._unsettled_rows(snap, x, 0, snap.m)
+    rows = geometry._unsettled_rows(snap, x, 0, snap.m)
     assert rows.tolist() == [21]
     values, columns, starts = snap._gather(rows)
     assert values.shape == (1, 10) and columns is None and starts is None
@@ -397,6 +397,44 @@ def test_stored_rows_pass_equals_the_dense_oracle(case, data):
         assert max(p[1] for p in parts) == worst
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gather_reads_a_block_or_segments(data):
+    """``_gather`` reads a row set as one block exactly when every row from
+    its first to its last is fully stored, and as views exactly when its
+    rows are consecutive; either form, spread out by ``_scattered``, is the
+    dense input's rows with ``+0.0`` for every zero."""
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal((m, n))
+    zeros = rng.random((m, n)) < data.draw(st.sampled_from([0.3, 0.7, 1.0]))
+    zeros[rng.random(m) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))] = False
+    a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    empty = np.flatnonzero(~a.any(axis=1))
+    a[empty, rng.integers(0, n, empty.size)] = 1.0
+    sys = InequalitySystem(a, np.ones(m))
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(0, m))
+        rows = range(lo, data.draw(st.integers(lo, m)))
+    else:
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1)))), dtype=np.intp)
+    values, columns, starts = sys._gather(rows)
+    spread = geometry._scattered(values, columns, starts, n)
+    assert spread.tobytes() == (a[rows] + 0.0).tobytes()
+    if not len(rows):
+        assert values.shape == (0, n) and starts is None
+        return
+    full = (a[rows[0]:rows[-1] + 1] != 0.0).all()
+    consecutive = rows[-1] - rows[0] + 1 == len(rows)
+    assert (starts is None) == full and (columns is None) == full
+    assert np.shares_memory(values, sys.data) == consecutive
+    if full:
+        assert values.shape == (len(rows), n)
+    else:
+        assert np.shares_memory(columns, sys.indices) == consecutive
+
+
 @pytest.mark.parametrize("translated", [False, True])
 def test_mixed_widths_equal_the_dense_oracle(translated):
     # rows of many entry counts, so the exact path pads several width
@@ -419,7 +457,7 @@ def test_mixed_widths_equal_the_dense_oracle(translated):
         raw = oracles.dense_row_pass(a, b, point, v)
         assert slices.shape == raw[0].shape and worst == raw[1]
         assert slices.tobytes() == oracles.dense_row_pass(a + 0.0, b, point, v)[0].tobytes()
-    assert len(geometry._unsettled_rows(sys, x, 0, m)[0]) * n >= 4 * SMALL_BLOCK
+    assert len(geometry._unsettled_rows(sys, x, 0, m)) * n >= 4 * SMALL_BLOCK
 
 
 @pytest.mark.parametrize("translated", [False, True])
@@ -438,11 +476,11 @@ def test_full_row_view_and_gather_path_agree(translated):
     sparse_row[[3, 17]] = [1.0, -2.0]
     full = InequalitySystem(a, b)
     mixed = InequalitySystem(np.vstack([a, sparse_row]), np.append(b, 1e300))
-    assert full._full_block(0, m) is not None and mixed._full_block(0, m + 1) is None
+    assert full._gather(range(m))[2] is None and mixed._gather(range(m + 1))[2] is not None
     if translated:
         full, mixed = translate(full, v), translate(mixed, v)
     for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
-        assert len(geometry._unsettled_rows(full, point, 0, m)[0]) * n >= 4 * SMALL_BLOCK
+        assert len(geometry._unsettled_rows(full, point, 0, m)) * n >= 4 * SMALL_BLOCK
         assert _pass_bits(("ok", violated_slices(full, point))) == _pass_bits(
             ("ok", violated_slices(mixed, point)))
     assert full.b.tobytes() == mixed.b[:m].tobytes()
@@ -508,11 +546,11 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     exact_rows = threading.local()
 
     def counting_unsettled(sys, x, start, stop):
-        rows, dense = real_unsettled(sys, x, start, stop)
+        rows = real_unsettled(sys, x, start, stop)
         passes.append((sys, np.array(x), start, stop, len(rows),
                        threading.current_thread()))
         exact_rows.rows = rows + start
-        return rows, dense
+        return rows
 
     pass_reads = []
 
@@ -522,8 +560,9 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
         result = real_pass(sys, x, start, stop)
         stop = sys.m if stop is None else stop
         rows = exact_rows.rows
-        # a translated snapshot's exact path also takes its rows' bounds
-        products = 1 if sys._shift is None else 2
+        # a translated snapshot's exact path also takes its rows' bounds,
+        # and the slices of fully stored rows multiply their stored entries
+        products = (1 if sys._shift is None else 2) + 1
         pass_reads.append((sys.indptr[stop] - sys.indptr[start],
                            products * int((sys.indptr[rows + 1] - sys.indptr[rows]).sum()),
                            _CountingEntries.on_thread(me) - before))

@@ -333,20 +333,60 @@ def test_slice_flag_matches_residual_sign(sys_x):
     assert np.array_equal(block, np.array(want).reshape(len(want), sys.n))
 
 
+@st.composite
+def normal_product_systems(draw):
+    """A system and a point whose entries are 0 or lie in [2^-20, 5] in
+    magnitude, so that every product, sum, residual and slice entry below
+    stays normal when the rows are scaled by up to 2^40."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(min_value=2.0 ** -20, max_value=5.0),
+                      st.floats(min_value=-5.0, max_value=-2.0 ** -20))
+    a = np.array([[draw(entry) for _ in range(n)] for _ in range(m)])
+    a[~a.any(axis=1), 0] = 1.0
+    b = np.array([draw(entry) for _ in range(m)])
+    x = np.array([draw(entry) for _ in range(n)])
+    return InequalitySystem(a, b), x
+
+
+@settings(max_examples=60)
+@given(normal_product_systems(), st.integers(0, 40))
+def test_row_scaling_leaves_decisions_unchanged(sys_x, k):
+    """Scaling rows and bounds by c = 2^k scales every product, sum and norm
+    exactly while they stay normal, so signs, slices, the maximum and the eps
+    decisions keep their bits."""
+    sys, x = sys_x
+    c = 2.0 ** k
+    scaled = InequalitySystem(sys.a * c, sys.b * c)
+    for i in range(sys.m):
+        assert (oracles.residual(sys, i, x) > 0) == (oracles.residual(scaled, i, x) > 0)
+        assert oracles.eps_satisfies(sys, i, x, 1e-7) == oracles.eps_satisfies(scaled, i, x, 1e-7)
+    (block1, worst1), (block2, worst2) = violated_slices(sys, x), violated_slices(scaled, x)
+    assert block1.tobytes() == block2.tobytes() and block1.shape == block2.shape
+    assert np.float64(worst1).tobytes() == np.float64(worst2).tobytes()
+    assert eps_membership(sys, x, 1e-7) == eps_membership(scaled, x, 1e-7)
+
+
 @settings(max_examples=60)
 @given(system_strategy(), st.floats(min_value=0.01, max_value=100.0))
-def test_row_scaling_leaves_decisions_unchanged(sys_x, c):
+# 1.625 e-7 / 1.625 rounds to 9.999999999999998e-08: eps = 1e-7 accepts the
+# scaled row and rejects the original one
+@example((InequalitySystem([[1.0]], [0.0]), np.array([1e-7])), 1.625)
+# x lies on the row's hyperplane; the scaled row's residual rounds to 1.1e-13
+@example((InequalitySystem([[4.127555772777217, 1.066357757671799]], [9.93779703199541]),
+          np.array([2.294965609839984, 0.4362499146542289])), 93.50789165453895)
+def test_any_row_scaling_agrees_within_rounding(sys_x, c):
+    """Any other factor rounds the scaled entries, so the values agree only
+    within rounding: a decision on a value within rounding of eps, or the
+    sign of a residual within rounding of 0, may differ."""
     sys, x = sys_x
     scaled = InequalitySystem(sys.a * c, sys.b * c)
     for i in range(sys.m):
         s1 = oracles.positive_slice(sys, i, x)
         s2 = oracles.positive_slice(scaled, i, x)
-        assert (oracles.residual(sys, i, x) > 0) == (oracles.residual(scaled, i, x) > 0)
         assert np.allclose(s1, s2, atol=1e-10, rtol=1e-10)
-        assert oracles.eps_satisfies(sys, i, x, 1e-7) == oracles.eps_satisfies(scaled, i, x, 1e-7)
-    block1, block2 = violated_slices(sys, x)[0], violated_slices(scaled, x)[0]
-    assert block1.shape == block2.shape
-    assert np.allclose(block1, block2, atol=1e-10, rtol=1e-10)
+    sum1, sum2 = (column_sums(violated_slices(s, x)[0]) for s in (sys, scaled))
+    assert np.allclose(sum1, sum2, atol=1e-10, rtol=1e-10)
     assert max_relative_violation(sys, x) == pytest.approx(
         max_relative_violation(scaled, x), abs=1e-10, rel=1e-10
     )

@@ -138,6 +138,20 @@ class TestSystemFiles:
         with pytest.raises(SystemFormatError, match="row 1.*non-zero"):
             load_system(path)
 
+    def test_huge_header_fails_on_its_first_row_without_allocating(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1000000000000 1\n1 2\n")
+        with pytest.raises(SystemFormatError, match="row 0 has 2 values"):
+            load_system(path)
+
+    @pytest.mark.parametrize("header", ["-1 1", "1 0"])
+    def test_header_without_rows_or_columns_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(SystemFormatError, match=f"bad.txt: header must declare n >= 1 "
+                                                    f"and m >= 1, got '{header}'"):
+            load_system(path)
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 0 1\n")
