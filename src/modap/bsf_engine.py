@@ -10,8 +10,9 @@ outbox.  The master makes no row pass: it stops on the maximum of the
 workers' maxima, else sums their slices, steps and advances the source,
 O(n) plus the O(h n) slice sum, since a translated snapshot holds v rather
 than new bounds.  k iterations take k + 1 supersteps; then ``None`` stops
-each worker.  A worker that raises posts its partition index and the
-exception and keeps serving, and the master raises :class:`EngineError`.
+each worker.  A worker that raises posts an :class:`EngineError` naming
+it, with the exception as its cause, and keeps serving; the master raises
+that error.
 
 Workers share no mutable state: the point is a copy, and a snapshot is
 immutable (its exact translated bounds are a pure function of the row), so
@@ -38,8 +39,6 @@ from .solver import SolveOutcome, SolverConfig, _run_loop, partial_reduction
 __all__ = [
     "EngineConfig",
     "EngineError",
-    "Partition",
-    "WorkerReport",
     "partition_rows",
     "compute_report",
     "combine_reports",
@@ -52,19 +51,6 @@ class EngineError(RuntimeError):
     """A worker failed; the run was aborted."""
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Contiguous half-open row range [start, stop) owned by one worker."""
-
-    worker_index: int
-    start: int
-    stop: int
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-
 @dataclass
 class EngineConfig:
     workers: int = 1
@@ -74,56 +60,43 @@ class EngineConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
-@dataclass
-class WorkerReport:
-    """One worker's superstep result: the slices of its violated rows,
-    stacked ``(partial_h, n)`` in row order, their count, and their largest
-    normalized violation (0 when there are none)."""
-
-    worker_index: int
-    slices: np.ndarray
-    partial_h: int
-    max_violation: float
-
-
-def partition_rows(m: int, workers: int) -> list[Partition]:
+def partition_rows(m: int, workers: int) -> list[range]:
     """Balanced contiguous split of m rows: the first ``m % workers``
-    partitions get the extra row."""
+    ranges get the extra row."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > m:
         raise ValueError(f"more workers ({workers}) than rows ({m})")
     base, extra = divmod(m, workers)
-    parts = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        parts.append(Partition(w, start, start + size))
-        start += size
-    return parts
+    bounds = [w * base + min(w, extra) for w in range(workers + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def compute_report(sys: InequalitySystem, part: Partition, x: np.ndarray) -> WorkerReport:
-    """Worker-side math for one superstep over one partition."""
-    return WorkerReport(part.worker_index, *partial_reduction(sys, x, part.start, part.stop))
+def compute_report(sys: InequalitySystem, part: range,
+                   x: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Worker-side math for one superstep over one row range: the
+    :func:`~modap.solver.partial_reduction` of those rows."""
+    return partial_reduction(sys, x, part.start, part.stop)
 
 
-def combine_reports(reports: list[WorkerReport]) -> tuple[np.ndarray, int, float]:
-    """Master-side combination of the worker reports, in any order: all
-    their slices stacked, the total count and the largest violation, as
-    :func:`~modap.solver.partial_reduction` gives them for every row."""
-    block = np.concatenate([r.slices for r in reports])
-    return (block, sum(r.partial_h for r in reports),
-            max(r.max_violation for r in reports))
+def combine_reports(
+    reports: list[tuple[np.ndarray, int, float]],
+) -> tuple[np.ndarray, int, float]:
+    """Master-side combination of the workers' partial reductions, in any
+    order: all their slices stacked, the total count and the largest
+    violation, as :func:`~modap.solver.partial_reduction` gives them for
+    every row."""
+    blocks, counts, worsts = zip(*reports)
+    return np.concatenate(blocks), sum(counts), max(worsts)
 
 
 def superstep(
-    sys: InequalitySystem, x: np.ndarray, partitions: list[Partition]
+    sys: InequalitySystem, x: np.ndarray, partitions: list[range]
 ) -> tuple[np.ndarray, int, float]:
-    """One superstep's row pass over explicit partitions, without threads.
+    """One superstep's row pass over explicit row ranges, without threads.
 
     This is exactly the math the threaded engine performs; with a single
-    partition covering every row it is the sequential
+    range covering every row it is the sequential
     :func:`~modap.solver.partial_reduction`.
     """
     return combine_reports([compute_report(sys, p, x) for p in partitions])
@@ -142,16 +115,18 @@ def run_parallel(source, solver_config: SolverConfig | None = None,
     outbox = queue.SimpleQueue()
     inboxes = [queue.SimpleQueue() for _ in partitions]
 
-    def serve(part: Partition, inbox: queue.SimpleQueue) -> None:
+    def serve(index: int, part: range, inbox: queue.SimpleQueue) -> None:
         while (msg := inbox.get()) is not None:
             try:
                 outbox.put(compute_report(msg[0], part, msg[1]))
             except BaseException as exc:  # noqa: BLE001 - raised by the master
-                outbox.put((part.worker_index, exc))
+                error = EngineError(f"worker {index} failed: {exc!r}")
+                error.__cause__ = exc
+                outbox.put(error)
 
-    threads = [threading.Thread(target=serve, args=(p, inbox), daemon=True,
-                                name=f"bsf-worker-{p.worker_index}")
-               for p, inbox in zip(partitions, inboxes)]
+    threads = [threading.Thread(target=serve, args=(i, p, inbox), daemon=True,
+                                name=f"bsf-worker-{i}")
+               for i, (p, inbox) in enumerate(zip(partitions, inboxes))]
     for t in threads:
         t.start()
 
@@ -161,8 +136,8 @@ def run_parallel(source, solver_config: SolverConfig | None = None,
         reports = []
         for _ in inboxes:
             msg = outbox.get()
-            if isinstance(msg, tuple):
-                raise EngineError(f"worker {msg[0]} failed: {msg[1]!r}") from msg[1]
+            if isinstance(msg, EngineError):
+                raise msg
             reports.append(msg)
         return combine_reports(reports)
 

@@ -38,18 +38,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+def _number_list(cast):
+    """argparse type: a comma-separated list of ``cast`` values, not empty."""
 
+    def parse(text: str) -> list:
+        try:
+            values = [cast(p) for p in text.split(",") if p.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {cast.__name__} list {text!r}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty {cast.__name__} list {text!r}")
+        return values
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+    return parse
 
 
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
@@ -115,7 +116,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_costmodel(args) -> int:
-    n_values = args.n_values if args.n_values else [args.n]
+    n_values = args.n_values or [args.n]
     lines = [
         "# assumed cost parameters (not measured): "
         f"tau_op={args.tau_op} tau_tr={args.tau_tr} latency={args.latency}",
@@ -176,14 +177,14 @@ def main(argv=None) -> int:
     p_cost.add_argument("--tau-tr", type=float, default=cost_model.DEFAULT_TAU_TR)
     p_cost.add_argument("--latency", type=float, default=cost_model.DEFAULT_LATENCY)
     p_cost.add_argument("--breadth", choices=["single", "full"], default="single")
-    p_cost.add_argument("--n-values", type=_int_list, default=None,
+    p_cost.add_argument("--n-values", type=_number_list(int), default=None,
                         help="comma-separated sweep over n (overrides --n)")
     p_cost.add_argument("--out", metavar="PATH")
     p_cost.set_defaults(func=_cmd_costmodel)
 
     p_sweep = sub.add_parser("sweep", help="displacement-rate sweep")
     _add_experiment_args(p_sweep)
-    p_sweep.add_argument("--rates", type=_float_list, required=True,
+    p_sweep.add_argument("--rates", type=_number_list(float), required=True,
                          metavar="R1,R2,...")
     p_sweep.add_argument("--out-dir", default="sweep_out", metavar="DIR")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -132,7 +132,6 @@ class CostReport:
     params: CostParams
     counts: CostCounts
     times: StageTimes
-    list_length: int
     k_max: float
 
 
@@ -190,7 +189,6 @@ def report(params: CostParams) -> CostReport:
         params=params,
         counts=operation_counts(params.n, params.m, params.update_breadth),
         times=stage_times(params),
-        list_length=params.m,
         k_max=k_max(params),
     )
 

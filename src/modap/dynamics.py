@@ -110,8 +110,7 @@ class DynamicSystemSource:
         self.spec = spec if spec is not None else DynamicsSpec()
         self.current_time = 0.0
         self.cumulative_displacement = np.zeros(base.n)
-        rate = self.spec.rate if self.spec.mode == TRANSLATION else 0.0
-        self._velocity = rate * np.ones(base.n)
+        self._rate = float(self.spec.rate)
         self._current = base
         self._last_wall = time.perf_counter()
 
@@ -126,7 +125,7 @@ class DynamicSystemSource:
         self.current_time += elapsed
         if self.spec.mode == TRANSLATION:
             self.cumulative_displacement = (
-                self.cumulative_displacement + self._velocity * elapsed
+                self.cumulative_displacement + self._rate * elapsed
             )
             self._current = translate(self.base, self.cumulative_displacement)
 

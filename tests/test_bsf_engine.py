@@ -37,7 +37,7 @@ BOX = InequalitySystem([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
 class TestPartitioning:
     def test_ceiling_split(self):
-        sizes = [p.size for p in partition_rows(10, 3)]
+        sizes = [len(p) for p in partition_rows(10, 3)]
         assert sizes == [4, 3, 3]
 
     def test_single_worker_identity(self):
@@ -47,7 +47,7 @@ class TestPartitioning:
 
     def test_singletons(self):
         parts = partition_rows(7, 7)
-        assert [p.size for p in parts] == [1] * 7
+        assert [len(p) for p in parts] == [1] * 7
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ class TestPartitioning:
             for i in range(p.start, p.stop):
                 coverage[i] += 1
         assert coverage == [1] * m
-        sizes = [p.size for p in parts]
+        sizes = [len(p) for p in parts]
         assert max(sizes) - min(sizes) <= 1
 
 
@@ -81,23 +81,20 @@ class TestSuperstep:
     def test_one_row_per_worker_hand_values(self):
         x = np.array([3.0, 2.0])
         parts = partition_rows(BOX.m, 2)
+        assert parts == [range(0, 1), range(1, 2)]
         reports = [compute_report(BOX, p, x) for p in parts]
-        assert [r.worker_index for r in reports] == [0, 1]
-        assert np.array_equal(reports[0].slices, [[2.0, 0.0]])
-        assert reports[0].partial_h == 1
-        assert reports[0].max_violation == 2.0
-        assert np.array_equal(reports[1].slices, [[0.0, 1.0]])
-        assert reports[1].partial_h == 1
-        assert reports[1].max_violation == 1.0
+        assert np.array_equal(reports[0][0], [[2.0, 0.0]])
+        assert reports[0][1:] == (1, 2.0)
+        assert np.array_equal(reports[1][0], [[0.0, 1.0]])
+        assert reports[1][1:] == (1, 1.0)
         block, h, worst = combine_reports(reports)
         assert np.array_equal(column_sums(block), [2.0, 1.0])
         assert h == 2
         assert worst == 2.0
         # a worker whose rows are all satisfied reports an empty block
         reports[1] = compute_report(BOX, parts[1], np.array([3.0, 0.0]))
-        assert reports[1].slices.shape == (0, 2)
-        assert reports[1].partial_h == 0
-        assert reports[1].max_violation == 0.0
+        assert reports[1][0].shape == (0, 2)
+        assert reports[1][1:] == (0, 0.0)
         assert combine_reports(reports)[1:] == (1, 2.0)
 
     @settings(max_examples=40)
@@ -132,8 +129,8 @@ class TestSuperstep:
         sys, _ = random_feasible_system(rng, 6, 17)
         x = rng.uniform(-20, 20, 6)
         for p in partition_rows(sys.m, 5):
-            rep = compute_report(sys, p, x)
-            assert 0 <= rep.partial_h <= p.size
+            block, h, _ = compute_report(sys, p, x)
+            assert 0 <= h == len(block) <= len(p)
 
     def test_h_matches_brute_force_count(self, rng):
         sys, _ = random_feasible_system(rng, 5, 13)
@@ -249,13 +246,11 @@ class TestRunParallel:
                            SolverConfig(max_iterations=300), EngineConfig(workers=4))
         # the first superstep tests the starting point; each later one
         # follows a step
-        sizes = [p.size for p in partition_rows(sys.m, 4)]
-        calls = [[p for p in parts if p.worker_index == w] for w in range(4)]
+        ranges = partition_rows(sys.m, 4)
+        calls = [[p for p in parts if p == r] for r in ranges]
         assert [len(c) for c in calls] == [out.iterations + 1] * 4
-        assert [sum(p.size for p in c) for c in calls] == [
-            s * (out.iterations + 1) for s in sizes
-        ]
-        assert sum(sizes) == sys.m
+        assert len(parts) == 4 * (out.iterations + 1)
+        assert sum(len(r) for r in ranges) == sys.m
 
     def test_feasible_start_runs_one_superstep(self, monkeypatch):
         # the workers' pass on the starting point is the membership test
@@ -263,16 +258,17 @@ class TestRunParallel:
         out = run_parallel(DynamicSystemSource(BOX), SolverConfig(), EngineConfig(workers=2))
         assert out.status is SolveStatus.CONVERGED
         assert out.iterations == 0
-        assert sorted(p.worker_index for p in parts) == [0, 1]
+        assert sorted(parts, key=lambda p: p.start) == partition_rows(BOX.m, 2)
 
     def test_worker_failure_aborts_with_engine_error(self, rng, monkeypatch):
         sys, _ = random_feasible_system(rng, 6, 12)
 
         real = bsf_engine.compute_report
         fault = RuntimeError("injected fault")
+        failing = partition_rows(sys.m, 3)[1].start
 
         def broken(system, part, x):
-            if part.worker_index == 1:
+            if part.start == failing:
                 raise fault
             return real(system, part, x)
 
@@ -286,9 +282,10 @@ class TestRunParallel:
         # nothing, and the master waited for its report forever
         sys, _ = random_feasible_system(rng, 6, 12)
         real = bsf_engine.compute_report
+        failing = partition_rows(sys.m, 2)[1].start
 
         def exiting(system, part, x):
-            if part.worker_index == 1:
+            if part.start == failing:
                 raise SystemExit(3)
             return real(system, part, x)
 
@@ -308,6 +305,7 @@ class TestRunParallel:
         assert len(raised) == 1
         assert isinstance(raised[0], EngineError)
         assert "worker 1" in str(raised[0])
+        assert isinstance(raised[0].__cause__, SystemExit)
 
     @pytest.mark.parametrize("variant", ["ap", "modap"])
     def test_non_finite_iterate_is_an_error(self, variant):

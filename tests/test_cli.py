@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from modap import generate_model_problem, load_system, ModelProblemSpec
 from modap.cli import main
@@ -76,6 +77,20 @@ def test_costmodel_sweep_to_file(tmp_path):
     assert main(["costmodel", "--n-values", "100,1000", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 2 + 2  # comment, header, two rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["costmodel", "--n-values", ","],
+    ["costmodel", "--n-values", ""],
+    ["costmodel", "--n-values", "10,x"],
+    ["sweep", "--rates", " , "],
+])
+def test_bad_number_list_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert "list" in err and "error" in err
 
 
 def test_sweep_command(tmp_path, capsys):

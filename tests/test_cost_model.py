@@ -161,7 +161,6 @@ class TestSweep:
 def test_report_consistency():
     params = CostParams(8, 20)
     rep = report(params)
-    assert rep.list_length == params.m
     assert rep.counts == operation_counts(8, 20)
     assert rep.times == stage_times(params)
     assert rep.k_max == k_max(params)
