@@ -39,16 +39,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number_list(cast):
-    """argparse type: a comma-separated list of ``cast`` values, not empty."""
+    """argparse type: a comma-separated list of ``cast`` values, none blank."""
 
     def parse(text: str) -> list:
+        items = text.split(",")
+        if not all(p.strip() for p in items):
+            raise argparse.ArgumentTypeError(f"blank item in {cast.__name__} list {text!r}")
         try:
-            values = [cast(p) for p in text.split(",") if p.strip()]
+            return [cast(p) for p in items]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad {cast.__name__} list {text!r}") from exc
-        if not values:
-            raise argparse.ArgumentTypeError(f"empty {cast.__name__} list {text!r}")
-        return values
 
     return parse
 

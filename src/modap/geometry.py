@@ -86,6 +86,7 @@ binary64 with subnormal inputs kept, which numpy and CPython provide.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -97,6 +98,7 @@ __all__ = [
     "eps_membership",
     "max_relative_violation",
     "vector_norm",
+    "vector_norms",
 ]
 
 _TWO_U = 2.0 ** -52  # twice the unit roundoff of float64
@@ -393,13 +395,6 @@ def _check_finite_rhs(b: np.ndarray) -> None:
         raise ValueError(f"bound of row {int(bad[0])} is not finite: {float(b[bad[0]])!r}")
 
 
-def _squared_norm(row: np.ndarray) -> float:
-    try:
-        return exact_dot(row, row)
-    except OverflowError:  # the squares are non-negative: the sum overflows
-        return math.inf
-
-
 def _as_point(x, n: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != n:
@@ -525,17 +520,35 @@ def max_relative_violation(sys: InequalitySystem, x) -> float:
     return violated_slices(sys, _as_point(x, sys.n))[1]
 
 
-def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm via the exactly rounded self inner product.
+def vector_norms(vs: np.ndarray) -> list[float]:
+    """Euclidean norm of each row of a ``(k, n)`` stack of vectors.
 
-    When that sum of squares is 0, subnormal or overflows, v is first
-    scaled by a power of two, so a non-zero vector never gets norm 0, nor
-    inf unless its norm exceeds the float64 range.  In the normal range the
-    result keeps its bits: ``sqrt(exact_dot(v, v))``.
+    The squares of the whole stack take one exactly rounded
+    :func:`~modap.summation.row_sums` call, so k norms cost one exact sum.
+    In the normal range a norm is the correctly rounded ``sqrt`` of the
+    exactly rounded sum of squares, ``sqrt(math.fsum(v * v))``.  A vector
+    whose sum of squares is 0, subnormal or infinite (a square or the sum
+    overflows) is then scaled by a power of two on its own, so a non-zero
+    vector never gets norm 0, nor inf unless its norm exceeds the float64
+    range; a vector holding ``inf`` has norm inf, one holding ``nan`` nan.
     """
-    s = _squared_norm(v)
-    if _MIN_NORMAL <= s < math.inf:
-        return math.sqrt(s)
+    with np.errstate(over="ignore"):  # an infinite square is rescaled below
+        squares = vs * vs
+    try:
+        sums = row_sums(squares).tolist()
+    except OverflowError:  # the squares are non-negative: some row's sum overflows
+        sums = [math.inf] * len(vs)
+        for i, row in enumerate(squares.tolist()):
+            with contextlib.suppress(OverflowError):
+                sums[i] = math.fsum(row)
+    return [math.sqrt(s) if _MIN_NORMAL <= s < math.inf else _rescaled_norm(v, s)
+            for v, s in zip(vs, sums)]
+
+
+def _rescaled_norm(v: np.ndarray, s: float) -> float:
+    """``||v||`` from v scaled by a power of two, for a v whose exactly
+    rounded sum of squares s is 0, subnormal or infinite; ``sqrt(s)`` when
+    v is zero or holds ``inf`` or ``nan``."""
     big = float(np.max(np.abs(v))) if v.size else 0.0
     if big == 0.0 or not math.isfinite(big):
         return math.sqrt(s)
@@ -545,3 +558,9 @@ def vector_norm(v: np.ndarray) -> float:
         return math.ldexp(math.sqrt(exact_dot(scaled, scaled)), k)
     except OverflowError:  # the norm itself exceeds the float64 range
         return math.inf
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of one vector: :func:`vector_norms` of the one-row
+    stack."""
+    return vector_norms(v[None])[0]

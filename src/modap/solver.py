@@ -15,6 +15,11 @@ Each iteration is then step -> advance source -> one pass on the updated
 system, whose maximum is both the trace's value and the next membership
 test, and whose slices, summed only if the loop steps again, give the next
 direction (h = 0 means a maximum of 0 < eps, so it never reaches a step).
+After each pass the loop stacks the norms it needs, the last step's for its
+trace record and the next direction's for a modap step, and takes them from
+one :func:`~modap.geometry.vector_norms` call, so the master's two length-n
+norms are one exact sum per iteration.  The trace record's wall time is read
+right after the pass; the record is completed when its step norm is known.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .geometry import (  # noqa: F401
     _rescaled,
     eps_membership,
     max_relative_violation,
-    vector_norm,
+    vector_norms,
     violated_slices,
 )
 from .summation import column_sums
@@ -136,12 +141,13 @@ def partial_reduction(
 
 
 def _apply_step(
-    x: np.ndarray, y: np.ndarray, h: int, variant: str, step_length: float
+    x: np.ndarray, y: np.ndarray, h: int, variant: str, step_length: float,
+    norm: float | None,
 ) -> np.ndarray:
-    """Next iterate from the reduced slice sum y with h > 0 violated rows."""
+    """Next iterate from the reduced slice sum y with h > 0 violated rows;
+    ``norm`` is ``||y||``, which only the modap variant reads."""
     if variant == VARIANT_AP:
         return x - y / h
-    norm = vector_norm(y)
     if norm == 0.0:
         raise ValueError(
             "violation direction vanished although rows are violated; "
@@ -174,42 +180,55 @@ def _run_loop(src, config: SolverConfig, evaluate) -> SolveOutcome:
     iterates: list[np.ndarray] | None = (
         [x.copy()] if config.record_iterates else None
     )
+    modap = config.variant == VARIANT_MODAP
     t_start = time.perf_counter()
     iterations = 0
     block, h, violation = evaluate(src.snapshot(), x)
+    step_vec = None  # the last step while its trace record waits for its norm
     while True:
         if violation < config.eps:
             status = SolveStatus.CONVERGED
-            break
-        if iterations >= config.max_iterations:
+        elif iterations >= config.max_iterations:
             status = SolveStatus.BUDGET_EXHAUSTED
+        else:
+            status = None
+        # the last step's norm and the next direction's are one exact sum
+        stack = [] if step_vec is None else [step_vec]
+        if status is None:
+            y = column_sums(block)
+            if modap:
+                stack.append(y)
+        norms = vector_norms(np.array(stack)) if stack else []
+        if step_vec is not None:
+            trace.append(
+                IterationRecord(
+                    k=iterations,
+                    h=step_h,
+                    step_norm=norms[0],
+                    max_violation=violation,
+                    virtual_time=src.current_time,
+                    wall_time=wall_time,
+                )
+            )
+        if status is not None:
             break
         dt = src.next_elapsed()
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            x_next = _apply_step(x, column_sums(block), h, config.variant,
-                                 config.step_length)
+            x_next = _apply_step(x, y, h, config.variant, config.step_length,
+                                 norms[-1] if modap else None)
         if not np.isfinite(x_next).all():
             raise ValueError(
                 f"iteration {iterations + 1} left float64: the step from the "
                 "violated rows' slices is not finite"
             )
-        step_vec = x_next - x
+        if trace is not None:
+            step_vec = x_next - x
         x = x_next
         iterations += 1
         src.advance(dt)
         step_h = h
         block, h, violation = evaluate(src.snapshot(), x)
-        if trace is not None:
-            trace.append(
-                IterationRecord(
-                    k=iterations,
-                    h=step_h,
-                    step_norm=vector_norm(step_vec),
-                    max_violation=violation,
-                    virtual_time=src.current_time,
-                    wall_time=time.perf_counter() - t_start,
-                )
-            )
+        wall_time = time.perf_counter() - t_start
         if iterates is not None:
             iterates.append(x.copy())
     return SolveOutcome(

@@ -62,7 +62,10 @@ decided by them alone.  The order of the paths is:
    every row sums to ``+0.0``, as fsum gives it;
 2. level 1, then, on a block, level 2 on the rows it leaves, with the
    block's sigma, when ``top`` lies in ``[2^-900, 2^900]``; an exactly
-   cancelling row, a zero row included, is decided as ``+0.0``;
+   cancelling row, a zero row included, is decided as ``+0.0``, and a
+   one-entry segment is its own sum, so only the segments of two or more
+   addends take the level-1 test.  When level 1 decides every row, the
+   sums return at once;
 3. ``math.fsum`` (Shewchuk's expansion arithmetic, in C) for the rows the
    levels leave (sums near a midpoint, and rows far below ``top``, whose
    gaps are smaller than B), and for the whole block when ``top`` is not
@@ -73,7 +76,8 @@ A row far below the scale of its block thus costs one ``math.fsum`` on top
 of its share of the block pass.  Blocks too small for the vectorised
 path's fixed cost to pay off (:data:`SMALL_BLOCK`, counting addends and
 rows) go straight to ``math.fsum``; a one-column block, or segments of one
-addend each, are their own sums, plus ``+0.0`` for fsum's sign of zero.
+addend each, are their own sums, plus ``+0.0`` for fsum's sign of zero, as
+is any one-entry segment among wider ones.
 An exactly rounded sum is unique, so every path gives the same bits, and
 since every sum that could overflow or meets an infinity is left to
 ``math.fsum``, so are the errors.  All need IEEE-754
@@ -131,9 +135,11 @@ def row_sums(values: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray
         return values.reshape(h) + 0.0
     if _by_fsum(values.size, h):
         return _fsum_rows(values, starts)
-    # the row length, or the widest segment's
-    n = values.shape[1] if starts is None else int(
-        (np.concatenate((starts[1:], [values.size])) - starts).max())
+    if starts is None:
+        n = values.shape[1]
+    else:
+        counts = np.diff(starts, append=values.size)
+        n = int(counts.max())  # the widest segment's
     top = max(values.max(), -values.min())
     if top == 0.0:
         return np.zeros(h)
@@ -151,10 +157,18 @@ def row_sums(values: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray
         q -= sigma
         tau1 = total(q)
         q -= values  # minus the remainders, exactly
+        tau2 = -total(q)
         bound = n * n * 2.0 ** -105 * sigma  # B = 2 n u * n u sigma
-        res, sure = _rounded(tau1, -total(q), bound)
-        again = np.flatnonzero(~sure)
-        if again.size and starts is None:
+        if starts is None:
+            res, sure = _rounded(tau1, tau2, bound)
+        else:  # a one-entry segment is its own sum
+            res, sure = values[starts] + 0.0, counts == 1
+            many = np.flatnonzero(~sure)
+            res[many], sure[many] = _rounded(tau1[many], tau2[many], bound)
+        if sure.all():
+            return res
+        if starts is None:
+            again = np.flatnonzero(~sure)
             res[again], sure[again] = _level2(q[again], sigma, tau1[again], m_bits, ones)
     left = np.flatnonzero(~sure)
     if left.size:

@@ -14,6 +14,10 @@ combines two of them as the counterpart of the one pass,
 arguments as their library counterparts, so a test can patch them in where
 the program looks the name up.
 
+:func:`vector_norms` is the loop's norm as it was before the stacked
+sum: one ``math.fsum`` of squares per vector.  The solver must reproduce
+it bit for bit, and takes the name ``modap.solver.vector_norms``.
+
 ``grow_expansion`` and ``VectorExpansion`` are the hand-written expansion
 arithmetic (Shewchuk, DCG 18, 1997) that summed the slices before
 ``modap.summation.column_sums``; the column sums must equal their rounded
@@ -125,6 +129,30 @@ def dense_row_pass(a, b, x, v=None):
             slices.append((r / norm_sq) * row)
             worst = max(worst, r / math.sqrt(norm_sq))
     return np.array(slices).reshape(len(slices), a.shape[1]), worst
+
+
+def vector_norms(vs):
+    """The norm of each row of ``vs``, as a list of floats: ``sqrt(fsum(v * v))`` when that sum
+    is normal, else v scaled by ``2^-k`` with ``2^(k-1) <= max|v| < 2^k``
+    and the norm scaled back; 0, inf and nan where the sum is."""
+    norms = []
+    for v in np.asarray(vs, dtype=np.float64):
+        with np.errstate(over="ignore"):
+            try:
+                s = math.fsum((v * v).tolist())
+            except OverflowError:
+                s = math.inf
+        big = float(np.max(np.abs(v))) if v.size else 0.0  # nan if v holds one
+        if 2.0 ** -1022 <= s < math.inf or big == 0.0 or not math.isfinite(big):
+            norms.append(math.sqrt(s))
+            continue
+        k = math.frexp(big)[1]
+        scaled = [math.ldexp(c, -k) for c in v.tolist()]
+        try:
+            norms.append(math.ldexp(math.sqrt(math.fsum(c * c for c in scaled)), k))
+        except OverflowError:
+            norms.append(math.inf)
+    return norms
 
 
 def grow_expansion(partials, value):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -93,6 +94,21 @@ def test_bad_number_list_rejected(argv, capsys):
     assert "list" in err and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["costmodel", "--n-values", "100,,1000"],
+    ["costmodel", "--n-values", "100,"],
+    ["costmodel", "--n-values", ",100"],
+    ["sweep", "--rates", "1, ,2"],
+])
+def test_blank_list_item_rejected(argv, capsys):
+    # a blank item used to be dropped and the command to run on the rest
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert f"blank item in {'int' if argv[0] == 'costmodel' else 'float'} list {argv[2]!r}" in (
+        capsys.readouterr().err)
+
+
 def test_sweep_command(tmp_path, capsys):
     code = main(
         [
@@ -123,6 +139,38 @@ def test_determinism_byte_identical_metrics(tmp_path):
     assert main(args + ["--set", f"output.path={out1}"]) == 0
     assert main(args + ["--set", f"output.path={out2}"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _integer_system(path, n=40, m=120):
+    """A dense system of small integers around the interior point (1, ..., 1):
+    ``a_ij = (7 i + 13 j) mod 11 - 5`` and ``b_i = 3 sum_j a_ij + 2``."""
+    lines = [f"{n} {m}"]
+    for i in range(m):
+        row = [(i * 7 + j * 13) % 11 - 5 for j in range(n)]
+        lines.append(" ".join(str(c) for c in row + [3 * sum(row) + 2]))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+# SHA-256 of the virtual-clock metrics file; a change to the numeric
+# kernels, the loop or the output format that moves one bit changes them
+_TRANSLATING = ["--set", "problem.n=1000", "--set", "dynamics.mode=translation", "--rate", "1"]
+_MODAP_TRANSLATING = "fc1c1bb0b57a3c027f5a5a2270050e7de632cbe102750a7489610925da2bfa04"
+
+
+@pytest.mark.parametrize("args,from_file,digest", [
+    (_TRANSLATING, False, _MODAP_TRANSLATING),
+    (_TRANSLATING + ["--workers", "3"], False, _MODAP_TRANSLATING),
+    # stationary: 891 iterations, each stepping from dozens of violated rows
+    (["--variant", "ap", "--max-iter", "5000"], True,
+     "0d10abafe94e7ece8725662e60c270594d57a6715fe0dca3b50e59dfe811bd4c"),
+])
+def test_virtual_clock_metrics_keep_their_bytes(tmp_path, args, from_file, digest):
+    out = tmp_path / "m.csv"
+    if from_file:
+        args = args + ["--set", f"problem.file={_integer_system(tmp_path / 'sys.txt')}"]
+    assert main(["solve", *args, "--set", f"output.path={out}"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_solve_from_config_file_with_flag_override(tmp_path, capsys):

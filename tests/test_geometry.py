@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import one_iteration
-from modap import InequalitySystem, ModelProblemSpec, generate_model_problem
+from modap import InequalitySystem, ModelProblemSpec, generate_model_problem, summation
 from modap.dynamics import translate
 from modap.geometry import (_BLOCK_ELEMENTS, eps_membership, max_relative_violation, vector_norm,
-                            violated_slices)
-from modap.summation import column_sums
+                            vector_norms, violated_slices)
+from modap.summation import SMALL_BLOCK, column_sums
 
 BOX = InequalitySystem([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])  # x1 <= 1, x2 <= 1
 
@@ -448,6 +448,60 @@ def test_vector_norm_keeps_its_bits_in_the_normal_range(values):
     s = math.fsum((v * v).tolist())
     if s >= 2.0 ** -1022:
         assert vector_norm(v) == math.sqrt(s)
+
+
+# zeros, subnormals, values whose squares underflow or overflow, squares
+# that sum past float64 (1e154 twice), inf and nan
+norm_values = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160,
+                     3e-170, 1.0, -3.0, 1e154, 1e200, 1.5e308, math.inf, -math.inf,
+                     math.nan]),
+)
+
+
+@st.composite
+def norm_stacks(draw):
+    """A ``(k, n)`` stack, k in 1..3 and n in 1..1500, so that the stacked
+    squares lie on either side of the small-block cut-off, drawn from a
+    small pool of values with random signs and a power-of-two scale per
+    vector; some vectors are all zeros."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.one_of(st.integers(1, 1500), st.sampled_from([1, 2, 600, 1000, 1500])))
+    pool = np.array(draw(st.lists(norm_values, min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = rng.choice(pool, size=(k, n)) * rng.choice([-1.0, 1.0], size=(k, n))
+    with np.errstate(over="ignore"):
+        stack = np.ldexp(stack, rng.integers(-60, 61, (k, 1)))
+    stack[rng.random(k) < 0.15] = 0.0
+    return stack
+
+
+@settings(deadline=None)
+@given(norm_stacks())
+@example(np.array([[3.0, 4.0] + [0.0] * 598, [1e-200] + [0.0] * 599]))
+@example(np.array([[1e154] * 700, [1.0] * 700]))  # one row's sum overflows
+@example(np.array([[1.5e308] * 2 + [0.0] * 698, [3e-170, 4e-170] + [0.0] * 698,
+                   [math.nan] + [1.0] * 699]))
+@example(np.array([[math.inf, 1.0] + [5e-324] * 998, [0.0] * 1000]))
+@example(np.full((2, 1000), 5e-324))
+def test_vector_norms_equal_the_per_vector_fsum_oracle(stack):
+    want = np.array(oracles.vector_norms(stack)).tobytes()
+    assert np.array(vector_norms(stack)).tobytes() == want
+    assert np.array([vector_norm(v) for v in stack]).tobytes() == want
+
+
+def test_two_stacked_norms_of_1000_take_the_block_levels(monkeypatch):
+    # the loop's stack at n = 1000, the last step and the next direction,
+    # is past the small-block cut-off; one vector alone is not
+    stack = np.random.default_rng(10).standard_normal((2, 1000))
+    assert stack.size + 4 * 2 >= SMALL_BLOCK > 1000 + 4
+    want = np.array(oracles.vector_norms(stack)).tobytes()
+    calls = []
+    real = summation.math.fsum
+    monkeypatch.setattr(summation.math, "fsum", lambda row: calls.append(len(row)) or real(row))
+    assert np.array(vector_norms(stack)).tobytes() == want
+    assert calls == []
 
 
 @settings(max_examples=150)

@@ -5,12 +5,17 @@ import pytest
 
 import oracles
 from conftest import brute_force_feasible, one_iteration, random_feasible_system
+import modap.solver as solver
 from modap import (
     DynamicsSpec,
     DynamicSystemSource,
+    EngineConfig,
     InequalitySystem,
+    ModelProblemSpec,
     SolverConfig,
     SolveStatus,
+    generate_model_problem,
+    run_parallel,
     solve,
 )
 from modap.geometry import violated_slices
@@ -237,3 +242,59 @@ OVERFLOWING_SLICE = InequalitySystem([[1e-150], [1.0]], [-1e300, 5.0])
 def test_non_finite_iterate_is_an_error(variant):
     with pytest.raises(ValueError, match="iteration 1 .* not finite"):
         solve(OVERFLOWING_SLICE, SolverConfig(variant=variant))
+
+
+def _translating_model(n):
+    return DynamicSystemSource(generate_model_problem(ModelProblemSpec(n=n)),
+                               DynamicsSpec(mode="translation", rate=1.0))
+
+
+@pytest.mark.parametrize("variant", ["ap", "modap"])
+@pytest.mark.parametrize("workers,record_trace", [(0, True), (0, False), (2, True), (2, False)])
+def test_the_per_vector_norm_oracle_reproduces_a_solve(monkeypatch, variant, workers,
+                                                      record_trace):
+    # n = 700: the stacked step and direction take the block levels of
+    # row_sums, a single vector math.fsum; ap never converges on a moving
+    # region, so it runs out of a small budget
+    def run():
+        config = SolverConfig(variant=variant, max_iterations=12,
+                              record_trace=record_trace, record_iterates=True)
+        if workers:
+            return run_parallel(_translating_model(700), config, EngineConfig(workers=workers))
+        return solve(_translating_model(700), config)
+
+    fast = run()
+    monkeypatch.setattr(solver, "vector_norms", oracles.vector_norms)
+    exact = run()
+
+    assert fast.status is exact.status
+    assert fast.iterations == exact.iterations > 0
+    assert [p.tobytes() for p in fast.iterates] == [p.tobytes() for p in exact.iterates]
+    if record_trace:
+        fields = ("k", "h", "step_norm", "max_violation", "virtual_time")
+        assert [[getattr(r, f) for f in fields] for r in fast.trace] == [
+            [getattr(r, f) for f in fields] for r in exact.trace
+        ]
+        assert all(type(r.step_norm) is float for r in fast.trace)
+
+
+def test_a_traced_modap_solve_takes_one_norm_sum_per_row_pass(monkeypatch):
+    stacks = []
+    real = solver.vector_norms
+
+    def vector_norms(vs):
+        stacks.append(len(vs))
+        return real(vs)
+
+    monkeypatch.setattr(solver, "vector_norms", vector_norms)
+    out = solve(_translating_model(700), SolverConfig(record_trace=True))
+    assert out.converged and out.iterations >= 3
+    # the first pass's direction alone, then each step's norm stacked with
+    # the next direction's, and the last step's alone: one call per pass
+    assert stacks == [1] + [2] * (out.iterations - 1) + [1]
+    stacks.clear()
+    out = solve(_translating_model(700), SolverConfig())
+    assert stacks == [1] * out.iterations  # untraced: the directions only
+    stacks.clear()
+    out = solve(_translating_model(700), SolverConfig(variant="ap", max_iterations=5))
+    assert stacks == []  # nor does an untraced ap solve norm anything

@@ -399,3 +399,47 @@ def test_a_block_of_zeros_sums_to_zeros(monkeypatch):
     calls = _counting_fsum(monkeypatch)
     assert row_sums(block).tobytes() == want
     assert calls == []
+
+
+def test_a_block_that_level_1_decides_takes_no_second_level_or_fsum(monkeypatch):
+    # sums of squares, which level 1 decides (see above), as a block and as
+    # segments of 2 to 1000 addends
+    squares = np.random.default_rng(5).standard_normal((65, 1000)) ** 2
+    lengths = np.random.default_rng(6).integers(2, 1001, 40)
+    values = squares.reshape(-1)[:lengths.sum()]
+    starts = np.cumsum(lengths) - lengths
+    want = [_fsum_rows(squares).tobytes(), _fsum_segments(values, starts).tobytes()]
+
+    def unreachable(*args):
+        raise AssertionError("level 1 decided every row")
+
+    monkeypatch.setattr(summation, "_level2", unreachable)
+    monkeypatch.setattr(summation, "_fsum_rows", unreachable)
+    assert row_sums(squares).tobytes() == want[0]
+    assert row_sums(values, starts).tobytes() == want[1]
+
+
+def test_one_entry_segments_are_their_own_sums(monkeypatch):
+    # ragged segments: one-entry segments of every kind, far below the
+    # largest magnitude among them, next to wide segments
+    rng = np.random.default_rng(11)
+    ones = [[x] for x in (5e-324, -5e-324, 0.0, -0.0, 2.0 ** -899, -3.0 * 2.0 ** -700,
+                          1e-300, -1.0)]
+    wide = [list(rng.standard_normal(int(w))) for w in rng.integers(2, 400, 12)]
+    rows = ones * 40 + wide
+    order = rng.permutation(len(rows))
+    values, starts = _segments(*[rows[i] for i in order])
+    assert values.size + 4 * starts.size >= SMALL_BLOCK
+    want = _fsum_segments(values, starts).tobytes()
+    widths = []
+    real = summation._rounded
+
+    def rounded(tau1, tau2, bound):
+        widths.append(len(tau1))
+        return real(tau1, tau2, bound)
+
+    calls = _counting_fsum(monkeypatch)
+    monkeypatch.setattr(summation, "_rounded", rounded)
+    assert row_sums(values, starts).tobytes() == want
+    # only the wide segments reach the level-1 test, and none needs fsum
+    assert widths == [len(wide)] and calls == []
