@@ -20,7 +20,11 @@ quartiles of its repeats; ``path`` says which of the other two
 ``row_sums`` takes.  On the fit shapes, blocks on both sides of the
 cut-off, least squares fits the medians of each of the two paths as ``c0 +
 c1 size + c2 h`` and reports where they cross, in the ``size + k h`` form
-of ``summation.SMALL_BLOCK``.  The whole run takes a few seconds.
+of ``summation.SMALL_BLOCK``.  The level-1 decision (``summation._rounded``)
+is timed the same way in its two forms, Python floats and numpy, on 1 to 32
+rows, and a line ``c0 + c1 h`` fitted to each gives the row count at which
+they cross, against ``summation.FEW_ROWS``.  The whole run takes a few
+seconds.
 """
 
 from __future__ import annotations
@@ -40,9 +44,11 @@ from sparse_scale import machine
 
 WORKLOAD_SHAPES = [(h, 100) for h in (50, 160, 243)] + [(100, h) for h in (50, 160, 243)] + [
     (2, 1000), (1, 1000), (1, 100)]
-# about 250 to 2000 elements in rows of 4 to 2000, on both sides of the cut-off
-FIT_SHAPES = [(1, 250), (1, 500), (1, 1000), (1, 2000), (2, 500), (4, 250), (8, 125),
-              (16, 64), (32, 32), (64, 16), (125, 8), (250, 4)]
+# about 125 to 1000 elements in rows of 2 to 1000, on both sides of the cut-off
+FIT_SHAPES = [(1, 125), (1, 250), (1, 500), (1, 1000), (2, 125), (2, 250), (2, 500),
+              (4, 64), (4, 125), (8, 32), (8, 64), (16, 16), (16, 32), (32, 8), (32, 16),
+              (64, 4), (64, 8), (125, 2), (250, 2)]
+ROUNDED_ROWS = [1, 2, 4, 6, 8, 10, 12, 14, 16, 20, 24, 32]
 CALLS = 20
 REPEATS = 9
 
@@ -79,14 +85,14 @@ def _vectorised(*args) -> np.ndarray:
         summation.SMALL_BLOCK = cut
 
 
-def _timed(args, what: str, rows: int) -> dict:
+def _timed(args, what: str) -> dict:
     """The path ``row_sums`` takes on ``args`` and the three timings, after
     checking that all three give the same bits."""
     want = _fsum_rows(*args).tobytes()
     if not summation.row_sums(*args).tobytes() == want == _vectorised(*args).tobytes():
         raise RuntimeError(f"row sums of {what} differ from math.fsum")
     return {
-        "path": "fsum" if summation._by_fsum(args[0].size, rows) else "vectorised",
+        "path": "fsum" if args[0].size < summation.SMALL_BLOCK else "vectorised",
         **_times_us({"row_sums_us": summation.row_sums, "fsum_us": _fsum_rows,
                      "vectorised_us": _vectorised}, args),
     }
@@ -95,7 +101,7 @@ def _timed(args, what: str, rows: int) -> dict:
 def measure(shape) -> dict:
     h, n = shape
     block = np.random.default_rng(h * 10007 + n).standard_normal(shape)
-    return {"shape": [h, n], **_timed((block,), f"a {shape} block", h)}
+    return {"shape": [h, n], **_timed((block,), f"a {shape} block")}
 
 
 def measure_setup_squares(n: int = 1000) -> dict:
@@ -104,7 +110,33 @@ def measure_setup_squares(n: int = 1000) -> dict:
     starts = system.indptr[:-1]
     widths, counts = np.unique(np.diff(system.indptr), return_counts=True)
     return {"segments": [[int(c), int(w)] for c, w in zip(counts, widths)],
-            **_timed((system.data * system.data, starts), "the set-up squares", starts.size)}
+            **_timed((system.data * system.data, starts), "the set-up squares")}
+
+
+def measure_rounded(h: int) -> dict:
+    """Both forms of the level-1 decision on h rows of a standard normal
+    ``tau1`` and a ``tau2`` some 2^-40 smaller, after checking they agree."""
+    rng = np.random.default_rng(h)
+    args = (rng.standard_normal(h), rng.standard_normal(h) * 2.0 ** -40, 2.0 ** -80)
+    few, rows = summation._rounded_few(*args), summation._rounded_rows(*args)
+    if not all(a.tobytes() == b.tobytes() for a, b in zip(few, rows)):
+        raise RuntimeError(f"the two forms of the level-1 decision differ on {h} rows")
+    return {"rows": h, **_times_us({"few_us": summation._rounded_few,
+                                    "rows_us": summation._rounded_rows}, args)}
+
+
+def rounded_crossover(cases: list[dict]) -> dict:
+    """Least-squares lines ``c0 + c1 h`` (us) of both forms of the level-1
+    decision, and the row count at which they cost the same."""
+    x = np.array([[1.0, c["rows"]] for c in cases])
+    f, v = (np.linalg.lstsq(x, np.array([c[key]["median"] for c in cases]), rcond=None)[0]
+            for key in ("few_us", "rows_us"))
+    return {
+        "few_us": {"fixed": f[0], "per_row": f[1]},
+        "rows_us": {"fixed": v[0], "per_row": v[1]},
+        "rows": (v[0] - f[0]) / (f[1] - v[1]),
+        "few_rows": summation.FEW_ROWS,
+    }
 
 
 def crossover(cases: list[dict]) -> dict:
@@ -143,11 +175,20 @@ def main() -> int:
     cross = crossover(fit)
     print(f"paths cross at size + {cross['k']:.1f} h = {cross['size_plus_k_h']:.0f} "
           f"(SMALL_BLOCK = {summation.SMALL_BLOCK})")
+    rounded = [measure_rounded(h) for h in ROUNDED_ROWS]
+    for case in rounded:
+        print(f"{case['rows']:>4} rows decided:", ", ".join(
+            f"{key[:-3]} {t['median']:5.2f} [{t['q1']:5.2f}, {t['q3']:5.2f}] us"
+            for key, t in case.items() if key.endswith("_us")))
+    rounded_cross = rounded_crossover(rounded)
+    print(f"decision forms cross at {rounded_cross['rows']:.1f} rows "
+          f"(FEW_ROWS = {summation.FEW_ROWS})")
     record = {
         "what": "summation.row_sums on seeded standard normal blocks and on the n = 1000 "
                 "model problem's set-up squares as segments, against one math.fsum per "
                 "row or segment and against the vectorised levels with the "
-                f"small-block cut-off lifted; median and quartiles of {REPEATS} repeats, "
+                "small-block cut-off lifted, and the level-1 decision in Python floats "
+                f"against numpy; median and quartiles of {REPEATS} repeats, "
                 f"taken in turns, of the mean of {CALLS} calls, in microseconds",
         "command": "PYTHONPATH=src python scripts/sum_kernel.py",
         "machine": machine(),
@@ -155,6 +196,8 @@ def main() -> int:
         "segment_shapes": segments,
         "fit_shapes": fit,
         "crossover": cross,
+        "rounded_rows": rounded,
+        "rounded_crossover": rounded_cross,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
     return 0

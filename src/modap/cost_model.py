@@ -98,8 +98,10 @@ class CostParams:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
-        if not (self.tau_op > 0 and self.tau_tr > 0 and self.latency > 0):
-            raise ValueError("tau_op, tau_tr and latency must all be positive")
+        for name in ("tau_op", "tau_tr", "latency"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.update_breadth not in (BREADTH_SINGLE, BREADTH_FULL):
             raise ValueError(f"unknown update breadth {self.update_breadth!r}")
 

@@ -65,11 +65,18 @@ so it adds at most ``2^-53 N_i (||x|| + ||v||)`` to the dot product's own
 error, and because the exact path compares against the rounded bound
 ``b_i + <a_i, v>``, which lies within ``2^-52 (|b_i| + N_i ||v||)`` of the
 exact one; the factor ``n + 8`` leaves room for both.  An ``x - v`` that
-overflows gives a non-finite t_i or e_i.  ``t_i <= -e_i`` proves the
-exact residual is at most 0, so the row is satisfied and skipped.  Every
-other row (violated, near its hyperplane, or with an estimate or bound that
-is not finite) goes through the exact path: the products of its stored
-entries, taken for all such rows at once, and their exactly rounded row
+overflows gives a non-finite t_i or e_i.  ``t_i <= -e_i`` with ``e_i <
+2^960`` proves the exact residual is at most 0, so the row is satisfied and
+skipped.  The pass tests ``fl(t_i + e_i) <= 0`` instead, one addition in
+place where ``-e_i`` would take a new array.  For finite t_i and e_i the
+two tests agree: rounding is monotone and keeps 0, and an exact sum of two
+floats that is not 0 does not round to 0 (subnormals are kept), so
+``fl(t_i + e_i) <= 0`` iff ``t_i + e_i <= 0``, a sum that overflows
+included, since it keeps its sign.  e_i holds ``|t_i|``, so an infinite or
+NaN t_i makes e_i infinite or NaN, and the row fails ``e_i < 2^960``.
+Every other row (violated, near its hyperplane, or with an estimate or
+bound that is not finite) goes through the exact path: the products of its
+stored entries, taken for all such rows at once, and their exactly rounded row
 sums (:func:`~modap.summation.row_sums`, vectorised over the block), the
 bits of :func:`~modap.summation.exact_dot` over the dense row.  On a
 translated system the products with x and with v are stacked into one
@@ -135,7 +142,8 @@ class InequalitySystem:
     cached norms instead of recomputing them.
 
     A translated system holds ``b' = b + A v`` implicitly, as the base
-    bounds b, v and a norm bound of v: a row pass computes the exact bounds
+    bounds b and v; its first row pass adds a norm bound of v (passes that
+    race to it store the same bits).  A row pass computes the exact bounds
     of the rows it evaluates exactly, and the first read of :attr:`b`
     builds the whole vector, with the same bits either way.  A bound that
     overflows float64 raises ``OverflowError`` naming its row.
@@ -187,10 +195,7 @@ class InequalitySystem:
         self._b = b
         self._base_b = base_b
         self._shift = shift
-        self._shift_norm = None
-        if shift is not None:
-            with np.errstate(over="ignore"):
-                self._shift_norm = _norm_bound(shift)
+        self._shift_norm = None  # a norm bound of shift, taken by the first pass
 
     def _sharing_rows(self) -> "InequalitySystem":
         obj = object.__new__(InequalitySystem)
@@ -266,19 +271,20 @@ class InequalitySystem:
         array), given the exactly rounded ``sums`` ``<a_i, v>``.  The caller
         silences overflow warnings."""
         b = self._base_b[rows] + sums
-        bad = np.flatnonzero(~np.isfinite(b))
-        if bad.size:
-            raise OverflowError(f"row {rows[bad[0]]}: {_BOUND} overflows float64")
+        finite = np.isfinite(b)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)[0]
+            raise OverflowError(f"row {rows[bad]}: {_BOUND} overflows float64")
         return b
 
     def _translated(self, v: np.ndarray) -> "InequalitySystem":
         """System with bounds ``b + A v`` held implicitly (see
         :func:`modap.dynamics.translate`, which validates v).
 
-        O(n): it keeps the base bounds, a copy of v and a norm bound of v,
-        which the filter reads through ``A (x - v) - b`` (see the module
-        docstring).  Translating a translated system first builds its exact
-        bounds.
+        O(n): it keeps the base bounds and a copy of v, which the filter
+        reads through ``A (x - v) - b`` (see the module docstring); the
+        filter's first pass adds a norm bound of v.  Translating a
+        translated system first builds its exact bounds.
         """
         obj = self._sharing_rows()
         obj._set_rhs(None, self.b, v.copy())
@@ -431,31 +437,41 @@ def _norm_bound(v: np.ndarray) -> float:
 
 def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int):
     """Rows in [start, stop) that the float64 filter cannot prove satisfied
-    (see the module docstring for the bound), ascending and counted from
-    start.  The estimate is one product over the rows' stored entries, as
-    :meth:`InequalitySystem._gather` reads them: a matrix-vector product on
-    a block, one ``np.add.reduceat`` on CSR segments."""
-    coef = (sys.n + 8) * _TWO_U
+    (see the module docstring for the bound and the settle test), ascending
+    and counted from start.  The estimate is one product over the rows'
+    stored entries, as :meth:`InequalitySystem._gather` reads them: a
+    matrix-vector product on a block, one ``np.add.reduceat`` on CSR
+    segments.  The caller silences floating-point warnings."""
     shift = sys._shift
     values, columns, starts = sys._gather(range(start, stop))
-    with np.errstate(all="ignore"):
-        xnorm = _norm_bound(x)
-        y = x if shift is None else x - shift
-        t = values @ y if starts is None else np.add.reduceat(values * y[columns], starts)
-        if shift is None:
-            t -= sys._b[start:stop]
-            scale = sys._norm_bounds[start:stop] * xnorm
-        else:
-            base_b = sys._base_b[start:stop]
-            t -= base_b
-            scale = sys._norm_bounds[start:stop] * (xnorm + sys._shift_norm)
-            scale += np.abs(base_b)
-        scale += np.abs(t)
-        e = coef * scale
-        if xnorm or shift is not None:
-            e += (sys.n + 8) * _MIN_NORMAL
-        settled = (t <= -e) & (e < _FILTER_LIMIT)
-    return np.flatnonzero(~settled)
+    y = x if shift is None else x - shift
+    t = values @ y if starts is None else np.add.reduceat(values * y[columns], starts)
+    xnorm = _norm_bound(x)
+    if shift is None:
+        t -= sys._b[start:stop]
+        e = sys._norm_bounds[start:stop] * xnorm
+    else:
+        if sys._shift_norm is None:  # the first pass on this snapshot
+            sys._shift_norm = _norm_bound(shift)
+        base_b = sys._base_b[start:stop]
+        t -= base_b
+        e = sys._norm_bounds[start:stop] * (xnorm + sys._shift_norm)
+        e += np.abs(base_b)
+    e += np.abs(t)
+    e *= (sys.n + 8) * _TWO_U
+    if xnorm or shift is not None:
+        e += (sys.n + 8) * _MIN_NORMAL
+    return (~_settled(t, e)).nonzero()[0]
+
+
+def _settled(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Which rows the estimates t and their bounds e prove satisfied:
+    ``fl(t + e) <= 0`` and ``e < _FILTER_LIMIT``, the same as ``t <= -e``
+    for finite t and e (see the module docstring).  Overwrites e."""
+    settled = e < _FILTER_LIMIT
+    e += t
+    settled &= e <= 0.0
+    return settled
 
 
 def violated_slices(
@@ -472,11 +488,15 @@ def violated_slices(
     """
     if stop is None:
         stop = sys.m
-    rows = _unsettled_rows(sys, x, start, stop) + start
-    if not rows.size:
-        return np.zeros((0, sys.n)), 0.0
-    gathered = sys._gather(rows)
-    with np.errstate(all="ignore"):  # a non-finite slice fails the step's check
+    # one scope for the pass: a row whose estimate or bound is not finite
+    # takes the exact path, and a non-finite slice fails the step's check
+    with np.errstate(all="ignore"):
+        rows = _unsettled_rows(sys, x, start, stop)
+        if not rows.size:
+            return np.zeros((0, sys.n)), 0.0
+        if start:
+            rows += start
+        gathered = sys._gather(rows)
         if sys._b is not None:
             (r,) = _dots(rows, gathered, x[None], ["its residual"])
             r -= sys._b[rows]
@@ -487,7 +507,7 @@ def violated_slices(
         # a block is multiplied as it is stored; segments are spread first
         a = gathered[0] if gathered[2] is None else _scattered(*gathered, sys.n)
         hit = r > 0.0
-        if not hit.all():
+        if np.count_nonzero(hit) < hit.size:  # a fraction of hit.all()'s cost
             r, rows, a = r[hit], rows[hit], a[hit]
         block = (r / sys.row_norms_sq[rows])[:, None] * a
         worst = float((r / sys.row_norms[rows]).max()) if r.size else 0.0
@@ -541,8 +561,8 @@ def vector_norms(vs: np.ndarray) -> list[float]:
         for i, row in enumerate(squares.tolist()):
             with contextlib.suppress(OverflowError):
                 sums[i] = math.fsum(row)
-    return [math.sqrt(s) if _MIN_NORMAL <= s < math.inf else _rescaled_norm(v, s)
-            for v, s in zip(vs, sums)]
+    return [math.sqrt(s) if _MIN_NORMAL <= s < math.inf else _rescaled_norm(vs[i], s)
+            for i, s in enumerate(sums)]
 
 
 def _rescaled_norm(v: np.ndarray, s: float) -> float:

@@ -28,10 +28,13 @@ subnormal result is exact.  So ``B = 2 n u * n u sigma`` bounds that
 error; the 2 covers ``gamma_{n-1} <= 2 n u`` (``n <= 2^52``) and rounding
 ``n^2``.  TwoSum splits ``tau_1 + tau_2`` exactly into ``res + delta``,
 ``res`` their rounded sum, the rounded exact sum if ``|delta| + B`` is less
-than half the gap from ``res`` to its nearer neighbour.  A sum on a
-midpoint (0.7 % of the rows of a standard normal ``(1000, 100)`` block)
-fails this test however small B is, so undecided rows take a second level
-on their remainders: ``sigma_2 = 2^(M-53) sigma`` meets the same
+than half the gap from ``res`` to its nearer neighbour.  The decision costs
+about a dozen numpy calls whatever the row count, so up to :data:`FEW_ROWS`
+rows take it one row at a time in Python floats instead, with the same
+roundings (TwoSum, and ``math.nextafter`` for the gap), so the same bits.
+A sum on a midpoint (0.7 % of the rows of a standard normal ``(1000,
+100)`` block) fails this test however small B is, so undecided rows take a
+second level on their remainders: ``sigma_2 = 2^(M-53) sigma`` meets the same
 precondition, and at most ``n u sigma_2`` is left after it.  If nothing is,
 ``res`` is the rounding of the exact ``tau_1 + tau_2``, ties to even
 included; otherwise that bound is B.  This is a floating-point filter in
@@ -74,35 +77,43 @@ decided by them alone.  The order of the paths is:
 
 A row far below the scale of its block thus costs one ``math.fsum`` on top
 of its share of the block pass.  Blocks too small for the vectorised
-path's fixed cost to pay off (:data:`SMALL_BLOCK`, counting addends and
-rows) go straight to ``math.fsum``; a one-column block, or segments of one
+path's fixed cost to pay off (fewer addends than :data:`SMALL_BLOCK`) go
+straight to ``math.fsum``; a one-column block, or segments of one
 addend each, are their own sums, plus ``+0.0`` for fsum's sign of zero, as
 is any one-entry segment among wider ones.
 An exactly rounded sum is unique, so every path gives the same bits, and
 since every sum that could overflow or meets an infinity is left to
-``math.fsum``, so are the errors.  All need IEEE-754
-round-to-nearest, which CPython and numpy guarantee for float64.
+``math.fsum``, so are the errors.  Nor does the vectorised path raise a
+floating-point exception: it runs only on finite addends of at most
+``2^900``, where sigma stays below ``2^965`` and every sum, remainder,
+bound and gap is finite, so it needs no ``np.errstate`` of its own.  All
+need IEEE-754 round-to-nearest, which CPython and numpy guarantee for
+float64.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 __all__ = ["exact_dot", "row_sums", "column_sums"]
 
-# a block whose element count plus four times its row count is below this
-# is summed by one math.fsum per row.  scripts/sum_kernel.py times both
-# paths (BENCH_summation.json; 2-vCPU Xeon VM, Python 3.11, numpy 2.4):
-# fsum about 0.05 us per element, the vectorised path about 40 us plus a
-# few ns per element, and more when level 2 runs, which is common in rows of
-# 32 or fewer addends.  Near the cut-off the two differ by about as much as
-# repeated runs of one path do, so only the direction is taken from them:
-# blocks of about 1000 elements in rows of 8 to 32 are cheaper by fsum, a
-# single row of 1000 costs about the same either way.  The cut-off is kept:
-# (1, 1000) stays on fsum and a column sum of one 1000-wide slice does not
-SMALL_BLOCK = 1200
+# a block of fewer elements than this is summed by one math.fsum per row.
+# scripts/sum_kernel.py times both paths (BENCH_summation.json; 2-vCPU Xeon
+# VM, Python 3.11, numpy 2.4): fsum about 0.03 us per element, the
+# vectorised path about 9 us plus a few ns per element, and more when level
+# 2 runs, which is common in rows of 16 or fewer addends.  Fitted as c0 +
+# c1 size + c2 h, the two cross at size + k h with k within 0.6 of 0 and
+# size between 438 and 556 over five runs, so the cut-off counts elements
+# only: a lone row of 1000, such as one norm at n = 1000, is vectorised
+# (10 us against 30 us by fsum), a row of 100 is not (3.3 against 8.4 us)
+SMALL_BLOCK = 500
+# _rounded decides at most this many rows in Python floats: the two forms
+# cost the same at 15.4 to 16.2 rows (same script and machine), and on 2
+# rows 1.9 us against 5.5 us
+FEW_ROWS = 16
 _U = 2.0 ** -53
 # a block maximum in this range keeps every sigma, bound and gap normal
 _MIN_MAX = 2.0 ** -900
@@ -133,54 +144,52 @@ def row_sums(values: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray
     h = len(values) if starts is None else starts.size
     if values.size == h:  # fsum of one addend: the addend, with +0.0 for -0.0
         return values.reshape(h) + 0.0
-    if _by_fsum(values.size, h):
+    if values.size < SMALL_BLOCK:
         return _fsum_rows(values, starts)
     if starts is None:
         n = values.shape[1]
     else:
         counts = np.diff(starts, append=values.size)
         n = int(counts.max())  # the widest segment's
-    top = max(values.max(), -values.min())
+    q = np.abs(values)
+    top = q.max()
     if top == 0.0:
         return np.zeros(h)
     if not _MIN_MAX <= top <= _MAX_MAX:  # also nan
         return _fsum_rows(values, starts)
     m_bits = max(1, (n - 1).bit_length())  # 2^M >= n, M >= 1
     sigma = math.ldexp(1.0, math.frexp(top)[1] + m_bits)
-    ones = np.ones(n)
-
-    def total(q):
-        return q @ ones if starts is None else np.add.reduceat(q, starts)
-
-    with np.errstate(all="ignore"):  # undecided rows are redone by fsum
-        q = sigma + values
-        q -= sigma
-        tau1 = total(q)
-        q -= values  # minus the remainders, exactly
-        tau2 = -total(q)
-        bound = n * n * 2.0 ** -105 * sigma  # B = 2 n u * n u sigma
-        if starts is None:
-            res, sure = _rounded(tau1, tau2, bound)
-        else:  # a one-entry segment is its own sum
-            res, sure = values[starts] + 0.0, counts == 1
-            many = np.flatnonzero(~sure)
-            res[many], sure[many] = _rounded(tau1[many], tau2[many], bound)
-        if sure.all():
-            return res
-        if starts is None:
-            again = np.flatnonzero(~sure)
-            res[again], sure[again] = _level2(q[again], sigma, tau1[again], m_bits, ones)
+    ones = _ones(n)
+    np.add(values, sigma, out=q)
+    q -= sigma
+    tau1 = q @ ones if starts is None else np.add.reduceat(q, starts)
+    np.subtract(values, q, out=q)  # the remainders, exactly
+    tau2 = q @ ones if starts is None else np.add.reduceat(q, starts)
+    bound = n * n * 2.0 ** -105 * sigma  # B = 2 n u * n u sigma
+    if starts is None:
+        res, sure = _rounded(tau1, tau2, bound)
+    else:  # a one-entry segment is its own sum
+        res, sure = values[starts] + 0.0, counts == 1
+        many = np.flatnonzero(~sure)
+        res[many], sure[many] = _rounded(tau1[many], tau2[many], bound)
+    if np.count_nonzero(sure) == h:  # a fraction of sure.all()'s cost
+        return res
+    if starts is None:
+        again = np.flatnonzero(~sure)
+        rest = -q[again]  # minus the remainders, as level 2 takes them
+        res[again], sure[again] = _level2(rest, sigma, tau1[again], m_bits, ones)
     left = np.flatnonzero(~sure)
     if left.size:
         res[left] = _fsum_rows(values, starts, left)
     return res
 
 
-def _by_fsum(size: int, h: int) -> bool:
-    """Whether :func:`row_sums` sums ``size`` addends in ``h`` rows or
-    segments, of more than one addend at the widest, by one ``math.fsum``
-    per row: no addends, or ``size + 4 h`` below :data:`SMALL_BLOCK`."""
-    return size == 0 or size + 4 * h < SMALL_BLOCK
+@functools.lru_cache(maxsize=8)
+def _ones(n: int) -> np.ndarray:
+    """A read-only vector of n ones, the weights of each level's sums."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
 
 
 def _fsum_rows(values: np.ndarray, starts, which=None) -> np.ndarray:
@@ -195,14 +204,35 @@ def _fsum_rows(values: np.ndarray, starts, which=None) -> np.ndarray:
     return np.array([math.fsum(row) for row in rows], dtype=np.float64).reshape(len(rows))
 
 
-def _rounded(tau1: np.ndarray, tau2: np.ndarray, bound: np.ndarray):
+def _rounded(tau1: np.ndarray, tau2: np.ndarray, bound: float):
     """``fl(tau1 + tau2)``, and whether every real number within ``bound`` of
-    ``tau1 + tau2`` rounds to it."""
+    ``tau1 + tau2`` rounds to it: in Python floats for at most
+    :data:`FEW_ROWS` rows, else with numpy, the same operations either way."""
+    if tau1.size > FEW_ROWS:
+        return _rounded_rows(tau1, tau2, bound)
+    return _rounded_few(tau1, tau2, bound)
+
+
+def _rounded_rows(tau1: np.ndarray, tau2: np.ndarray, bound: float):
+    """:func:`_rounded` with numpy, for any number of rows."""
     res = tau1 + tau2
     z = res - tau1
     delta = (tau1 - (res - z)) + (tau2 - z)  # TwoSum: tau1 + tau2 = res + delta
     mag = np.abs(res)
     return res, np.abs(delta) + bound < 0.5 * (mag - np.nextafter(mag, 0.0))
+
+
+def _rounded_few(tau1: np.ndarray, tau2: np.ndarray, bound: float):
+    """:func:`_rounded` one row at a time in Python floats, for a few rows."""
+    res, sure = [], []
+    for a, b in zip(tau1.tolist(), tau2.tolist()):
+        s = a + b
+        z = s - a
+        mag = abs(s)
+        res.append(s)
+        sure.append(abs((a - (s - z)) + (b - z)) + bound
+                    < 0.5 * (mag - math.nextafter(mag, 0.0)))
+    return np.array(res, dtype=np.float64), np.array(sure, dtype=bool)
 
 
 def _level2(rest: np.ndarray, sigma: float, tau1: np.ndarray, m_bits: int,

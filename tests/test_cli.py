@@ -10,7 +10,7 @@ import pytest
 
 from modap import generate_model_problem, load_system, ModelProblemSpec
 from modap.cli import main
-from modap.summation import SMALL_BLOCK
+from modap.summation import FEW_ROWS, SMALL_BLOCK
 
 
 def test_solve_exit_zero_and_metrics_written(tmp_path, capsys):
@@ -107,6 +107,16 @@ def test_blank_list_item_rejected(argv, capsys):
     assert info.value.code == 1
     assert f"blank item in {'int' if argv[0] == 'costmodel' else 'float'} list {argv[2]!r}" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag", ["--tau-op", "--tau-tr", "--latency"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_costmodel_rejects_a_constant_that_is_not_finite(flag, value, capsys):
+    # --tau-op inf used to print k_max nan and --tau-tr inf k_max 0.0, exit 0
+    assert main(["costmodel", "--n", "100", f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag[2:].replace('-', '_')} must be positive and finite" in captured.err
 
 
 def test_sweep_command(tmp_path, capsys):
@@ -212,11 +222,33 @@ def test_sum_kernel_script_runs(tmp_path):
     record = json.loads(out.read_text())
     assert {"python", "numpy", "blas_threads"} <= record["machine"].keys()
     paths = {tuple(c["shape"]): c["path"] for c in record["workload_shapes"]}
-    assert paths[(1, 1000)] == "fsum" and paths[(243, 100)] == "vectorised"
+    assert paths[(1, 100)] == "fsum" and paths[(1, 1000)] == "vectorised"
+    assert paths[(243, 100)] == "vectorised"
     # the model problem's set-up squares, summed as segments
     (squares,) = record["segment_shapes"]
     assert squares["segments"] == [[2000, 1], [2, 1000]] and squares["path"] == "vectorised"
     assert record["crossover"]["small_block"] == SMALL_BLOCK
+    assert [c["rows"] for c in record["rounded_rows"]][:2] == [1, 2]
+    assert record["rounded_crossover"]["few_rows"] == FEW_ROWS
+
+
+def test_ab_inprocess_script_runs_on_one_tree_twice():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "ab_inprocess.py"), "--base", str(root),
+         "--head", str(root), "--workload", "model-translate", "--rounds", "2",
+         "--solves", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(" (")[0] for line in lines[:2]] == ["round   1", "round   2"]
+    assert "(base first)" in lines[0] and "(head first)" in lines[1]
+    record = json.loads(lines[-1])
+    assert record["workload"] == "model-translate" and record["iterations"] == 5
+    assert record["rounds"] == 2 and 0 <= record["rounds_lower"] <= 2
+    assert record["median_ratio"] > 0
 
 
 def test_bad_arguments_exit_one():

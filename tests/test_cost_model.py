@@ -173,3 +173,11 @@ def test_params_validation():
         CostParams(1, 1, tau_op=0.0)
     with pytest.raises(ValueError):
         CostParams(1, 1, update_breadth="half")
+
+
+@pytest.mark.parametrize("name", ["tau_op", "tau_tr", "latency"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1e-9])
+def test_params_reject_a_constant_that_is_not_finite_and_positive(name, value):
+    # an infinite tau_op used to give k_max nan, an infinite tau_tr 0.0
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        CostParams(10, 22, **{name: value})

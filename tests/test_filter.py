@@ -196,6 +196,49 @@ def test_filtered_kernels_equal_the_oracles_bit_for_bit(case, data):
     assert fast.b.tobytes() == exact.b.tobytes()
 
 
+# the cases' huge magnitudes overflow on purpose
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(filter_cases())
+def test_a_row_the_filter_settles_has_no_positive_residual(case):
+    # on and a few ulps off the hyperplanes, and with estimates and bounds
+    # that overflow: every row the fused test settles evaluates exactly,
+    # without overflow, to a residual of at most 0
+    fast, exact, x = case
+    with np.errstate(all="ignore"):
+        unsettled = geometry._unsettled_rows(fast, x, 0, fast.m).tolist()
+    for i in sorted(set(range(fast.m)) - set(unsettled)):
+        assert oracles.residual(exact, i, x) <= 0.0
+
+
+# estimates: any float; bounds: what the filter builds, a non-negative float,
+# an infinity or nan
+_ESTIMATES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, -5e-324, 2.0 ** 960,
+                                                     -2.0 ** 960, math.inf, -math.inf]))
+_BOUNDS = st.one_of(st.floats(min_value=0.0), st.sampled_from([0.0, 5e-324, 2.0 ** 960,
+                                                               math.nextafter(2.0 ** 960, 0.0),
+                                                               math.inf, math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ESTIMATES, _BOUNDS), min_size=1, max_size=40),
+       st.sampled_from([0, 1, -1]))
+def test_fused_settle_test_is_t_at_most_minus_e(pairs, nudge):
+    # fl(t + e) <= 0 and e < 2^960, the same as t <= -e and e < 2^960; t
+    # moved by an ulp against -e, so that the sum lands on, just above or
+    # just below 0
+    t = np.array([math.nextafter(-e, math.copysign(math.inf, nudge)) if nudge and
+                  math.isfinite(e) else tt for tt, e in pairs])
+    e = np.array([e for _, e in pairs])
+    want = [ti <= -ei and ei < geometry._FILTER_LIMIT for ti, ei in zip(t.tolist(), e.tolist())]
+    with np.errstate(all="ignore"):
+        got = geometry._settled(t, e.copy())
+    assert got.tolist() == want
+    # a nan estimate, a +inf one, and any bound that is not finite stay unsettled
+    assert not (got & (np.isnan(t) | (t == math.inf) | ~np.isfinite(e))).any()
+
+
 @pytest.mark.parametrize("translated,mixed", [
     pytest.param(False, False, id="False"),
     pytest.param(True, False, id="True"),

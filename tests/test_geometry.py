@@ -493,15 +493,17 @@ def test_vector_norms_equal_the_per_vector_fsum_oracle(stack):
 
 def test_two_stacked_norms_of_1000_take_the_block_levels(monkeypatch):
     # the loop's stack at n = 1000, the last step and the next direction,
-    # is past the small-block cut-off; one vector alone is not
+    # is past the small-block cut-off, and so is one vector alone; a vector
+    # of 100 is not
     stack = np.random.default_rng(10).standard_normal((2, 1000))
-    assert stack.size + 4 * 2 >= SMALL_BLOCK > 1000 + 4
-    want = np.array(oracles.vector_norms(stack)).tobytes()
+    assert 100 < SMALL_BLOCK <= 1000
+    cases = [stack, stack[:1], stack[1:], stack[:1, :100]]
+    want = [np.array(oracles.vector_norms(vs)).tobytes() for vs in cases]
     calls = []
     real = summation.math.fsum
     monkeypatch.setattr(summation.math, "fsum", lambda row: calls.append(len(row)) or real(row))
-    assert np.array(vector_norms(stack)).tobytes() == want
-    assert calls == []
+    assert [np.array(vector_norms(vs)).tobytes() for vs in cases] == want
+    assert calls == [100]  # the short vector only
 
 
 @settings(max_examples=150)

@@ -19,7 +19,7 @@ from modap import (
     solve,
 )
 from modap.geometry import violated_slices
-from modap.summation import column_sums
+from modap.summation import SMALL_BLOCK, column_sums
 
 BOX = InequalitySystem([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 HALF = InequalitySystem([[1.0, 0.0]], [1.0])
@@ -253,16 +253,17 @@ def _translating_model(n):
 @pytest.mark.parametrize("workers,record_trace", [(0, True), (0, False), (2, True), (2, False)])
 def test_the_per_vector_norm_oracle_reproduces_a_solve(monkeypatch, variant, workers,
                                                       record_trace):
-    # n = 700: the stacked step and direction take the block levels of
-    # row_sums, a single vector math.fsum; ap never converges on a moving
-    # region, so it runs out of a small budget
+    # n = 300: the stacked step and direction (600 squares) take the block
+    # levels of row_sums, a single vector math.fsum; ap never converges on
+    # a moving region, so it runs out of a small budget
     def run():
         config = SolverConfig(variant=variant, max_iterations=12,
                               record_trace=record_trace, record_iterates=True)
         if workers:
-            return run_parallel(_translating_model(700), config, EngineConfig(workers=workers))
-        return solve(_translating_model(700), config)
+            return run_parallel(_translating_model(300), config, EngineConfig(workers=workers))
+        return solve(_translating_model(300), config)
 
+    assert 300 < SMALL_BLOCK <= 600
     fast = run()
     monkeypatch.setattr(solver, "vector_norms", oracles.vector_norms)
     exact = run()
@@ -298,3 +299,23 @@ def test_a_traced_modap_solve_takes_one_norm_sum_per_row_pass(monkeypatch):
     stacks.clear()
     out = solve(_translating_model(700), SolverConfig(variant="ap", max_iterations=5))
     assert stacks == []  # nor does an untraced ap solve norm anything
+
+
+def test_a_model_solve_enters_one_error_state_per_pass_step_and_norm_sum(monkeypatch):
+    # the benchmark's model-translate solve: 5 iterations, so 6 row passes
+    # (each holds one scope around its filter, exact path and slices), 5
+    # steps and 6 stacked norm sums; nothing else enters a scope
+    entries = []
+
+    class Counting(np.errstate):
+        def __enter__(self):
+            entries.append(None)
+            return super().__enter__()
+
+    source = DynamicSystemSource(generate_model_problem(ModelProblemSpec(n=1000)),
+                                 DynamicsSpec(mode="translation", rate=1.0,
+                                              seconds_per_iteration=0.01))
+    monkeypatch.setattr(np, "errstate", Counting)
+    out = solve(source, SolverConfig(record_trace=True))
+    assert out.iterations == 5
+    assert len(entries) == 6 + 5 + 6

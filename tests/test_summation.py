@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modap import summation
-from modap.summation import SMALL_BLOCK, column_sums, exact_dot, row_sums
+from modap.summation import FEW_ROWS, SMALL_BLOCK, column_sums, exact_dot, row_sums
 from oracles import VectorExpansion, grow_expansion
 
 finite_floats = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
@@ -293,7 +293,7 @@ def test_a_sum_near_a_midpoint_goes_to_fsum(monkeypatch):
 
 def test_a_gaussian_block_needs_no_fallback(monkeypatch):
     block = np.random.default_rng(4).standard_normal((200, 100))
-    assert block.size + 4 * 200 >= SMALL_BLOCK
+    assert block.size >= SMALL_BLOCK
     want = [_fsum_rows(view).tobytes() for view in (block, block.T)]
     calls = _counting_fsum(monkeypatch)
     assert [row_sums(view).tobytes() for view in (block, block.T)] == want
@@ -355,7 +355,7 @@ def scaled_blocks(draw):
 @settings(deadline=None)
 @given(scaled_blocks())
 def test_row_sums_of_rows_on_many_scales_equal_fsum(block):
-    assert block.size + 4 * min(block.shape) >= SMALL_BLOCK
+    assert block.size >= SMALL_BLOCK
     for view in (block, block.T):
         assert _bits(row_sums, view) == _bits(_fsum_rows, view)
 
@@ -429,7 +429,7 @@ def test_one_entry_segments_are_their_own_sums(monkeypatch):
     rows = ones * 40 + wide
     order = rng.permutation(len(rows))
     values, starts = _segments(*[rows[i] for i in order])
-    assert values.size + 4 * starts.size >= SMALL_BLOCK
+    assert values.size >= SMALL_BLOCK
     want = _fsum_segments(values, starts).tobytes()
     widths = []
     real = summation._rounded
@@ -443,3 +443,99 @@ def test_one_entry_segments_are_their_own_sums(monkeypatch):
     assert row_sums(values, starts).tobytes() == want
     # only the wide segments reach the level-1 test, and none needs fsum
     assert widths == [len(wide)] and calls == []
+
+
+# the level-1 decision's inputs: midpoints and ties to even (tau2 half an
+# ulp of tau1, or a few ulps off it), signed zeros, subnormals, infinities
+# and nan; summation.row_sums only passes it finite values
+_SPECIAL_TAUS = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1.0, math.inf, -math.inf,
+                 math.nan]
+
+
+@st.composite
+def decision_rows(draw):
+    h = draw(st.sampled_from([1, 2, FEW_ROWS - 1, FEW_ROWS, FEW_ROWS + 1, 2 * FEW_ROWS]))
+    tau1, tau2 = [], []
+    for _ in range(h):
+        a = draw(st.one_of(st.floats(), st.sampled_from(_SPECIAL_TAUS)))
+        kind = draw(st.sampled_from(["tie", "tie", "subnormal", "any"]))
+        if kind == "tie" and math.isfinite(a):
+            b = math.ulp(a) / 2 * draw(st.sampled_from([1, -1, 3, -3]))
+            b = math.nextafter(b, draw(st.sampled_from([0.0, b, 2 * b])))
+        elif kind == "subnormal":
+            b = draw(st.integers(-2 ** 52 + 1, 2 ** 52 - 1)) * 5e-324
+        else:
+            b = draw(st.one_of(st.floats(), st.sampled_from(_SPECIAL_TAUS)))
+        tau1.append(a)
+        tau2.append(b)
+    bound = draw(st.sampled_from([0.0, 5e-324, 2.0 ** -1060, 2.0 ** -80, 1e-300, 1.0]))
+    return np.array(tau1), np.array(tau2), bound
+
+
+def _decision_bits(decision):
+    res, sure = decision
+    assert res.dtype == np.float64 and sure.dtype == bool
+    return res.tobytes(), sure.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(decision_rows())
+@example((np.array([1.0, 3.0]), np.array([2.0 ** -53, 2.0 ** -52]), 0.0))  # ties to even
+@example((np.full(FEW_ROWS, 1.0), np.full(FEW_ROWS, -2.0 ** -54), 0.0))  # at the cut-off
+@example((np.full(FEW_ROWS + 1, -0.0), np.full(FEW_ROWS + 1, -0.0), 5e-324))  # just above
+def test_both_forms_of_the_level_1_decision_agree_bit_for_bit(case):
+    tau1, tau2, bound = case
+    few = _decision_bits(summation._rounded_few(tau1, tau2, bound))
+    with np.errstate(all="ignore"):  # inf and nan, which row_sums never passes
+        rows = _decision_bits(summation._rounded_rows(tau1, tau2, bound))
+        chosen = _decision_bits(summation._rounded(tau1, tau2, bound))
+    assert few == rows == chosen
+
+
+def test_the_level_1_decision_takes_python_floats_up_to_few_rows(monkeypatch):
+    forms = []
+    for name in ("_rounded_few", "_rounded_rows"):
+        real = getattr(summation, name)
+        monkeypatch.setattr(summation, name,
+                            lambda *args, real=real, name=name: forms.append(name) or real(*args))
+    for h in (1, FEW_ROWS, FEW_ROWS + 1):
+        summation._rounded(np.ones(h), np.zeros(h), 0.0)
+    assert forms == ["_rounded_few", "_rounded_few", "_rounded_rows"]
+
+
+# addends that sum onto midpoints often: short sums of small integers
+# times powers of two, next to standard normal values
+few_row_addends = st.one_of(
+    st.integers(-8, 8).map(float),
+    st.sampled_from([2.0 ** -53, -2.0 ** -53, 2.0 ** 52, 0.5, -0.0, 5e-324]),
+    st.floats(-4, 4, allow_nan=False),
+)
+
+
+@st.composite
+def few_row_sums(draw):
+    """A block or segment array of 1 to 20 rows, past the small-block
+    cut-off; each row draws a few addends and repeats them, with signs, to
+    its width, so that many rows sum exactly onto a midpoint."""
+    h = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        widths = [-(-SMALL_BLOCK // h) + int(draw(st.integers(0, 40)))] * h
+    else:
+        widths = (rng.integers(1, 2 * SMALL_BLOCK // h + 2, h)).tolist()
+        widths[0] += max(0, SMALL_BLOCK - sum(widths))
+    rows = []
+    for width in widths:
+        pool = np.array(draw(st.lists(few_row_addends, min_size=1, max_size=4)))
+        rows.append(rng.choice(pool, width) * rng.choice([-1.0, 1.0], width))
+    if len(set(widths)) == 1 and draw(st.booleans()):
+        return (np.array(rows),)
+    return _segments(*rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(few_row_sums())
+def test_row_sums_of_few_rows_equal_fsum(args):
+    assert args[0].size >= SMALL_BLOCK
+    oracle = _fsum_rows if len(args) == 1 else _fsum_segments
+    assert _bits(row_sums, *args) == _bits(oracle, *args)
