@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 
 from . import cost_model
 from .bsf_engine import EngineError
 from .harness import (
-    ConfigError,
+    CONFIG_SCHEMA,
     ExperimentConfig,
     ModelProblemSpec,
-    SystemFormatError,
     build_experiment_config,
     generate_model_problem,
     parse_config_file,
@@ -63,13 +63,19 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
         dest="overrides",
         help="override one config key (repeatable)",
     )
-    p.add_argument("--workers", type=int, metavar="K", help="worker count (0 = sequential)")
-    p.add_argument("--rate", type=float, metavar="R", help="displacement rate, units/second")
-    p.add_argument("--eps", type=float, metavar="E", help="membership precision")
-    p.add_argument("--lambda", type=float, metavar="L", dest="step_length",
+    # each flag's dest is the config key it sets
+    p.add_argument("--workers", type=int, metavar="K", dest="engine.workers",
+                   help="worker count (0 = sequential)")
+    p.add_argument("--rate", type=float, metavar="R", dest="dynamics.rate",
+                   help="displacement rate, units/second")
+    p.add_argument("--eps", type=float, metavar="E", dest="solver.eps",
+                   help="membership precision")
+    p.add_argument("--lambda", type=float, metavar="L", dest="solver.lambda",
                    help="fixed step length for the modap variant")
-    p.add_argument("--variant", choices=["ap", "modap"], help="iteration variant")
-    p.add_argument("--max-iter", type=int, metavar="N", help="iteration budget")
+    p.add_argument("--variant", choices=["ap", "modap"], dest="solver.variant",
+                   help="iteration variant")
+    p.add_argument("--max-iter", type=int, metavar="N", dest="solver.max_iterations",
+                   help="iteration budget")
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -77,17 +83,8 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.config:
         values.update(parse_config_file(args.config))
     values.update(parse_overrides(args.overrides))
-    flag_map = {
-        "workers": "engine.workers",
-        "rate": "dynamics.rate",
-        "eps": "solver.eps",
-        "step_length": "solver.lambda",
-        "variant": "solver.variant",
-        "max_iter": "solver.max_iterations",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key in CONFIG_SCHEMA and value is not None:
             values[key] = str(value)
     return build_experiment_config(values)
 
@@ -103,12 +100,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = ModelProblemSpec(
-        n=args.n,
-        box_upper=args.box_upper,
-        sum_upper=args.sum_upper,
-        sum_lower=args.sum_lower,
-    )
+    # the parser keeps only the flags that were given, so an absent bound
+    # takes the dataclass default
+    given = vars(args)
+    spec = ModelProblemSpec(**{f.name: given[f.name] for f in fields(ModelProblemSpec)
+                               if f.name in given})
     system = generate_model_problem(spec)
     save_system(system, args.out)
     print(f"wrote {args.out} (n={system.n}, m={system.m})")
@@ -117,24 +113,24 @@ def _cmd_generate(args) -> int:
 
 def _cmd_costmodel(args) -> int:
     n_values = args.n_values or [args.n]
+    columns = [f.name for table in (cost_model.CostCounts, cost_model.StageTimes)
+               for f in fields(table)]
     lines = [
         "# assumed cost parameters (not measured): "
         f"tau_op={args.tau_op} tau_tr={args.tau_tr} latency={args.latency}",
-        "n,m,c_s,c_map,c_a,c_r,c_p,c_u,t_s,t_map,t_r,t_a,t_p,k_max",
+        ",".join(["n", "m", *columns, "k_max"]),
     ]
     for n in n_values:
         m = args.m if args.m is not None else 2 * n + 2
-        rep = cost_model.report(
-            cost_model.CostParams(
-                n=n, m=m, tau_op=args.tau_op, tau_tr=args.tau_tr,
-                latency=args.latency, update_breadth=args.breadth,
-            )
+        params = cost_model.CostParams(
+            n=n, m=m, tau_op=args.tau_op, tau_tr=args.tau_tr,
+            latency=args.latency, update_breadth=args.breadth,
         )
-        c, t = rep.counts, rep.times
-        lines.append(
-            f"{n},{m},{c.c_s},{c.c_map},{c.c_a},{c.c_r},{c.c_p},{c.c_u},"
-            f"{t.t_s!r},{t.t_map!r},{t.t_r!r},{t.t_a!r},{t.t_p!r},{rep.k_max!r}"
+        row = (
+            n, m, *astuple(cost_model.operation_counts(n, m, args.breadth)),
+            *astuple(cost_model.stage_times(params)), cost_model.k_max(params),
         )
+        lines.append(",".join(map(repr, row)))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -162,11 +158,12 @@ def main(argv=None) -> int:
     _add_experiment_args(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_gen = sub.add_parser("generate", help="write a model problem file")
+    p_gen = sub.add_parser("generate", help="write a model problem file",
+                           argument_default=argparse.SUPPRESS)
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--box-upper", type=float, default=200.0)
-    p_gen.add_argument("--sum-upper", type=float, default=None)
-    p_gen.add_argument("--sum-lower", type=float, default=100.0)
+    p_gen.add_argument("--box-upper", type=float)
+    p_gen.add_argument("--sum-upper", type=float)
+    p_gen.add_argument("--sum-lower", type=float)
     p_gen.add_argument("--out", required=True, metavar="PATH")
     p_gen.set_defaults(func=_cmd_generate)
 
@@ -192,7 +189,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SystemFormatError, ValueError, OSError, EngineError) as exc:
+    except (ValueError, OSError, MemoryError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

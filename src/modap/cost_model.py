@@ -63,11 +63,9 @@ __all__ = [
     "CostParams",
     "CostCounts",
     "StageTimes",
-    "CostReport",
     "operation_counts",
     "stage_times",
     "k_max",
-    "report",
 ]
 
 BREADTH_SINGLE = "single"
@@ -129,14 +127,6 @@ class StageTimes:
     t_p: float
 
 
-@dataclass(frozen=True)
-class CostReport:
-    params: CostParams
-    counts: CostCounts
-    times: StageTimes
-    k_max: float
-
-
 def operation_counts(n: int, m: int, update_breadth: str = BREADTH_SINGLE) -> CostCounts:
     """Counts for one iteration; see the module docstring for the tally."""
     if n < 1 or m < 1:
@@ -183,14 +173,3 @@ def k_max(params: CostParams) -> float:
     numerator = t.t_map + params.m * t.t_a
     denominator = 2 * params.latency + t.t_s + t.t_r + t.t_a
     return math.sqrt(numerator / denominator)
-
-
-def report(params: CostParams) -> CostReport:
-    """Everything the model says about one configuration."""
-    return CostReport(
-        params=params,
-        counts=operation_counts(params.n, params.m, params.update_breadth),
-        times=stage_times(params),
-        k_max=k_max(params),
-    )
-

@@ -26,29 +26,15 @@ File formats are plain text for diff-ability:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bsf_engine import EngineConfig, run_parallel
-from .dynamics import (
-    CLOCK_VIRTUAL,
-    CLOCK_WALL,
-    STATIONARY,
-    TRANSLATION,
-    DynamicsSpec,
-    DynamicSystemSource,
-)
+from .dynamics import CLOCK_WALL, TRANSLATION, DynamicsSpec, DynamicSystemSource
 from .geometry import InequalitySystem
-from .solver import (
-    VARIANT_AP,
-    VARIANT_MODAP,
-    IterationRecord,
-    SolveOutcome,
-    SolverConfig,
-    solve,
-)
+from .solver import IterationRecord, SolveOutcome, SolverConfig, solve
 
 __all__ = [
     "ModelProblemSpec",
@@ -128,13 +114,9 @@ class ExperimentConfig:
     problem: ModelProblemSpec
     solver: SolverConfig
     engine: EngineConfig | None = None  # None = run the sequential engine
-    dynamics: DynamicsSpec | None = None
+    dynamics: DynamicsSpec = field(default_factory=DynamicsSpec)
     output_path: str = "metrics.csv"
     system_file: str | None = None
-
-    def __post_init__(self):
-        if self.dynamics is None:
-            self.dynamics = DynamicsSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -217,31 +199,24 @@ def load_system(path) -> InequalitySystem:
 # ---------------------------------------------------------------------------
 # config files
 
-def _parse_choice(*options: str):
-    def cast(s: str) -> str:
-        if s not in options:
-            raise ValueError(f"expected one of {options}, got {s!r}")
-        return s
-
-    return cast
-
-
+# each dotted key names the field it sets, as (object, field, cast); the
+# defaults and the checks of the values are the dataclasses' own
 CONFIG_SCHEMA = {
-    "problem.n": int,
-    "problem.box_upper": float,
-    "problem.sum_upper": float,
-    "problem.sum_lower": float,
-    "problem.file": str,
-    "solver.eps": float,
-    "solver.lambda": float,
-    "solver.variant": _parse_choice(VARIANT_AP, VARIANT_MODAP),
-    "solver.max_iterations": int,
-    "engine.workers": int,
-    "dynamics.mode": _parse_choice(STATIONARY, TRANSLATION),
-    "dynamics.rate": float,
-    "dynamics.clock": _parse_choice(CLOCK_VIRTUAL, CLOCK_WALL),
-    "dynamics.seconds_per_iteration": float,
-    "output.path": str,
+    "problem.n": ("problem", "n", int),
+    "problem.box_upper": ("problem", "box_upper", float),
+    "problem.sum_upper": ("problem", "sum_upper", float),
+    "problem.sum_lower": ("problem", "sum_lower", float),
+    "problem.file": ("experiment", "system_file", str),
+    "solver.eps": ("solver", "eps", float),
+    "solver.lambda": ("solver", "step_length", float),
+    "solver.variant": ("solver", "variant", str),
+    "solver.max_iterations": ("solver", "max_iterations", int),
+    "engine.workers": ("engine", "workers", int),
+    "dynamics.mode": ("dynamics", "mode", str),
+    "dynamics.rate": ("dynamics", "rate", float),
+    "dynamics.clock": ("dynamics", "clock", str),
+    "dynamics.seconds_per_iteration": ("dynamics", "seconds_per_iteration", float),
+    "output.path": ("experiment", "output_path", str),
 }
 
 
@@ -271,46 +246,36 @@ def parse_overrides(pairs: list[str]) -> dict[str, str]:
 
 
 def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
-    """Typed experiment config from raw key/value pairs (defaults applied)."""
-    typed: dict[str, object] = {}
+    """Typed experiment config from raw key/value pairs; a key that is not
+    given keeps its dataclass default, and ``problem.n`` defaults to 10."""
+    kwargs: dict[str, dict] = {
+        "problem": {"n": 10}, "solver": {}, "engine": {}, "dynamics": {}, "experiment": {},
+    }
     for key, raw in values.items():
-        caster = CONFIG_SCHEMA.get(key)
-        if caster is None:
+        if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config key: {key}")
+        obj, name, cast = CONFIG_SCHEMA[key]
         try:
-            typed[key] = caster(raw)
+            kwargs[obj][name] = cast(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
 
-    problem = ModelProblemSpec(
-        n=typed.get("problem.n", 10),
-        box_upper=typed.get("problem.box_upper", 200.0),
-        sum_upper=typed.get("problem.sum_upper"),
-        sum_lower=typed.get("problem.sum_lower", 100.0),
-    )
-    solver = SolverConfig(
-        eps=typed.get("solver.eps", 1e-7),
-        step_length=typed.get("solver.lambda", 1.0),
-        variant=typed.get("solver.variant", VARIANT_MODAP),
-        max_iterations=typed.get("solver.max_iterations", 100_000),
-    )
-    workers = typed.get("engine.workers", 0)
+    # a rate moves only a translating system; a stationary one would drop
+    # it without a word
+    dynamics = kwargs["dynamics"]
+    if dynamics.get("rate") and dynamics.get("mode") != TRANSLATION:
+        raise ConfigError(
+            f"dynamics.rate = {dynamics['rate']} needs dynamics.mode = {TRANSLATION}"
+        )
+    workers = kwargs["engine"].get("workers", 0)  # 0 = the sequential engine
     if workers < 0:
         raise ConfigError(f"engine.workers must be >= 0, got {workers}")
-    engine = EngineConfig(workers=workers) if workers >= 1 else None
-    dynamics = DynamicsSpec(
-        mode=typed.get("dynamics.mode", STATIONARY),
-        rate=typed.get("dynamics.rate", 0.0),
-        clock=typed.get("dynamics.clock", CLOCK_VIRTUAL),
-        seconds_per_iteration=typed.get("dynamics.seconds_per_iteration", 0.01),
-    )
     return ExperimentConfig(
-        problem=problem,
-        solver=solver,
-        engine=engine,
-        dynamics=dynamics,
-        output_path=typed.get("output.path", "metrics.csv"),
-        system_file=typed.get("problem.file"),
+        problem=ModelProblemSpec(**kwargs["problem"]),
+        solver=SolverConfig(**kwargs["solver"]),
+        engine=EngineConfig(workers) if workers else None,
+        dynamics=DynamicsSpec(**dynamics),
+        **kwargs["experiment"],
     )
 
 

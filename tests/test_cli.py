@@ -260,6 +260,44 @@ def test_bad_arguments_exit_one():
     assert proc.returncode == 1
 
 
+def test_rate_without_translation_exits_one(tmp_path, capsys):
+    # a stationary solve used to drop the rate without a word and exit 0
+    out = tmp_path / "m.csv"
+    base = ["solve", "--set", "problem.n=5", "--set", f"output.path={out}"]
+    for flags in (["--rate", "1000"],
+                  ["--set", "dynamics.rate=2", "--set", "dynamics.mode=stationary"]):
+        assert main(base + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "dynamics.rate" in err and "dynamics.mode" in err
+    assert not out.exists()
+    # a zero rate moves nothing in either mode
+    assert main(base + ["--rate", "0"]) == 0
+
+
+@pytest.mark.parametrize("key,value", [
+    ("solver.variant", "x"),
+    ("dynamics.mode", "spin"),
+    ("dynamics.clock", "sundial"),
+])
+def test_bad_choice_in_config_exits_one(tmp_path, capsys, key, value):
+    cfg = tmp_path / "exp.cfg"
+    out = tmp_path / "m.csv"
+    cfg.write_text(f"problem.n = 4\n{key} = {value}\noutput.path = {out}\n")
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert repr(value) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_too_large_exits_one(tmp_path, capsys):
+    # numpy refuses the 10**15-row allocation at once; no traceback
+    out = tmp_path / "x.txt"
+    assert main(["generate", "--n", str(10**15), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_nan_system_file_exits_one(tmp_path, capsys):
     # printf '2 2\n1 0 nan\n0 1 1\n' used to end as status=converged iterations=0
     path = tmp_path / "s.txt"

@@ -10,7 +10,6 @@ from modap.cost_model import (
     CostParams,
     k_max,
     operation_counts,
-    report,
     stage_times,
 )
 
@@ -156,14 +155,6 @@ class TestSweep:
         ]
         spread = (max(fulls) - min(fulls)) / min(fulls)
         assert spread < 0.10
-
-
-def test_report_consistency():
-    params = CostParams(8, 20)
-    rep = report(params)
-    assert rep.counts == operation_counts(8, 20)
-    assert rep.times == stage_times(params)
-    assert rep.k_max == k_max(params)
 
 
 def test_params_validation():

@@ -1,9 +1,14 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import brute_force_feasible
 from modap import (
     DynamicsSpec,
+    EngineConfig,
     InequalitySystem,
     ModelProblemSpec,
     SolveStatus,
@@ -15,6 +20,7 @@ from modap import (
 )
 from modap.geometry import eps_membership
 from modap.harness import (
+    CONFIG_SCHEMA,
     METRICS_HEADER,
     ConfigError,
     ExperimentConfig,
@@ -230,6 +236,16 @@ output.path = out.csv
         path.write_text("solver.eps 1e-7\n")
         with pytest.raises(ConfigError, match="exp.cfg:1"):
             parse_config_file(path)
+
+    def test_schema_matches_readme_and_dataclasses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        paragraph = readme.split("Keys (all optional):", 1)[1].split("\n\n", 1)[0]
+        assert set(re.findall(r"`([a-z_]+\.[a-z_]+)`", paragraph)) == set(CONFIG_SCHEMA)
+        objects = {"problem": ModelProblemSpec, "solver": SolverConfig,
+                   "engine": EngineConfig, "dynamics": DynamicsSpec,
+                   "experiment": ExperimentConfig}
+        for key, (obj, name, _) in CONFIG_SCHEMA.items():
+            assert name in {f.name for f in fields(objects[obj])}, key
 
 
 class TestRunExperiment:
