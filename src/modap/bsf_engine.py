@@ -14,14 +14,15 @@ each worker.  A worker that raises posts an :class:`EngineError` naming
 it, with the exception as its cause, and keeps serving; the master raises
 that error.
 
-Workers share no mutable state: the point is a copy, and a snapshot is
-immutable (its exact translated bounds are a pure function of the row), so
-every worker reads the system the master's loop sees.  The master stacks
-the reports in arrival order and sums each coordinate once, exactly rounded
-(:func:`modap.summation.column_sums`).  An exactly rounded sum depends only
-on the multiset of addends, and a maximum is exact, so the step and the
-stop decision are bit-identical to the sequential engine's for every worker
-count and arrival order.  :func:`superstep` is the same math without threads.
+Workers share no mutable state: the point is a copy, and a snapshot, a
+system or a :class:`~modap.geometry.Translated` one, is immutable and no
+pass writes to it, so every worker reads the system the master's loop
+sees.  The master stacks the reports in arrival order and sums each
+coordinate once, exactly rounded (:func:`modap.summation.column_sums`).  An
+exactly rounded sum depends only on the multiset of addends, and a maximum
+is exact, so the step and the stop decision are bit-identical to the
+sequential engine's for every worker count and arrival order.
+:func:`superstep` is the same math without threads.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from . import cost_model
 from .bsf_engine import EngineError
 from .harness import (
     CONFIG_SCHEMA,
-    ExperimentConfig,
+    ConfigError,
     ModelProblemSpec,
     build_experiment_config,
     generate_model_problem,
@@ -78,7 +78,8 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
                    help="iteration budget")
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _config_values(args) -> dict[str, str]:
+    """The raw config: the file, then ``--set``, then the flags."""
     values: dict[str, str] = {}
     if args.config:
         values.update(parse_config_file(args.config))
@@ -86,11 +87,11 @@ def _experiment_config(args) -> ExperimentConfig:
     for key, value in vars(args).items():
         if key in CONFIG_SCHEMA and value is not None:
             values[key] = str(value)
-    return build_experiment_config(values)
+    return values
 
 
 def _cmd_solve(args) -> int:
-    config = _experiment_config(args)
+    config = build_experiment_config(_config_values(args))
     outcome, path = run_experiment(config)
     print(
         f"status={outcome.status.value} iterations={outcome.iterations} "
@@ -142,8 +143,11 @@ def _cmd_costmodel(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _experiment_config(args)
-    results = run_rate_sweep(config, args.rates, args.out_dir)
+    values = _config_values(args)
+    if "dynamics.rate" in values:  # each run's rate replaces it
+        raise ConfigError("modap sweep takes its rates from --rates, not from --rate "
+                          "or dynamics.rate")
+    results = run_rate_sweep(build_experiment_config(values), args.rates, args.out_dir)
     for rate, outcome in results:
         print(f"rate={rate} status={outcome.status.value} iterations={outcome.iterations}")
     all_converged = all(o.status is SolveStatus.CONVERGED for _, o in results)

@@ -5,16 +5,16 @@ Translating the region by v maps ``{x : Ax <= b}`` to ``{x : Ax <= b + Av}``,
 so only the right-hand side changes; the stored coefficient rows (the CSR
 arrays) and their cached norms are shared across every snapshot.
 
-A translated snapshot costs O(n): it keeps the base bounds and a copy of
-v, its first row pass adds a norm bound of v, and it reads no coefficient.
-The filtered row pass of :mod:`modap.geometry` estimates a translated
-residual with its one pass over the stored entries, ``A (x - v) - b``, and
-widens its error bound by
-``|b_i| + ||a_i|| ||v||`` to cover the rounding of ``x - v`` and of the
-exact bound.  The exact bound ``b_i + <a_i, v>`` (inner product exactly
-rounded) is computed only for the rows a pass evaluates exactly, and for
-all rows on the first read of ``.b``; every value that reaches an iterate
-or a trace comes from these exact bounds.
+A translated snapshot is a :class:`~modap.geometry.Translated`: the base
+system and a copy of v, which costs O(n) and reads no coefficient.  The
+filtered row pass of :mod:`modap.geometry` estimates a translated residual
+with its one pass over the stored entries, ``A (x - v) - b``, and widens
+its error bound by ``|b_i| + ||a_i|| ||v||`` to cover the rounding of
+``x - v`` and of the exact bound; each pass bounds ``||v||`` itself, so no
+pass writes to a snapshot.  The exact bound ``b_i + <a_i, v>`` (inner
+product exactly rounded) is computed only for the rows a pass evaluates
+exactly, and for all rows on each read of ``Translated.b``; every value
+that reaches an iterate or a trace comes from these exact bounds.
 
 Two clock modes drive the motion: a virtual clock that advances a fixed
 quantum per solver iteration (deterministic, machine-independent, the
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InequalitySystem
+from .geometry import InequalitySystem, Translated
 
 __all__ = [
     "STATIONARY",
@@ -76,13 +76,14 @@ class DynamicsSpec:
             )
 
 
-def translate(sys: InequalitySystem, v) -> InequalitySystem:
+def translate(sys: InequalitySystem | Translated, v) -> Translated:
     """System whose feasible region is the original's translated by v.
 
     Rows are unchanged; ``b' = b + A v`` so that ``x`` is feasible for the
     original iff ``x + v`` is feasible for the result.  ``b'`` is held
     implicitly (see the module docstring); its bits are those of
-    ``b_i + exact_dot(a_i, v)``.
+    ``b_i + exact_dot(a_i, v)``.  Translating a translated system first
+    makes its bounds ``b'`` those of a new base system.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (sys.n,):
@@ -91,7 +92,10 @@ def translate(sys: InequalitySystem, v) -> InequalitySystem:
         )
     if not np.isfinite(v).all():
         raise ValueError("displacement must be finite")
-    return sys._translated(v)
+    if isinstance(sys, Translated):
+        rows = sys.system
+        sys = InequalitySystem((rows.indptr, rows.indices, rows.data), sys.b, n=rows.n)
+    return Translated(sys, v.copy())
 
 
 class DynamicSystemSource:
@@ -106,7 +110,7 @@ class DynamicSystemSource:
     workers.
     """
 
-    def __init__(self, base: InequalitySystem, spec: DynamicsSpec | None = None):
+    def __init__(self, base: InequalitySystem | Translated, spec: DynamicsSpec | None = None):
         self.base = base
         self.spec = spec if spec is not None else DynamicsSpec()
         self.current_time = 0.0
@@ -115,7 +119,7 @@ class DynamicSystemSource:
         self._current = base
         self._last_wall = time.perf_counter()
 
-    def snapshot(self) -> InequalitySystem:
+    def snapshot(self) -> InequalitySystem | Translated:
         """Current system; unchanged until the next :meth:`advance`."""
         return self._current
 
@@ -141,9 +145,10 @@ class DynamicSystemSource:
 
 
 def as_source(obj) -> DynamicSystemSource:
-    """Coerce a bare system into a stationary source; pass sources through."""
+    """Coerce a bare system, translated or not, into a stationary source;
+    pass sources through."""
     if isinstance(obj, DynamicSystemSource):
         return obj
-    if isinstance(obj, InequalitySystem):
+    if isinstance(obj, (InequalitySystem, Translated)):
         return DynamicSystemSource(obj, DynamicsSpec())
-    raise TypeError(f"expected InequalitySystem or DynamicSystemSource, got {type(obj)!r}")
+    raise TypeError(f"expected a system or a DynamicSystemSource, got {type(obj)!r}")

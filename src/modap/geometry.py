@@ -13,8 +13,9 @@ the rows are one ``(h, n)`` block: a 2-D view of ``data`` (not a second
 copy) for consecutive rows, so a dense input keeps its BLAS product and its
 dense row block.  Any other row set is read as its CSR segments, which
 :func:`~modap.summation.row_sums` sums segment by segment, so no row is
-padded.  The system also holds the rows' cached norms and the bounds, given
-or translated.  :func:`violated_slices` evaluates every row at a point x
+padded.  The system also holds the rows' cached norms and its bounds b; a
+translated system is a :class:`Translated`, the base system plus a shift v.
+:func:`violated_slices` evaluates every row at a point x
 in one pass: it returns the positive slices of the violated rows, i.e. the
 reflection vectors ``((<a_i, x> - b_i) / ||a_i||^2) a_i`` of the rows
 whose residual is positive, and the largest normalized violation.  The
@@ -53,9 +54,10 @@ sum underflows or overflows (:func:`_norm_bound`).  The row sums
 ``nnz_i <= n`` products, so ``n + 8`` bounds its rounding whichever the
 path.  The last, underflow, term is dropped when it cannot arise: x = 0 on
 an untranslated system makes every product, and so t_i, exact.  A system
-translated by v (see :func:`modap.dynamics.translate`) keeps its base
-bounds b and v, and the same one pass estimates its residual as
-``t = A[start:stop] (x - v) - b`` with
+translated by v (a :class:`Translated`, see :func:`modap.dynamics.translate`)
+is its base system and v, and the same one pass estimates its residual as
+``t = A[start:stop] (x - v) - b``, bounds ``||v||`` itself as it does
+``||x||``, and takes
 
     e_i = (n + 8) 2^-52 (N_i (||x|| + ||v||) + |b_i| + |t_i|) + (n + 8) 2^-1022.
 
@@ -95,6 +97,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,9 +105,9 @@ from .summation import exact_dot, row_sums
 
 __all__ = [
     "InequalitySystem",
+    "Translated",
     "eps_membership",
     "max_relative_violation",
-    "vector_norm",
     "vector_norms",
 ]
 
@@ -138,19 +141,12 @@ class InequalitySystem:
 
     Every coefficient row must be non-zero, every coefficient and bound
     finite.  Instances are treated as immutable: a translation goes through
-    :func:`modap.dynamics.translate`, which shares the CSR arrays and the
-    cached norms instead of recomputing them.
-
-    A translated system holds ``b' = b + A v`` implicitly, as the base
-    bounds b and v; its first row pass adds a norm bound of v (passes that
-    race to it store the same bits).  A row pass computes the exact bounds
-    of the rows it evaluates exactly, and the first read of :attr:`b`
-    builds the whole vector, with the same bits either way.  A bound that
-    overflows float64 raises ``OverflowError`` naming its row.
+    :func:`modap.dynamics.translate`, whose :class:`Translated` keeps this
+    system as it is and shares every array of it.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "row_norms_sq", "row_norms",
-                 "_norm_bounds", "_b", "_base_b", "_shift", "_shift_norm")
+    __slots__ = ("n", "indptr", "indices", "data", "b", "row_norms_sq", "row_norms",
+                 "_norm_bounds")
 
     def __init__(self, a, b, *, n: int | None = None):
         if n is None:
@@ -164,7 +160,7 @@ class InequalitySystem:
                 f"right-hand side has length {b.shape[0]}, expected m = {m}"
             )
         _check_finite_rhs(b)
-        self.n, self.indptr, self.indices, self.data = n, indptr, indices, data
+        self.n, self.indptr, self.indices, self.data, self.b = n, indptr, indices, data, b
         bad = np.flatnonzero(~np.isfinite(data))
         if bad.size:
             row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
@@ -189,21 +185,6 @@ class InequalitySystem:
         # ||a_i||^2 <= (norms_sq + (n + 1) 2^-1022) / (1 - u)^2: each square
         # and their sum round once, losing at most 2^-1022 to underflow
         self._norm_bounds = np.sqrt(norms_sq + (n + 1) * _MIN_NORMAL) * _NORM_SLACK
-        self._set_rhs(b)
-
-    def _set_rhs(self, b, base_b=None, shift=None) -> None:
-        self._b = b
-        self._base_b = base_b
-        self._shift = shift
-        self._shift_norm = None  # a norm bound of shift, taken by the first pass
-
-    def _sharing_rows(self) -> "InequalitySystem":
-        obj = object.__new__(InequalitySystem)
-        obj.n, obj.indptr, obj.indices, obj.data = self.n, self.indptr, self.indices, self.data
-        obj.row_norms_sq = self.row_norms_sq
-        obj.row_norms = self.row_norms
-        obj._norm_bounds = self._norm_bounds
-        return obj
 
     @property
     def m(self) -> int:
@@ -213,18 +194,6 @@ class InequalitySystem:
     def a(self) -> np.ndarray:
         """The dense ``(m, n)`` coefficient matrix, built anew on each read."""
         return _scattered(*self._gather(range(self.m)), self.n)
-
-    @property
-    def b(self) -> np.ndarray:
-        """The right-hand side; built on first read for a translated
-        system."""
-        b = self._b
-        if b is None:
-            with np.errstate(over="ignore"):
-                sums = self._chunked_dots(self._shift[None], _BOUND)
-                b = self._exact_bounds(np.arange(self.m), sums)
-            self._b = b
-        return b
 
     def _gather(self, rows) -> tuple:
         """The stored entries of ``rows``, an ascending range or index
@@ -266,32 +235,50 @@ class InequalitySystem:
             lo = rows[-1] + 1
         return np.concatenate(out)
 
-    def _exact_bounds(self, rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
-        """``b_i + <a_i, v>`` of a translated system for ``rows`` (an index
-        array), given the exactly rounded ``sums`` ``<a_i, v>``.  The caller
-        silences overflow warnings."""
-        b = self._base_b[rows] + sums
-        finite = np.isfinite(b)
-        if not finite.all():
-            bad = np.flatnonzero(~finite)[0]
-            raise OverflowError(f"row {rows[bad]}: {_BOUND} overflows float64")
-        return b
-
-    def _translated(self, v: np.ndarray) -> "InequalitySystem":
-        """System with bounds ``b + A v`` held implicitly (see
-        :func:`modap.dynamics.translate`, which validates v).
-
-        O(n): it keeps the base bounds and a copy of v, which the filter
-        reads through ``A (x - v) - b`` (see the module docstring); the
-        filter's first pass adds a norm bound of v.  Translating a
-        translated system first builds its exact bounds.
-        """
-        obj = self._sharing_rows()
-        obj._set_rhs(None, self.b, v.copy())
-        return obj
-
     def __repr__(self) -> str:
         return f"InequalitySystem(m={self.m}, n={self.n}, nnz={self.data.size})"
+
+
+class Translated(NamedTuple):
+    """A system whose region is ``system``'s translated by ``shift`` = v:
+    ``A x <= b + A v``, held as the base system and v, so it costs O(n) and
+    shares every stored array.  Built by :func:`modap.dynamics.translate`,
+    which validates v; the row pass reads it as ``A (x - v) - b`` (see the
+    module docstring)."""
+
+    system: InequalitySystem
+    shift: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.system.n
+
+    @property
+    def m(self) -> int:
+        return self.system.m
+
+    @property
+    def b(self) -> np.ndarray:
+        """The translated bounds ``b_i + <a_i, v>`` of every row, inner
+        product exactly rounded, built anew on each read; a bound that
+        overflows float64 raises ``OverflowError`` naming its row."""
+        sys = self.system
+        with np.errstate(over="ignore"):
+            sums = sys._chunked_dots(self.shift[None], _BOUND)
+            return _translated_bounds(sys.b, np.arange(sys.m), sums)
+
+
+def _translated_bounds(b: np.ndarray, rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """``b_i + <a_i, v>`` for ``rows`` (an index array) of the base bounds
+    b, given the exactly rounded ``sums`` ``<a_i, v>``; a bound that
+    overflows raises ``OverflowError`` naming its row.  The caller silences
+    overflow warnings."""
+    out = b[rows] + sums
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)[0]
+        raise OverflowError(f"row {rows[bad]}: {_BOUND} overflows float64")
+    return out
 
 
 def _dense_to_csr(a):
@@ -435,28 +422,25 @@ def _norm_bound(v: np.ndarray) -> float:
     return h * _NORM_SLACK + 2.0 ** -1074 if h else 0.0
 
 
-def _unsettled_rows(sys: InequalitySystem, x: np.ndarray, start: int, stop: int):
+def _unsettled_rows(sys: InequalitySystem, shift, x: np.ndarray, start: int, stop: int):
     """Rows in [start, stop) that the float64 filter cannot prove satisfied
-    (see the module docstring for the bound and the settle test), ascending
-    and counted from start.  The estimate is one product over the rows'
-    stored entries, as :meth:`InequalitySystem._gather` reads them: a
+    at x, for ``sys`` translated by ``shift`` (None: not translated; see
+    the module docstring for the bound and the settle test), ascending and
+    counted from start.  The estimate is one product over the rows' stored
+    entries, as :meth:`InequalitySystem._gather` reads them: a
     matrix-vector product on a block, one ``np.add.reduceat`` on CSR
     segments.  The caller silences floating-point warnings."""
-    shift = sys._shift
     values, columns, starts = sys._gather(range(start, stop))
     y = x if shift is None else x - shift
     t = values @ y if starts is None else np.add.reduceat(values * y[columns], starts)
     xnorm = _norm_bound(x)
+    b = sys.b[start:stop]
+    t -= b
     if shift is None:
-        t -= sys._b[start:stop]
         e = sys._norm_bounds[start:stop] * xnorm
     else:
-        if sys._shift_norm is None:  # the first pass on this snapshot
-            sys._shift_norm = _norm_bound(shift)
-        base_b = sys._base_b[start:stop]
-        t -= base_b
-        e = sys._norm_bounds[start:stop] * (xnorm + sys._shift_norm)
-        e += np.abs(base_b)
+        e = sys._norm_bounds[start:stop] * (xnorm + _norm_bound(shift))
+        e += np.abs(b)
     e += np.abs(t)
     e *= (sys.n + 8) * _TWO_U
     if xnorm or shift is not None:
@@ -475,35 +459,39 @@ def _settled(t: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def violated_slices(
-    sys: InequalitySystem, x: np.ndarray, start: int = 0, stop: int | None = None
+    snap: InequalitySystem | Translated, x: np.ndarray, start: int = 0,
+    stop: int | None = None,
 ) -> tuple[np.ndarray, float]:
-    """One filtered pass over rows [start, stop): the violated rows' slice
-    vectors stacked ``(h, n)`` in ascending row order, and the largest
-    normalized violation ``r_i / ||a_i||`` among them (0 when h = 0).
+    """One filtered pass over rows [start, stop) of a system or a
+    :class:`Translated` one: the violated rows' slice vectors stacked
+    ``(h, n)`` in ascending row order, and the largest normalized violation
+    ``r_i / ||a_i||`` among them (0 when h = 0).
 
     Internal kernel shared by the sequential solver and the worker threads;
     both must evaluate each row identically for parallel runs to reproduce
     sequential ones bit for bit.  A maximum does not depend on order, so
-    the maxima of covering partial passes give the full pass's bits.
+    the maxima of covering partial passes give the full pass's bits.  The
+    pass writes to nothing it is given.
     """
+    sys, shift = snap if isinstance(snap, Translated) else (snap, None)
     if stop is None:
         stop = sys.m
     # one scope for the pass: a row whose estimate or bound is not finite
     # takes the exact path, and a non-finite slice fails the step's check
     with np.errstate(all="ignore"):
-        rows = _unsettled_rows(sys, x, start, stop)
+        rows = _unsettled_rows(sys, shift, x, start, stop)
         if not rows.size:
             return np.zeros((0, sys.n)), 0.0
         if start:
             rows += start
         gathered = sys._gather(rows)
-        if sys._b is not None:
+        if shift is None:
             (r,) = _dots(rows, gathered, x[None], ["its residual"])
-            r -= sys._b[rows]
+            r -= sys.b[rows]
         else:
-            r, sums = _dots(rows, gathered, np.array((x, sys._shift)),
+            r, sums = _dots(rows, gathered, np.array((x, shift)),
                             ["its residual", _BOUND])
-            r -= sys._exact_bounds(rows, sums)
+            r -= _translated_bounds(sys.b, rows, sums)
         # a block is multiplied as it is stored; segments are spread first
         a = gathered[0] if gathered[2] is None else _scattered(*gathered, sys.n)
         hit = r > 0.0
@@ -521,14 +509,14 @@ def _rescaled(v: np.ndarray, norm: float, length: float) -> np.ndarray:
     return factor * v if factor < math.inf else length * (v / norm)
 
 
-def eps_membership(sys: InequalitySystem, x, eps: float) -> bool:
+def eps_membership(sys: InequalitySystem | Translated, x, eps: float) -> bool:
     """True iff every row is satisfied or violated by less than ``eps``."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     return max_relative_violation(sys, x) < eps
 
 
-def max_relative_violation(sys: InequalitySystem, x) -> float:
+def max_relative_violation(sys: InequalitySystem | Translated, x) -> float:
     """Largest normalized positive residual, 0 for a feasible point.
 
     Scaling a row and its bound by ``c = 2^k`` leaves the value, and so
@@ -578,9 +566,3 @@ def _rescaled_norm(v: np.ndarray, s: float) -> float:
         return math.ldexp(math.sqrt(exact_dot(scaled, scaled)), k)
     except OverflowError:  # the norm itself exceeds the float64 range
         return math.inf
-
-
-def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm of one vector: :func:`vector_norms` of the one-row
-    stack."""
-    return vector_norms(v[None])[0]

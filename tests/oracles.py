@@ -7,7 +7,7 @@ operators, written over ``sys.b`` and ``exact_dot``; the package computes
 them only inside its one row pass, ``modap.geometry.violated_slices``.
 
 The row loops are the package's as they were before the float64 filter:
-the filtered row pass in ``modap.geometry`` and the lazy translation in
+the filtered row pass in ``modap.geometry`` and the translated snapshots of
 ``modap.dynamics`` must reproduce them bit for bit.  :func:`row_pass`
 combines two of them as the counterpart of the one pass,
 ``modap.geometry.violated_slices``; it and :func:`translate` take the same

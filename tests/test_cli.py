@@ -137,6 +137,20 @@ def test_sweep_command(tmp_path, capsys):
     assert "rate=1.0" in out and "rate=128.0" in out
 
 
+@pytest.mark.parametrize("mode", [[], ["--set", "dynamics.mode=translation"]])
+def test_sweep_rejects_a_given_rate(tmp_path, capsys, mode):
+    # with a mode the sweep used to run rate 1 only and exit 0; without one
+    # it failed with advice to set the mode that the sweep sets itself
+    code = main(["sweep", "--set", "problem.n=5", *mode, "--rate", "5", "--rates", "1",
+                 "--out-dir", str(tmp_path / "sw")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: modap sweep takes its rates from --rates, "
+                            "not from --rate or dynamics.rate\n")
+    assert not (tmp_path / "sw").exists()
+
+
 def test_determinism_byte_identical_metrics(tmp_path):
     args = [
         "solve",
@@ -168,18 +182,24 @@ _TRANSLATING = ["--set", "problem.n=1000", "--set", "dynamics.mode=translation",
 _MODAP_TRANSLATING = "fc1c1bb0b57a3c027f5a5a2270050e7de632cbe102750a7489610925da2bfa04"
 
 
-@pytest.mark.parametrize("args,from_file,digest", [
-    (_TRANSLATING, False, _MODAP_TRANSLATING),
-    (_TRANSLATING + ["--workers", "3"], False, _MODAP_TRANSLATING),
+@pytest.mark.parametrize("args,from_file,digest,code", [
+    (_TRANSLATING, False, _MODAP_TRANSLATING, 0),
+    (_TRANSLATING + ["--workers", "3"], False, _MODAP_TRANSLATING, 0),
     # stationary: 891 iterations, each stepping from dozens of violated rows
     (["--variant", "ap", "--max-iter", "5000"], True,
-     "0d10abafe94e7ece8725662e60c270594d57a6715fe0dca3b50e59dfe811bd4c"),
+     "0d10abafe94e7ece8725662e60c270594d57a6715fe0dca3b50e59dfe811bd4c", 0),
+    # translating under the engine: 44-77 violated fully stored rows per
+    # iteration, so every pass takes the translated exact path on a dense
+    # block; the budget runs out (exit 2)
+    (["--variant", "ap", "--max-iter", "300", "--set", "dynamics.mode=translation",
+      "--rate", "0.01", "--workers", "2"], True,
+     "eaa319fa104cdcc3bf7dcc43e6d1d796b312ff12bc49f4b62409f8a497ec4c84", 2),
 ])
-def test_virtual_clock_metrics_keep_their_bytes(tmp_path, args, from_file, digest):
+def test_virtual_clock_metrics_keep_their_bytes(tmp_path, args, from_file, digest, code):
     out = tmp_path / "m.csv"
     if from_file:
         args = args + ["--set", f"problem.file={_integer_system(tmp_path / 'sys.txt')}"]
-    assert main(["solve", *args, "--set", f"output.path={out}"]) == 0
+    assert main(["solve", *args, "--set", f"output.path={out}"]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

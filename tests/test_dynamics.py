@@ -10,8 +10,10 @@ from conftest import random_feasible_system
 from modap import (
     DynamicsSpec,
     DynamicSystemSource,
+    EngineConfig,
     InequalitySystem,
     SolverConfig,
+    run_parallel,
     solve,
 )
 from modap.dynamics import translate
@@ -20,17 +22,11 @@ from modap.geometry import eps_membership, violated_slices
 HALF = InequalitySystem([[1.0, 0.0]], [1.0])
 
 
-def _shares_rows(moved, sys):
-    """The CSR arrays and cached norms are the same objects, not copies."""
-    return all(getattr(moved, name) is getattr(sys, name)
-               for name in ("indptr", "indices", "data", "row_norms_sq", "row_norms"))
-
-
 class TestTranslate:
     def test_hand_value(self):
         moved = translate(HALF, [0.5, 0.0])
         assert np.array_equal(moved.b, [1.5])
-        assert _shares_rows(moved, HALF)
+        assert moved.system is HALF
 
     def test_zero_is_identity(self):
         moved = translate(HALF, [0.0, 0.0])
@@ -64,7 +60,7 @@ class TestTranslate:
         # skip points that sit within 2 eps of a boundary of either system
         margins = np.abs(sys.a @ x - sys.b) / sys.row_norms
         moved = translate(sys, v)
-        margins2 = np.abs(moved.a @ (x + v) - moved.b) / moved.row_norms
+        margins2 = np.abs(moved.system.a @ (x + v) - moved.b) / moved.system.row_norms
         if min(margins.min(), margins2.min()) <= 2 * eps:
             return
         assert eps_membership(sys, x, eps) == eps_membership(moved, x + v, eps)
@@ -107,7 +103,7 @@ class TestAdvance:
         )
         for _ in range(5):
             src.advance(0.3)
-            assert _shares_rows(src.snapshot(), HALF)
+            assert src.snapshot().system is HALF
 
     def test_custom_direction_preserves_total_speed(self):
         sys = InequalitySystem(np.eye(3), np.ones(3))
@@ -150,6 +146,18 @@ def test_translation_rate_zero_equals_stationary(rng):
     assert all(np.array_equal(a, b) for a, b in zip(still.iterates, moving.iterates))
 
 
+def test_a_translated_snapshot_solves_as_a_stationary_system(rng):
+    sys, _ = random_feasible_system(rng, 6, 14)
+    v = rng.uniform(-5, 5, 6)
+    cfg = SolverConfig(variant="modap", record_iterates=True)
+    want = solve(oracles.translate(sys, v), cfg)
+    assert want.converged and want.iterations > 0
+    for out in (solve(translate(sys, v), cfg),
+                run_parallel(translate(sys, v), cfg, EngineConfig(workers=2))):
+        assert out.iterations == want.iterations
+        assert [p.tobytes() for p in out.iterates] == [p.tobytes() for p in want.iterates]
+
+
 def test_spec_rejects_non_finite():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="rate must be finite"):
@@ -165,12 +173,12 @@ def test_translated_bounds_match_the_eager_translation():
     v = np.array([0.1, 1e17])
     want = oracles.translate(sys, v).b
     moved = translate(sys, v)
-    # row by row on demand in a pass that evaluates both rows exactly, then
-    # the whole vector on first read
+    # row by row on demand in a pass that evaluates both rows exactly, which
+    # leaves the snapshot as it was, then the whole vector on each read
     x = np.array([1.0, -1e17])
     assert [d.tobytes() for d in violated_slices(moved, x)[0]] == [
         d.tobytes() for d in oracles.violated_slices(oracles.translate(sys, v), x)]
-    assert moved._b is None
+    assert moved.system is sys and moved.shift.tobytes() == v.tobytes()
     assert moved.b.tobytes() == want.tobytes()
     twice = translate(moved, v)
     assert twice.b.tobytes() == oracles.translate(oracles.translate(sys, v), v).b.tobytes()

@@ -33,7 +33,7 @@ from modap import (
     solve,
 )
 from modap.dynamics import translate
-from modap.geometry import eps_membership, max_relative_violation, violated_slices
+from modap.geometry import Translated, eps_membership, max_relative_violation, violated_slices
 from modap.summation import SMALL_BLOCK, column_sums, exact_dot
 
 # row and point scales: 2^-530 puts a squared row norm in the subnormal
@@ -169,8 +169,6 @@ def test_filtered_kernels_equal_the_oracles_bit_for_bit(case, data):
     # a cover of all rows by consecutive ranges, some possibly empty
     cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=3)))
     cover = list(zip([0] + cuts, cuts + [m]))
-    # the filtered pass runs first, on a system whose translated bounds
-    # have not been materialised yet
     ranged = _outcome(violated_slices, fast, x, start, stop)
     parts = [_outcome(violated_slices, fast, x, lo, hi) for lo, hi in cover]
     got = [
@@ -207,7 +205,7 @@ def test_a_row_the_filter_settles_has_no_positive_residual(case):
     # without overflow, to a residual of at most 0
     fast, exact, x = case
     with np.errstate(all="ignore"):
-        unsettled = geometry._unsettled_rows(fast, x, 0, fast.m).tolist()
+        unsettled = geometry._unsettled_rows(*_parts(fast), x, 0, fast.m).tolist()
     for i in sorted(set(range(fast.m)) - set(unsettled)):
         assert oracles.residual(exact, i, x) <= 0.0
 
@@ -264,9 +262,10 @@ def test_wide_pass_equals_the_oracle(translated, mixed):
     base = InequalitySystem(a, b)
     fast, exact = (translate(base, v), oracles.translate(base, v)) if translated else (base, base)
     for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
-        rows = geometry._unsettled_rows(fast, point, 0, 400)
-        assert (fast.indptr[rows + 1] - fast.indptr[rows]).sum() >= 4 * SMALL_BLOCK
-        assert (fast._gather(rows)[2] is not None) == mixed
+        sys, shift = _parts(fast)
+        rows = geometry._unsettled_rows(sys, shift, point, 0, 400)
+        assert (sys.indptr[rows + 1] - sys.indptr[rows]).sum() >= 4 * SMALL_BLOCK
+        assert (sys._gather(rows)[2] is not None) == mixed
         assert _pass_bits(("ok", violated_slices(fast, point))) == _pass_bits(
             ("ok", oracles.row_pass(exact, point)))
 
@@ -373,25 +372,27 @@ def test_a_translated_pass_takes_one_view_and_one_sum(monkeypatch):
     src.advance(0.03)
     snap = src.snapshot()
     x = np.full(10, 0.05)  # only the row -sum(x) <= -100 is unsettled
-    rows = geometry._unsettled_rows(snap, x, 0, snap.m)
+    rows = geometry._unsettled_rows(snap.system, snap.shift, x, 0, snap.m)
     assert rows.tolist() == [21]
-    values, columns, starts = snap._gather(rows)
+    values, columns, starts = snap.system._gather(rows)
     assert values.shape == (1, 10) and columns is None and starts is None
-    assert np.shares_memory(values, snap.data)
-    values, columns, starts = snap._gather(np.array([3]))  # one stored entry
-    assert np.shares_memory(values, snap.data) and np.shares_memory(columns, snap.indices)
+    assert np.shares_memory(values, snap.system.data)
+    values, columns, starts = snap.system._gather(np.array([3]))  # one stored entry
+    assert (np.shares_memory(values, snap.system.data)
+            and np.shares_memory(columns, snap.system.indices))
     # residuals and translated bounds in one sum: one row as a (2, w)
     # block, then a full row and a one-entry row as four segments; the
-    # oracle reads the bounds of a snapshot of its own, since a snapshot
-    # keeps them once built
+    # oracle translates the base itself, and the pass leaves the snapshot
+    # as it was
     for x, call in [(x, ((2, 10), None)),
                     (np.where(np.arange(10) == 3, -1.0, x), ((22,), [0, 1, 11, 12]))]:
         want = _pass_bits(("ok", oracles.row_pass(
-            translate(src.base, src.cumulative_displacement), x)))
+            oracles.translate(src.base, src.cumulative_displacement), x)))
         sums.clear()
         assert _pass_bits(("ok", violated_slices(snap, x))) == want
         assert sums == [call]
-        assert snap._b is None
+        assert snap.system is src.base
+        assert snap.shift.tobytes() == src.cumulative_displacement.tobytes()
 
 
 @st.composite
@@ -500,7 +501,7 @@ def test_mixed_widths_equal_the_dense_oracle(translated):
         raw = oracles.dense_row_pass(a, b, point, v)
         assert slices.shape == raw[0].shape and worst == raw[1]
         assert slices.tobytes() == oracles.dense_row_pass(a + 0.0, b, point, v)[0].tobytes()
-    assert len(geometry._unsettled_rows(sys, x, 0, m)) * n >= 4 * SMALL_BLOCK
+    assert len(geometry._unsettled_rows(base, v, x, 0, m)) * n >= 4 * SMALL_BLOCK
 
 
 @pytest.mark.parametrize("translated", [False, True])
@@ -523,10 +524,15 @@ def test_full_row_view_and_gather_path_agree(translated):
     if translated:
         full, mixed = translate(full, v), translate(mixed, v)
     for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
-        assert len(geometry._unsettled_rows(full, point, 0, m)) * n >= 4 * SMALL_BLOCK
+        assert len(geometry._unsettled_rows(*_parts(full), point, 0, m)) * n >= 4 * SMALL_BLOCK
         assert _pass_bits(("ok", violated_slices(full, point))) == _pass_bits(
             ("ok", violated_slices(mixed, point)))
     assert full.b.tobytes() == mixed.b[:m].tobytes()
+
+
+def _parts(snap):
+    """A snapshot's base system and shift, None when it is not translated."""
+    return (snap.system, snap.shift) if isinstance(snap, Translated) else (snap, None)
 
 
 def _model_source(n):
@@ -588,24 +594,25 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     real_advance = DynamicSystemSource.advance
     exact_rows = threading.local()
 
-    def counting_unsettled(sys, x, start, stop):
-        rows = real_unsettled(sys, x, start, stop)
-        passes.append((sys, np.array(x), start, stop, len(rows),
+    def counting_unsettled(sys, shift, x, start, stop):
+        rows = real_unsettled(sys, shift, x, start, stop)
+        passes.append((sys, shift, np.array(x), start, stop, len(rows),
                        threading.current_thread()))
         exact_rows.rows = rows + start
         return rows
 
     pass_reads = []
 
-    def counting_pass(sys, x, start=0, stop=None):
+    def counting_pass(snap, x, start=0, stop=None):
         me = threading.get_ident()
         before = _CountingEntries.on_thread(me)
-        result = real_pass(sys, x, start, stop)
+        result = real_pass(snap, x, start, stop)
+        sys, shift = _parts(snap)
         stop = sys.m if stop is None else stop
         rows = exact_rows.rows
         # a translated snapshot's exact path also takes its rows' bounds,
         # and the slices of fully stored rows multiply their stored entries
-        products = (1 if sys._shift is None else 2) + 1
+        products = (1 if shift is None else 2) + 1
         pass_reads.append((sys.indptr[stop] - sys.indptr[start],
                            products * int((sys.indptr[rows + 1] - sys.indptr[rows]).sum()),
                            _CountingEntries.on_thread(me) - before))
@@ -658,8 +665,9 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
         if workers:
             assert threading.current_thread() not in {p[-1] for p in passes}
             assert threading.get_ident() not in {t for t, _, _ in reads_in_solve}
-        for sys, x, start, stop, count, _ in passes:
-            h = len(oracles.violated_slices(sys, x, start, stop))
+        for sys, shift, x, start, stop, count, _ in passes:
+            snap = sys if shift is None else oracles.translate(sys, shift)
+            h = len(oracles.violated_slices(snap, x, start, stop))
             assert count <= h + 2, (workers, h, count)
         # translating computes no exact bound; a pass computes those it needs
         assert translate_dots == [0] * out.iterations

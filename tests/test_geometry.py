@@ -10,7 +10,7 @@ import oracles
 from conftest import one_iteration
 from modap import InequalitySystem, ModelProblemSpec, generate_model_problem, summation
 from modap.dynamics import translate
-from modap.geometry import (_BLOCK_ELEMENTS, eps_membership, max_relative_violation, vector_norm,
+from modap.geometry import (_BLOCK_ELEMENTS, eps_membership, max_relative_violation,
                             vector_norms, violated_slices)
 from modap.summation import SMALL_BLOCK, column_sums
 
@@ -428,17 +428,17 @@ def test_phi_reconstruction(sys_x):
 
 
 def test_vector_norm_matches_math():
-    assert vector_norm(np.array([3.0, 4.0])) == 5.0
+    assert vector_norms(np.array([[3.0, 4.0]]))[0] == 5.0
 
 
 def test_vector_norm_rescales_outside_the_normal_range():
-    assert vector_norm(np.zeros(3)) == 0.0
-    assert vector_norm(np.array([1e-200])) == 1e-200
-    assert vector_norm(np.array([3e-170, 4e-170])) == pytest.approx(5e-170, rel=1e-15)
-    assert vector_norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
-    assert vector_norm(np.array([1e308, 1e308])) == pytest.approx(math.sqrt(2) * 1e308)
-    assert vector_norm(np.array([1.5e308, 1.5e308])) == math.inf
-    assert math.isnan(vector_norm(np.array([math.nan, 1.0])))
+    assert vector_norms(np.zeros((1, 3)))[0] == 0.0
+    assert vector_norms(np.array([[1e-200]]))[0] == 1e-200
+    assert vector_norms(np.array([[3e-170, 4e-170]]))[0] == pytest.approx(5e-170, rel=1e-15)
+    assert vector_norms(np.array([[3e200, 4e200]]))[0] == pytest.approx(5e200, rel=1e-15)
+    assert vector_norms(np.array([[1e308, 1e308]]))[0] == pytest.approx(math.sqrt(2) * 1e308)
+    assert vector_norms(np.array([[1.5e308, 1.5e308]]))[0] == math.inf
+    assert math.isnan(vector_norms(np.array([[math.nan, 1.0]]))[0])
 
 
 @settings(max_examples=80)
@@ -447,7 +447,7 @@ def test_vector_norm_keeps_its_bits_in_the_normal_range(values):
     v = np.array(values)
     s = math.fsum((v * v).tolist())
     if s >= 2.0 ** -1022:
-        assert vector_norm(v) == math.sqrt(s)
+        assert vector_norms(v[None])[0] == math.sqrt(s)
 
 
 # zeros, subnormals, values whose squares underflow or overflow, squares
@@ -488,7 +488,7 @@ def norm_stacks(draw):
 def test_vector_norms_equal_the_per_vector_fsum_oracle(stack):
     want = np.array(oracles.vector_norms(stack)).tobytes()
     assert np.array(vector_norms(stack)).tobytes() == want
-    assert np.array([vector_norm(v) for v in stack]).tobytes() == want
+    assert np.array([vector_norms(v[None])[0] for v in stack]).tobytes() == want
 
 
 def test_two_stacked_norms_of_1000_take_the_block_levels(monkeypatch):
