@@ -14,6 +14,7 @@ from dataclasses import astuple, fields
 
 from . import cost_model
 from .bsf_engine import EngineError
+from .dynamics import TRANSLATION
 from .harness import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -147,6 +148,9 @@ def _cmd_sweep(args) -> int:
     if "dynamics.rate" in values:  # each run's rate replaces it
         raise ConfigError("modap sweep takes its rates from --rates, not from --rate "
                           "or dynamics.rate")
+    if values.get("dynamics.mode", TRANSLATION) != TRANSLATION:  # each run translates
+        raise ConfigError(f"modap sweep translates at each rate; it takes no "
+                          f"dynamics.mode = {values['dynamics.mode']}")
     results = run_rate_sweep(build_experiment_config(values), args.rates, args.out_dir)
     for rate, outcome in results:
         print(f"rate={rate} status={outcome.status.value} iterations={outcome.iterations}")

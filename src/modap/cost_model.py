@@ -33,20 +33,24 @@ worker.
 The master makes no row pass: the workers' reports carry the largest
 violation, so its stopping test is a comparison, and a translated snapshot
 holds v instead of new bounds, so advancing the source is O(n).  Per
-superstep, for the modap step on a translating source, and leaving out the
-combine of the reports (``c_a``):
+superstep of ``solver._run_loop`` (modap, a translating source, no trace),
+leaving out the combine of the reports (``c_a``):
 
     stopping test: eps and budget           2 compares
     ||y||^2 of the slice sum y              n multiplies + (n - 1) adds
     square root, range and zero tests       4
     step factor, its test, rescaled y       n + 2
-    x - step, finiteness test, step vector  3n
+    x - step, finiteness test               2n
     iteration count                         1
-    clock: test and add                     2
-    displacement += velocity * dt           2n
-    translate: finite v, bound on ||v||     3n + 3
+    clock: elapsed test, time add           2
+    displacement + rate * dt                n + 1
+    translate: finiteness test of v         n
     ------------------------------------------------------
-    total                                   11n + 13
+    total                                   7n + 11
+
+Each worker's pass bounds ``||v||`` itself (``geometry._norm_bound``, about
+2n operations), so that cost falls in the map stage, once per worker;
+neither ``c_p`` nor the per-row ``c_map`` counts it.
 
 Default machine constants are plausible for a commodity cluster and are
 assumptions, not measurements; the CLI labels them as such.
@@ -142,7 +146,7 @@ def operation_counts(n: int, m: int, update_breadth: str = BREADTH_SINGLE) -> Co
         c_map=(5 * n + 1) * m,
         c_a=n,
         c_r=n,
-        c_p=11 * n + 13,
+        c_p=7 * n + 11,
         c_u=c_u,
     )
 

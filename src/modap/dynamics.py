@@ -13,8 +13,9 @@ its error bound by ``|b_i| + ||a_i|| ||v||`` to cover the rounding of
 ``x - v`` and of the exact bound; each pass bounds ``||v||`` itself, so no
 pass writes to a snapshot.  The exact bound ``b_i + <a_i, v>`` (inner
 product exactly rounded) is computed only for the rows a pass evaluates
-exactly, and for all rows on each read of ``Translated.b``; every value
-that reaches an iterate or a trace comes from these exact bounds.
+exactly, and every value that reaches an iterate or a trace comes from
+these exact bounds.  Translating a translated snapshot adds the shifts,
+so a snapshot is always a base system and one shift.
 
 Two clock modes drive the motion: a virtual clock that advances a fixed
 quantum per solver iteration (deterministic, machine-independent, the
@@ -82,20 +83,21 @@ def translate(sys: InequalitySystem | Translated, v) -> Translated:
     Rows are unchanged; ``b' = b + A v`` so that ``x`` is feasible for the
     original iff ``x + v`` is feasible for the result.  ``b'`` is held
     implicitly (see the module docstring); its bits are those of
-    ``b_i + exact_dot(a_i, v)``.  Translating a translated system first
-    makes its bounds ``b'`` those of a new base system.
+    ``b_i + exact_dot(a_i, v)``.  Translating ``Translated(base, u)`` gives
+    ``Translated(base, u + v)``, which costs O(n) and builds no system; the
+    sum must be finite.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = np.array(v, dtype=np.float64)  # a copy
     if v.shape != (sys.n,):
         raise ValueError(
             f"dimension mismatch: displacement has shape {v.shape}, expected ({sys.n},)"
         )
+    if isinstance(sys, Translated):
+        with np.errstate(over="ignore"):  # reported below
+            sys, v = sys.system, sys.shift + v
     if not np.isfinite(v).all():
         raise ValueError("displacement must be finite")
-    if isinstance(sys, Translated):
-        rows = sys.system
-        sys = InequalitySystem((rows.indptr, rows.indices, rows.data), sys.b, n=rows.n)
-    return Translated(sys, v.copy())
+    return Translated(sys, v)
 
 
 class DynamicSystemSource:

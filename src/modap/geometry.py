@@ -82,8 +82,10 @@ stored entries, taken for all such rows at once, and their exactly rounded row
 sums (:func:`~modap.summation.row_sums`, vectorised over the block), the
 bits of :func:`~modap.summation.exact_dot` over the dense row.  On a
 translated system the products with x and with v are stacked into one
-block or segment array, so the residuals and the exact bounds take one
-sum; consecutive rows, a single row among them, are read as views of
+block or segment array, so the residuals and the sums ``<a_i, v>`` take
+one sum, and b_i is added to each ``<a_i, v>`` in place to give the exact
+bound (one that overflows raises ``OverflowError`` naming its row);
+consecutive rows, a single row among them, are read as views of
 ``data``, without a gather, and the slices of a block multiply it as it is
 stored.  The bound only decides which rows may be skipped; every value the
 pass returns (slices, the maximum violation, and so the membership
@@ -122,9 +124,8 @@ _NORM_SLACK = 1.0 + 2.0 ** -48
 _SQUARE_MIN = 2.0 ** -900
 _SQUARE_MAX = 2.0 ** 900
 _BOUND = "its translated bound"
-# many-row sums (squared norms, translated bounds) take consecutive rows
-# storing at most this many entries at a time, so their temporaries stay
-# near 0.5 MB each
+# the squared norms are summed over consecutive rows storing at most this
+# many entries at a time, so their temporaries stay near 0.5 MB each
 _BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -173,7 +174,7 @@ class InequalitySystem:
             )
         try:
             with np.errstate(over="ignore"):  # an infinite square is reported below
-                norms_sq = self._chunked_dots(None, "its squared norm")
+                norms_sq = self._squared_norms()
         except OverflowError as exc:  # the squares are non-negative: a sum overflows
             raise ValueError(str(exc)) from None
         for i in np.flatnonzero(norms_sq == math.inf).tolist():  # a square overflows
@@ -222,16 +223,16 @@ class InequalitySystem:
         pos = np.arange(counts.sum()) + np.repeat(offsets - starts, counts)
         return self.data[pos], self.indices[pos], starts
 
-    def _chunked_dots(self, ys, what: str) -> np.ndarray:
-        """:func:`_dots` of every row, for ys of one row or None, summed
-        over consecutive rows that store at most :data:`_BLOCK_ELEMENTS`
-        entries at a time (one row at least)."""
+    def _squared_norms(self) -> np.ndarray:
+        """``||a_i||^2`` of every row (:func:`_dots`), summed over
+        consecutive rows that store at most :data:`_BLOCK_ELEMENTS` entries
+        at a time (one row at least)."""
         out, lo = [], 0
         while lo < self.m:
             hi = int(np.searchsorted(self.indptr, self.indptr[lo] + _BLOCK_ELEMENTS,
                                      side="right")) - 1
             rows = range(lo, max(hi, lo + 1))
-            out.append(_dots(rows, self._gather(rows), ys, [what])[0])
+            out.append(_dots(rows, self._gather(rows), None, ["its squared norm"])[0])
             lo = rows[-1] + 1
         return np.concatenate(out)
 
@@ -243,8 +244,8 @@ class Translated(NamedTuple):
     """A system whose region is ``system``'s translated by ``shift`` = v:
     ``A x <= b + A v``, held as the base system and v, so it costs O(n) and
     shares every stored array.  Built by :func:`modap.dynamics.translate`,
-    which validates v; the row pass reads it as ``A (x - v) - b`` (see the
-    module docstring)."""
+    which validates v; the row pass reads it as ``A (x - v) - b`` and
+    builds the bound ``b_i + <a_i, v>`` of its exact rows only."""
 
     system: InequalitySystem
     shift: np.ndarray
@@ -256,29 +257,6 @@ class Translated(NamedTuple):
     @property
     def m(self) -> int:
         return self.system.m
-
-    @property
-    def b(self) -> np.ndarray:
-        """The translated bounds ``b_i + <a_i, v>`` of every row, inner
-        product exactly rounded, built anew on each read; a bound that
-        overflows float64 raises ``OverflowError`` naming its row."""
-        sys = self.system
-        with np.errstate(over="ignore"):
-            sums = sys._chunked_dots(self.shift[None], _BOUND)
-            return _translated_bounds(sys.b, np.arange(sys.m), sums)
-
-
-def _translated_bounds(b: np.ndarray, rows: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """``b_i + <a_i, v>`` for ``rows`` (an index array) of the base bounds
-    b, given the exactly rounded ``sums`` ``<a_i, v>``; a bound that
-    overflows raises ``OverflowError`` naming its row.  The caller silences
-    overflow warnings."""
-    out = b[rows] + sums
-    finite = np.isfinite(out)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)[0]
-        raise OverflowError(f"row {rows[bad]}: {_BOUND} overflows float64")
-    return out
 
 
 def _dense_to_csr(a):
@@ -489,9 +467,13 @@ def violated_slices(
             (r,) = _dots(rows, gathered, x[None], ["its residual"])
             r -= sys.b[rows]
         else:
-            r, sums = _dots(rows, gathered, np.array((x, shift)),
-                            ["its residual", _BOUND])
-            r -= _translated_bounds(sys.b, rows, sums)
+            r, bounds = _dots(rows, gathered, np.array((x, shift)),
+                              ["its residual", _BOUND])
+            bounds += sys.b[rows]
+            finite = np.isfinite(bounds)
+            if not finite.all():
+                raise OverflowError(f"row {rows[finite.argmin()]}: {_BOUND} overflows float64")
+            r -= bounds
         # a block is multiplied as it is stored; segments are spread first
         a = gathered[0] if gathered[2] is None else _scattered(*gathered, sys.n)
         hit = r > 0.0

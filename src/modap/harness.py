@@ -260,6 +260,11 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
 
+    # a loaded system replaces the generated one, whose shape it would drop
+    shape = [key for key in values if key.startswith("problem.") and key != "problem.file"]
+    if "problem.file" in values and shape:
+        raise ConfigError(f"{', '.join(shape)} shape the generated model problem, "
+                          "which problem.file replaces")
     # a rate moves only a translating system; a stationary one would drop
     # it without a word
     dynamics = kwargs["dynamics"]

@@ -12,7 +12,8 @@ the filtered row pass in ``modap.geometry`` and the translated snapshots of
 combines two of them as the counterpart of the one pass,
 ``modap.geometry.violated_slices``; it and :func:`translate` take the same
 arguments as their library counterparts, so a test can patch them in where
-the program looks the name up.
+the program looks the name up.  :func:`bounds` reads a snapshot's bounds
+through :func:`translate`.
 
 :func:`vector_norms` is the loop's norm as it was before the stacked
 sum: one ``math.fsum`` of squares per vector.  The solver must reproduce
@@ -110,6 +111,15 @@ def translate(sys, v):
         count=sys.m,
     )
     return InequalitySystem(a, new_b)
+
+
+def bounds(snap):
+    """The bounds of a system, or those :func:`translate` builds for a
+    translated snapshot ``(system, shift)``, which the package never
+    builds."""
+    if isinstance(snap, InequalitySystem):
+        return snap.b
+    return translate(snap.system, snap.shift).b
 
 
 def dense_row_pass(a, b, x, v=None):

@@ -320,6 +320,15 @@ class TestRunParallel:
             run_parallel(DynamicSystemSource(BOX), SolverConfig(), EngineConfig(workers=5))
 
 
+@pytest.mark.parametrize("configs", [(), (None,), (None, None)])
+def test_default_configs_run_one_worker(configs):
+    # SolverConfig() and EngineConfig(), one worker: the sequential solve's bits
+    sys = InequalitySystem([[1.0, 2.0], [-3.0, 1.0], [0.5, -1.0]], [-1.0, 0.5, 2.0])
+    got, want = run_parallel(sys, *configs), solve(sys)
+    assert got.status is want.status and got.iterations == want.iterations > 0
+    assert got.solution.tobytes() == want.solution.tobytes()
+
+
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(workers=0)

@@ -229,6 +229,18 @@ def test_console_entry_point_runs():
     assert "k_max" in proc.stdout
 
 
+@pytest.mark.parametrize("args,message", [
+    (["solve", "--set", "bogus=1"], "error: unknown config key: bogus"),
+    (["generate", "--n", "3"], "the following arguments are required: --out"),
+])
+def test_module_entry_point_exits_one_on_an_error(tmp_path, args, message):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "modap", *args], capture_output=True,
+                          text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert message in proc.stderr and proc.stdout == ""
+
+
 def test_sum_kernel_script_runs(tmp_path):
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "BENCH_summation.json"
@@ -293,6 +305,34 @@ def test_rate_without_translation_exits_one(tmp_path, capsys):
     assert not out.exists()
     # a zero rate moves nothing in either mode
     assert main(base + ["--rate", "0"]) == 0
+
+
+def test_shape_keys_with_a_problem_file_exit_one(tmp_path, capsys):
+    # the file's system used to be solved and the shape keys dropped, exit 0
+    path = tmp_path / "s.txt"
+    assert main(["generate", "--n", "5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m.csv"
+    code = main(["solve", "--set", f"problem.file={path}", "--set", "problem.n=50",
+                 "--set", "problem.box_upper=3", "--set", f"output.path={out}"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: problem.n, problem.box_upper shape the generated "
+                            "model problem, which problem.file replaces\n")
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_stationary_mode(tmp_path, capsys):
+    # the sweep used to translate anyway and exit 0
+    code = main(["sweep", "--set", "problem.n=5", "--set", "dynamics.mode=stationary",
+                 "--rates", "1", "--out-dir", str(tmp_path / "sw")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: modap sweep translates at each rate; it takes no "
+                            "dynamics.mode = stationary\n")
+    assert not (tmp_path / "sw").exists()
 
 
 @pytest.mark.parametrize("key,value", [

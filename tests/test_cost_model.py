@@ -48,7 +48,7 @@ def counted_map_ops_per_row(a_row, b_i, x):
 class TestOperationCounts:
     def test_hand_values_n2_m4(self):
         c = operation_counts(2, 4, BREADTH_SINGLE)
-        assert (c.c_s, c.c_map, c.c_a, c.c_r, c.c_p, c.c_u) == (2, 44, 2, 2, 35, 1)
+        assert (c.c_s, c.c_map, c.c_a, c.c_r, c.c_p, c.c_u) == (2, 44, 2, 2, 25, 1)
 
     def test_full_breadth_update(self):
         assert operation_counts(2, 4, BREADTH_FULL).c_u == 12
@@ -56,17 +56,22 @@ class TestOperationCounts:
     def test_minimal_system(self):
         c = operation_counts(1, 1)
         assert c.c_map == 6
-        assert c.c_p == 24
+        assert c.c_p == 18
 
     def test_master_work_does_not_grow_with_m(self):
         # the master makes no row pass and advances the source in O(n)
-        assert operation_counts(5, 12).c_p == operation_counts(5, 10**6).c_p == 68
+        assert operation_counts(5, 12).c_p == operation_counts(5, 10**6).c_p == 46
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             operation_counts(0, 5)
         with pytest.raises(ValueError):
             operation_counts(5, 0)
+
+    @pytest.mark.parametrize("breadth", ["partial", "FULL", ""])
+    def test_rejects_an_unknown_breadth(self, breadth):
+        with pytest.raises(ValueError, match=f"unknown update breadth {breadth!r}"):
+            operation_counts(2, 4, breadth)
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_instrumented_map_kernel_matches_formula(self, n):
@@ -83,7 +88,7 @@ class TestOperationCounts:
 class TestStageTimes:
     def test_unit_taus_hand_values(self):
         t = stage_times(CostParams(2, 4, tau_op=1.0, tau_tr=1.0, latency=1.0))
-        assert (t.t_s, t.t_map, t.t_r, t.t_a, t.t_p) == (3.0, 44.0, 2.0, 2.0, 35.0)
+        assert (t.t_s, t.t_map, t.t_r, t.t_a, t.t_p) == (3.0, 44.0, 2.0, 2.0, 25.0)
 
     def test_full_breadth_send_time(self):
         t = stage_times(

@@ -16,7 +16,7 @@ from modap import (
     run_parallel,
     solve,
 )
-from modap.dynamics import translate
+from modap.dynamics import as_source, translate
 from modap.geometry import eps_membership, violated_slices
 
 HALF = InequalitySystem([[1.0, 0.0]], [1.0])
@@ -25,18 +25,18 @@ HALF = InequalitySystem([[1.0, 0.0]], [1.0])
 class TestTranslate:
     def test_hand_value(self):
         moved = translate(HALF, [0.5, 0.0])
-        assert np.array_equal(moved.b, [1.5])
+        assert np.array_equal(oracles.bounds(moved), [1.5])
         assert moved.system is HALF
 
     def test_zero_is_identity(self):
         moved = translate(HALF, [0.0, 0.0])
-        assert np.array_equal(moved.b, HALF.b)
+        assert np.array_equal(oracles.bounds(moved), HALF.b)
 
     def test_lower_bound_row(self):
         # x1 >= 0 translated by +2 becomes x1 >= 2, i.e. -x1 <= -2
         sys = InequalitySystem([[-1.0, 0.0]], [0.0])
         moved = translate(sys, [2.0, 0.0])
-        assert np.array_equal(moved.b, [-2.0])
+        assert np.array_equal(oracles.bounds(moved), [-2.0])
         # membership transports: x in M  <=>  x + v in M'
         x = np.array([-1.0, 0.0])
         assert not eps_membership(sys, x, 1e-9)
@@ -60,7 +60,7 @@ class TestTranslate:
         # skip points that sit within 2 eps of a boundary of either system
         margins = np.abs(sys.a @ x - sys.b) / sys.row_norms
         moved = translate(sys, v)
-        margins2 = np.abs(moved.system.a @ (x + v) - moved.b) / moved.system.row_norms
+        margins2 = np.abs(sys.a @ (x + v) - oracles.bounds(moved)) / sys.row_norms
         if min(margins.min(), margins2.min()) <= 2 * eps:
             return
         assert eps_membership(sys, x, eps) == eps_membership(moved, x + v, eps)
@@ -80,7 +80,7 @@ class TestAdvance:
             box, DynamicsSpec(mode="translation", rate=10.0, seconds_per_iteration=0.1)
         )
         src.advance(src.next_elapsed())
-        assert np.array_equal(src.snapshot().b, [2.0, 2.0])
+        assert np.array_equal(oracles.bounds(src.snapshot()), [2.0, 2.0])
         assert np.array_equal(src.cumulative_displacement, [1.0, 1.0])
 
     def test_additivity(self):
@@ -90,7 +90,8 @@ class TestAdvance:
         one.advance(0.1)
         two.advance(0.05)
         two.advance(0.05)
-        assert np.allclose(one.snapshot().b, two.snapshot().b, atol=1e-12, rtol=1e-12)
+        assert np.allclose(oracles.bounds(one.snapshot()), oracles.bounds(two.snapshot()),
+                           atol=1e-12, rtol=1e-12)
 
     def test_negative_elapsed_rejected(self):
         src = DynamicSystemSource(HALF, DynamicsSpec())
@@ -124,7 +125,7 @@ class TestSnapshot:
     def test_advance_zero_keeps_values(self):
         src = DynamicSystemSource(HALF, DynamicsSpec(mode="translation", rate=1.0))
         src.advance(0.0)
-        assert np.array_equal(src.snapshot().b, HALF.b)
+        assert np.array_equal(oracles.bounds(src.snapshot()), HALF.b)
 
     def test_snapshot_matches_direct_translate(self):
         src = DynamicSystemSource(HALF, DynamicsSpec(mode="translation", rate=2.0))
@@ -132,7 +133,7 @@ class TestSnapshot:
         src.advance(0.75)
         v = src.cumulative_displacement
         expected = translate(HALF, v)
-        assert np.array_equal(src.snapshot().b, expected.b)
+        assert np.array_equal(oracles.bounds(src.snapshot()), oracles.bounds(expected))
 
 
 def test_translation_rate_zero_equals_stationary(rng):
@@ -171,17 +172,43 @@ def test_spec_rejects_non_finite():
 def test_translated_bounds_match_the_eager_translation():
     sys = InequalitySystem([[1.0, 1e-17], [3.0, -1.0]], [1.0, 0.5])
     v = np.array([0.1, 1e17])
-    want = oracles.translate(sys, v).b
     moved = translate(sys, v)
     # row by row on demand in a pass that evaluates both rows exactly, which
-    # leaves the snapshot as it was, then the whole vector on each read
+    # leaves the snapshot as it was
     x = np.array([1.0, -1e17])
     assert [d.tobytes() for d in violated_slices(moved, x)[0]] == [
         d.tobytes() for d in oracles.violated_slices(oracles.translate(sys, v), x)]
     assert moved.system is sys and moved.shift.tobytes() == v.tobytes()
-    assert moved.b.tobytes() == want.tobytes()
-    twice = translate(moved, v)
-    assert twice.b.tobytes() == oracles.translate(oracles.translate(sys, v), v).b.tobytes()
+
+
+def test_translating_a_translated_snapshot_adds_the_shifts(rng):
+    sys, _ = random_feasible_system(rng, 6, 14)
+    v1, v2 = rng.uniform(-5, 5, 6), rng.uniform(-5, 5, 6) * 1e-9
+    twice = translate(translate(sys, v1), v2)
+    once = translate(sys, v1 + v2)
+    assert twice.system is sys and twice.shift.tobytes() == once.shift.tobytes()
+    for x in (np.zeros(6), rng.uniform(-10, 10, 6), -v1):
+        got, want = violated_slices(twice, x), violated_slices(once, x)
+        assert (got[0].tobytes(), got[1]) == (want[0].tobytes(), want[1])
+    with pytest.raises(ValueError, match="displacement must be finite"):
+        translate(translate(HALF, [1e308, 0.0]), [1e308, 0.0])
+
+
+def test_a_translating_source_over_a_translated_base_builds_no_system(rng, monkeypatch):
+    sys, _ = random_feasible_system(rng, 6, 14)
+    source = DynamicSystemSource(translate(sys, np.zeros(6)),
+                                 DynamicsSpec(mode="translation", rate=1.0))
+    built = []
+    init = InequalitySystem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(InequalitySystem, "__init__", counting_init)
+    out = solve(source, SolverConfig(variant="modap"))
+    assert out.iterations > 0 and source.snapshot().system is sys
+    assert not built
 
 
 def test_spec_validation():
@@ -191,3 +218,9 @@ def test_spec_validation():
         DynamicsSpec(clock="sundial")
     with pytest.raises(ValueError):
         DynamicsSpec(seconds_per_iteration=0.0)
+
+
+@pytest.mark.parametrize("obj", [object(), np.eye(2), [[1.0, 0.0]]])
+def test_as_source_rejects_what_is_not_a_system(obj):
+    with pytest.raises(TypeError, match="expected a system or a DynamicSystemSource"):
+        as_source(obj)

@@ -182,6 +182,17 @@ class TestSystemFiles:
         assert np.array_equal(sys.a, [[2.0]])
         assert np.array_equal(sys.b, [4.0])
 
+    @pytest.mark.parametrize("text,match", [
+        ("# only a comment\n\n", "bad.txt: empty system file"),
+        ("2.5 1\n1 1 1\n", "bad.txt: non-integer header '2.5 1'"),
+        ("1 1\nx 1\n", "bad.txt: row 0 has a non-numeric value"),
+    ])
+    def test_malformed_files_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(SystemFormatError, match=match):
+            load_system(path)
+
 
 class TestConfig:
     def test_parse_and_build(self, tmp_path):

@@ -319,3 +319,24 @@ def test_a_model_solve_enters_one_error_state_per_pass_step_and_norm_sum(monkeyp
     out = solve(source, SolverConfig(record_trace=True))
     assert out.iterations == 5
     assert len(entries) == 6 + 5 + 6
+
+
+# x <= 0 and x >= 1: at x = 0.5 both rows are violated and their slices cancel
+CONTRADICTION = InequalitySystem([[1.0], [-1.0]], [0.0, -1.0])
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("system,config,match", [
+    (BOX, SolverConfig(initial_point=np.zeros(3)),
+     r"initial point has shape \(3,\), expected \(2,\)"),
+    # ROADMAP item 4's reproducer: an infeasible system is only seen when the
+    # modap direction vanishes
+    (CONTRADICTION, SolverConfig(variant="modap", initial_point=np.array([0.5])),
+     "violation direction vanished although rows are violated"),
+])
+def test_loop_errors(system, config, match, workers):
+    with pytest.raises(ValueError, match=match):
+        if workers:
+            run_parallel(system, config, EngineConfig(workers=workers))
+        else:
+            solve(system, config)
