@@ -2,6 +2,7 @@
 """Solve time of two checkouts of ``modap``, A/B in one process.
 
     python scripts/ab_inprocess.py --base ../parent --head . --workload model-translate
+    python scripts/ab_inprocess.py --base ../parent --workload model-workers2 --n 4000
 
 Loads the ``modap`` package of each checkout (``<root>/src/modap``) under
 its own name, builds the chosen workload for both from the same arrays,
@@ -12,13 +13,15 @@ and swapping which one goes first from one round to the next, so that a
 drift of the machine's speed falls on both.  Each round gives the ratio of
 the median solve times, head over base.  The script prints each round, the
 median ratio, its quartiles and how many rounds the head was faster in;
-the last line of standard output is the same as one JSON object.
+the last line of standard output is the same as one JSON object, which
+also holds each side's median solve time over all rounds in ms.
 
 The workloads are the benchmark's (``bench/run.py``), built here without
-their checks and set-up timings: ``model-translate`` (the n = 1000 model
-problem translating at rate 1, sequential), ``model-workers2`` (the same
-through ``run_parallel`` with two workers) and ``random-dense`` (a seeded
-Gaussian n = 100, m = 1000 stationary system around an interior point).
+their checks and set-up timings: ``model-translate`` (the model problem
+translating at rate 1, sequential; n = 1000 unless ``--n`` says otherwise),
+``model-workers2`` (the same through ``run_parallel`` with two workers) and
+``random-dense`` (a seeded Gaussian n = 100, m = 1000 stationary system
+around an interior point, which ``--n`` does not change).
 Both sides must accept the same constructor and solver arguments.
 """
 
@@ -66,10 +69,10 @@ def random_dense(seed: int = 11):
 class Side:
     """One checkout's package, its workload system and one solve."""
 
-    def __init__(self, pkg, workload: str, arrays):
+    def __init__(self, pkg, workload: str, arrays, n: int = MODEL_N):
         self.pkg, self.workload = pkg, workload
         if arrays is None:
-            self.base = pkg.generate_model_problem(pkg.ModelProblemSpec(n=MODEL_N))
+            self.base = pkg.generate_model_problem(pkg.ModelProblemSpec(n=n))
             self.spec = pkg.DynamicsSpec(mode="translation", rate=1.0,
                                          seconds_per_iteration=0.01)
         else:
@@ -105,23 +108,28 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS, default="model-translate")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--solves", type=int, default=40, help="solves per side per round")
+    parser.add_argument("--n", type=int, default=MODEL_N,
+                        help="the model problem's dimension (model workloads)")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.solves < 1:
-        parser.error("--rounds and --solves must be at least 1")
+    if args.rounds < 1 or args.solves < 1 or args.n < 1:
+        parser.error("--rounds, --solves and --n must be at least 1")
     arrays = None if args.workload.startswith("model") else random_dense()
-    sides = [Side(load_package(root, f"modap_{tag}"), args.workload, arrays)
+    sides = [Side(load_package(root, f"modap_{tag}"), args.workload, arrays, args.n)
              for tag, root in (("base", args.base), ("head", args.head))]
     base_bits, head_bits = (outcome_bits(side.solve()) for side in sides)
     if base_bits != head_bits:
         print(f"{args.workload}: the two checkouts' solves differ", file=sys.stderr)
         return 1
     ratios = []
+    every = {id(side): [] for side in sides}
     for r in range(args.rounds):
         order = sides if r % 2 == 0 else sides[::-1]
         times = {id(side): [] for side in sides}
         for _ in range(args.solves):
             for side in order:
                 times[id(side)].append(side.timed())
+        for side in sides:
+            every[id(side)] += times[id(side)]
         base_s, head_s = (statistics.median(times[id(side)]) for side in sides)
         ratios.append(head_s / base_s)
         print(f"round {r + 1:3d} ({'base' if order is sides else 'head'} first): "
@@ -132,9 +140,13 @@ def main(argv=None) -> int:
     lower = sum(ratio < 1.0 for ratio in ratios)
     print(f"{args.workload}: head/base median ratio {median:.4f} [{q1:.4f}, {q3:.4f}], "
           f"head lower in {lower} of {len(ratios)} rounds")
-    print(json.dumps({"workload": args.workload, "iterations": base_bits[1],
-                      "rounds": len(ratios), "solves": args.solves, "median_ratio": median,
-                      "q1_ratio": q1, "q3_ratio": q3, "rounds_lower": lower}))
+    base_ms, head_ms = (statistics.median(every[id(side)]) * 1e3 for side in sides)
+    print(json.dumps({"workload": args.workload,
+                      "n": args.n if arrays is None else RANDOM_N,
+                      "iterations": base_bits[1], "rounds": len(ratios),
+                      "solves": args.solves, "median_ratio": median, "q1_ratio": q1,
+                      "q3_ratio": q3, "rounds_lower": lower,
+                      "base_median_ms": base_ms, "head_median_ms": head_ms}))
     return 0
 
 

@@ -1,35 +1,33 @@
-"""Bulk-synchronous master-worker engine.
+"""Bulk-synchronous master-worker engine, run in the caller's thread.
 
-:func:`run_parallel` is the engine.  The calling thread is the master and
-runs the sequential solver's loop; K daemon threads each run a closure that
-owns one contiguous block of the constraint rows and serves its own inbox.
-Per superstep the master sends every worker the current snapshot of the
-(possibly moving) system and a copy of the point, and each worker posts the
-report of its one filtered row pass (see :mod:`modap.geometry`) to a shared
-outbox.  The master makes no row pass: it stops on the maximum of the
-workers' maxima, else sums their slices, steps and advances the source,
-O(n) plus the O(h n) slice sum, since a translated snapshot holds v rather
-than new bounds.  k iterations take k + 1 supersteps; then ``None`` stops
-each worker.  A worker that raises posts an :class:`EngineError` naming
-it, with the exception as its cause, and keeps serving; the master raises
-that error.
+:func:`run_parallel` is the engine.  It splits the constraint rows into K
+contiguous blocks (:func:`partition_rows`), one per worker of the BSF
+skeleton, and runs the sequential solver's loop.  Per superstep each block
+gets its one filtered row pass (see :mod:`modap.geometry`) over the current
+snapshot of the (possibly moving) system and the point, as
+:func:`compute_report`, and the master combines the K reports
+(:func:`combine_reports`): it stops on the maximum of the blocks' maxima,
+else sums their slices, steps and advances the source, O(n) plus the
+O(h n) slice sum, since a translated snapshot holds v rather than new
+bounds.  k iterations take k + 1 supersteps.
 
-Workers share no mutable state: the point is a copy, and a snapshot, a
-system or a :class:`~modap.geometry.Translated` one, is immutable and no
-pass writes to it, so every worker reads the system the master's loop
-sees.  The master stacks the reports in arrival order and sums each
-coordinate once, exactly rounded (:func:`modap.summation.column_sums`).  An
-exactly rounded sum depends only on the multiset of addends, and a maximum
-is exact, so the step and the stop decision are bit-identical to the
-sequential engine's for every worker count and arrival order.
-:func:`superstep` is the same math without threads.
+The K passes run one after another in the calling thread, with no threads,
+queues or copies of the point; a pass that raises fails the run with its
+own exception, as in :func:`modap.solver.solve`.  Under CPython's
+interpreter lock, worker threads cost more hand-off than they saved at
+every size measured (``BENCH_engine.json``), so the engine keeps the BSF
+skeleton's decomposition and combine, which the cost model prices, and not
+its threads.  The master stacks the reports and sums each coordinate once,
+exactly rounded (:func:`modap.summation.column_sums`).  An exactly rounded
+sum depends only on the multiset of addends, and a maximum is exact, so
+the step and the stop decision are bit-identical to the sequential
+engine's for every worker count and report order.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -39,7 +37,6 @@ from .solver import SolveOutcome, SolverConfig, _run_loop, partial_reduction
 
 __all__ = [
     "EngineConfig",
-    "EngineError",
     "partition_rows",
     "compute_report",
     "combine_reports",
@@ -48,17 +45,14 @@ __all__ = [
 ]
 
 
-class EngineError(RuntimeError):
-    """A worker failed; the run was aborted."""
-
-
 @dataclass
 class EngineConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if (not isinstance(self.workers, Integral) or isinstance(self.workers, bool)
+                or self.workers < 1):
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
 def partition_rows(m: int, workers: int) -> list[range]:
@@ -94,58 +88,20 @@ def combine_reports(
 def superstep(
     sys: InequalitySystem, x: np.ndarray, partitions: list[range]
 ) -> tuple[np.ndarray, int, float]:
-    """One superstep's row pass over explicit row ranges, without threads.
-
-    This is exactly the math the threaded engine performs; with a single
-    range covering every row it is the sequential
-    :func:`~modap.solver.partial_reduction`.
-    """
+    """One superstep's row pass over explicit row ranges, one range after
+    another; with a single range covering every row it is the sequential
+    :func:`~modap.solver.partial_reduction`."""
     return combine_reports([compute_report(sys, p, x) for p in partitions])
 
 
 def run_parallel(source, solver_config: SolverConfig | None = None,
                  engine_config: EngineConfig | None = None) -> SolveOutcome:
-    """Parallel run with semantics identical to :func:`modap.solver.solve`;
-    a worker's exception is the cause of the :class:`EngineError` raised."""
+    """Run with semantics identical to :func:`modap.solver.solve`, each
+    superstep's row pass split over the engine's K row blocks."""
     source = as_source(source)
     if solver_config is None:
         solver_config = SolverConfig()
     if engine_config is None:
         engine_config = EngineConfig()
     partitions = partition_rows(source.snapshot().m, engine_config.workers)
-    outbox = queue.SimpleQueue()
-    inboxes = [queue.SimpleQueue() for _ in partitions]
-
-    def serve(index: int, part: range, inbox: queue.SimpleQueue) -> None:
-        while (msg := inbox.get()) is not None:
-            try:
-                outbox.put(compute_report(msg[0], part, msg[1]))
-            except BaseException as exc:  # noqa: BLE001 - raised by the master
-                error = EngineError(f"worker {index} failed: {exc!r}")
-                error.__cause__ = exc
-                outbox.put(error)
-
-    threads = [threading.Thread(target=serve, args=(i, p, inbox), daemon=True,
-                                name=f"bsf-worker-{i}")
-               for i, (p, inbox) in enumerate(zip(partitions, inboxes))]
-    for t in threads:
-        t.start()
-
-    def evaluate(sys, x):
-        for inbox in inboxes:
-            inbox.put((sys, x.copy()))
-        reports = []
-        for _ in inboxes:
-            msg = outbox.get()
-            if isinstance(msg, EngineError):
-                raise msg
-            reports.append(msg)
-        return combine_reports(reports)
-
-    try:
-        return _run_loop(source, solver_config, evaluate)
-    finally:
-        for inbox in inboxes:
-            inbox.put(None)
-        for t in threads:
-            t.join()
+    return _run_loop(source, solver_config, lambda sys, x: superstep(sys, x, partitions))

@@ -13,7 +13,6 @@ import sys
 from dataclasses import astuple, fields
 
 from . import cost_model
-from .bsf_engine import EngineError
 from .dynamics import TRANSLATION
 from .harness import (
     CONFIG_SCHEMA,
@@ -197,7 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError, EngineError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

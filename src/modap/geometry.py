@@ -445,11 +445,11 @@ def violated_slices(
     ``(h, n)`` in ascending row order, and the largest normalized violation
     ``r_i / ||a_i||`` among them (0 when h = 0).
 
-    Internal kernel shared by the sequential solver and the worker threads;
-    both must evaluate each row identically for parallel runs to reproduce
-    sequential ones bit for bit.  A maximum does not depend on order, so
-    the maxima of covering partial passes give the full pass's bits.  The
-    pass writes to nothing it is given.
+    Internal kernel shared by the sequential solver and the engine's row
+    blocks; both must evaluate each row identically for parallel runs to
+    reproduce sequential ones bit for bit.  A maximum does not depend on
+    order, so the maxima of covering partial passes give the full pass's
+    bits.  The pass writes to nothing it is given.
     """
     sys, shift = snap if isinstance(snap, Translated) else (snap, None)
     if stop is None:

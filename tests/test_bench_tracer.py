@@ -45,8 +45,14 @@ def test_traced_solves_report_the_row_pass():
         assert layers["geometry.map_s"] > 0, request
         passes = [s for s in spans if s.name == "geometry.violated_slices"]
         assert len(passes) == (2 if request == "workers2" else 1) * (out.iterations + 1)
-    # the engine's master makes no row pass: every pass ran on a worker
+    # the engine runs its row blocks in the caller's thread: every pass ran
+    # on the master's thread, inside a superstep
     master = next(s.thread for s in t.spans if s.request == "workers2" and s.name == "solver.loop")
-    assert all(s.thread != master for s in t.spans
-               if s.request == "workers2" and s.name == "geometry.violated_slices")
+    spans = [s for s in t.spans if s.request == "workers2"]
+    assert {s.thread for s in spans} == {master}
+    supersteps = {s.id for s in spans if s.name == tracer.SUPERSTEP}
+    reports = {s.id for s in spans if s.name == "bsf_engine.compute_report"}
+    assert len(reports) == 2 * len(supersteps)
+    assert all(s.parent in supersteps for s in spans if s.id in reports)
+    assert all(s.parent in reports for s in spans if s.name == "solver.partial_reduction")
     assert layers["bsf_engine.supersteps"] == par.iterations + 1

@@ -1,4 +1,3 @@
-import sys as sys_module
 import threading
 
 import numpy as np
@@ -14,7 +13,6 @@ from modap import (
     DynamicsSpec,
     DynamicSystemSource,
     EngineConfig,
-    EngineError,
     InequalitySystem,
     ModelProblemSpec,
     SolverConfig,
@@ -169,18 +167,12 @@ class TestRunParallel:
 
     @pytest.mark.parametrize("workers", [2, 7])
     def test_moving_bit_identical_to_sequential(self, rng, workers):
-        # the workers read one shared snapshot at once; switching threads
-        # often gives a race on its lazily computed bounds a chance to show
+        # every block reads the one translated snapshot the master's loop
+        # made; the pass over a block must not depend on the other blocks
         sys, _ = random_feasible_system(rng, 8, 19)
         cfg = SolverConfig(record_iterates=True, record_trace=True)
         seq = solve(self._fresh(sys, moving=True), cfg)
-        interval = sys_module.getswitchinterval()
-        sys_module.setswitchinterval(1e-6)
-        try:
-            par = run_parallel(self._fresh(sys, moving=True), cfg,
-                               EngineConfig(workers=workers))
-        finally:
-            sys_module.setswitchinterval(interval)
+        par = run_parallel(self._fresh(sys, moving=True), cfg, EngineConfig(workers=workers))
         assert par.iterations == seq.iterations > 0
         assert all(np.array_equal(a, b) for a, b in zip(par.iterates, seq.iterates))
         assert [r.max_violation for r in par.trace] == [r.max_violation for r in seq.trace]
@@ -260,7 +252,7 @@ class TestRunParallel:
         assert out.iterations == 0
         assert sorted(parts, key=lambda p: p.start) == partition_rows(BOX.m, 2)
 
-    def test_worker_failure_aborts_with_engine_error(self, rng, monkeypatch):
+    def test_worker_failure_raises_the_pass_exception(self, rng, monkeypatch):
         sys, _ = random_feasible_system(rng, 6, 12)
 
         real = bsf_engine.compute_report
@@ -273,13 +265,13 @@ class TestRunParallel:
             return real(system, part, x)
 
         monkeypatch.setattr(bsf_engine, "compute_report", broken)
-        with pytest.raises(EngineError, match="worker 1") as info:
+        with pytest.raises(RuntimeError) as info:
             run_parallel(self._fresh(sys), SolverConfig(), EngineConfig(workers=3))
-        assert info.value.__cause__ is fault
+        assert info.value is fault
 
     def test_worker_exit_without_exception_aborts_the_run(self, rng, monkeypatch):
-        # SystemExit is no Exception; a worker that let it pass posted
-        # nothing, and the master waited for its report forever
+        # SystemExit is no Exception; when a worker thread let it pass, it
+        # posted nothing and the master waited for its report forever
         sys, _ = random_feasible_system(rng, 6, 12)
         real = bsf_engine.compute_report
         failing = partition_rows(sys.m, 2)[1].start
@@ -303,9 +295,34 @@ class TestRunParallel:
         master.join(timeout=30)
         assert not master.is_alive(), "the run hangs after a worker exited"
         assert len(raised) == 1
-        assert isinstance(raised[0], EngineError)
-        assert "worker 1" in str(raised[0])
-        assert isinstance(raised[0].__cause__, SystemExit)
+        assert type(raised[0]) is SystemExit and raised[0].code == 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    def test_starts_no_thread(self, rng, monkeypatch, workers):
+        def refuse(thread):
+            raise AssertionError(f"run_parallel started thread {thread.name}")
+
+        sys, _ = random_feasible_system(rng, 6, 12)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = SolverConfig(record_iterates=True)
+        seq = solve(self._fresh(sys, moving=True), cfg)
+        par = run_parallel(self._fresh(sys, moving=True), cfg, EngineConfig(workers=workers))
+        assert par.iterations == seq.iterations > 0
+        assert all(np.array_equal(a, b) for a, b in zip(par.iterates, seq.iterates))
+
+    def test_overflowing_row_raises_as_in_solve(self):
+        # the first step lands near x = (-5e299, -5e299), where row 1's two
+        # finite products sum past float64; row 1 is the second block's
+        sys = InequalitySystem([[1e-8, 1e-8], [3e8, 3e8]], [-1e292, 1.0])
+        raised = []
+        for run in (lambda: solve(sys, SolverConfig(variant="ap")),
+                    lambda: run_parallel(sys, SolverConfig(variant="ap"),
+                                         EngineConfig(workers=2))):
+            with pytest.raises(Exception) as info:
+                run()
+            raised.append(info.value)
+        assert [type(e) for e in raised] == [ValueError, ValueError]
+        assert str(raised[0]) == str(raised[1]) == "row 1: its residual overflows float64"
 
     @pytest.mark.parametrize("variant", ["ap", "modap"])
     def test_non_finite_iterate_is_an_error(self, variant):
@@ -332,3 +349,9 @@ def test_default_configs_run_one_worker(configs):
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(workers=0)
+    # a float or a string used to pass, then fail in range() or in <
+    for workers in (2.5, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match=f"got {workers!r}"):
+            EngineConfig(workers=workers)
+    assert EngineConfig(workers=np.int64(2)).workers == 2
+    assert run_parallel(BOX, SolverConfig(), EngineConfig(workers=np.int64(2))).converged

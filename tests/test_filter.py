@@ -584,10 +584,10 @@ def _counting_model_source(n):
 def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     """A bound that is too loose would send every row to the slow path
     without changing any result; count the rows each pass sends to the exact
-    path, and the passes: one per (snapshot, point), none on the engine's
-    master.  Each pass makes exactly one product over the stored entries of
-    its rows, and otherwise reads only those of its exact rows; moving the
-    system reads them not at all."""
+    path, and the passes: one per (snapshot, point), all on the caller's
+    thread, the engine's too.  Each pass makes exactly one product over the
+    stored entries of its rows, and otherwise reads only those of its exact
+    rows; moving the system reads them not at all."""
     passes = []
     real_unsettled = geometry._unsettled_rows
     real_pass = solver.violated_slices
@@ -662,9 +662,9 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
         assert out.converged and out.iterations >= 3
         # one pass on the starting point, then one after each step
         assert len(passes) == max(1, workers) * (out.iterations + 1)
-        if workers:
-            assert threading.current_thread() not in {p[-1] for p in passes}
-            assert threading.get_ident() not in {t for t, _, _ in reads_in_solve}
+        # every pass, and every read of the stored entries, on the caller's thread
+        assert {p[-1] for p in passes} == {threading.current_thread()}
+        assert {t for t, _, _ in reads_in_solve} == {threading.get_ident()}
         for sys, shift, x, start, stop, count, _ in passes:
             snap = sys if shift is None else oracles.translate(sys, shift)
             h = len(oracles.violated_slices(snap, x, start, stop))
