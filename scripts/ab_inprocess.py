@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Solve time of two checkouts of ``modap``, A/B in one process.
+"""Solve or load time of two checkouts of ``modap``, A/B in one process.
 
     python scripts/ab_inprocess.py --base ../parent --head . --workload model-translate
     python scripts/ab_inprocess.py --base ../parent --workload model-workers2 --n 4000
+    python scripts/ab_inprocess.py --base ../parent --setup
 
 Loads the ``modap`` package of each checkout (``<root>/src/modap``) under
 its own name, builds the chosen workload for both from the same arrays,
@@ -23,6 +24,12 @@ translating at rate 1, sequential; n = 1000 unless ``--n`` says otherwise),
 ``random-dense`` (a seeded Gaussian n = 100, m = 1000 stationary system
 around an interior point, which ``--n`` does not change).
 Both sides must accept the same constructor and solver arguments.
+
+``--setup`` times ``load_system`` in place of the solves: the random-dense
+arrays are written to a system file in the documented format (``n m``,
+then one line of shortest round-trip floats per row, its bound last),
+each ``--solves`` call loads that file, and the two loaded systems must
+hold the same ``indptr``, ``indices``, ``data`` and ``b`` bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import importlib.util
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -66,6 +74,15 @@ def random_dense(seed: int = 11):
     return a, a @ z + 15.0 * np.linalg.norm(a, axis=1)
 
 
+def write_system_file(path: Path, a: np.ndarray, b: np.ndarray) -> None:
+    """The system file of ``(a, b)``: ``n m``, then each row and its bound.
+    Not ``save_system``, so that a fault shared by a checkout's writer and
+    reader cannot hide."""
+    lines = [f"{a.shape[1]} {a.shape[0]}"]
+    lines += [" ".join(map(repr, row + [bound])) for row, bound in zip(a.tolist(), b.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
 class Side:
     """One checkout's package, its workload system and one solve."""
 
@@ -87,11 +104,12 @@ class Side:
             return self.pkg.run_parallel(source, self.config, self.pkg.EngineConfig(workers=2))
         return self.pkg.solve(source, self.config)
 
-    def timed(self) -> float:
-        gc.collect()
-        t0 = time.perf_counter()
-        self.solve()
-        return time.perf_counter() - t0
+
+def timed(call) -> float:
+    gc.collect()
+    t0 = time.perf_counter()
+    call()
+    return time.perf_counter() - t0
 
 
 def outcome_bits(out) -> tuple:
@@ -100,39 +118,65 @@ def outcome_bits(out) -> tuple:
     return out.status.value, out.iterations, out.solution.tobytes(), repr(trace)
 
 
+def system_bits(system) -> tuple:
+    """A loaded system's stored rows and bounds, as bytes."""
+    return tuple(getattr(system, name).tobytes() for name in ("indptr", "indices", "data", "b"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", type=Path, required=True, help="the reference checkout")
     parser.add_argument("--head", type=Path, default=Path("."), help="the changed checkout")
-    parser.add_argument("--workload", choices=WORKLOADS, default="model-translate")
+    parser.add_argument("--workload", choices=WORKLOADS,
+                        help="model-translate by default, random-dense with --setup")
     parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--solves", type=int, default=40, help="solves per side per round")
+    parser.add_argument("--solves", type=int, default=40,
+                        help="solves (loads, with --setup) per side per round")
+    parser.add_argument("--setup", action="store_true",
+                        help="time load_system of the random-dense file, not the solves")
     parser.add_argument("--n", type=int, default=MODEL_N,
                         help="the model problem's dimension (model workloads)")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.solves < 1 or args.n < 1:
         parser.error("--rounds, --solves and --n must be at least 1")
+    if args.setup and args.workload not in (None, "random-dense"):
+        parser.error("--setup loads the random-dense file, the only workload read from one")
+    args.workload = args.workload or ("random-dense" if args.setup else "model-translate")
     arrays = None if args.workload.startswith("model") else random_dense()
-    sides = [Side(load_package(root, f"modap_{tag}"), args.workload, arrays, args.n)
-             for tag, root in (("base", args.base), ("head", args.head))]
-    base_bits, head_bits = (outcome_bits(side.solve()) for side in sides)
+    pkgs = [load_package(root, f"modap_{tag}")
+            for tag, root in (("base", args.base), ("head", args.head))]
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.setup:
+            path = Path(tmp) / "random-dense.txt"
+            write_system_file(path, *arrays)
+            calls = [lambda pkg=pkg: pkg.load_system(path) for pkg in pkgs]
+            bits, what = system_bits, "loaded systems"
+        else:
+            calls = [Side(pkg, args.workload, arrays, args.n).solve for pkg in pkgs]
+            bits, what = outcome_bits, "solves"
+        return compare(args, calls, bits, what, n=args.n if arrays is None else RANDOM_N)
+
+
+def compare(args, calls, bits, what: str, n: int) -> int:
+    """Check that the two calls give the same bits, then time them in rounds."""
+    base_bits, head_bits = (bits(call()) for call in calls)
     if base_bits != head_bits:
-        print(f"{args.workload}: the two checkouts' solves differ", file=sys.stderr)
+        print(f"{args.workload}: the two checkouts' {what} differ", file=sys.stderr)
         return 1
     ratios = []
-    every = {id(side): [] for side in sides}
+    every = ([], [])
     for r in range(args.rounds):
-        order = sides if r % 2 == 0 else sides[::-1]
-        times = {id(side): [] for side in sides}
+        order = (0, 1) if r % 2 == 0 else (1, 0)
+        times = ([], [])
         for _ in range(args.solves):
             for side in order:
-                times[id(side)].append(side.timed())
-        for side in sides:
-            every[id(side)] += times[id(side)]
-        base_s, head_s = (statistics.median(times[id(side)]) for side in sides)
+                times[side].append(timed(calls[side]))
+        for side in (0, 1):
+            every[side].extend(times[side])
+        base_s, head_s = map(statistics.median, times)
         ratios.append(head_s / base_s)
-        print(f"round {r + 1:3d} ({'base' if order is sides else 'head'} first): "
+        print(f"round {r + 1:3d} ({'base' if order[0] == 0 else 'head'} first): "
               f"base {base_s * 1e3:.4f} ms, head {head_s * 1e3:.4f} ms, "
               f"ratio {ratios[-1]:.4f}")
     q1, median, q3 = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
@@ -140,10 +184,10 @@ def main(argv=None) -> int:
     lower = sum(ratio < 1.0 for ratio in ratios)
     print(f"{args.workload}: head/base median ratio {median:.4f} [{q1:.4f}, {q3:.4f}], "
           f"head lower in {lower} of {len(ratios)} rounds")
-    base_ms, head_ms = (statistics.median(every[id(side)]) * 1e3 for side in sides)
-    print(json.dumps({"workload": args.workload,
-                      "n": args.n if arrays is None else RANDOM_N,
-                      "iterations": base_bits[1], "rounds": len(ratios),
+    base_ms, head_ms = (statistics.median(times) * 1e3 for times in every)
+    print(json.dumps({"workload": args.workload, "setup": args.setup, "n": n,
+                      "iterations": None if args.setup else base_bits[1],
+                      "rounds": len(ratios),
                       "solves": args.solves, "median_ratio": median, "q1_ratio": q1,
                       "q3_ratio": q3, "rounds_lower": lower,
                       "base_median_ms": base_ms, "head_median_ms": head_ms}))

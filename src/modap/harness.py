@@ -25,7 +25,7 @@ File formats are plain text for diff-ability:
 
 from __future__ import annotations
 
-from array import array
+import itertools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -144,56 +144,56 @@ def save_system(sys: InequalitySystem, path) -> None:
 
 
 def load_system(path) -> InequalitySystem:
-    path = Path(path)
-    data_lines = []
-    for raw in path.read_text(encoding="ascii").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            data_lines.append(line)
-    if not data_lines:
-        raise SystemFormatError(f"{path}: empty system file")
-    # float() and int() read "1_0" as 10; the file format has no digit separators
-    if "_" in "".join(data_lines):
-        i = next(i for i, line in enumerate(data_lines) if "_" in line)
-        where = "the header" if i == 0 else f"row {i - 1}"
-        raise SystemFormatError(f"{path}: {where} has a non-numeric value with '_'")
-    header = data_lines[0].split()
-    if len(header) != 2:
-        raise SystemFormatError(
-            f"{path}: header must be 'n m', got {data_lines[0]!r}"
-        )
+    """Read a system file.  ``np.loadtxt`` converts each value with the routine
+    ``float()`` uses; a file that does not load is scanned for its first fault."""
     try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise SystemFormatError(f"{path}: non-integer header {data_lines[0]!r}") from exc
-    if n < 1 or m < 1:
-        raise SystemFormatError(
-            f"{path}: header must declare n >= 1 and m >= 1, got {data_lines[0]!r}"
-        )
-    rows = data_lines[1:]
-    if len(rows) != m:
-        raise SystemFormatError(
-            f"{path}: header declares m={m} rows but the file contains {len(rows)}"
-        )
-    # grows with the values read: whatever n the header declares, nothing is
-    # allocated for values the file does not hold
-    values = array("d")
-    for i, line in enumerate(rows):
-        parts = line.split()
-        if len(parts) != n + 1:
-            raise SystemFormatError(
-                f"{path}: row {i} has {len(parts)} values, expected n+1 = {n + 1}"
-            )
-        try:
-            values.extend(map(float, parts))
-        except ValueError as exc:
-            raise SystemFormatError(f"{path}: row {i} has a non-numeric value") from exc
-    del data_lines, rows  # the text is parsed: free it before the system is built
-    table = np.frombuffer(values).reshape(m, n + 1)
+        with open(path, encoding="ascii") as f:
+            lines = (raw for raw in f if raw.split("#", 1)[0].strip())
+            # taking the first row here keeps loadtxt from warning of no data
+            header, first = next(lines).split("#", 1)[0], next(lines)
+            n, m = map(int, header.split())
+            table = np.loadtxt(itertools.chain([first], f), np.float64, comments="#", ndmin=2)
+    except (StopIteration, ValueError, UnicodeDecodeError):
+        table = None
+    if table is None or "_" in header or n < 1 or table.shape != (m, n + 1):
+        raise SystemFormatError(f"{path}: {_first_fault(path)}")
     try:
         return InequalitySystem(table[:, :n], table[:, n])
     except ValueError as exc:
         raise SystemFormatError(f"{path}: {exc}") from exc
+
+
+def _first_fault(path) -> str:
+    """What is wrong with a system file that does not load; rows count from 0."""
+    try:  # the lines loadtxt reads: universal newlines, no comments, no blanks
+        lines = [line for raw in Path(path).read_text(encoding="ascii").split("\n")
+                 if (line := raw.split("#", 1)[0].strip())]
+    except UnicodeDecodeError as exc:
+        return f"byte {exc.start} ({exc.object[exc.start]:#x}) is not ASCII"
+    if not lines:
+        return "empty system file"
+    for i, line in enumerate(lines):  # float() and int() read "1_0" as 10
+        if "_" in line:
+            return f"{'the header' if i == 0 else f'row {i - 1}'} has a non-numeric value with '_'"
+    try:
+        n, m = map(int, lines[0].split())
+    except ValueError:
+        if len(lines[0].split()) != 2:
+            return f"header must be 'n m', got {lines[0]!r}"
+        return f"non-integer header {lines[0]!r}"
+    if n < 1 or m < 1:
+        return f"header must declare n >= 1 and m >= 1, got {lines[0]!r}"
+    if len(lines) - 1 != m:
+        return f"header declares m={m} rows but the file contains {len(lines) - 1}"
+    for i, line in enumerate(lines[1:]):
+        parts = line.split()
+        if len(parts) != n + 1:
+            return f"row {i} has {len(parts)} values, expected n+1 = {n + 1}"
+        try:
+            list(map(float, parts))
+        except ValueError:
+            return f"row {i} has a non-numeric value"
+    return "not a system file"
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,19 @@ def test_ab_inprocess_script_runs_on_one_tree_twice():
     assert record["n"] == 1000 and record["base_median_ms"] > 0 and record["head_median_ms"] > 0
 
 
+def test_ab_inprocess_setup_compares_the_loaded_systems():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "ab_inprocess.py"), "--base", str(root),
+         "--head", str(root), "--setup", "--rounds", "1", "--solves", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["workload"] == "random-dense" and record["setup"] is True
+    assert record["n"] == 100 and record["iterations"] is None and record["rounds"] == 1
+
 def test_bad_arguments_exit_one():
     proc = subprocess.run(
         [sys.executable, "-m", "modap", "solve", "--variant", "fastest"],
@@ -369,6 +382,17 @@ def test_nan_system_file_exits_one(tmp_path, capsys):
     assert "bound of row 0 is not finite" in capsys.readouterr().err
     assert not out.exists()
 
+
+def test_non_ascii_system_file_exits_one(tmp_path, capsys):
+    # a non-ASCII byte used to end in a bare UnicodeDecodeError naming no file
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"2 2\n1 0 1\n0 1 \xff\n")
+    out = tmp_path / "m.csv"
+    code = main(["solve", "--set", f"problem.file={path}", "--set", f"output.path={out}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{path}: byte 14 (0xff) is not ASCII" in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 def test_non_finite_flags_exit_one(tmp_path, capsys):
     out = tmp_path / "m.csv"

@@ -1,9 +1,12 @@
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_feasible
 from modap import (
@@ -192,6 +195,96 @@ class TestSystemFiles:
         path.write_text(text)
         with pytest.raises(SystemFormatError, match=match):
             load_system(path)
+
+    def test_non_ascii_byte_named_with_the_path(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"2 2\n1 0 1 # caf\xc3\xa9\n0 1 1\n")
+        with pytest.raises(SystemFormatError, match=r"bad.txt: byte 15 \(0xc3\) is not ASCII"):
+            load_system(path)
+
+    @pytest.mark.parametrize("text", [
+        "2 2\r\n1 0 1\r\n0 1 2\r\n",  # CRLF
+        "2 2\r1 0 1\r0 1 2\r",  # CR alone
+        "2 2\n1 0 1\n0 1 2",  # no newline after the last row
+        "# box\n2 2\n\n1 0 1\n# between rows\n   \n0 1 2 # bound 2\n\n",
+        "2 2\n1\t0 1\n0\f1\v2\n",  # \t, \f and \v separate values, as spaces do
+    ])
+    def test_line_endings_comments_and_separators(self, tmp_path, text):
+        path = tmp_path / "sys.txt"
+        path.write_bytes(text.encode("ascii"))
+        sys = load_system(path)
+        assert np.array_equal(sys.a, [[1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(sys.b, [1.0, 2.0])
+
+    def test_form_feed_does_not_end_a_line(self, tmp_path):
+        # str.splitlines() breaks at \f and \v; the reader does not
+        path = tmp_path / "bad.txt"
+        path.write_text("1 2\n1 1\f2 2\n")
+        with pytest.raises(SystemFormatError, match="m=2 rows but the file contains 1"):
+            load_system(path)
+
+    def test_single_row(self, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("3 1\n1 -2 0 5\n")
+        sys = load_system(path)
+        assert sys.a.shape == (1, 3) and np.array_equal(sys.a, [[1.0, -2.0, 0.0]])
+        assert np.array_equal(sys.b, [5.0])
+
+    def test_header_without_rows_counts_zero_without_a_warning(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 3\n# no rows\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemFormatError,
+                               match="bad.txt: header declares m=3 rows but the file contains 0"):
+                load_system(path)
+
+    @pytest.mark.parametrize("bad,match", [
+        ("1 0", "row 2 has 2 values, expected n\\+1 = 3"),
+        ("1 0 1 1", "row 2 has 4 values, expected n\\+1 = 3"),
+        ("1 x 1", "row 2 has a non-numeric value"),
+        ("1 0x10 1", "row 2 has a non-numeric value"),
+    ])
+    def test_bad_middle_row_named_by_its_data_row_index(self, tmp_path, bad, match):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# header\n2 4\n1 0 1\n# a\n\n# b\n0 1 1\n{bad}\n1 1 3\n")
+        with pytest.raises(SystemFormatError, match=f"bad.txt: {match}$"):
+            load_system(path)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and the smallest normals
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1.7976931348623155e308]),
+)
+_FORMATS = [repr, "%.17e".__mod__, "%.25e".__mod__, "%.3g".__mod__]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_loaded_values_have_the_bits_of_float(tmp_path_factory, data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+
+    def tokens(count, values):
+        return [data.draw(st.sampled_from(_FORMATS))(v)
+                for v in data.draw(st.lists(values, min_size=count, max_size=count))]
+
+    # each row leads with 1 so that its norm neither overflows nor vanishes;
+    # the drawn coefficients stay below 2^500, the drawn bounds do not
+    coefficients = _FLOATS.filter(lambda v: abs(v) < 2.0**500)
+    rows = [["1"] + tokens(n - 1, coefficients) + tokens(1, _FLOATS) for _ in range(m)]
+    path = tmp_path_factory.mktemp("bits") / "sys.txt"
+    path.write_text(f"{n} {m}\n" + "".join(" ".join(row) + "\n" for row in rows))
+    bounds = np.array([float(row[-1]) for row in rows])
+    if not np.isfinite(bounds).all():  # "%.3g" rounds 1.797e308 up to 1.8e+308
+        with pytest.raises(SystemFormatError, match="not finite"):
+            load_system(path)
+        return
+    sys = load_system(path)
+    stored = [float(t) for row in rows for t in row[:-1] if float(t) != 0.0]
+    assert sys.data.tobytes() == np.array(stored).tobytes()
+    assert sys.b.tobytes() == bounds.tobytes()
 
 
 class TestConfig:
