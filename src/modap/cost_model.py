@@ -59,7 +59,8 @@ assumptions, not measurements; the CLI labels them as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 __all__ = [
     "BREADTH_SINGLE",
@@ -98,14 +99,11 @@ class CostParams:
     update_breadth: str = BREADTH_SINGLE
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
+        operation_counts(self.n, self.m, self.update_breadth)  # checks the shape
         for name in ("tau_op", "tau_tr", "latency"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.update_breadth not in (BREADTH_SINGLE, BREADTH_FULL):
-            raise ValueError(f"unknown update breadth {self.update_breadth!r}")
 
 
 @dataclass(frozen=True)
@@ -135,11 +133,7 @@ def operation_counts(n: int, m: int, update_breadth: str = BREADTH_SINGLE) -> Co
     """Counts for one iteration; see the module docstring for the tally."""
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if update_breadth == BREADTH_SINGLE:
-        c_u = 1
-    elif update_breadth == BREADTH_FULL:
-        c_u = (n + 1) * m
-    else:
+    if update_breadth not in (BREADTH_SINGLE, BREADTH_FULL):
         raise ValueError(f"unknown update breadth {update_breadth!r}")
     return CostCounts(
         c_s=n,
@@ -147,20 +141,32 @@ def operation_counts(n: int, m: int, update_breadth: str = BREADTH_SINGLE) -> Co
         c_a=n,
         c_r=n,
         c_p=7 * n + 11,
-        c_u=c_u,
+        c_u=1 if update_breadth == BREADTH_SINGLE else (n + 1) * m,
     )
 
 
+def _finite(**values) -> None:
+    """``ValueError`` naming the first of ``values`` that is not a finite float64."""
+    for name, value in values.items():
+        if not value <= sys.float_info.max:  # exact for an int, false for nan
+            shown = value if isinstance(value, float) else f"2^{value.bit_length() - 1} or more"
+            raise ValueError(f"cost model: {name} = {shown} is not a finite float64")
+
+
 def stage_times(params: CostParams) -> StageTimes:
-    """Stage times: transfers scale with tau_tr, compute with tau_op."""
+    """Stage times: transfers scale with tau_tr, compute with tau_op.
+    Raises ``ValueError`` naming a count or time that is not a finite float64."""
     c = operation_counts(params.n, params.m, params.update_breadth)
-    return StageTimes(
+    _finite(**asdict(c))
+    t = StageTimes(
         t_s=(c.c_s + c.c_u) * params.tau_tr,
         t_map=c.c_map * params.tau_op,
         t_r=c.c_r * params.tau_tr,
         t_a=c.c_a * params.tau_op,
         t_p=c.c_p * params.tau_op,
     )
+    _finite(**asdict(t))
+    return t
 
 
 def k_max(params: CostParams) -> float:
@@ -172,8 +178,11 @@ def k_max(params: CostParams) -> float:
     leaves it unchanged.  With proportional m and growing n it scales like
     sqrt(n) for single-value updates but stays bounded for full-data
     updates, whose shipping cost grows as fast as the map work itself.
+    Raises ``ValueError`` as :func:`stage_times` does, and when k_max itself is not finite.
     """
     t = stage_times(params)
     numerator = t.t_map + params.m * t.t_a
     denominator = 2 * params.latency + t.t_s + t.t_r + t.t_a
-    return math.sqrt(numerator / denominator)
+    value = math.sqrt(numerator / denominator)
+    _finite(k_max=value)
+    return value

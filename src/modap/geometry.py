@@ -84,7 +84,7 @@ bits of :func:`~modap.summation.exact_dot` over the dense row.  On a
 translated system the products with x and with v are stacked into one
 block or segment array, so the residuals and the sums ``<a_i, v>`` take
 one sum, and b_i is added to each ``<a_i, v>`` in place to give the exact
-bound (one that overflows raises ``OverflowError`` naming its row);
+bound (one that overflows raises ``ValueError`` naming its row);
 consecutive rows, a single row among them, are read as views of
 ``data``, without a gather, and the slices of a block multiply it as it is
 stored.  The bound only decides which rows may be skipped; every value the
@@ -160,7 +160,8 @@ class InequalitySystem:
             raise ValueError(
                 f"right-hand side has length {b.shape[0]}, expected m = {m}"
             )
-        _check_finite_rhs(b)
+        for i in np.flatnonzero(~np.isfinite(b)).tolist():
+            raise ValueError(f"bound of row {i} is not finite: {float(b[i])!r}")
         self.n, self.indptr, self.indices, self.data, self.b = n, indptr, indices, data, b
         bad = np.flatnonzero(~np.isfinite(data))
         if bad.size:
@@ -172,11 +173,8 @@ class InequalitySystem:
                 f"row {empty[0]} is the zero vector; every inequality needs a non-zero "
                 "coefficient row"
             )
-        try:
-            with np.errstate(over="ignore"):  # an infinite square is reported below
-                norms_sq = self._squared_norms()
-        except OverflowError as exc:  # the squares are non-negative: a sum overflows
-            raise ValueError(str(exc)) from None
+        with np.errstate(over="ignore"):  # an infinite square is reported below
+            norms_sq = self._squared_norms()
         for i in np.flatnonzero(norms_sq == math.inf).tolist():  # a square overflows
             raise ValueError(f"row {i}: its squared norm overflows float64")
         for i in np.flatnonzero(norms_sq == 0.0).tolist():
@@ -322,10 +320,9 @@ def _dots(rows, gathered: tuple, ys, whats) -> np.ndarray:
     The products for every y are stacked, y by y, into one ``(k h, n)``
     block or one segment array, so they take one
     :func:`~modap.summation.row_sums` call, however many ys.  A
-    sum that overflows (``OverflowError``), or products that overflow with
-    both signs (``ValueError``), raise the same type with a message naming
-    the row and ``whats[j]`` for the j-th y, the first y first.  The caller
-    silences overflow warnings."""
+    sum that overflows, or products that overflow with both signs, raise
+    ``ValueError`` with a message naming the row and ``whats[j]`` for the
+    j-th y, the first y first.  The caller silences overflow warnings."""
     values, columns, starts = gathered
     if ys is None:
         products = values * values
@@ -342,8 +339,8 @@ def _dots(rows, gathered: tuple, ys, whats) -> np.ndarray:
             try:
                 math.fsum(piece.tolist())
             except (OverflowError, ValueError) as err:
-                raise type(err)(f"row {rows[k % len(rows)]}: {whats[k // len(rows)]} "
-                                "overflows float64") from err
+                raise ValueError(f"row {rows[k % len(rows)]}: {whats[k // len(rows)]} "
+                                 "overflows float64") from err
         raise exc
 
 
@@ -358,12 +355,6 @@ def _scattered(values: np.ndarray, columns, starts, n: int) -> np.ndarray:
         counts = np.diff(starts, append=values.size)
         out[np.repeat(np.arange(starts.size), counts), columns] = values
     return out
-
-
-def _check_finite_rhs(b: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.isfinite(b))
-    if bad.size:
-        raise ValueError(f"bound of row {int(bad[0])} is not finite: {float(b[bad[0]])!r}")
 
 
 def _as_point(x, n: int) -> np.ndarray:
@@ -449,7 +440,8 @@ def violated_slices(
     blocks; both must evaluate each row identically for parallel runs to
     reproduce sequential ones bit for bit.  A maximum does not depend on
     order, so the maxima of covering partial passes give the full pass's
-    bits.  The pass writes to nothing it is given.
+    bits.  The pass writes to nothing it is given.  A row whose exact
+    residual or bound overflows float64 raises ``ValueError`` naming it.
     """
     sys, shift = snap if isinstance(snap, Translated) else (snap, None)
     if stop is None:
@@ -472,7 +464,7 @@ def violated_slices(
             bounds += sys.b[rows]
             finite = np.isfinite(bounds)
             if not finite.all():
-                raise OverflowError(f"row {rows[finite.argmin()]}: {_BOUND} overflows float64")
+                raise ValueError(f"row {rows[finite.argmin()]}: {_BOUND} overflows float64")
             r -= bounds
         # a block is multiplied as it is stored; segments are spread first
         a = gathered[0] if gathered[2] is None else _scattered(*gathered, sys.n)

@@ -252,9 +252,10 @@ def column_sums(block: np.ndarray) -> np.ndarray:
     ``h = 0`` gives ``zeros(n)``.  A column whose exact sum is zero gives
     ``+0.0`` (the ``+ 0.0`` fixes the sign that ``math.fsum`` gives a column
     of only ``-0.0``), so the result depends on the multiset of rows alone.
-    Raises ``ValueError`` when a column's exact sum overflows float64.
+    Raises ``ValueError`` when a column's exact sum overflows float64 or
+    holds both ``inf`` and ``-inf``.
     """
     try:
         return row_sums(block.T) + 0.0
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
         raise ValueError("the sum of the violated rows' slices overflows float64") from exc

@@ -241,6 +241,29 @@ def test_module_entry_point_exits_one_on_an_error(tmp_path, args, message):
     assert message in proc.stderr and proc.stdout == ""
 
 
+@pytest.mark.parametrize("args,message", [
+    (["costmodel", "--n", "1" + "0" * 320],
+     "cost model: c_s = 2^1063 or more is not a finite float64"),
+    (["costmodel", "--m", "1" + "0" * 320],
+     "cost model: c_map = 2^1075 or more is not a finite float64"),
+    (["costmodel", "--n", "1000", "--tau-op", "1e308"],
+     "cost model: t_map = inf is not a finite float64"),
+    # a file that loads, whose two slices are inf and -inf; math.fsum's own
+    # message used to reach the user as "error: -inf + inf in fsum"
+    (["solve", "--set", "problem.file=s.txt", "--set", "output.path=m.csv"],
+     "the sum of the violated rows' slices overflows float64"),
+])
+def test_a_result_past_float64_exits_one_without_a_traceback(tmp_path, args, message):
+    (tmp_path / "s.txt").write_text("1 2\n1e-160 -1e10\n-1e-160 -1e10\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "modap", *args], capture_output=True,
+                          text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_sum_kernel_script_runs(tmp_path):
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "BENCH_summation.json"

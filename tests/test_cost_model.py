@@ -107,6 +107,13 @@ class TestStageTimes:
 
 
 class TestKMax:
+    def test_an_infinite_k_max_is_rejected(self):
+        # every stage time is finite, but t_map + m t_a is past float64
+        params = CostParams(1000, 2002, tau_op=1.7e301)
+        assert math.isfinite(stage_times(params).t_map)
+        with pytest.raises(ValueError, match="^cost model: k_max = inf is not a finite float64$"):
+            k_max(params)
+
     def test_hand_example(self):
         params = CostParams(100, 200, tau_op=1.0, tau_tr=1.0, latency=1.0)
         expected = math.sqrt((100_200 + 20_000) / (2 + 101 + 100 + 100))

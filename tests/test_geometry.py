@@ -177,8 +177,18 @@ class TestInequalitySystem:
         sys = InequalitySystem([[1.0, 0.0], [0.0, 1.0]], [bound, 1.0])
         moved = translate(sys, [shift, 0.0])
         match = "row 0: its translated bound overflows float64"
-        with pytest.raises(OverflowError, match=match):
+        with pytest.raises(ValueError, match=match):
             violated_slices(moved, np.array([bound, 0.0]))
+
+    def test_overflowing_residual_rejected_by_the_public_pass(self):
+        # the products 2^1023 are finite and their sum is past float64
+        sys = InequalitySystem([[2.0 ** 510, 2.0 ** 510]], [0.0])
+        x = np.full(2, 2.0 ** 513)
+        match = "^row 0: its residual overflows float64$"
+        with pytest.raises(ValueError, match=match):
+            max_relative_violation(sys, x)
+        with pytest.raises(ValueError, match=match):
+            eps_membership(sys, x, 1e-7)
 
 
 class TestResidual:

@@ -98,6 +98,10 @@ def test_column_sums_of_empty_block_are_zeros():
 def test_column_sums_overflow_is_a_value_error():
     with pytest.raises(ValueError, match="overflows float64"):
         column_sums(np.array([[1.6e308, 0.0], [1.6e308, 1.6e-8]]))
+    # math.fsum rejects inf + -inf with its own message, "-inf + inf in fsum"
+    with pytest.raises(ValueError,
+                       match="^the sum of the violated rows' slices overflows float64$"):
+        column_sums(np.array([[1.0, math.inf], [2.0, -math.inf]]))
 
 
 def test_vector_expansion_merge_dim_mismatch():
