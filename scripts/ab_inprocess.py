@@ -3,6 +3,7 @@
 
     python scripts/ab_inprocess.py --base ../parent --head . --workload model-translate
     python scripts/ab_inprocess.py --base ../parent --workload model-workers2 --n 4000
+    python scripts/ab_inprocess.py --base ../parent --workload model-workers2 --workers 7
     python scripts/ab_inprocess.py --base ../parent --setup
 
 Loads the ``modap`` package of each checkout (``<root>/src/modap``) under
@@ -20,7 +21,8 @@ also holds each side's median solve time over all rounds in ms.
 The workloads are the benchmark's (``bench/run.py``), built here without
 their checks and set-up timings: ``model-translate`` (the model problem
 translating at rate 1, sequential; n = 1000 unless ``--n`` says otherwise),
-``model-workers2`` (the same through ``run_parallel`` with two workers) and
+``model-workers2`` (the same through ``run_parallel`` with two workers, or
+with ``--workers K``) and
 ``random-dense`` (a seeded Gaussian n = 100, m = 1000 stationary system
 around an interior point, which ``--n`` does not change).
 Both sides must accept the same constructor and solver arguments.
@@ -86,8 +88,8 @@ def write_system_file(path: Path, a: np.ndarray, b: np.ndarray) -> None:
 class Side:
     """One checkout's package, its workload system and one solve."""
 
-    def __init__(self, pkg, workload: str, arrays, n: int = MODEL_N):
-        self.pkg, self.workload = pkg, workload
+    def __init__(self, pkg, workload: str, arrays, n: int = MODEL_N, workers: int | None = None):
+        self.pkg, self.workload, self.workers = pkg, workload, workers
         if arrays is None:
             self.base = pkg.generate_model_problem(pkg.ModelProblemSpec(n=n))
             self.spec = pkg.DynamicsSpec(mode="translation", rate=1.0,
@@ -101,7 +103,8 @@ class Side:
     def solve(self):
         source = self.pkg.DynamicSystemSource(self.base, self.spec)
         if self.workload == "model-workers2":
-            return self.pkg.run_parallel(source, self.config, self.pkg.EngineConfig(workers=2))
+            return self.pkg.run_parallel(source, self.config,
+                                         self.pkg.EngineConfig(workers=self.workers))
         return self.pkg.solve(source, self.config)
 
 
@@ -137,12 +140,18 @@ def main(argv=None) -> int:
                         help="time load_system of the random-dense file, not the solves")
     parser.add_argument("--n", type=int, default=MODEL_N,
                         help="the model problem's dimension (model workloads)")
+    parser.add_argument("--workers", type=int,
+                        help="the engine's row blocks K (model-workers2 only; default 2)")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.solves < 1 or args.n < 1:
         parser.error("--rounds, --solves and --n must be at least 1")
+    if args.workers is not None and (args.workload != "model-workers2" or args.workers < 1):
+        parser.error("--workers takes a K of at least 1, for --workload model-workers2")
     if args.setup and args.workload not in (None, "random-dense"):
         parser.error("--setup loads the random-dense file, the only workload read from one")
     args.workload = args.workload or ("random-dense" if args.setup else "model-translate")
+    if args.workload == "model-workers2" and args.workers is None:
+        args.workers = 2
     arrays = None if args.workload.startswith("model") else random_dense()
     pkgs = [load_package(root, f"modap_{tag}")
             for tag, root in (("base", args.base), ("head", args.head))]
@@ -153,7 +162,7 @@ def main(argv=None) -> int:
             calls = [lambda pkg=pkg: pkg.load_system(path) for pkg in pkgs]
             bits, what = system_bits, "loaded systems"
         else:
-            calls = [Side(pkg, args.workload, arrays, args.n).solve for pkg in pkgs]
+            calls = [Side(pkg, args.workload, arrays, args.n, args.workers).solve for pkg in pkgs]
             bits, what = outcome_bits, "solves"
         return compare(args, calls, bits, what, n=args.n if arrays is None else RANDOM_N)
 
@@ -186,6 +195,7 @@ def compare(args, calls, bits, what: str, n: int) -> int:
           f"head lower in {lower} of {len(ratios)} rounds")
     base_ms, head_ms = (statistics.median(times) * 1e3 for times in every)
     print(json.dumps({"workload": args.workload, "setup": args.setup, "n": n,
+                      "workers": args.workers,
                       "iterations": None if args.setup else base_bits[1],
                       "rounds": len(ratios),
                       "solves": args.solves, "median_ratio": median, "q1_ratio": q1,

@@ -39,60 +39,100 @@ Filtered row passes.  :func:`violated_slices` is the one row pass of an
 iteration: it returns the violated rows' slices and the largest normalized
 violation together, so the step, the membership test and the trace read the
 same evaluation; :func:`eps_membership` and :func:`max_relative_violation`
-are thin wrappers over it.  It starts with one float64 pass over the stored
-entries of rows [start, stop), ``t = A[start:stop] x - b`` (one
-``np.add.reduceat`` of the entrywise products of the segments, or one
-matrix-vector product on a block), and a forward error bound per row,
+are thin wrappers over it.  It starts with one float64 estimate of the
+residuals of rows [start, stop), ``t = A[start:stop] y - b``, where y = x,
+or ``y = fl(x - v)`` on a system translated by v (a :class:`Translated`, see
+:func:`modap.dynamics.translate`).  The products are read through the
+range's layout, built once per system and range
+(:meth:`InequalitySystem._estimate`): one matrix-vector product on a block;
+on CSR segments the entrywise products, which are the one-entry rows'
+estimates, and ``np.add.reduceat`` over the wider rows' segments only.  A
+row is *settled*, proved satisfied and skipped, when
 
-    e_i = (n + 8) 2^-52 (N_i ||x|| + |t_i|) + (n + 8) 2^-1022,
+    fl(t_i + T_i) <= 0  and  t_i >= -2^960,    T_i = fl(fl(theta^n_i S) + theta^d).
 
-where ``N_i >= ||a_i||`` is a rigorous upper bound derived from the cached
-squared norm (so it stays valid for a row like ``[1e-160]`` whose squared
-norm has underflowed) and ``||x||`` is bounded from one float64 ``x @ x``,
-widened by a proven slack for its rounding, or by ``math.hypot`` where that
-sum underflows or overflows (:func:`_norm_bound`).  The row sums
-``nnz_i <= n`` products, so ``n + 8`` bounds its rounding whichever the
-path.  The last, underflow, term is dropped when it cannot arise: x = 0 on
-an untranslated system makes every product, and so t_i, exact.  A system
-translated by v (a :class:`Translated`, see :func:`modap.dynamics.translate`)
-is its base system and v, and the same one pass estimates its residual as
-``t = A[start:stop] (x - v) - b``, bounds ``||v||`` itself as it does
-``||x||``, and takes
+S is ``||x||`` plus, translated, ``||v||``, each bounded from above by
+:func:`_norm_bound`, and the settle thresholds are fixed when the system is
+built.  With c = (n + 8) 2^-52 and d = (n + 8) 2^-1022,
 
-    e_i = (n + 8) 2^-52 (N_i (||x|| + ||v||) + |b_i| + |t_i|) + (n + 8) 2^-1022.
+    theta^n_i >= c N_i / (1 - c),    theta^d >= d / (1 - c),
 
-This is rigorous because ``fl(x - v)`` is within ``2^-53 |x - v|`` of
-``x - v`` componentwise (exactly equal where the difference is subnormal),
-so it adds at most ``2^-53 N_i (||x|| + ||v||)`` to the dot product's own
-error, and because the exact path compares against the rounded bound
-``b_i + <a_i, v>``, which lies within ``2^-52 (|b_i| + N_i ||v||)`` of the
-exact one; the factor ``n + 8`` leaves room for both.  An ``x - v`` that
-overflows gives a non-finite t_i or e_i.  ``t_i <= -e_i`` with ``e_i <
-2^960`` proves the exact residual is at most 0, so the row is satisfied and
-skipped.  The pass tests ``fl(t_i + e_i) <= 0`` instead, one addition in
-place where ``-e_i`` would take a new array.  For finite t_i and e_i the
-two tests agree: rounding is monotone and keeps 0, and an exact sum of two
-floats that is not 0 does not round to 0 (subnormals are kept), so
-``fl(t_i + e_i) <= 0`` iff ``t_i + e_i <= 0``, a sum that overflows
-included, since it keeps its sign.  e_i holds ``|t_i|``, so an infinite or
-NaN t_i makes e_i infinite or NaN, and the row fails ``e_i < 2^960``.
-Every other row (violated, near its hyperplane, or with an estimate or
-bound that is not finite) goes through the exact path: the products of its
-stored entries, taken for all such rows at once, and their exactly rounded row
-sums (:func:`~modap.summation.row_sums`, vectorised over the block), the
-bits of :func:`~modap.summation.exact_dot` over the dense row.  On a
-translated system the products with x and with v are stacked into one
-block or segment array, so the residuals and the sums ``<a_i, v>`` take
-one sum, and b_i is added to each ``<a_i, v>`` in place to give the exact
-bound (one that overflows raises ``ValueError`` naming its row);
-consecutive rows, a single row among them, are read as views of
+where ``N_i >= ||a_i||`` is a rigorous bound derived from the cached
+squared norm, so it stays valid for a row like ``[1e-160]`` whose squared
+norm has underflowed.  They are rounded up once, at set-up: ``kappa = c /
+(1 - c)`` is widened by ``1 + 2^-48``, which covers the at most three
+roundings, all normal, of ``kappa``, ``theta^n_i = N_i kappa`` and
+``theta^d = 2^-970 kappa`` (d = c 2^-970).  S = 0 only when x and v are
+zero; the pass then drops T altogether, as every product is 0 and t_i =
+R_i = -b_i exactly (R_i below).  A pass reads no bound term: on a
+translated system |b_i| is bounded by the estimate itself, see (e) below.
+As x holds n floats, n < 2^50, so c < 1/2 and ``gamma_n`` below is under
+1/7.
+
+Why a settled row is satisfied.  Let u = 2^-53, g = c / 2 = (n + 8) u,
+``e = g / (1 - g)`` and S* the exact ``||x||`` (+ ``||v||``).  The exact
+path below decides from ``R_i = sum_j fl(a_ij x_j) - B_i``, the exact sum
+of its rounded products against B_i = b_i or, translated, the rounded
+bound ``fl(b_i + w_i)``, ``w_i = RN(sum_j fl(a_ij v_j))``: the row is
+violated iff R_i > 0.  Let p_i be the estimate's float64 ``<a_i, y>``, so
+t_i = fl(p_i - b_i).  While p_i is finite (then no step forming it
+overflowed: an overflow gives +-inf or NaN, which no later step makes
+finite), with the row's ``nnz_i <= n`` products,
+
+  (a) ``|p_i - <a_i, y>| <= gamma_n sum_j |a_ij y_j| <= gamma_n (1 + u)
+      N_i S*``, ``gamma_n = n u / (1 - n u)``, in any order and with fused
+      multiply-adds (Ogita, Rump and Oishi, SISC 26(6), 2005);
+  (b) ``fl(x - v)`` is within u of ``x - v`` componentwise (exact where
+      the difference is subnormal), so ``|<a_i, y - (x - v)>| <= u N_i
+      S*``;
+  (c) ``|t_i - (p_i - b_i)| <= u |t_i| / (1 - u)``;
+  (d) the exact path's rounded products with x lose at most ``u N_i S*``,
+      and, translated, its rounded ``w_i`` and ``B_i`` at most ``3.01 u N_i
+      S* + u |b_i|`` more;
+  (e) ``|b_i| <= |p_i| + |t_i| / (1 - u) <= 2 N_i S* + 2 |t_i|`` (plus
+      underflow), so the ``u |b_i|`` of (d) is at most ``2 u (N_i S* +
+      |t_i|)``;
+
+and each product may lose 2^-1075 to underflow, below 4n 2^-1075 in all,
+far below d / 2.  The factors of ``N_i S*`` add up to at most ``gamma_n + 8
+u``, and those of |t_i| to 4 u; both are at most e, since ``z / (1 - z)``
+grows at least as fast as z and ``n u <= g - 8 u``.  So
+
+    |t_i - R_i| <= e (N_i S* + |t_i|) + d / 2.                           (1)
+
+Now let the test pass.  T_i is at least 0, or NaN, which fails it, and the
+guard ``t_i >= -2^960`` makes t_i finite, and so p_i.  Rounding is
+monotone and keeps 0, and an exact sum of two floats that is not 0 does
+not round to 0 (subnormals are kept), so ``fl(t_i + T_i) <= 0`` iff ``t_i
++ T_i <= 0`` (a sum that overflowed would be +inf).  Hence t_i <= -T_i <=
+0 and T_i <= 2^960.  Forming T_i (the sum S, the product and the addition)
+loses at most three factors ``1 - u`` and 2^-1075 to an underflowing
+product, so T_i is still at least ``(g N_i S* + d / 2) / (1 - c)``, about
+half what the thresholds hold.  So ``N_i S* < 2^961 / c < 2^1010``, by (e)
+|b_i| < 2^1012, and no product, sum or bound of the exact path overflows.
+With |t_i| = -t_i, and as ``e / (1 - e) = g / (1 - c)`` and ``1 / (1 - e)
+<= 1 / (1 - c)``, the same bound on T_i gives ``t_i + e (N_i S* + |t_i|)
++ d / 2 <= 0``, so R_i <= 0 by (1): the row is satisfied, and skipping it
+changes nothing, the exact path's ``ValueError`` included.  An estimate
+that is NaN, infinite or below -2^960 leaves its row unsettled.
+
+The exact path.  Every other row (violated, near its hyperplane, or with an
+estimate that is not finite or is huge) goes through the exact path: the
+products of its stored entries, taken for all such rows at once, and their
+exactly rounded row sums (:func:`~modap.summation.row_sums`, vectorised
+over the block), the bits of :func:`~modap.summation.exact_dot` over the
+dense row.  On a translated system the products with x and with v are
+stacked into one block or segment array, so the residuals and the sums
+``<a_i, v>`` take one sum, and b_i is added to each ``<a_i, v>`` in place
+to give the exact bound (one that overflows raises ``ValueError`` naming
+its row); consecutive rows, a single row among them, are read as views of
 ``data``, without a gather, and the slices of a block multiply it as it is
-stored.  The bound only decides which rows may be skipped; every value the
-pass returns (slices, the maximum violation, and so the membership
-decision) comes from the exact path, bit for bit.  This is a floating-point
-filter in the sense of Shewchuk (DCG 18, 1997), with the dot-product error
-bound of Ogita, Rump and Oishi (SISC 26(6), 2005); it assumes IEEE-754
-binary64 with subnormal inputs kept, which numpy and CPython provide.
+stored.  The settle test only decides which rows may be skipped; every
+value the pass returns (slices, the maximum violation, and so the
+membership decision) comes from the exact path, bit for bit.  This is a
+floating-point filter in the sense of Shewchuk (DCG 18, 1997); it assumes
+IEEE-754 binary64 with subnormal inputs kept, which numpy and CPython
+provide.
 """
 
 from __future__ import annotations
@@ -115,9 +155,11 @@ __all__ = [
 
 _TWO_U = 2.0 ** -52  # twice the unit roundoff of float64
 _MIN_NORMAL = 2.0 ** -1022
-# a bound at or above this leaves the row to the exact path, which then
+# an estimate below minus this leaves the row to the exact path, which then
 # behaves (overflow included) exactly as without the filter
 _FILTER_LIMIT = 2.0 ** 960
+# d / c, for the settle thresholds' underflow term d = c 2^-970
+_D_OVER_C = 2.0 ** -970
 # relative slack on computed norm bounds; their own rounding is below 5 ulp
 _NORM_SLACK = 1.0 + 2.0 ** -48
 # _norm_bound takes sqrt(v @ v) when v @ v lies in this range
@@ -127,6 +169,8 @@ _BOUND = "its translated bound"
 # the squared norms are summed over consecutive rows storing at most this
 # many entries at a time, so their temporaries stay near 0.5 MB each
 _BLOCK_ELEMENTS = 2 ** 16
+# a system keeps the layouts of ranges spanning at most this many times m rows
+_LAYOUT_SPANS = 3
 
 
 class InequalitySystem:
@@ -144,10 +188,24 @@ class InequalitySystem:
     finite.  Instances are treated as immutable: a translation goes through
     :func:`modap.dynamics.translate`, whose :class:`Translated` keeps this
     system as it is and shares every array of it.
+
+    The slots hold the stored rows, ``b``, the cached ``row_norms_sq`` and
+    ``row_norms``, and what the row pass's settle test (module docstring)
+    would otherwise rebuild on every pass: the per-row thresholds
+    ``_norm_thresholds`` (theta^n) and the scalar ``_floor_threshold``
+    (theta^d), fixed here, rounded up; and ``_layouts``, each row range's
+    :class:`_Layout`, built on the range's first pass, with
+    ``_layout_rows``, the rows the kept ranges span.  A layout is derived
+    from ``indptr`` and ``n`` alone and holds offsets, not views, so it
+    serves every snapshot that shares the system; the memo holds every
+    range of two row partitions and the whole range, and stays in O(m)
+    however many distinct ranges are passed (:meth:`_estimate`).  The
+    guard against a non-finite or huge estimate is one comparison per pass
+    and stores nothing.
     """
 
     __slots__ = ("n", "indptr", "indices", "data", "b", "row_norms_sq", "row_norms",
-                 "_norm_bounds")
+                 "_norm_thresholds", "_floor_threshold", "_layouts", "_layout_rows")
 
     def __init__(self, a, b, *, n: int | None = None):
         if n is None:
@@ -181,9 +239,15 @@ class InequalitySystem:
             raise ValueError(f"row {i}: its squared norm underflows float64")
         self.row_norms_sq = norms_sq
         self.row_norms = np.sqrt(norms_sq)
-        # ||a_i||^2 <= (norms_sq + (n + 1) 2^-1022) / (1 - u)^2: each square
-        # and their sum round once, losing at most 2^-1022 to underflow
-        self._norm_bounds = np.sqrt(norms_sq + (n + 1) * _MIN_NORMAL) * _NORM_SLACK
+        # the settle thresholds (module docstring): kappa >= c / (1 - c) and
+        # N_i >= ||a_i||, since ||a_i||^2 <= (norms_sq + (n + 1) 2^-1022) /
+        # (1 - u)^2 (each square and their sum round once, losing at most
+        # 2^-1022 to underflow); each rounding below is covered by a slack
+        kappa = (n + 8) * _TWO_U / (1.0 - (n + 8) * _TWO_U) * _NORM_SLACK
+        norm_bounds = np.sqrt(norms_sq + (n + 1) * _MIN_NORMAL) * _NORM_SLACK
+        self._norm_thresholds = norm_bounds * kappa
+        self._floor_threshold = _D_OVER_C * kappa
+        self._layouts, self._layout_rows = {}, 0
 
     @property
     def m(self) -> int:
@@ -221,6 +285,41 @@ class InequalitySystem:
         pos = np.arange(counts.sum()) + np.repeat(offsets - starts, counts)
         return self.data[pos], self.indices[pos], starts
 
+    def _estimate(self, y: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """``A[start:stop] y`` in float64, a new array, read through the
+        range's :class:`_Layout`, built on the first call for the range and
+        then kept: a matrix-vector product on a block; on CSR segments the
+        entrywise products, which are the one-entry rows' estimates, and
+        ``np.add.reduceat`` over the segments of the wider rows only, with
+        the bits of one ``np.add.reduceat`` over every segment.
+
+        The memo keeps ranges that span at most :data:`_LAYOUT_SPANS` times
+        m rows in all, an empty range counting as one, and drops the range
+        built first when a new one would exceed that.  A partition of the
+        rows into non-empty ranges spans m rows whatever its number of
+        ranges, so the ranges of two partitions and the whole range always
+        fit and each is built once, while many distinct ranges keep the
+        memo's size in O(m)."""
+        layout = self._layouts.get((start, stop))
+        if layout is None:
+            layout = _range_layout(self.indptr[start:stop + 1], self.n)
+            self._layouts[start, stop] = layout
+            self._layout_rows += max(stop - start, 1)
+            while self._layout_rows > _LAYOUT_SPANS * self.m:
+                lo, hi = next(iter(self._layouts))
+                del self._layouts[lo, hi]
+                self._layout_rows -= max(hi - lo, 1)
+        first, last, block, starts, wide, cuts = layout
+        values = self.data[first:last]
+        if block:
+            return values.reshape(stop - start, self.n) @ y
+        products = values * y.take(self.indices[first:last])
+        if starts is None:
+            return products
+        out = products.take(starts)
+        out[wide] = np.add.reduceat(products, cuts)[::2]
+        return out
+
     def _squared_norms(self) -> np.ndarray:
         """``||a_i||^2`` of every row (:func:`_dots`), summed over
         consecutive rows that store at most :data:`_BLOCK_ELEMENTS` entries
@@ -255,6 +354,41 @@ class Translated(NamedTuple):
     @property
     def m(self) -> int:
         return self.system.m
+
+
+class _Layout(NamedTuple):
+    """How :meth:`InequalitySystem._estimate` reads one row range; the
+    rows' entries are ``data[first:last]``.  ``block``: every row is fully
+    stored.  Otherwise ``starts`` holds the offsets at which the rows
+    begin, None when each row stores one entry; ``wide`` the rows that
+    store more; ``cuts`` each wide row's first and end offsets in turn,
+    for ``np.add.reduceat``, whose sums at even positions are then the
+    wide rows'; an end at the last entry is left out, as the last sum runs
+    to it anyway."""
+
+    first: int
+    last: int
+    block: bool
+    starts: np.ndarray | None
+    wide: np.ndarray | None
+    cuts: np.ndarray | None
+
+
+def _range_layout(bounds: np.ndarray, n: int) -> _Layout:
+    """The :class:`_Layout` of the rows whose ``indptr`` slice is
+    ``bounds``."""
+    first, last = int(bounds[0]), int(bounds[-1])
+    rows = bounds.size - 1
+    if last - first == rows * n:
+        return _Layout(first, last, True, None, None, None)
+    if last - first == rows:  # no row is empty, so each stores one entry
+        return _Layout(first, last, False, None, None, None)
+    starts = bounds[:-1] - first
+    wide = np.flatnonzero(np.diff(bounds) > 1)
+    cuts = np.column_stack([starts[wide], bounds[wide + 1] - first]).reshape(-1)
+    if cuts[-1] == last - first:
+        cuts = cuts[:-1]
+    return _Layout(first, last, False, starts, wide, cuts)
 
 
 def _dense_to_csr(a):
@@ -378,53 +512,37 @@ def _norm_bound(v: np.ndarray) -> float:
     and ``n <= 2^52`` that is at most ``(1 + 2 n u) (1 + 2^-122) s``, so
     ``||v|| <= (1 + n u + 2^-122) sqrt(s)``; the rounded square root and
     the product with ``1 + 2 (n + 4) u`` (exact) lose at most one u each
-    and stay normal, and the factor covers all three.  Any other s (0,
-    not finite, or where the underflow term or the range would matter)
-    falls back to ``math.hypot``, which is within one ulp (2^-1074 for a
-    subnormal result) and does not overflow or underflow on the way.  The
-    caller silences overflow warnings.
+    and stay normal, and the factor covers all three.  The zero vector
+    (``+0.0`` and ``-0.0`` entries) gives 0.  Any other s (0, not finite,
+    or where the underflow term or the range would matter) falls back to
+    ``math.hypot``, which is within one ulp (2^-1074 for a subnormal
+    result) and does not overflow or underflow on the way.  The caller
+    silences overflow warnings.
     """
     s = float(v @ v)
     if _SQUARE_MIN <= s <= _SQUARE_MAX:
         return math.sqrt(s) * (1.0 + (v.size + 4) * _TWO_U)
+    if not s and not v.any():
+        return 0.0
     h = math.hypot(*v.tolist())
     return h * _NORM_SLACK + 2.0 ** -1074 if h else 0.0
 
 
 def _unsettled_rows(sys: InequalitySystem, shift, x: np.ndarray, start: int, stop: int):
-    """Rows in [start, stop) that the float64 filter cannot prove satisfied
-    at x, for ``sys`` translated by ``shift`` (None: not translated; see
-    the module docstring for the bound and the settle test), ascending and
-    counted from start.  The estimate is one product over the rows' stored
-    entries, as :meth:`InequalitySystem._gather` reads them: a
-    matrix-vector product on a block, one ``np.add.reduceat`` on CSR
-    segments.  The caller silences floating-point warnings."""
-    values, columns, starts = sys._gather(range(start, stop))
-    y = x if shift is None else x - shift
-    t = values @ y if starts is None else np.add.reduceat(values * y[columns], starts)
-    xnorm = _norm_bound(x)
-    b = sys.b[start:stop]
-    t -= b
-    if shift is None:
-        e = sys._norm_bounds[start:stop] * xnorm
-    else:
-        e = sys._norm_bounds[start:stop] * (xnorm + _norm_bound(shift))
-        e += np.abs(b)
-    e += np.abs(t)
-    e *= (sys.n + 8) * _TWO_U
-    if xnorm or shift is not None:
-        e += (sys.n + 8) * _MIN_NORMAL
-    return (~_settled(t, e)).nonzero()[0]
-
-
-def _settled(t: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Which rows the estimates t and their bounds e prove satisfied:
-    ``fl(t + e) <= 0`` and ``e < _FILTER_LIMIT``, the same as ``t <= -e``
-    for finite t and e (see the module docstring).  Overwrites e."""
-    settled = e < _FILTER_LIMIT
-    e += t
-    settled &= e <= 0.0
-    return settled
+    """Rows in [start, stop) that the settle test cannot prove satisfied at
+    x, for ``sys`` translated by ``shift`` (None: not translated; see the
+    module docstring for the test and its proof), ascending and counted
+    from start.  The caller silences floating-point warnings."""
+    t = sys._estimate(x if shift is None else x - shift, start, stop)
+    t -= sys.b[start:stop]
+    settled = t >= -_FILTER_LIMIT
+    s = _norm_bound(x) if shift is None else _norm_bound(x) + _norm_bound(shift)
+    if s:
+        threshold = sys._norm_thresholds[start:stop] * s
+        threshold += sys._floor_threshold
+        t += threshold
+    settled &= t <= 0.0
+    return (~settled).nonzero()[0]
 
 
 def violated_slices(

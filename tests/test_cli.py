@@ -320,6 +320,22 @@ def test_ab_inprocess_setup_compares_the_loaded_systems():
     assert record["workload"] == "random-dense" and record["setup"] is True
     assert record["n"] == 100 and record["iterations"] is None and record["rounds"] == 1
 
+
+def test_ab_inprocess_workers_sets_the_engines_row_blocks():
+    root = Path(__file__).resolve().parents[1]
+    script = [sys.executable, str(root / "scripts" / "ab_inprocess.py"), "--base", str(root),
+              "--head", str(root), "--rounds", "1", "--solves", "1", "--n", "50"]
+    proc = subprocess.run(script + ["--workload", "model-workers2", "--workers", "7"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["workload"] == "model-workers2" and record["workers"] == 7
+    # K is the engine's alone; the sequential workload rejects it
+    proc = subprocess.run(script + ["--workload", "model-translate", "--workers", "2"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and "--workers" in proc.stderr
+
+
 def test_bad_arguments_exit_one():
     proc = subprocess.run(
         [sys.executable, "-m", "modap", "solve", "--variant", "fastest"],

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import modap.dynamics as dynamics
@@ -32,6 +32,7 @@ from modap import (
     run_parallel,
     solve,
 )
+from modap.bsf_engine import partition_rows
 from modap.dynamics import translate
 from modap.geometry import Translated, eps_membership, max_relative_violation, violated_slices
 from modap.summation import SMALL_BLOCK, column_sums, exact_dot
@@ -210,31 +211,119 @@ def test_a_row_the_filter_settles_has_no_positive_residual(case):
         assert oracles.residual(exact, i, x) <= 0.0
 
 
-# estimates: any float; bounds: what the filter builds, a non-negative float,
-# an infinity or nan
-_ESTIMATES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, -5e-324, 2.0 ** 960,
-                                                     -2.0 ** 960, math.inf, -math.inf]))
-_BOUNDS = st.one_of(st.floats(min_value=0.0), st.sampled_from([0.0, 5e-324, 2.0 ** 960,
-                                                               math.nextafter(2.0 ** 960, 0.0),
-                                                               math.inf, math.nan]))
+# rows stay where their squared norms neither overflow nor underflow to 0;
+# points, shifts and bounds reach subnormals (2^-1074) and 2^958, where
+# the products overflow, and the bounds also sit near the top of the range
+SETTLE_ROW_SCALES = [-536, -530, -200, 0, 0, 0, 200, 500]
+SETTLE_POINT_SCALES = [-1074, -1060, -500, 0, 0, 0, 500, 958]
+_HUGE_BOUND = 1.5e308
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_ESTIMATES, _BOUNDS), min_size=1, max_size=40),
-       st.sampled_from([0, 1, -1]))
-def test_fused_settle_test_is_t_at_most_minus_e(pairs, nudge):
-    # fl(t + e) <= 0 and e < 2^960, the same as t <= -e and e < 2^960; t
-    # moved by an ulp against -e, so that the sum lands on, just above or
-    # just below 0
-    t = np.array([math.nextafter(-e, math.copysign(math.inf, nudge)) if nudge and
-                  math.isfinite(e) else tt for tt, e in pairs])
-    e = np.array([e for _, e in pairs])
-    want = [ti <= -ei and ei < geometry._FILTER_LIMIT for ti, ei in zip(t.tolist(), e.tolist())]
+def _exact(value):
+    """A float as a ``Fraction``; None when it is not finite."""
+    return Fraction(value) if math.isfinite(value) else None
+
+
+@st.composite
+def settle_cases(draw):
+    """Rows, bounds, a point (the origin in a quarter of cases) and a
+    shift or None, for the settle test alone: each bound is 0, random,
+    near the top of the range, or on or within a few ulps of row i's
+    hyperplane at x, computed in ``Fraction``."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    a = np.array([_scaled(draw, SETTLE_ROW_SCALES, n) for _ in range(m)])
+    x = np.zeros(n) if draw(st.integers(0, 3)) == 0 else _scaled(draw, SETTLE_POINT_SCALES, n)
+    v = _scaled(draw, SETTLE_POINT_SCALES, n) if draw(st.booleans()) else None
+    assume(np.isfinite(x).all() and (v is None or np.isfinite(v).all()))
+    b = []
+    for row in a:
+        kind = draw(st.sampled_from(["near", "near", "near", "zero", "random", "huge"]))
+        if kind == "zero":
+            b.append(0.0)
+        elif kind == "random":
+            b.append(draw(st.floats(-5, 5)) * 2.0 ** draw(st.sampled_from(SETTLE_POINT_SCALES)))
+        elif kind == "huge":
+            b.append(draw(st.sampled_from([-1.0, 1.0])) * _HUGE_BOUND)
+        else:
+            y = x if v is None else x - v
+            target = sum(Fraction(c) * Fraction(z) for c, z in zip(row.tolist(), y.tolist()))
+            try:
+                near = float(target)
+            except OverflowError:
+                near = 0.0
+            b.append(_near(near, draw(st.integers(-2, 2))))
+    b = np.array(b)
+    assume(np.isfinite(b).all())
+    return a, b, x, v
+
+
+def _settle_outcome(a, b, x, v):
+    """The system, the rows the settle test leaves unsettled, and every
+    row's float64 estimate t_i."""
+    try:
+        sys = InequalitySystem(a, b)
+    except ValueError:  # a row's squared norm leaves float64
+        assume(False)
     with np.errstate(all="ignore"):
-        got = geometry._settled(t, e.copy())
-    assert got.tolist() == want
-    # a nan estimate, a +inf one, and any bound that is not finite stay unsettled
-    assert not (got & (np.isnan(t) | (t == math.inf) | ~np.isfinite(e))).any()
+        unsettled = set(geometry._unsettled_rows(sys, v, x, 0, sys.m).tolist())
+        estimates = sys._estimate(x if v is None else x - v, 0, sys.m) - sys.b
+    return sys, unsettled, estimates
+
+
+# the estimate at each example is +inf (an overflowing product), -inf (b
+# near the top of the range, or x - v overflowing) and nan (products of
+# both signs overflowing, summed as a segment: a matrix-vector product may
+# fuse the second into an infinite first and give inf)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@example(([[2.0 ** 500]], [0.0], [2.0 ** 600], None))
+@example(([[1.0]], [_HUGE_BOUND], [-_HUGE_BOUND], None))
+@example(([[1.0, 1.0]], [0.0], [1.0, 1.0], [_HUGE_BOUND, _HUGE_BOUND]))
+@example(([[2.0 ** 500, 2.0 ** 500, 0.0]], [0.0], [2.0 ** 600, -2.0 ** 600, 1.0], None))
+@given(settle_cases())
+def test_the_settle_test_settles_no_row_with_a_positive_residual(case):
+    """A row the test settles has a finite estimate, finite products and a
+    finite bound on the exact path, and an exact-path residual, summed in
+    ``Fraction`` from the rounded products and bound, of at most 0; so
+    has its residual in exact arithmetic."""
+    a, b, x, v = (None if part is None else np.array(part, dtype=np.float64)
+                  for part in case)
+    sys, unsettled, estimates = _settle_outcome(a, b, x, v)
+    for i in sorted(set(range(sys.m)) - unsettled):
+        assert math.isfinite(estimates[i]), (i, estimates[i])
+        row = a[i]
+        with np.errstate(over="ignore"):
+            products = [_exact(p) for p in (row * x).tolist()]
+        assert None not in products
+        exact = sum(Fraction(c) * Fraction(z) for c, z in zip(row.tolist(), x.tolist()))
+        bound = _exact(float(b[i]))
+        if v is not None:
+            with np.errstate(over="ignore"):
+                shift_products = row * v
+            assert np.isfinite(shift_products).all()
+            bound = _exact(float(b[i]) + math.fsum(shift_products.tolist()))
+            assert bound is not None
+            exact -= sum(Fraction(c) * Fraction(z) for c, z in zip(row.tolist(), v.tolist()))
+        assert sum(products) - bound <= 0
+        assert exact - Fraction(float(b[i])) <= 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("a,b,x,v,estimate", [
+    ([[2.0 ** 500]], [0.0], [-2.0 ** 600], None, -math.inf),
+    ([[1.0]], [_HUGE_BOUND], [-_HUGE_BOUND], None, -math.inf),
+    ([[1.0, 1.0]], [0.0], [-1.0, -1.0], [_HUGE_BOUND, _HUGE_BOUND], -math.inf),
+    ([[2.0 ** 500]], [-1.0], [2.0 ** 600], None, math.inf),
+    ([[2.0 ** 500, 2.0 ** 500, 0.0]], [0.0], [2.0 ** 600, -2.0 ** 600, 1.0], None, math.nan),
+    ([[1.0]], [2.0 ** 961], [0.0], None, -2.0 ** 961),
+], ids=["-inf product", "-inf minus b", "-inf x - v", "+inf", "nan", "huge"])
+def test_a_non_finite_or_huge_estimate_stays_unsettled(a, b, x, v, estimate):
+    _, unsettled, estimates = _settle_outcome(np.array(a), np.array(b), np.array(x),
+                                              None if v is None else np.array(v))
+    assert (math.isnan(estimates[0]) if math.isnan(estimate) else estimates[0] == estimate)
+    assert unsettled == {0}
 
 
 @pytest.mark.parametrize("translated,mixed", [
@@ -327,16 +416,34 @@ def test_norm_bound_falls_back_to_hypot_outside_its_range(monkeypatch):
 
     monkeypatch.setattr(geometry.math, "hypot", hypot)
     # v @ v = 2^900 and 2^-900 are inside, 2^902 and 2^-902 outside; a
-    # zero, a subnormal and an overflowing v @ v fall back too
+    # subnormal and an overflowing v @ v fall back too, and the zero vector
+    # has the bound 0 without a call
     for v, fallback in [(np.full(4, 2.0 ** 449), False), (np.full(4, 2.0 ** 450), True),
                         (np.full(4, 2.0 ** -451), False), (np.full(4, 2.0 ** -452), True),
-                        (np.zeros(3), True), (np.array([5e-324]), True),
-                        (np.array([1e300, -1e300]), True)]:
+                        (np.zeros(3), False), (np.array([0.0, -0.0]), False),
+                        (np.array([5e-324]), True), (np.array([1e300, -1e300]), True)]:
         calls.clear()
         with np.errstate(over="ignore"):
             bound = geometry._norm_bound(v)
         assert calls == ([v.size] if fallback else [])
         assert Fraction(bound) ** 2 >= sum(Fraction(c) ** 2 for c in v.tolist())
+        assert (bound == 0.0) == (not v.any())
+
+
+def test_a_solve_from_the_origin_calls_no_hypot(monkeypatch):
+    # the first pass bounds ||x|| of x = 0 in each of the K = 2 blocks, and
+    # every later one bounds a non-zero x and v in the normal range
+    calls = []
+    real = math.hypot
+
+    def hypot(*values):
+        calls.append(len(values))
+        return real(*values)
+
+    monkeypatch.setattr(geometry.math, "hypot", hypot)
+    out = run_parallel(_model_source(200), SolverConfig(), EngineConfig(workers=2))
+    assert out.converged and out.iterations >= 3
+    assert calls == []
 
 
 def test_an_overflowing_translated_row_names_its_sum():
@@ -477,6 +584,127 @@ def test_gather_reads_a_block_or_segments(data):
         assert values.shape == (len(rows), n)
     else:
         assert np.shares_memory(columns, sys.indices) == consecutive
+
+
+def _one_reduceat(sys, y, start, stop):
+    """``A[start:stop] y`` as the pass took it before layouts: one
+    ``np.add.reduceat`` over the gathered segments, or the block's
+    matrix-vector product."""
+    values, columns, starts = sys._gather(range(start, stop))
+    if starts is None:
+        return values @ y
+    return np.add.reduceat(values * y[columns], starts)
+
+
+def _ranged_system(counts, n, seed):
+    """A system whose row i stores ``counts[i]`` entries spread over 2^80."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((len(counts), n))
+    for i, count in enumerate(counts):
+        cols = rng.choice(n, count, replace=False)
+        a[i, cols] = rng.standard_normal(count) * 2.0 ** rng.integers(-40, 40, count)
+    return InequalitySystem(a, np.ones(len(counts)))
+
+
+def _spread_point(n, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 2.0 ** rng.integers(-40, 40, n)
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_model_partitions_estimate_as_one_reduceat(n, workers):
+    # the model problem's rows: 2n one-entry rows, then two full rows, so
+    # its ranges hold one-entry rows only, or end with the wide rows on the
+    # last stored entry
+    sys = generate_model_problem(ModelProblemSpec(n=n))
+    y = _spread_point(n)
+    for part in partition_rows(sys.m, workers):
+        got = sys._estimate(y, part.start, part.stop)
+        assert got.tobytes() == _one_reduceat(sys, y, part.start, part.stop).tobytes()
+    assert len(sys._layouts) == workers
+
+
+@pytest.mark.parametrize("counts", [
+    [1, 1, 1, 1, 1, 1],  # one-entry rows only
+    [2, 3, 5, 2, 4, 3],  # wide rows only
+    [1, 1, 5, 1, 1, 1, 1, 1, 3],  # wide rows apart
+    [7, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2],  # adjacent wide rows, first and last
+    [1, 1, 1, 1, 1, 1, 1, 1, 1, 8],  # a wide row on the last stored entry
+], ids=["one-entry", "wide", "apart", "adjacent", "last"])
+def test_every_range_estimates_as_one_reduceat(counts):
+    sys = _ranged_system(counts, 8, seed=len(counts))
+    y = _spread_point(8)
+    for start in range(sys.m + 1):
+        for stop in range(start, sys.m + 1):
+            got = sys._estimate(y, start, stop)
+            assert got.tobytes() == _one_reduceat(sys, y, start, stop).tobytes(), (start, stop)
+    # the whole range sums exactly its wide rows' segments, whatever their share
+    wide = geometry._range_layout(sys.indptr, sys.n).wide
+    expected = np.flatnonzero(np.array(counts) > 1)
+    assert wide is None if not expected.size else wide.tolist() == expected.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ranges_cut_anywhere_estimate_as_one_reduceat(data):
+    n = data.draw(st.integers(1, 40))
+    counts = data.draw(st.lists(st.sampled_from([1, 1, 1, 2, 3, n]).map(lambda c: min(c, n)),
+                                min_size=1, max_size=30))
+    sys = _ranged_system(counts, n, data.draw(st.integers(0, 2 ** 32 - 1)))
+    y = _spread_point(n, data.draw(st.integers(0, 2 ** 32 - 1)))
+    start = data.draw(st.integers(0, sys.m))
+    stop = data.draw(st.integers(start, sys.m))
+    for _ in range(2):  # building the layout, then reading it
+        got = sys._estimate(y, start, stop)
+        assert got.tobytes() == _one_reduceat(sys, y, start, stop).tobytes()
+
+
+def test_each_range_layout_is_built_once_per_system(monkeypatch):
+    built = []
+    real = geometry._range_layout
+
+    def range_layout(bounds, n):
+        built.append((int(bounds[0]), int(bounds[-1])))  # the range's entries
+        return real(bounds, n)
+
+    monkeypatch.setattr(geometry, "_range_layout", range_layout)
+    src = _model_source(50)
+    for _ in range(2):  # two K = 2 solves and a sequential one on one system
+        run_parallel(DynamicSystemSource(src.base, src.spec), SolverConfig(),
+                     EngineConfig(workers=2))
+    solve(DynamicSystemSource(src.base, src.spec), SolverConfig())
+    assert built == [(0, 51), (51, 200), (0, 200)]
+    # many distinct ranges: the memo drops the ranges built first, and the
+    # rows its ranges span stay within _LAYOUT_SPANS times m
+    sys = src.base
+    for start in range(sys.m - 2):
+        violated_slices(sys, np.zeros(50), start, start + 3)
+    spans = [max(hi - lo, 1) for lo, hi in sys._layouts]
+    assert sum(spans) == sys._layout_rows <= geometry._LAYOUT_SPANS * sys.m
+    assert list(sys._layouts) == [(start, start + 3) for start in range(sys.m - 2)][-len(spans):]
+
+
+@pytest.mark.parametrize("workers", [17, 32, 102])
+def test_every_range_of_two_partitions_stays_memoised(monkeypatch, workers):
+    # a partition spans m rows however many ranges it has, so a K-range
+    # solve, a second partition and the sequential pass's whole range all
+    # stay memoised: each layout is built once
+    built = []
+    real = geometry._range_layout
+
+    def range_layout(bounds, n):
+        built.append((int(bounds[0]), int(bounds[-1])))
+        return real(bounds, n)
+
+    monkeypatch.setattr(geometry, "_range_layout", range_layout)
+    src = _model_source(50)
+    for k in (workers, 2, workers):
+        run_parallel(DynamicSystemSource(src.base, src.spec), SolverConfig(),
+                     EngineConfig(workers=k))
+    solve(DynamicSystemSource(src.base, src.spec), SolverConfig())
+    assert len(built) == len(set(built)) == workers + 2 + 1
+    assert len(src.base._layouts) == workers + 2 + 1
 
 
 @pytest.mark.parametrize("translated", [False, True])
