@@ -4,6 +4,7 @@
     python scripts/ab_inprocess.py --base ../parent --head . --workload model-translate
     python scripts/ab_inprocess.py --base ../parent --workload model-workers2 --n 4000
     python scripts/ab_inprocess.py --base ../parent --workload model-workers2 --workers 7
+    python scripts/ab_inprocess.py --base ../parent --workload random-dense --seed 3
     python scripts/ab_inprocess.py --base ../parent --setup
 
 Loads the ``modap`` package of each checkout (``<root>/src/modap``) under
@@ -23,8 +24,9 @@ their checks and set-up timings: ``model-translate`` (the model problem
 translating at rate 1, sequential; n = 1000 unless ``--n`` says otherwise),
 ``model-workers2`` (the same through ``run_parallel`` with two workers, or
 with ``--workers K``) and
-``random-dense`` (a seeded Gaussian n = 100, m = 1000 stationary system
-around an interior point, which ``--n`` does not change).
+``random-dense`` (a Gaussian n = 100, m = 1000 stationary system around
+an interior point, seeded by ``--seed``, 11 unless it says otherwise, and
+which ``--n`` does not change).
 Both sides must accept the same constructor and solver arguments.
 
 ``--setup`` times ``load_system`` in place of the solves: the random-dense
@@ -142,6 +144,8 @@ def main(argv=None) -> int:
                         help="the model problem's dimension (model workloads)")
     parser.add_argument("--workers", type=int,
                         help="the engine's row blocks K (model-workers2 only; default 2)")
+    parser.add_argument("--seed", type=int,
+                        help="the system's seed (random-dense only; default 11)")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.solves < 1 or args.n < 1:
         parser.error("--rounds, --solves and --n must be at least 1")
@@ -150,9 +154,13 @@ def main(argv=None) -> int:
     if args.setup and args.workload not in (None, "random-dense"):
         parser.error("--setup loads the random-dense file, the only workload read from one")
     args.workload = args.workload or ("random-dense" if args.setup else "model-translate")
+    if args.seed is not None and args.workload != "random-dense":
+        parser.error("--seed seeds the random-dense system, for --workload random-dense")
     if args.workload == "model-workers2" and args.workers is None:
         args.workers = 2
-    arrays = None if args.workload.startswith("model") else random_dense()
+    if args.workload == "random-dense" and args.seed is None:
+        args.seed = 11
+    arrays = None if args.workload.startswith("model") else random_dense(args.seed)
     pkgs = [load_package(root, f"modap_{tag}")
             for tag, root in (("base", args.base), ("head", args.head))]
     with tempfile.TemporaryDirectory() as tmp:
@@ -195,7 +203,7 @@ def compare(args, calls, bits, what: str, n: int) -> int:
           f"head lower in {lower} of {len(ratios)} rounds")
     base_ms, head_ms = (statistics.median(times) * 1e3 for times in every)
     print(json.dumps({"workload": args.workload, "setup": args.setup, "n": n,
-                      "workers": args.workers,
+                      "workers": args.workers, "seed": args.seed,
                       "iterations": None if args.setup else base_bits[1],
                       "rounds": len(ratios),
                       "solves": args.solves, "median_ratio": median, "q1_ratio": q1,

@@ -13,17 +13,21 @@ or unsettled rows, the ``(2, 1000)`` stacked translated row and ``(1,
 row.  The model problem's set-up squares (2000 one-entry rows and 2 full
 rows of 1000) are its own squared entries, summed in the segment form.
 Each case is timed three ways: ``row_sums`` as the solver calls it, one
-``math.fsum`` per row or segment (the small-block path), and the vectorised levels
-with the small-block cut-off lifted.  The three take turns, nine repeats of
-the mean of 20 calls each, and each is reported as the median and
-quartiles of its repeats; ``path`` says which of the other two
+``math.fsum`` per row or segment (the small-block path), and the vectorised
+path with the small-block cut-off lifted.  The three take turns, nine
+repeats of the mean of 20 calls each, and each is reported as the median
+and quartiles of its repeats; ``path`` says which of the other two
 ``row_sums`` takes.  On the fit shapes, blocks on both sides of the
 cut-off, least squares fits the medians of each of the two paths as ``c0 +
 c1 size + c2 h`` and reports where they cross, in the ``size + k h`` form
-of ``summation.SMALL_BLOCK``.  The level-1 decision (``summation._rounded``)
-is timed the same way in its two forms, Python floats and numpy, on 1 to 32
-rows, and a line ``c0 + c1 h`` fitted to each gives the row count at which
-they cross, against ``summation.FEW_ROWS``.  The whole run takes a few
+of ``summation.SMALL_BLOCK``.  The short-row shapes, blocks past the
+cut-off in rows of 8 to 16 addends, whose sums fall on a midpoint more
+often than long rows' and then go to ``math.fsum`` after the vectorised
+pass, are timed the same way but not fitted.  The level-1 decision
+(``summation._rounded``) is timed the same way in its two forms, Python
+floats and numpy, on 1 to 32 rows, and a line ``c0 + c1 h`` fitted to
+each gives the row count at which they cross, against
+``summation.FEW_ROWS``.  The whole run takes a few
 seconds.
 """
 
@@ -48,6 +52,8 @@ WORKLOAD_SHAPES = [(h, 100) for h in (50, 160, 243)] + [(100, h) for h in (50, 1
 FIT_SHAPES = [(1, 125), (1, 250), (1, 500), (1, 1000), (2, 125), (2, 250), (2, 500),
               (4, 64), (4, 125), (8, 32), (8, 64), (16, 16), (16, 32), (32, 8), (32, 16),
               (64, 4), (64, 8), (125, 2), (250, 2)]
+# past the cut-off in short rows: random-dense column sums at h = 8 and 12
+SHORT_ROW_SHAPES = [(64, 16), (125, 8), (100, 8), (100, 12)]
 ROUNDED_ROWS = [1, 2, 4, 6, 8, 10, 12, 14, 16, 20, 24, 32]
 CALLS = 20
 REPEATS = 9
@@ -166,7 +172,8 @@ def main() -> int:
     workload = [measure(shape) for shape in WORKLOAD_SHAPES]
     segments = [measure_setup_squares()]
     fit = [measure(shape) for shape in FIT_SHAPES]
-    for case in workload + segments + fit:
+    short = [measure(shape) for shape in SHORT_ROW_SHAPES]
+    for case in workload + segments + fit + short:
         label = (str(tuple(case["shape"])) if "shape" in case
                  else " + ".join(f"{h}x{w}" for h, w in case["segments"]))
         print(f"{label:>12} {case['path']:>10}:", ", ".join(
@@ -186,7 +193,7 @@ def main() -> int:
     record = {
         "what": "summation.row_sums on seeded standard normal blocks and on the n = 1000 "
                 "model problem's set-up squares as segments, against one math.fsum per "
-                "row or segment and against the vectorised levels with the "
+                "row or segment and against the vectorised path with the "
                 "small-block cut-off lifted, and the level-1 decision in Python floats "
                 f"against numpy; median and quartiles of {REPEATS} repeats, "
                 f"taken in turns, of the mean of {CALLS} calls, in microseconds",
@@ -195,6 +202,7 @@ def main() -> int:
         "workload_shapes": workload,
         "segment_shapes": segments,
         "fit_shapes": fit,
+        "short_row_shapes": short,
         "crossover": cross,
         "rounded_rows": rounded,
         "rounded_crossover": rounded_cross,

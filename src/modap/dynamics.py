@@ -8,9 +8,11 @@ arrays) and their cached norms are shared across every snapshot.
 A translated snapshot is a :class:`~modap.geometry.Translated`: the base
 system and a copy of v, which costs O(n) and reads no coefficient.  The
 filtered row pass of :mod:`modap.geometry` estimates a translated residual
-with its one pass over the stored entries, ``A (x - v) - b``, and widens
-its error bound by ``|b_i| + ||a_i|| ||v||`` to cover the rounding of
-``x - v`` and of the exact bound; each pass bounds ``||v||`` itself, so no
+with its one pass over the stored entries, ``A (x - v) - b``, and its
+settle test adds ``theta^n_i S + theta^d``, S an upper bound on ``||x|| +
+||v||``, which covers the rounding of ``x - v`` and of the exact bound.
+It needs no ``|b_i|`` term: the estimate itself bounds ``|b_i|`` (step
+(e) in :mod:`modap.geometry`).  Each pass bounds ``||v||`` itself, so no
 pass writes to a snapshot.  The exact bound ``b_i + <a_i, v>`` (inner
 product exactly rounded) is computed only for the rows a pass evaluates
 exactly, and every value that reaches an iterate or a trace comes from

@@ -13,8 +13,8 @@ coordinate's sum once.
 Bulk sums go through :func:`row_sums`, the exactly rounded sum of each row
 of a 2-D block, or of each segment of a 1-D array given the segments'
 start offsets (the rows of a sparse row set, however ragged), vectorised
-over the whole block or array.  It runs error-free
-extraction levels of AccSum (Rump, Ogita and Oishi, "Accurate
+over the whole block or array.  It runs one error-free
+extraction level of AccSum (Rump, Ogita and Oishi, "Accurate
 floating-point summation part I: faithful rounding", SISC 31(1), 2008) and
 bounds the rest.  For a row p of ``n <= 2^M`` addends (``M >= 1``) and a
 power of two ``sigma > 2^M max|p|``, ``q = (sigma + p) - sigma`` is exact,
@@ -32,15 +32,17 @@ than half the gap from ``res`` to its nearer neighbour.  The decision costs
 about a dozen numpy calls whatever the row count, so up to :data:`FEW_ROWS`
 rows take it one row at a time in Python floats instead, with the same
 roundings (TwoSum, and ``math.nextafter`` for the gap), so the same bits.
-A sum on a midpoint (0.7 % of the rows of a standard normal ``(1000,
-100)`` block) fails this test however small B is, so undecided rows take a
-second level on their remainders: ``sigma_2 = 2^(M-53) sigma`` meets the same
-precondition, and at most ``n u sigma_2`` is left after it.  If nothing is,
-``res`` is the rounding of the exact ``tau_1 + tau_2``, ties to even
-included; otherwise that bound is B.  This is a floating-point filter in
-the sense of Shewchuk (DCG 18, 1997).
+This is a floating-point filter in the sense of Shewchuk (DCG 18, 1997).
+A sum on a midpoint fails the test however small B is, and so does a zero
+sum, whose gap is 0; such rows go to ``math.fsum``, with one exception on
+a block.  A block row whose remainders are all zero is its q alone, so
+``tau_1`` is its exact sum and ``res = tau_1 + tau_2``, with ``tau_2`` a
+sum of zeros, is its exactly rounded sum: ``tau_1``, with ``+0.0`` for a
+zero sum.  That decides the zero, ``-0.0``-only and exactly cancelling
+rows on the block's scale, such as the empty columns of a sparse slice
+block, at the cost of one ``any`` over the undecided rows' remainders.
 
-Each level takes its two sums as products with a ones vector, ``q @
+Level 1 takes its two sums as products with a ones vector, ``q @
 ones``, which numpy hands to BLAS (or, on some strides, to its own loop);
 that costs about half of ``q.sum(axis=1)``, and leaves the order, the
 grouping and any fused multiply-adds to BLAS.  The proof above allows all
@@ -56,24 +58,22 @@ on ``(160, 100)`` and ``(243, 100)`` blocks ``reduceat`` costs twice as much.
 Nothing above needs sigma to be the smallest power of two that fits a row,
 so :func:`row_sums` takes one sigma for the whole block, from its largest
 magnitude ``top``: ``sigma = 2^(e + M)`` with ``top < 2^e`` exceeds ``2^M
-max|p|`` for every row p of the block at once.  The levels then run as
+max|p|`` for every row p of the block at once.  Level 1 then runs as
 flat operations with one scalar, which cost about a third of the same
-operations with a column of per-row sigmas, and a standard normal block is
-decided by them alone.  The order of the paths is:
+operations with a column of per-row sigmas.  The order of the paths is:
 
 1. a block whose ``top`` is zero holds only ``+0.0`` and ``-0.0``, and
    every row sums to ``+0.0``, as fsum gives it;
-2. level 1, then, on a block, level 2 on the rows it leaves, with the
-   block's sigma, when ``top`` lies in ``[2^-900, 2^900]``; an exactly
-   cancelling row, a zero row included, is decided as ``+0.0``, and a
-   one-entry segment is its own sum, so only the segments of two or more
-   addends take the level-1 test.  When level 1 decides every row, the
-   sums return at once;
-3. ``math.fsum`` (Shewchuk's expansion arithmetic, in C) for the rows the
-   levels leave (sums near a midpoint, and rows far below ``top``, whose
-   gaps are smaller than B), and for the whole block when ``top`` is not
-   finite or lies outside that range, where the extraction could overflow
-   or the gaps and bounds leave the normal range.
+2. level 1, when ``top`` lies in ``[2^-900, 2^900]``, and on a block the
+   rule for rows without remainders; a one-entry segment is its own sum,
+   so only the segments of two or more addends take the level-1 test.
+   When level 1 decides every row, the sums return at once;
+3. ``math.fsum`` (Shewchuk's expansion arithmetic, in C) for the rows
+   level 1 leaves (sums near a midpoint, zero sums with remainders, and
+   rows far below ``top``, whose gaps are smaller than B), and for the
+   whole block when ``top`` is not finite or lies outside that range,
+   where the extraction could overflow or the gaps and bounds leave the
+   normal range.
 
 A row far below the scale of its block thus costs one ``math.fsum`` on top
 of its share of the block pass.  Blocks too small for the vectorised
@@ -103,18 +103,19 @@ __all__ = ["exact_dot", "row_sums", "column_sums"]
 # a block of fewer elements than this is summed by one math.fsum per row.
 # scripts/sum_kernel.py times both paths (BENCH_summation.json; 2-vCPU Xeon
 # VM, Python 3.11, numpy 2.4): fsum about 0.03 us per element, the
-# vectorised path about 9 us plus a few ns per element, and more when level
-# 2 runs, which is common in rows of 16 or fewer addends.  Fitted as c0 +
-# c1 size + c2 h, the two cross at size + k h with k within 0.6 of 0 and
-# size between 438 and 556 over five runs, so the cut-off counts elements
-# only: a lone row of 1000, such as one norm at n = 1000, is vectorised
-# (10 us against 30 us by fsum), a row of 100 is not (3.3 against 8.4 us)
+# vectorised path about 9 us plus a few ns per element, and one fsum more
+# per row on a midpoint, which is common in rows of 16 or fewer addends.
+# Fitted as c0 + c1 size + c2 h, the two cross at size + k h with k within
+# 0.6 of 0 and size between 438 and 556 over five runs (between 389 and
+# 470, k within 0.4 of 0, over six later runs), so the cut-off counts
+# elements only: a lone row of 1000, such as one norm at n = 1000, is
+# vectorised (10 us against 30 us by fsum), a row of 100 is not (3.3
+# against 8.4 us)
 SMALL_BLOCK = 500
 # _rounded decides at most this many rows in Python floats: the two forms
-# cost the same at 15.4 to 16.2 rows (same script and machine), and on 2
-# rows 1.9 us against 5.5 us
+# cost the same at 15.4 to 16.2 rows (15.6 to 18.4 over six later runs of
+# the same script), and on 2 rows 1.9 us against 5.5 us
 FEW_ROWS = 16
-_U = 2.0 ** -53
 # a block maximum in this range keeps every sigma, bound and gap normal
 _MIN_MAX = 2.0 ** -900
 _MAX_MAX = 2.0 ** 900
@@ -174,11 +175,9 @@ def row_sums(values: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray
         res[many], sure[many] = _rounded(tau1[many], tau2[many], bound)
     if np.count_nonzero(sure) == h:  # a fraction of sure.all()'s cost
         return res
-    if starts is None:
-        again = np.flatnonzero(~sure)
-        rest = -q[again]  # minus the remainders, as level 2 takes them
-        res[again], sure[again] = _level2(rest, sigma, tau1[again], m_bits, ones)
     left = np.flatnonzero(~sure)
+    if starts is None:  # a row without remainders: res is its exact sum
+        left = left[q[left].any(axis=1)]
     if left.size:
         res[left] = _fsum_rows(values, starts, left)
     return res
@@ -186,7 +185,7 @@ def row_sums(values: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray
 
 @functools.lru_cache(maxsize=8)
 def _ones(n: int) -> np.ndarray:
-    """A read-only vector of n ones, the weights of each level's sums."""
+    """A read-only vector of n ones, the weights of level 1's two sums."""
     ones = np.ones(n)
     ones.flags.writeable = False
     return ones
@@ -233,17 +232,6 @@ def _rounded_few(tau1: np.ndarray, tau2: np.ndarray, bound: float):
         sure.append(abs((a - (s - z)) + (b - z)) + bound
                     < 0.5 * (mag - math.nextafter(mag, 0.0)))
     return np.array(res, dtype=np.float64), np.array(sure, dtype=bool)
-
-
-def _level2(rest: np.ndarray, sigma: float, tau1: np.ndarray, m_bits: int,
-            ones: np.ndarray):
-    """Level 2 on minus the remainders of undecided rows; overwrites ``rest``."""
-    sigma = sigma * 2.0 ** (m_bits - 53)  # |rest| <= 2^-53 sigma = 2^-M sigma_2
-    q = sigma + rest
-    q -= sigma
-    rest -= q
-    res, sure = _rounded(tau1, -(q @ ones), rest.shape[1] * _U * sigma)
-    return res, sure | ~rest.any(axis=1)
 
 
 def column_sums(block: np.ndarray) -> np.ndarray:

@@ -336,6 +336,44 @@ def test_ab_inprocess_workers_sets_the_engines_row_blocks():
     assert proc.returncode == 2 and "--workers" in proc.stderr
 
 
+def test_ab_inprocess_seed_seeds_the_random_dense_system():
+    root = Path(__file__).resolve().parents[1]
+    script = [sys.executable, str(root / "scripts" / "ab_inprocess.py"), "--base", str(root),
+              "--head", str(root), "--rounds", "1", "--solves", "1"]
+    runs = {}
+    for seed in ([], ["--seed", "3"]):
+        proc = subprocess.run(script + ["--workload", "random-dense"] + seed,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout.splitlines()[-1])
+        runs[record["seed"]] = record["iterations"]
+    assert runs == {11: 184, 3: 180}
+    # the model problem has no seed
+    proc = subprocess.run(script + ["--workload", "model-translate", "--seed", "3"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and "--seed" in proc.stderr
+
+
+def test_fsum_fallback_counts_the_rows_left_to_fsum():
+    root = Path(__file__).resolve().parents[1]
+    script = [sys.executable, str(root / "scripts" / "fsum_fallback.py")]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    records = []
+    for args in (["--workload", "model-translate"], ["--workload", "model-workers2"],
+                 ["--seed", "3"]):
+        proc = subprocess.run(script + args, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        records.append(json.loads(proc.stdout))
+    # the model problem's exact sums are all decided at level 1 or by a
+    # one-column block; a random-dense solve leaves a few rows on midpoints
+    for record in records[:2]:
+        assert record["fallback_calls"] == record["fallback_rows"] == 0
+        assert record["status"] == "converged" and record["iterations"] == 5
+    dense = records[2]
+    assert dense["seed"] == 3 and dense["iterations"] == 180
+    assert 0 < dense["fallback_calls"] <= dense["fallback_rows"] < 180
+
+
 def test_bad_arguments_exit_one():
     proc = subprocess.run(
         [sys.executable, "-m", "modap", "solve", "--variant", "fastest"],

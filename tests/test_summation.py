@@ -218,7 +218,7 @@ _WIDE = [0.0] * 1296  # pads a segment past the small-block cut-off
 # just below the midpoint under 1.0, whose lower gap is half its upper one
 @example(np.array([[1.0, -2.0 ** -54 + 2.0 ** -90, -2.0 ** -88] + [0.0] * 1297] * 3))
 # a level-1 midpoint tie whose remainder sum is exact: 1.5 stays, the
-# odd 1.5 + 2^-52 rounds up to even; level 2 sees nothing left and decides
+# odd 1.5 + 2^-52 rounds up to even; only fsum decides
 @example(np.array([[1.5, 2.0 ** -53] + [0.0] * 1298,
                    [1.5 + 2.0 ** -52, 2.0 ** -53] + [0.0] * 1298]))
 # remainders whose float sum is inexact: 2^-125 is lost to 2^-53 + 2^-70,
@@ -296,39 +296,28 @@ def test_a_sum_near_a_midpoint_goes_to_fsum(monkeypatch):
 
 
 def test_a_gaussian_block_needs_no_fallback(monkeypatch):
+    # only the two rows whose sums lie exactly on a midpoint (rows 11 and
+    # 115) need fsum; no column sum of the transposed view does
     block = np.random.default_rng(4).standard_normal((200, 100))
     assert block.size >= SMALL_BLOCK
     want = [_fsum_rows(view).tobytes() for view in (block, block.T)]
     calls = _counting_fsum(monkeypatch)
     assert [row_sums(view).tobytes() for view in (block, block.T)] == want
-    assert calls == []
-
-
-def _counting_level2(monkeypatch):
-    rows = []
-    real = summation._level2
-
-    def level2(rest, *args):
-        rows.append(len(rest))
-        return real(rest, *args)
-
-    monkeypatch.setattr(summation, "_level2", level2)
-    return rows
+    assert calls == [100, 100]
 
 
 def test_level_1_decides_most_rows(monkeypatch):
     # a Gaussian row's sum lies exactly on a midpoint now and then, which
-    # only level 2 decides; none of these sums of squares does
+    # only fsum decides (2 of these 200); none of these sums of squares does
     gauss = np.random.default_rng(4).standard_normal((200, 100))
     squares = np.random.default_rng(5).standard_normal((65, 1000)) ** 2
     want = [_fsum_rows(view).tobytes() for view in (gauss, squares)]
     calls = _counting_fsum(monkeypatch)
-    deep = _counting_level2(monkeypatch)
     assert row_sums(gauss).tobytes() == want[0]
-    assert 0 < sum(deep) < 20 and calls == []
-    deep.clear()
+    assert calls == [100, 100]
+    calls.clear()
     assert row_sums(squares).tobytes() == want[1]
-    assert deep == [] and calls == []
+    assert calls == []
 
 
 @st.composite
@@ -365,11 +354,13 @@ def test_row_sums_of_rows_on_many_scales_equal_fsum(block):
 
 
 def test_the_block_levels_alone_decide_a_gaussian_block(monkeypatch):
+    # level 1 decides all but the three rows that sum exactly onto a
+    # midpoint (rows 123, 154 and 205), and every column
     block = np.random.default_rng(7).standard_normal((243, 100))
     want = [_fsum_rows(view).tobytes() for view in (block, block.T)]
     calls = _counting_fsum(monkeypatch)
     assert [row_sums(view).tobytes() for view in (block, block.T)] == want
-    assert calls == []
+    assert calls == [100, 100, 100]
 
 
 def test_only_rows_far_below_the_block_scale_go_to_fsum(monkeypatch):
@@ -390,9 +381,62 @@ def test_zero_sums_are_decided_by_the_block_levels(monkeypatch):
     block[:, 11] = [1.0, -3.0, 2.0]
     block[:, 12] = -0.0
     want = _fsum_rows(block.T).tobytes()
-    calls = _counting_fsum(monkeypatch)
+    calls = []
+    real = math.fsum
+    monkeypatch.setattr(summation.math, "fsum", lambda row: calls.append(row) or real(row))
     assert row_sums(block.T).tobytes() == want
-    assert calls == []
+    # the rule for rows without remainders decides every zero and
+    # cancelling column; fsum takes only Gaussian columns 0, 3 and 5,
+    # whose sums of three lie exactly on a midpoint
+    assert calls == [block[:, j].tolist() for j in (0, 3, 5)]
+
+
+@st.composite
+def zero_sum_blocks(draw):
+    """A block past the small-block cut-off whose rows are standard normal
+    or sum to zero without remainders: zeros of either sign, ``-0.0`` alone,
+    or zeros with an exactly cancelling ``[a, -a]`` or ``[a, -3a, 2a]`` at
+    permuted places.  a is an integer below 2^20, so every such entry is a
+    multiple of the block's ``u sigma``; the whole block is scaled by a
+    power of two.  Returns the block and a mask of its zero-sum rows."""
+    h = draw(st.integers(2, 40))
+    n = draw(st.integers(max(3, -(-SMALL_BLOCK // h)), 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = rng.integers(0, 5, h)
+    block = rng.standard_normal((h, n))
+    for i in np.flatnonzero(kinds < 4):
+        block[i] = rng.choice([0.0, -0.0], n) if kinds[i] != 1 else -0.0
+        if kinds[i] >= 2:
+            a = float(rng.integers(1, 2 ** 20)) * rng.choice([-1.0, 1.0])
+            entries = [a, -a] if kinds[i] == 2 else [a, -3 * a, 2 * a]
+            block[i, rng.choice(n, len(entries), replace=False)] = entries
+    return block * 2.0 ** draw(st.integers(-850, 850)), kinds < 4
+
+
+@settings(deadline=None)
+@given(zero_sum_blocks())
+# signed zeros, -0.0 alone, [a, -a] and a permuted [a, -3a, 2a], and a
+# standard normal row
+@example((np.vstack([[0.0, -0.0] * 125, [-0.0] * 250, [5.0] + [0.0] * 248 + [-5.0],
+                     [0.0] * 100 + [2.0] + [-0.0] * 100 + [-3.0] + [0.0] * 47 + [1.0],
+                     np.random.default_rng(0).standard_normal(250)]),
+          np.array([True] * 4 + [False])))
+def test_rows_without_remainders_are_decided_without_fsum(case):
+    # a row whose addends are their own high parts sums exactly at level 1,
+    # so fsum takes only standard normal rows (on a midpoint, or far below
+    # the block's scale), in the block and in its transposed view
+    block, zero = case
+    assert block.size >= SMALL_BLOCK
+    views = (block, np.ascontiguousarray(block.T).T)
+    want = _fsum_rows(block).tobytes()
+    assert not np.frombuffer(want)[zero].any()
+    zero_rows = {tuple(row) for row in block[zero].tolist()}
+    calls = []
+    real = math.fsum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(summation.math, "fsum", lambda row: calls.append(tuple(row)) or real(row))
+        assert [row_sums(view).tobytes() for view in views] == [want, want]
+    assert zero_rows.isdisjoint(calls)
 
 
 def test_a_block_of_zeros_sums_to_zeros(monkeypatch):
@@ -417,7 +461,6 @@ def test_a_block_that_level_1_decides_takes_no_second_level_or_fsum(monkeypatch)
     def unreachable(*args):
         raise AssertionError("level 1 decided every row")
 
-    monkeypatch.setattr(summation, "_level2", unreachable)
     monkeypatch.setattr(summation, "_fsum_rows", unreachable)
     assert row_sums(squares).tobytes() == want[0]
     assert row_sums(values, starts).tobytes() == want[1]
