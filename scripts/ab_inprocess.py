@@ -6,6 +6,7 @@
     python scripts/ab_inprocess.py --base ../parent --workload model-workers2 --workers 7
     python scripts/ab_inprocess.py --base ../parent --workload random-dense --seed 3
     python scripts/ab_inprocess.py --base ../parent --setup
+    python scripts/ab_inprocess.py --base ../parent --setup --workload model-translate
 
 Loads the ``modap`` package of each checkout (``<root>/src/modap``) under
 its own name, builds the chosen workload for both from the same arrays,
@@ -29,16 +30,23 @@ an interior point, seeded by ``--seed``, 11 unless it says otherwise, and
 which ``--n`` does not change).
 Both sides must accept the same constructor and solver arguments.
 
-``--setup`` times ``load_system`` in place of the solves: the random-dense
-arrays are written to a system file in the documented format (``n m``,
-then one line of shortest round-trip floats per row, its bound last),
-each ``--solves`` call loads that file, and the two loaded systems must
-hold the same ``indptr``, ``indices``, ``data`` and ``b`` bytes.
+``--setup`` times the set-up in place of the solves: what ``bench/run.py``
+times as ``setup_s``, the system and the ``DynamicSystemSource`` over it.
+For ``model-translate`` the system is ``generate_model_problem``'s (``--n``
+sets n); for ``random-dense`` the arrays are written to a system file in
+the documented format (``n m``, then one line of shortest round-trip floats
+per row, its bound last), and each ``--solves`` call loads that file with
+``load_system``.  ``model-workers2`` sets up as ``model-translate`` does.
+The two set-up systems must hold the same bytes of their stored rows and
+bounds (``indptr``, ``indices``, ``data``, ``b``) and of what set-up caches
+(``row_norms_sq``, ``row_norms``, ``_norm_thresholds``,
+``_floor_threshold``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import importlib.util
 import json
@@ -88,19 +96,27 @@ def write_system_file(path: Path, a: np.ndarray, b: np.ndarray) -> None:
 
 
 class Side:
-    """One checkout's package, its workload system and one solve."""
+    """One checkout's package, its workload system, one solve and one
+    set-up."""
 
     def __init__(self, pkg, workload: str, arrays, n: int = MODEL_N, workers: int | None = None):
-        self.pkg, self.workload, self.workers = pkg, workload, workers
+        self.pkg, self.workload, self.workers, self.n = pkg, workload, workers, n
         if arrays is None:
-            self.base = pkg.generate_model_problem(pkg.ModelProblemSpec(n=n))
             self.spec = pkg.DynamicsSpec(mode="translation", rate=1.0,
                                          seconds_per_iteration=0.01)
+            self.base = self.setup().base
         else:
-            self.base = pkg.InequalitySystem(*arrays)
             self.spec = pkg.DynamicsSpec(seconds_per_iteration=0.01)
+            self.base = pkg.InequalitySystem(*arrays)
         self.config = pkg.SolverConfig(variant="modap", step_length=1.0, eps=1e-7,
                                        max_iterations=2000, record_trace=True)
+
+    def setup(self, path: Path | None = None):
+        """The source over the model problem or, given ``path``, over the
+        system loaded from that file: ``bench/run.py``'s set-up."""
+        system = (self.pkg.generate_model_problem(self.pkg.ModelProblemSpec(n=self.n))
+                  if path is None else self.pkg.load_system(path))
+        return self.pkg.DynamicSystemSource(system, self.spec)
 
     def solve(self):
         source = self.pkg.DynamicSystemSource(self.base, self.spec)
@@ -123,9 +139,15 @@ def outcome_bits(out) -> tuple:
     return out.status.value, out.iterations, out.solution.tobytes(), repr(trace)
 
 
-def system_bits(system) -> tuple:
-    """A loaded system's stored rows and bounds, as bytes."""
-    return tuple(getattr(system, name).tobytes() for name in ("indptr", "indices", "data", "b"))
+SYSTEM_FIELDS = ("indptr", "indices", "data", "b", "row_norms_sq", "row_norms",
+                 "_norm_thresholds", "_floor_threshold")
+
+
+def system_bits(source) -> tuple:
+    """A set-up source's system: its stored rows, bounds and cached norms and
+    thresholds, as bytes."""
+    system = source.snapshot()
+    return tuple(np.asarray(getattr(system, name)).tobytes() for name in SYSTEM_FIELDS)
 
 
 def main(argv=None) -> int:
@@ -139,7 +161,7 @@ def main(argv=None) -> int:
     parser.add_argument("--solves", type=int, default=40,
                         help="solves (loads, with --setup) per side per round")
     parser.add_argument("--setup", action="store_true",
-                        help="time load_system of the random-dense file, not the solves")
+                        help="time the set-up (generate or load, and the source), not the solves")
     parser.add_argument("--n", type=int, default=MODEL_N,
                         help="the model problem's dimension (model workloads)")
     parser.add_argument("--workers", type=int,
@@ -151,8 +173,8 @@ def main(argv=None) -> int:
         parser.error("--rounds, --solves and --n must be at least 1")
     if args.workers is not None and (args.workload != "model-workers2" or args.workers < 1):
         parser.error("--workers takes a K of at least 1, for --workload model-workers2")
-    if args.setup and args.workload not in (None, "random-dense"):
-        parser.error("--setup loads the random-dense file, the only workload read from one")
+    if args.setup and args.workload == "model-workers2":
+        parser.error("--setup: model-workers2 sets up as model-translate does")
     args.workload = args.workload or ("random-dense" if args.setup else "model-translate")
     if args.seed is not None and args.workload != "random-dense":
         parser.error("--seed seeds the random-dense system, for --workload random-dense")
@@ -163,14 +185,17 @@ def main(argv=None) -> int:
     arrays = None if args.workload.startswith("model") else random_dense(args.seed)
     pkgs = [load_package(root, f"modap_{tag}")
             for tag, root in (("base", args.base), ("head", args.head))]
+    sides = [Side(pkg, args.workload, arrays, args.n, args.workers) for pkg in pkgs]
     with tempfile.TemporaryDirectory() as tmp:
         if args.setup:
-            path = Path(tmp) / "random-dense.txt"
-            write_system_file(path, *arrays)
-            calls = [lambda pkg=pkg: pkg.load_system(path) for pkg in pkgs]
-            bits, what = system_bits, "loaded systems"
+            path = None
+            if arrays is not None:
+                path = Path(tmp) / "random-dense.txt"
+                write_system_file(path, *arrays)
+            calls = [functools.partial(side.setup, path) for side in sides]
+            bits, what = system_bits, "set-up systems"
         else:
-            calls = [Side(pkg, args.workload, arrays, args.n, args.workers).solve for pkg in pkgs]
+            calls = [side.solve for side in sides]
             bits, what = outcome_bits, "solves"
         return compare(args, calls, bits, what, n=args.n if arrays is None else RANDOM_N)
 

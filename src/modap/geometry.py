@@ -28,7 +28,9 @@ Conventions:
   * a row is *violated* by x iff its residual <a_i, x> - b_i is strictly
     positive (equality counts as satisfied);
   * squared row norms are computed once per system and cached, never per
-    call;
+    call; a row that stores one entry a takes ``fl(a a)``, its exactly
+    rounded sum and so the bits :func:`~modap.summation.row_sums` gives its
+    one-entry segment, and only wider rows are summed;
   * every row-level reduction goes through :mod:`modap.summation`, so all
     results are independent of evaluation order and of how the row list is
     partitioned across workers.  A sum over the stored entries has the bits
@@ -189,19 +191,20 @@ class InequalitySystem:
     :func:`modap.dynamics.translate`, whose :class:`Translated` keeps this
     system as it is and shares every array of it.
 
-    The slots hold the stored rows, ``b``, the cached ``row_norms_sq`` and
-    ``row_norms``, and what the row pass's settle test (module docstring)
-    would otherwise rebuild on every pass: the per-row thresholds
-    ``_norm_thresholds`` (theta^n) and the scalar ``_floor_threshold``
-    (theta^d), fixed here, rounded up; and ``_layouts``, each row range's
-    :class:`_Layout`, built on the range's first pass, with
-    ``_layout_rows``, the rows the kept ranges span.  A layout is derived
-    from ``indptr`` and ``n`` alone and holds offsets, not views, so it
-    serves every snapshot that shares the system; the memo holds every
-    range of two row partitions and the whole range, and stays in O(m)
-    however many distinct ranges are passed (:meth:`_estimate`).  The
-    guard against a non-finite or huge estimate is one comparison per pass
-    and stores nothing.
+    The slots hold the stored rows, ``b``, the cached ``row_norms_sq`` (a
+    one-entry row's is its rounded square, the exactly rounded sum that
+    :func:`~modap.summation.row_sums` would give it) and ``row_norms``, and
+    what the row pass's settle test (module docstring) would otherwise
+    rebuild on every pass: the per-row thresholds ``_norm_thresholds``
+    (theta^n) and the scalar ``_floor_threshold`` (theta^d), fixed here,
+    rounded up; and ``_layouts``, each row range's :class:`_Layout`, built on
+    the range's first pass, with ``_layout_rows``, the rows the kept ranges
+    span.  A layout is derived from ``indptr`` and ``n`` alone and holds
+    offsets, not views, so it serves every snapshot that shares the system;
+    the memo holds every range of two row partitions and the whole range,
+    and stays in O(m) however many distinct ranges are passed
+    (:meth:`_estimate`).  The guard against a non-finite or huge estimate is
+    one comparison per pass and stores nothing.
     """
 
     __slots__ = ("n", "indptr", "indices", "data", "b", "row_norms_sq", "row_norms",
@@ -321,17 +324,24 @@ class InequalitySystem:
         return out
 
     def _squared_norms(self) -> np.ndarray:
-        """``||a_i||^2`` of every row (:func:`_dots`), summed over
-        consecutive rows that store at most :data:`_BLOCK_ELEMENTS` entries
-        at a time (one row at least)."""
-        out, lo = [], 0
-        while lo < self.m:
-            hi = int(np.searchsorted(self.indptr, self.indptr[lo] + _BLOCK_ELEMENTS,
-                                     side="right")) - 1
-            rows = range(lo, max(hi, lo + 1))
-            out.append(_dots(rows, self._gather(rows), None, ["its squared norm"])[0])
-            lo = rows[-1] + 1
-        return np.concatenate(out)
+        """``||a_i||^2`` of every row.  A row that stores one entry a takes
+        ``fl(a a)``, the exactly rounded sum of its one square; the rows
+        that store more are summed by :func:`_dots`, as many rows at a time
+        as store at most :data:`_BLOCK_ELEMENTS` entries (one row at
+        least).  Every row has an entry."""
+        firsts = self.data[self.indptr[:-1]]
+        out = firsts * firsts
+        counts = self.indptr[1:] - self.indptr[:-1]
+        wide = np.flatnonzero(counts > 1)
+        ends = np.cumsum(counts[wide])  # the entries stored up to each wide row
+        lo = 0
+        while lo < wide.size:
+            done = ends[lo - 1] if lo else 0
+            hi = max(int(np.searchsorted(ends, done + _BLOCK_ELEMENTS, side="right")), lo + 1)
+            rows = wide[lo:hi]
+            out[rows] = _dots(rows, self._gather(rows), None, ["its squared norm"])[0]
+            lo = hi
+        return out
 
     def __repr__(self) -> str:
         return f"InequalitySystem(m={self.m}, n={self.n}, nnz={self.data.size})"
@@ -423,14 +433,14 @@ def _checked_csr(rows, n: int):
         raise ValueError(f"system must have m >= 1 rows and n >= 1 columns, got "
                          f"({indptr.size - 1}, {n})")
     if (indptr[0] != 0 or indptr[-1] != data.size or indices.size != data.size
-            or (np.diff(indptr) < 0).any()):
+            or (indptr[1:] < indptr[:-1]).any()):
         raise ValueError("CSR indptr must ascend from 0 to len(data) = len(indices)")
-    ascending = np.diff(indices) > 0
+    ascending = indices[1:] > indices[:-1]
     starts = indptr[1:-1]
     ascending[starts[(starts > 0) & (starts < data.size)] - 1] = True  # row boundaries
     if not ascending.all() or (indices < 0).any() or (indices >= n).any():
         raise ValueError(f"CSR columns must lie in [0, {n}) and ascend within each row")
-    if (data == 0.0).any():
+    if not data.all():
         raise ValueError("CSR rows must store no zero coefficient")
     return indptr, indices, data
 
@@ -439,9 +449,11 @@ def _index_array(part, what: str) -> np.ndarray:
     """``part`` as a 1-D intp copy; a value that is not an integer raises
     ``ValueError`` instead of being truncated."""
     raw = np.asarray(part).reshape(-1)
+    if raw.dtype.kind in "biu":
+        return raw.astype(np.intp)
     with np.errstate(invalid="ignore"):  # nan and inf are reported below
         out = raw.astype(np.intp)
-    if raw.dtype.kind not in "biu" and not (out == raw).all():
+    if not (out == raw).all():
         raise ValueError(f"CSR {what} must be integers")
     return out
 

@@ -93,17 +93,14 @@ def generate_model_problem(spec: ModelProblemSpec) -> InequalitySystem:
     n = spec.n
     # [I; -I; 1; -1] as CSR rows: its 4n non-zeros, one per row and then
     # two full rows
-    indptr = np.concatenate([np.arange(2 * n + 1), [3 * n, 4 * n]])
-    indices = np.tile(np.arange(n), 4)
-    data = np.repeat([1.0, -1.0, 1.0, -1.0], n)
-    b = np.concatenate(
-        [
-            np.full(n, spec.box_upper),
-            np.zeros(n),
-            [spec.sum_upper],
-            [-spec.sum_lower],
-        ]
-    )
+    indptr = np.arange(2 * n + 3)
+    indptr[-2:] = 3 * n, 4 * n
+    indices = np.arange(4 * n) % n
+    data = np.ones(4 * n)
+    data[n:2 * n] = data[3 * n:] = -1.0
+    b = np.zeros(2 * n + 2)
+    b[:n] = spec.box_upper
+    b[-2:] = spec.sum_upper, -spec.sum_lower
     return InequalitySystem((indptr, indices, data), b, n=n)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -279,9 +280,9 @@ def test_sum_kernel_script_runs(tmp_path):
     paths = {tuple(c["shape"]): c["path"] for c in record["workload_shapes"]}
     assert paths[(1, 100)] == "fsum" and paths[(1, 1000)] == "vectorised"
     assert paths[(243, 100)] == "vectorised"
-    # the model problem's set-up squares, summed as segments
-    (squares,) = record["segment_shapes"]
-    assert squares["segments"] == [[2000, 1], [2, 1000]] and squares["path"] == "vectorised"
+    # the model problem's set-up squares: its two full rows, one block
+    (squares,) = record["setup_shapes"]
+    assert squares["shape"] == [2, 1000] and squares["path"] == "vectorised"
     assert record["crossover"]["small_block"] == SMALL_BLOCK
     assert [c["rows"] for c in record["rounded_rows"]][:2] == [1, 2]
     assert record["rounded_crossover"]["few_rows"] == FEW_ROWS
@@ -319,6 +320,34 @@ def test_ab_inprocess_setup_compares_the_loaded_systems():
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["workload"] == "random-dense" and record["setup"] is True
     assert record["n"] == 100 and record["iterations"] is None and record["rounds"] == 1
+
+
+def test_ab_inprocess_setup_compares_the_cached_thresholds(tmp_path):
+    """The model set-up is compared too, down to the cached settle threshold:
+    a base tree whose theta^d alone differs fails both set-ups."""
+    root = Path(__file__).resolve().parents[1]
+    script = [sys.executable, str(root / "scripts" / "ab_inprocess.py"), "--head", str(root),
+              "--setup", "--rounds", "1", "--solves", "1"]
+    proc = subprocess.run(script + ["--base", str(root), "--workload", "model-translate",
+                                    "--n", "50"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["workload"] == "model-translate" and record["setup"] is True
+    assert record["n"] == 50 and record["iterations"] is None
+
+    source = (root / "src" / "modap" / "geometry.py").read_text()
+    line = "self._floor_threshold = _D_OVER_C * kappa"
+    assert line in source
+    (tmp_path / "src").mkdir()
+    shutil.copytree(root / "src" / "modap", tmp_path / "src" / "modap")
+    (tmp_path / "src" / "modap" / "geometry.py").write_text(source.replace(line, line + " * 2.0"))
+    for workload in (["--workload", "model-translate", "--n", "50"], []):
+        proc = subprocess.run(script + ["--base", str(tmp_path)] + workload,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and "set-up systems differ" in proc.stderr
+    proc = subprocess.run(script + ["--base", str(root), "--workload", "model-workers2"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and "--setup" in proc.stderr
 
 
 def test_ab_inprocess_workers_sets_the_engines_row_blocks():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import one_iteration
-from modap import InequalitySystem, ModelProblemSpec, generate_model_problem, summation
+from modap import (InequalitySystem, ModelProblemSpec, generate_model_problem, geometry,
+                   summation)
 from modap.dynamics import translate
 from modap.geometry import (_BLOCK_ELEMENTS, eps_membership, max_relative_violation,
                             vector_norms, violated_slices)
@@ -35,6 +36,23 @@ def system_strategy(max_n=5, max_m=6):
         return InequalitySystem(a, b), x
 
     return build()
+
+
+@st.composite
+def one_entry_mixes(draw):
+    """``(n, rows, block, bad)``: CSR rows as (first column, entries) pairs,
+    one-entry rows among them, some of whose squares are subnormal; a chunk
+    size in entries; and None or a one-entry row (index, entry) to insert,
+    whose square overflows or underflows."""
+    n = draw(st.integers(2, 6))
+    one = st.sampled_from([1.0, -1.0, 1e-160, -1e-160, 3e-155, 1e100, -7.5]).map(lambda a: (a,))
+    magnitude = st.floats(min_value=1e-160, max_value=1e100)
+    many = st.lists(magnitude | magnitude.map(lambda a: -a), min_size=2, max_size=n)
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), one | many.map(tuple)),
+                         min_size=1, max_size=12))
+    bad = draw(st.none() | st.tuples(st.integers(0, len(rows)),
+                                     st.sampled_from([1e200, -1e170, 1e-170, -1e-170])))
+    return n, rows, draw(st.integers(1, 8)), bad
 
 
 class TestInequalitySystem:
@@ -64,6 +82,50 @@ class TestInequalitySystem:
             want = oracles.row_pass(oracles.translate(sys, v), x)
             assert got[0].shape[0] > 100
             assert (got[0].tobytes(), got[1]) == (want[0].tobytes(), want[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(one_entry_mixes())
+    @example((3, [(0, (-3.0,)), (1, (2.0, 1e-160)), (2, (1e-160,))], 2, None))  # 1e-320
+    @example((2, [(0, (1.0, 1.0)), (1, (2.0,)), (0, (1.0, 5.0))], 1, (0, 1e200)))
+    @example((2, [(0, (1.0, 1.0))], 4, (1, -1e-170)))
+    def test_one_entry_rows_take_their_square(self, mix):
+        """A row that stores one entry has its exactly rounded square as its
+        cached squared norm, and its overflow or underflow is reported by
+        row; the wider rows are summed in chunks of at most ``block``
+        entries, so they are gathered apart from the one-entry rows."""
+        n, rows, block, bad = mix
+        rows = [(min(first, n - len(values)), values) for first, values in rows]
+        if bad is not None:
+            rows.insert(bad[0], (0, (bad[1],)))
+        indptr = np.cumsum([0] + [len(values) for _, values in rows])
+        indices = [first + j for first, values in rows for j in range(len(values))]
+        values = [value for _, row in rows for value in row]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_BLOCK_ELEMENTS", block)
+            if bad is not None:
+                way = "overflows" if abs(bad[1]) > 1.0 else "underflows"
+                with pytest.raises(ValueError, match=f"^row {bad[0]}: its squared norm "
+                                                     f"{way} float64$"):
+                    InequalitySystem((indptr, indices, values), np.ones(len(rows)), n=n)
+                return
+            sys = InequalitySystem((indptr, indices, values), np.ones(len(rows)), n=n)
+        want = [math.fsum(value * value for value in row) for _, row in rows]
+        assert sys.row_norms_sq.tobytes() == np.array(want).tobytes()
+
+    def test_model_set_up_sums_only_its_two_full_rows(self, monkeypatch):
+        # the 2000 one-entry rows take their squares; row_sums sees the two
+        # slab rows as one (2, 1000) block
+        calls = []
+        real = geometry.row_sums
+
+        def counting(values, starts=None):
+            calls.append((values.shape, starts))
+            return real(values, starts)
+
+        monkeypatch.setattr(geometry, "row_sums", counting)
+        sys = generate_model_problem(ModelProblemSpec(n=1000))
+        assert calls == [((2, 1000), None)]
+        assert sys.row_norms_sq.tolist() == [1.0] * 2000 + [1000.0, 1000.0]
 
     def test_csr_rows_equal_the_dense_input(self):
         rng = np.random.default_rng(3)
