@@ -22,6 +22,15 @@ exactly rounded (:func:`modap.summation.column_sums`).  An exactly rounded
 sum depends only on the multiset of addends, and a maximum is exact, so
 the step and the stop decision are bit-identical to the sequential
 engine's for every worker count and report order.
+
+A superstep's fixed costs do not grow with K.  The point is prepared for
+the snapshot's settle test once per superstep (``x - v`` and the norm bound
+S, see :mod:`modap.geometry`), and every block's pass reads it, so a block
+does no O(n) work beyond its own rows.  The reports are stacked only when
+two or more blocks hold violated rows.  As in the sequential engine, the
+loop runs in one scope that silences floating-point warnings, and neither a
+superstep nor a block pass opens one: each value that leaves float64 is
+caught where it is formed (:mod:`modap.solver`).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from numbers import Integral
 import numpy as np
 
 from .dynamics import as_source
-from .geometry import InequalitySystem
+from .geometry import InequalitySystem, Translated, _point
 from .solver import SolveOutcome, SolverConfig, _run_loop, partial_reduction
 
 __all__ = [
@@ -67,11 +76,13 @@ def partition_rows(m: int, workers: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def compute_report(sys: InequalitySystem, part: range,
-                   x: np.ndarray) -> tuple[np.ndarray, int, float]:
+def compute_report(sys: InequalitySystem, part: range, x: np.ndarray,
+                   point=None) -> tuple[np.ndarray, int, float]:
     """Worker-side math for one superstep over one row range: the
-    :func:`~modap.solver.partial_reduction` of those rows."""
-    return partial_reduction(sys, x, part.start, part.stop)
+    :func:`~modap.solver.partial_reduction` of those rows, reading the
+    superstep's prepared ``point`` (None: prepared here).  The caller
+    silences floating-point warnings."""
+    return partial_reduction(sys, x, part.start, part.stop, point)
 
 
 def combine_reports(
@@ -80,9 +91,12 @@ def combine_reports(
     """Master-side combination of the workers' partial reductions, in any
     order: all their slices stacked, the total count and the largest
     violation, as :func:`~modap.solver.partial_reduction` gives them for
-    every row."""
+    every row.  When at most one report holds rows, its block is returned
+    as it is, not copied."""
     blocks, counts, worsts = zip(*reports)
-    return np.concatenate(blocks), sum(counts), max(worsts)
+    held = [block for block in blocks if len(block)] or blocks[:1]
+    block = held[0] if len(held) == 1 else np.concatenate(held)
+    return block, sum(counts), max(worsts)
 
 
 def superstep(
@@ -90,8 +104,11 @@ def superstep(
 ) -> tuple[np.ndarray, int, float]:
     """One superstep's row pass over explicit row ranges, one range after
     another; with a single range covering every row it is the sequential
-    :func:`~modap.solver.partial_reduction`."""
-    return combine_reports([compute_report(sys, p, x) for p in partitions])
+    :func:`~modap.solver.partial_reduction`.  The point is prepared for the
+    snapshot once, and every range's pass reads it.  The caller silences
+    floating-point warnings."""
+    point = _point(sys.shift if isinstance(sys, Translated) else None, x)
+    return combine_reports([compute_report(sys, p, x, point) for p in partitions])
 
 
 def run_parallel(source, solver_config: SolverConfig | None = None,

@@ -41,7 +41,9 @@ Filtered row passes.  :func:`violated_slices` is the one row pass of an
 iteration: it returns the violated rows' slices and the largest normalized
 violation together, so the step, the membership test and the trace read the
 same evaluation; :func:`eps_membership` and :func:`max_relative_violation`
-are thin wrappers over it.  It starts with one float64 estimate of the
+are thin wrappers over it, which silence floating-point warnings around it;
+the pass itself leaves that to its caller (the solvers' loop holds one scope
+for a whole solve).  It starts with one float64 estimate of the
 residuals of rows [start, stop), ``t = A[start:stop] y - b``, where y = x,
 or ``y = fl(x - v)`` on a system translated by v (a :class:`Translated`, see
 :func:`modap.dynamics.translate`).  The products are read through the
@@ -54,8 +56,10 @@ row is *settled*, proved satisfied and skipped, when
     fl(t_i + T_i) <= 0  and  t_i >= -2^960,    T_i = fl(fl(theta^n_i S) + theta^d).
 
 S is ``||x||`` plus, translated, ``||v||``, each bounded from above by
-:func:`_norm_bound`, and the settle thresholds are fixed when the system is
-built.  With c = (n + 8) 2^-52 and d = (n + 8) 2^-1022,
+:func:`_norm_bound`; y and S depend on the snapshot and x alone, so the
+row ranges of one superstep share them (:func:`_point`).  The settle
+thresholds are fixed when the system is built.  With c = (n + 8) 2^-52 and
+d = (n + 8) 2^-1022,
 
     theta^n_i >= c N_i / (1 - c),    theta^d >= d / (1 - c),
 
@@ -540,15 +544,28 @@ def _norm_bound(v: np.ndarray) -> float:
     return h * _NORM_SLACK + 2.0 ** -1074 if h else 0.0
 
 
-def _unsettled_rows(sys: InequalitySystem, shift, x: np.ndarray, start: int, stop: int):
+def _point(shift, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """x as the settle test reads it on a system translated by ``shift``
+    (None: not translated): ``y = x`` or ``fl(x - v)``, and the bound S on
+    ``||x||`` (+ ``||v||``), see the module docstring.  Every row range of
+    one snapshot and point shares it.  The caller silences floating-point
+    warnings."""
+    if shift is None:
+        return x, _norm_bound(x)
+    return x - shift, _norm_bound(x) + _norm_bound(shift)
+
+
+def _unsettled_rows(sys: InequalitySystem, shift, x: np.ndarray, start: int, stop: int,
+                    point=None):
     """Rows in [start, stop) that the settle test cannot prove satisfied at
     x, for ``sys`` translated by ``shift`` (None: not translated; see the
     module docstring for the test and its proof), ascending and counted
-    from start.  The caller silences floating-point warnings."""
-    t = sys._estimate(x if shift is None else x - shift, start, stop)
+    from start.  ``point`` is :func:`_point`'s ``(y, S)`` for shift and x,
+    formed here when None.  The caller silences floating-point warnings."""
+    y, s = _point(shift, x) if point is None else point
+    t = sys._estimate(y, start, stop)
     t -= sys.b[start:stop]
     settled = t >= -_FILTER_LIMIT
-    s = _norm_bound(x) if shift is None else _norm_bound(x) + _norm_bound(shift)
     if s:
         threshold = sys._norm_thresholds[start:stop] * s
         threshold += sys._floor_threshold
@@ -559,7 +576,7 @@ def _unsettled_rows(sys: InequalitySystem, shift, x: np.ndarray, start: int, sto
 
 def violated_slices(
     snap: InequalitySystem | Translated, x: np.ndarray, start: int = 0,
-    stop: int | None = None,
+    stop: int | None = None, point=None,
 ) -> tuple[np.ndarray, float]:
     """One filtered pass over rows [start, stop) of a system or a
     :class:`Translated` one: the violated rows' slice vectors stacked
@@ -570,39 +587,41 @@ def violated_slices(
     blocks; both must evaluate each row identically for parallel runs to
     reproduce sequential ones bit for bit.  A maximum does not depend on
     order, so the maxima of covering partial passes give the full pass's
-    bits.  The pass writes to nothing it is given.  A row whose exact
-    residual or bound overflows float64 raises ``ValueError`` naming it.
+    bits.  ``point`` is x prepared for the snapshot's settle test, which
+    :func:`modap.bsf_engine.superstep` forms once for all its row ranges;
+    None forms it here.  The pass writes to nothing it is given.  A row
+    whose exact residual or bound overflows float64 raises ``ValueError``
+    naming it.  The caller silences floating-point warnings: a row whose
+    estimate or bound is not finite takes the exact path, and a non-finite
+    slice fails the step's check.
     """
     sys, shift = snap if isinstance(snap, Translated) else (snap, None)
     if stop is None:
         stop = sys.m
-    # one scope for the pass: a row whose estimate or bound is not finite
-    # takes the exact path, and a non-finite slice fails the step's check
-    with np.errstate(all="ignore"):
-        rows = _unsettled_rows(sys, shift, x, start, stop)
-        if not rows.size:
-            return np.zeros((0, sys.n)), 0.0
-        if start:
-            rows += start
-        gathered = sys._gather(rows)
-        if shift is None:
-            (r,) = _dots(rows, gathered, x[None], ["its residual"])
-            r -= sys.b[rows]
-        else:
-            r, bounds = _dots(rows, gathered, np.array((x, shift)),
-                              ["its residual", _BOUND])
-            bounds += sys.b[rows]
-            finite = np.isfinite(bounds)
-            if not finite.all():
-                raise ValueError(f"row {rows[finite.argmin()]}: {_BOUND} overflows float64")
-            r -= bounds
-        # a block is multiplied as it is stored; segments are spread first
-        a = gathered[0] if gathered[2] is None else _scattered(*gathered, sys.n)
-        hit = r > 0.0
-        if np.count_nonzero(hit) < hit.size:  # a fraction of hit.all()'s cost
-            r, rows, a = r[hit], rows[hit], a[hit]
-        block = (r / sys.row_norms_sq[rows])[:, None] * a
-        worst = float((r / sys.row_norms[rows]).max()) if r.size else 0.0
+    rows = _unsettled_rows(sys, shift, x, start, stop, point)
+    if not rows.size:
+        return np.zeros((0, sys.n)), 0.0
+    if start:
+        rows += start
+    gathered = sys._gather(rows)
+    if shift is None:
+        (r,) = _dots(rows, gathered, x[None], ["its residual"])
+        r -= sys.b[rows]
+    else:
+        r, bounds = _dots(rows, gathered, np.array((x, shift)),
+                          ["its residual", _BOUND])
+        bounds += sys.b[rows]
+        finite = np.isfinite(bounds)
+        if not finite.all():
+            raise ValueError(f"row {rows[finite.argmin()]}: {_BOUND} overflows float64")
+        r -= bounds
+    # a block is multiplied as it is stored; segments are spread first
+    a = gathered[0] if gathered[2] is None else _scattered(*gathered, sys.n)
+    hit = r > 0.0
+    if np.count_nonzero(hit) < hit.size:  # a fraction of hit.all()'s cost
+        r, rows, a = r[hit], rows[hit], a[hit]
+    block = (r / sys.row_norms_sq[rows])[:, None] * a
+    worst = float((r / sys.row_norms[rows]).max()) if r.size else 0.0
     return block, worst
 
 
@@ -629,7 +648,9 @@ def max_relative_violation(sys: InequalitySystem | Translated, x) -> float:
     the value then agrees only within rounding, and a decision on a value
     within rounding of eps may differ.
     """
-    return violated_slices(sys, _as_point(x, sys.n))[1]
+    x = _as_point(x, sys.n)
+    with np.errstate(all="ignore"):  # the pass's own rule, see violated_slices
+        return violated_slices(sys, x)[1]
 
 
 def vector_norms(vs: np.ndarray) -> list[float]:

@@ -20,6 +20,12 @@ trace record and the next direction's for a modap step, and takes them from
 one :func:`~modap.geometry.vector_norms` call, so the master's two length-n
 norms are one exact sum per iteration.  The trace record's wall time is read
 right after the pass; the record is completed when its step norm is known.
+
+Floating-point warnings: the whole loop runs in one ``np.errstate(all=
+"ignore")`` scope, and the row pass and the step open none of their own.
+Nothing is lost by that: every value that leaves float64 is caught by an
+explicit check where it is formed (an exact sum that overflows, a bound that
+is not finite, a step that is not finite), each with its own ``ValueError``.
 """
 
 from __future__ import annotations
@@ -122,7 +128,8 @@ class SolveOutcome:
 
 
 def partial_reduction(
-    sys: InequalitySystem, x: np.ndarray, start: int = 0, stop: int | None = None
+    sys: InequalitySystem, x: np.ndarray, start: int = 0, stop: int | None = None,
+    point=None,
 ) -> tuple[np.ndarray, int, float]:
     """The filtered pass over [start, stop): the violated rows' slices
     stacked ``(h, n)``, h, and their largest normalized violation.
@@ -131,9 +138,10 @@ def partial_reduction(
     and any set of covering partial calls give the same rows, so the
     :func:`~modap.summation.column_sums` of their stacked blocks, and the
     maximum of their maxima, are bit-identical.  It adds h to
-    :func:`~modap.geometry.violated_slices`, and raises as it does.
+    :func:`~modap.geometry.violated_slices`, takes its prepared ``point``,
+    and raises as it does; the caller silences floating-point warnings.
     """
-    block, worst = violated_slices(sys, x, start, stop)
+    block, worst = violated_slices(sys, x, start, stop, point)
     return block, block.shape[0], worst
 
 
@@ -160,7 +168,8 @@ def _run_loop(src, config: SolverConfig, evaluate) -> SolveOutcome:
     pass over the snapshot ``sys`` (see :func:`partial_reduction`);
     everything else (membership decision, slice sum, step, source updates,
     bookkeeping) is identical between engines, which is what the bit-level
-    equivalence contract rests on.
+    equivalence contract rests on.  It runs in one scope that silences
+    floating-point warnings (module docstring).
     """
     n = src.snapshot().n
     if config.initial_point is None:
@@ -180,54 +189,54 @@ def _run_loop(src, config: SolverConfig, evaluate) -> SolveOutcome:
     modap = config.variant == VARIANT_MODAP
     t_start = time.perf_counter()
     iterations = 0
-    block, h, violation = evaluate(src.snapshot(), x)
-    step_vec = None  # the last step while its trace record waits for its norm
-    while True:
-        if violation < config.eps:
-            status = SolveStatus.CONVERGED
-        elif iterations >= config.max_iterations:
-            status = SolveStatus.BUDGET_EXHAUSTED
-        else:
-            status = None
-        # the last step's norm and the next direction's are one exact sum
-        stack = [] if step_vec is None else [step_vec]
-        if status is None:
-            y = column_sums(block)
-            if modap:
-                stack.append(y)
-        norms = vector_norms(np.array(stack)) if stack else []
-        if step_vec is not None:
-            trace.append(
-                IterationRecord(
-                    k=iterations,
-                    h=step_h,
-                    step_norm=norms[0],
-                    max_violation=violation,
-                    virtual_time=src.current_time,
-                    wall_time=wall_time,
+    with np.errstate(all="ignore"):  # see the module docstring
+        block, h, violation = evaluate(src.snapshot(), x)
+        step_vec = None  # the last step while its trace record waits for its norm
+        while True:
+            if violation < config.eps:
+                status = SolveStatus.CONVERGED
+            elif iterations >= config.max_iterations:
+                status = SolveStatus.BUDGET_EXHAUSTED
+            else:
+                status = None
+            # the last step's norm and the next direction's are one exact sum
+            stack = [] if step_vec is None else [step_vec]
+            if status is None:
+                y = column_sums(block)
+                if modap:
+                    stack.append(y)
+            norms = vector_norms(np.array(stack)) if stack else []
+            if step_vec is not None:
+                trace.append(
+                    IterationRecord(
+                        k=iterations,
+                        h=step_h,
+                        step_norm=norms[0],
+                        max_violation=violation,
+                        virtual_time=src.current_time,
+                        wall_time=wall_time,
+                    )
                 )
-            )
-        if status is not None:
-            break
-        dt = src.next_elapsed()
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            if status is not None:
+                break
+            dt = src.next_elapsed()
             x_next = _apply_step(x, y, h, config.variant, config.step_length,
                                  norms[-1] if modap else None)
-        if not np.isfinite(x_next).all():
-            raise ValueError(
-                f"iteration {iterations + 1} left float64: the step from the "
-                "violated rows' slices is not finite"
-            )
-        if trace is not None:
-            step_vec = x_next - x
-        x = x_next
-        iterations += 1
-        src.advance(dt)
-        step_h = h
-        block, h, violation = evaluate(src.snapshot(), x)
-        wall_time = time.perf_counter() - t_start
-        if iterates is not None:
-            iterates.append(x.copy())
+            if not np.isfinite(x_next).all():
+                raise ValueError(
+                    f"iteration {iterations + 1} left float64: the step from the "
+                    "violated rows' slices is not finite"
+                )
+            if trace is not None:
+                step_vec = x_next - x
+            x = x_next
+            iterations += 1
+            src.advance(dt)
+            step_h = h
+            block, h, violation = evaluate(src.snapshot(), x)
+            wall_time = time.perf_counter() - t_start
+            if iterates is not None:
+                iterates.append(x.copy())
     return SolveOutcome(
         status=status,
         solution=x.copy(),

@@ -93,7 +93,6 @@ float64.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -119,6 +118,7 @@ FEW_ROWS = 16
 # a block maximum in this range keeps every sigma, bound and gap normal
 _MIN_MAX = 2.0 ** -900
 _MAX_MAX = 2.0 ** 900
+_ones_shared = np.ones(0)  # see _ones
 
 
 def exact_dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -183,12 +183,20 @@ def row_sums(values: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray
     return res
 
 
-@functools.lru_cache(maxsize=8)
 def _ones(n: int) -> np.ndarray:
-    """A read-only vector of n ones, the weights of level 1's two sums."""
-    ones = np.ones(n)
-    ones.flags.writeable = False
-    return ones
+    """A read-only vector of n ones, the weights of level 1's two sums: a
+    view of one shared vector, rebuilt at twice its length or n, whichever
+    is more, when it is shorter than n.  A slice block's width is its h,
+    which changes from pass to pass, so a vector per width would be built
+    on most passes; this builds O(log n) vectors over any run.  Threads
+    that race here at worst build a vector more; each gets its n ones."""
+    global _ones_shared
+    ones = _ones_shared
+    if ones.size < n:
+        ones = np.ones(max(n, 2 * ones.size))
+        ones.flags.writeable = False
+        _ones_shared = ones
+    return ones[:n]
 
 
 def _fsum_rows(values: np.ndarray, starts, which=None) -> np.ndarray:

@@ -96,7 +96,10 @@ def max_relative_violation(sys, x, start=0, stop=None):
     return worst
 
 
-def row_pass(sys, x, start=0, stop=None):
+def row_pass(sys, x, start=0, stop=None, point=None):
+    """:func:`violated_slices` and :func:`max_relative_violation` together,
+    as the package's row pass gives them; ``point``, the package's prepared
+    point, is not read."""
     slices = violated_slices(sys, x, start, stop)
     return (np.array(slices).reshape(len(slices), sys.n),
             max_relative_violation(sys, x, start, stop))

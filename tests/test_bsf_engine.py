@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import modap.bsf_engine as bsf_engine
 import modap.dynamics as dynamics
+import modap.geometry as geometry
 from conftest import brute_force_feasible, random_feasible_system
 import oracles
 from modap import (
@@ -141,6 +142,37 @@ class TestSuperstep:
         )
         assert h == expected
 
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    def test_a_translated_superstep_bounds_its_point_once(self, monkeypatch, workers):
+        # ||x|| and ||v|| are bounded once per superstep, whatever K is, and
+        # the blocks' passes give the bits of one sequential pass
+        sys = dynamics.translate(generate_model_problem(ModelProblemSpec(n=20)),
+                                 np.full(20, 0.5))
+        x = np.arange(20.0) - 3.0
+        want = superstep(sys, x, partition_rows(sys.m, 1))
+        calls = []
+        real = geometry._norm_bound
+
+        def counting_bound(v):
+            calls.append(v)
+            return real(v)
+
+        monkeypatch.setattr(geometry, "_norm_bound", counting_bound)
+        block, h, worst = superstep(sys, x, partition_rows(sys.m, workers))
+        assert len(calls) == 2
+        assert h == want[1] > 0 and worst == want[2]
+        assert block.tobytes() == want[0].tobytes()
+
+    def test_combine_copies_no_lone_block(self):
+        x = np.array([3.0, 0.0])
+        reports = [compute_report(BOX, p, x) for p in partition_rows(BOX.m, 2)]
+        assert reports[1][1] == 0
+        assert combine_reports(reports)[0] is reports[0][0]
+        assert combine_reports(reports[::-1])[0] is reports[0][0]
+        empty = compute_report(BOX, range(0, 2), np.zeros(2))
+        block, h, worst = combine_reports([empty, empty])
+        assert block.shape == (0, 2) and (h, worst) == (0, 0.0)
+
 
 class TestRunParallel:
     def _fresh(self, sys, moving=False):
@@ -190,9 +222,9 @@ class TestRunParallel:
         seen = []
         real_report = bsf_engine.compute_report
 
-        def recording_report(sys, part, x):
+        def recording_report(sys, part, x, point):
             seen.append(sys)
-            return real_report(sys, part, x)
+            return real_report(sys, part, x, point)
 
         monkeypatch.setattr(dynamics, "translate", counting_translate)
         monkeypatch.setattr(bsf_engine, "compute_report", recording_report)
@@ -224,9 +256,9 @@ class TestRunParallel:
         parts = []
         real_report = bsf_engine.compute_report
 
-        def counting_report(sys, part, x):
+        def counting_report(sys, part, x, point):
             parts.append(part)
-            return real_report(sys, part, x)
+            return real_report(sys, part, x, point)
 
         monkeypatch.setattr(bsf_engine, "compute_report", counting_report)
         return parts
@@ -259,10 +291,10 @@ class TestRunParallel:
         fault = RuntimeError("injected fault")
         failing = partition_rows(sys.m, 3)[1].start
 
-        def broken(system, part, x):
+        def broken(system, part, x, point):
             if part.start == failing:
                 raise fault
-            return real(system, part, x)
+            return real(system, part, x, point)
 
         monkeypatch.setattr(bsf_engine, "compute_report", broken)
         with pytest.raises(RuntimeError) as info:
@@ -276,10 +308,10 @@ class TestRunParallel:
         real = bsf_engine.compute_report
         failing = partition_rows(sys.m, 2)[1].start
 
-        def exiting(system, part, x):
+        def exiting(system, part, x, point):
             if part.start == failing:
                 raise SystemExit(3)
-            return real(system, part, x)
+            return real(system, part, x, point)
 
         monkeypatch.setattr(bsf_engine, "compute_report", exiting)
         raised = []

@@ -449,21 +449,23 @@ def test_a_solve_from_the_origin_calls_no_hypot(monkeypatch):
 def test_an_overflowing_translated_row_names_its_sum():
     # the products 2^1023 are finite and their sums overflow; every row's
     # estimate is infinite, so the filter leaves it to the exact path
-    big = 2.0 ** 510
-    both = translate(InequalitySystem([[big, big]], [0.0]), np.full(2, 2.0 ** 513))
-    with pytest.raises(ValueError, match="^row 0: its residual overflows"):
-        violated_slices(both, np.full(2, 2.0 ** 513))
-    with pytest.raises(ValueError, match="^row 0: its translated bound overflows"):
-        violated_slices(both, np.zeros(2))
-    # row 0's bound and row 1's residual overflow: the residuals go first
-    two = translate(InequalitySystem([[big, big], [big, -big]], [0.0, 0.0]),
-                    np.full(2, 2.0 ** 513))
-    with pytest.raises(ValueError, match="^row 1: its residual overflows"):
-        violated_slices(two, np.array([2.0 ** 513, -2.0 ** 513]))
-    # the sum is finite and the bound's last addition overflows
-    last = translate(InequalitySystem([[1.0, 0.0]], [1.5e308]), np.array([1e308, 0.0]))
-    with pytest.raises(ValueError, match="^row 0: its translated bound overflows"):
-        violated_slices(last, np.zeros(2))
+    # the internal pass leaves silencing floating-point warnings to its caller
+    with np.errstate(all="ignore"):
+        big = 2.0 ** 510
+        both = translate(InequalitySystem([[big, big]], [0.0]), np.full(2, 2.0 ** 513))
+        with pytest.raises(ValueError, match="^row 0: its residual overflows"):
+            violated_slices(both, np.full(2, 2.0 ** 513))
+        with pytest.raises(ValueError, match="^row 0: its translated bound overflows"):
+            violated_slices(both, np.zeros(2))
+        # row 0's bound and row 1's residual overflow: the residuals go first
+        two = translate(InequalitySystem([[big, big], [big, -big]], [0.0, 0.0]),
+                        np.full(2, 2.0 ** 513))
+        with pytest.raises(ValueError, match="^row 1: its residual overflows"):
+            violated_slices(two, np.array([2.0 ** 513, -2.0 ** 513]))
+        # the sum is finite and the bound's last addition overflows
+        last = translate(InequalitySystem([[1.0, 0.0]], [1.5e308]), np.array([1e308, 0.0]))
+        with pytest.raises(ValueError, match="^row 0: its translated bound overflows"):
+            violated_slices(last, np.zeros(2))
 
 
 def test_a_translated_pass_takes_one_view_and_one_sum(monkeypatch):
@@ -822,8 +824,8 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     real_advance = DynamicSystemSource.advance
     exact_rows = threading.local()
 
-    def counting_unsettled(sys, shift, x, start, stop):
-        rows = real_unsettled(sys, shift, x, start, stop)
+    def counting_unsettled(sys, shift, x, start, stop, point):
+        rows = real_unsettled(sys, shift, x, start, stop, point)
         passes.append((sys, shift, np.array(x), start, stop, len(rows),
                        threading.current_thread()))
         exact_rows.rows = rows + start
@@ -831,10 +833,10 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
 
     pass_reads = []
 
-    def counting_pass(snap, x, start=0, stop=None):
+    def counting_pass(snap, x, start, stop, point):
         me = threading.get_ident()
         before = _CountingEntries.on_thread(me)
-        result = real_pass(snap, x, start, stop)
+        result = real_pass(snap, x, start, stop, point)
         sys, shift = _parts(snap)
         stop = sys.m if stop is None else stop
         rows = exact_rows.rows

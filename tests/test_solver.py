@@ -301,10 +301,12 @@ def test_a_traced_modap_solve_takes_one_norm_sum_per_row_pass(monkeypatch):
     assert stacks == []  # nor does an untraced ap solve norm anything
 
 
-def test_a_model_solve_enters_one_error_state_per_pass_step_and_norm_sum(monkeypatch):
-    # the benchmark's model-translate solve: 5 iterations, so 6 row passes
-    # (each holds one scope around its filter, exact path and slices), 5
-    # steps and 6 stacked norm sums; nothing else enters a scope
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_model_solve_enters_one_error_state_and_one_per_norm_sum(monkeypatch, workers):
+    # the benchmark's model-translate solve, sequential and in two row
+    # blocks: 5 iterations, so 6 stacked norm sums, each in the scope of
+    # vector_norms, and one scope around the whole loop, in which neither a
+    # row pass, a superstep nor a step opens one
     entries = []
 
     class Counting(np.errstate):
@@ -316,9 +318,13 @@ def test_a_model_solve_enters_one_error_state_per_pass_step_and_norm_sum(monkeyp
                                  DynamicsSpec(mode="translation", rate=1.0,
                                               seconds_per_iteration=0.01))
     monkeypatch.setattr(np, "errstate", Counting)
-    out = solve(source, SolverConfig(record_trace=True))
+    config = SolverConfig(record_trace=True)
+    if workers:
+        out = run_parallel(source, config, EngineConfig(workers=workers))
+    else:
+        out = solve(source, config)
     assert out.iterations == 5
-    assert len(entries) == 6 + 5 + 6
+    assert len(entries) == 1 + 6
 
 
 # x <= 0 and x >= 1: at x = 0.5 both rows are violated and their slices cancel

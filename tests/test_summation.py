@@ -592,3 +592,19 @@ def test_row_sums_of_few_rows_equal_fsum(args):
     assert args[0].size >= SMALL_BLOCK
     oracle = _fsum_rows if len(args) == 1 else _fsum_segments
     assert _bits(row_sums, *args) == _bits(oracle, *args)
+
+
+def test_level_1_weights_are_views_of_few_vectors(monkeypatch):
+    # a slice block's width is h, which changes from pass to pass: every
+    # width reads one shared read-only vector, rebuilt O(log width) times
+    monkeypatch.setattr(summation, "_ones_shared", np.ones(0))
+    rng = np.random.default_rng(5)
+    built = {}  # by id, holding each vector so that no id is reused
+    for width in [*range(SMALL_BLOCK // 2, 1500), 700, 3, 1400]:
+        values = rng.standard_normal((2, width))
+        got = row_sums(values)
+        assert got.tobytes() == np.array([math.fsum(r) for r in values.tolist()]).tobytes()
+        built[id(summation._ones_shared)] = summation._ones_shared
+    assert len(built) <= 1 + math.ceil(math.log2(1500 / (SMALL_BLOCK // 2)))
+    ones = summation._ones(1000)
+    assert not ones.flags.writeable and ones.shape == (1000,) and (ones == 1.0).all()
