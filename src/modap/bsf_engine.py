@@ -28,9 +28,10 @@ the snapshot's settle test once per superstep (``x - v`` and the norm bound
 S, see :mod:`modap.geometry`), and every block's pass reads it, so a block
 does no O(n) work beyond its own rows.  The reports are stacked only when
 two or more blocks hold violated rows.  As in the sequential engine, the
-loop runs in one scope that silences floating-point warnings, and neither a
-superstep nor a block pass opens one: each value that leaves float64 is
-caught where it is formed (:mod:`modap.solver`).
+loop runs in one scope that silences floating-point warnings, and no
+superstep, block pass or norm sum opens one, so a solve enters one scope at
+any K: each value that leaves float64 is caught where it is formed
+(:mod:`modap.solver`).
 """
 
 from __future__ import annotations

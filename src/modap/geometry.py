@@ -175,8 +175,6 @@ _BOUND = "its translated bound"
 # the squared norms are summed over consecutive rows storing at most this
 # many entries at a time, so their temporaries stay near 0.5 MB each
 _BLOCK_ELEMENTS = 2 ** 16
-# a system keeps the layouts of ranges spanning at most this many times m rows
-_LAYOUT_SPANS = 3
 
 
 class InequalitySystem:
@@ -202,17 +200,15 @@ class InequalitySystem:
     rebuild on every pass: the per-row thresholds ``_norm_thresholds``
     (theta^n) and the scalar ``_floor_threshold`` (theta^d), fixed here,
     rounded up; and ``_layouts``, each row range's :class:`_Layout`, built on
-    the range's first pass, with ``_layout_rows``, the rows the kept ranges
-    span.  A layout is derived from ``indptr`` and ``n`` alone and holds
-    offsets, not views, so it serves every snapshot that shares the system;
-    the memo holds every range of two row partitions and the whole range,
-    and stays in O(m) however many distinct ranges are passed
-    (:meth:`_estimate`).  The guard against a non-finite or huge estimate is
-    one comparison per pass and stores nothing.
+    the range's first pass and kept.  A layout is derived from ``indptr``
+    and ``n`` alone and holds offsets, not views, so it serves every
+    snapshot that shares the system (:meth:`_estimate`).  The guard against
+    a non-finite or huge estimate is one comparison per pass and stores
+    nothing.
     """
 
     __slots__ = ("n", "indptr", "indices", "data", "b", "row_norms_sq", "row_norms",
-                 "_norm_thresholds", "_floor_threshold", "_layouts", "_layout_rows")
+                 "_norm_thresholds", "_floor_threshold", "_layouts")
 
     def __init__(self, a, b, *, n: int | None = None):
         if n is None:
@@ -254,7 +250,7 @@ class InequalitySystem:
         norm_bounds = np.sqrt(norms_sq + (n + 1) * _MIN_NORMAL) * _NORM_SLACK
         self._norm_thresholds = norm_bounds * kappa
         self._floor_threshold = _D_OVER_C * kappa
-        self._layouts, self._layout_rows = {}, 0
+        self._layouts = {}
 
     @property
     def m(self) -> int:
@@ -300,22 +296,13 @@ class InequalitySystem:
         ``np.add.reduceat`` over the segments of the wider rows only, with
         the bits of one ``np.add.reduceat`` over every segment.
 
-        The memo keeps ranges that span at most :data:`_LAYOUT_SPANS` times
-        m rows in all, an empty range counting as one, and drops the range
-        built first when a new one would exceed that.  A partition of the
-        rows into non-empty ranges spans m rows whatever its number of
-        ranges, so the ranges of two partitions and the whole range always
-        fit and each is built once, while many distinct ranges keep the
-        memo's size in O(m)."""
+        The memo keeps every range it builds.  A solve reads the whole range
+        or the K ranges of its engine's partition, so a system that the
+        sequential solver and one K-block engine share holds K + 1 layouts."""
         layout = self._layouts.get((start, stop))
         if layout is None:
             layout = _range_layout(self.indptr[start:stop + 1], self.n)
             self._layouts[start, stop] = layout
-            self._layout_rows += max(stop - start, 1)
-            while self._layout_rows > _LAYOUT_SPANS * self.m:
-                lo, hi = next(iter(self._layouts))
-                del self._layouts[lo, hi]
-                self._layout_rows -= max(hi - lo, 1)
         first, last, block, starts, wide, cuts = layout
         values = self.data[first:last]
         if block:
@@ -664,9 +651,10 @@ def vector_norms(vs: np.ndarray) -> list[float]:
     overflows) is then scaled by a power of two on its own, so a non-zero
     vector never gets norm 0, nor inf unless its norm exceeds the float64
     range; a vector holding ``inf`` has norm inf, one holding ``nan`` nan.
+    The caller silences floating-point warnings (the solvers' loop holds
+    one scope for a whole solve); an overflowing square is still rescaled.
     """
-    with np.errstate(over="ignore"):  # an infinite square is rescaled below
-        squares = vs * vs
+    squares = vs * vs
     try:
         sums = row_sums(squares).tolist()
     except OverflowError:  # the squares are non-negative: some row's sum overflows

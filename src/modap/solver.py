@@ -22,10 +22,12 @@ norms are one exact sum per iteration.  The trace record's wall time is read
 right after the pass; the record is completed when its step norm is known.
 
 Floating-point warnings: the whole loop runs in one ``np.errstate(all=
-"ignore")`` scope, and the row pass and the step open none of their own.
-Nothing is lost by that: every value that leaves float64 is caught by an
-explicit check where it is formed (an exact sum that overflows, a bound that
-is not finite, a step that is not finite), each with its own ``ValueError``.
+"ignore")`` scope, and the row pass, the norm sums and the step open none of
+their own, so a solve enters one scope.  Nothing is lost by that: every
+value that leaves float64 is caught by an explicit check where it is formed
+(an exact sum that overflows, a bound that is not finite, a step that is
+not finite), each with its own ``ValueError``, and a norm whose square
+overflows is rescaled.
 """
 
 from __future__ import annotations

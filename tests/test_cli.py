@@ -403,6 +403,38 @@ def test_fsum_fallback_counts_the_rows_left_to_fsum():
     assert 0 < dense["fallback_calls"] <= dense["fallback_rows"] < 180
 
 
+def test_workload_lines_names_the_statements_a_solve_never_runs():
+    root = Path(__file__).resolve().parents[1]
+    script = [sys.executable, str(root / "scripts" / "workload_lines.py")]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(script + ["--workload", "model-translate"], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["status"] == "converged" and record["iterations"] == 5
+    modules = record["modules"]
+    assert set(modules) == {f"modap.{p.stem}" for p in (root / "src" / "modap").glob("*.py")}
+    # the solve never reaches the CLI, nor eps_membership's guard, but its
+    # loop norms every iteration and the import runs each module's defs
+    cli = modules["modap.cli"]
+    assert 0 < len(cli["unrun"]) == cli["statements"]
+    source = (root / "src" / "modap" / "geometry.py").read_text().splitlines()
+    lines = {text.strip(): i for i, text in enumerate(source, start=1)}
+    unrun = set(modules["modap.geometry"]["unrun"])
+    assert lines['raise ValueError(f"eps must be positive, got {eps}")'] in unrun
+    assert lines["squares = vs * vs"] not in unrun
+    assert lines["def vector_norms(vs: np.ndarray) -> list[float]:"] not in unrun
+    assert all(source[i - 1].strip() and not source[i - 1].lstrip().startswith("#")
+               for i in unrun)
+    # a global declaration runs no line of its own, so it is not a statement line
+    summation = (root / "src" / "modap" / "summation.py").read_text().splitlines()
+    declared = [i for i, text in enumerate(summation, start=1)
+                if text.strip().startswith("global ")]
+    assert declared and not set(declared) & set(modules["modap.summation"]["unrun"])
+    proc = subprocess.run(script + ["--seed", "3"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and "--seed" in proc.stderr
+
+
 def test_bad_arguments_exit_one():
     proc = subprocess.run(
         [sys.executable, "-m", "modap", "solve", "--variant", "fastest"],

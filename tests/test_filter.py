@@ -677,21 +677,12 @@ def test_each_range_layout_is_built_once_per_system(monkeypatch):
                      EngineConfig(workers=2))
     solve(DynamicSystemSource(src.base, src.spec), SolverConfig())
     assert built == [(0, 51), (51, 200), (0, 200)]
-    # many distinct ranges: the memo drops the ranges built first, and the
-    # rows its ranges span stay within _LAYOUT_SPANS times m
-    sys = src.base
-    for start in range(sys.m - 2):
-        violated_slices(sys, np.zeros(50), start, start + 3)
-    spans = [max(hi - lo, 1) for lo, hi in sys._layouts]
-    assert sum(spans) == sys._layout_rows <= geometry._LAYOUT_SPANS * sys.m
-    assert list(sys._layouts) == [(start, start + 3) for start in range(sys.m - 2)][-len(spans):]
 
 
 @pytest.mark.parametrize("workers", [17, 32, 102])
 def test_every_range_of_two_partitions_stays_memoised(monkeypatch, workers):
-    # a partition spans m rows however many ranges it has, so a K-range
-    # solve, a second partition and the sequential pass's whole range all
-    # stay memoised: each layout is built once
+    # a K-range solve, a second partition and the sequential pass's whole
+    # range all stay memoised: each layout is built once
     built = []
     real = geometry._range_layout
 
@@ -707,6 +698,36 @@ def test_every_range_of_two_partitions_stays_memoised(monkeypatch, workers):
     solve(DynamicSystemSource(src.base, src.spec), SolverConfig())
     assert len(built) == len(set(built)) == workers + 2 + 1
     assert len(src.base._layouts) == workers + 2 + 1
+
+
+def test_a_k_sweep_keeps_every_layout(monkeypatch):
+    # two sweeps of the engine over K and a sequential solve on one system:
+    # every distinct row range is built once and kept, and every K solves
+    # to the sequential bits
+    built = collections.Counter()
+    real = geometry._range_layout
+
+    def range_layout(bounds, n):
+        built[int(bounds[0]), int(bounds[-1])] += 1
+        return real(bounds, n)
+
+    monkeypatch.setattr(geometry, "_range_layout", range_layout)
+    src = _model_source(50)
+    sys = src.base
+    config = SolverConfig(record_iterates=True)
+    want = [p.tobytes() for p in solve(DynamicSystemSource(sys, src.spec), config).iterates]
+    sweep = (1, 2, 4, 8, 16, 32, 64, 102)
+    for _ in range(2):
+        for k in sweep:
+            out = run_parallel(DynamicSystemSource(sys, src.spec), config,
+                               EngineConfig(workers=k))
+            assert [p.tobytes() for p in out.iterates] == want, k
+    # K = 1 shares the whole range with the sequential pass, and K = 64's
+    # 26 one-row ranges are K = 102's
+    ranges = {(r.start, r.stop) for k in sweep for r in partition_rows(sys.m, k)}
+    assert len(ranges) == sum(sweep) - 26 == 203
+    assert set(sys._layouts) == ranges
+    assert len(built) == 203 and set(built.values()) == {1}
 
 
 @pytest.mark.parametrize("translated", [False, True])
