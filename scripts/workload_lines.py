@@ -12,12 +12,19 @@ of the imported package.  The import, the set-up and the solve run in the
 calling thread, as the engine does.  ``random-dense`` is also loaded from a
 system file with ``load_system``, the benchmark's set-up.
 
+The solve alone also counts the calls of ``summation._fsum_rows``, which
+sums rows one ``math.fsum`` at a time, and the rows they take:
+``fallback_calls`` and ``fallback_rows`` for the rows that ``row_sums``'
+level 1 left undecided, ``whole_calls`` and ``whole_rows`` for blocks
+handed over whole (fewer addends than ``SMALL_BLOCK``, or a largest
+magnitude outside the vectorised range).
+
 A module's statement lines are the first lines of its statements, found
 with ``ast``; docstrings and ``global`` or ``nonlocal`` declarations,
 which run no line of their own, are left out.
-Prints one JSON object: the workload, the solve's status and iteration
-count, and for each module its number of statement lines and those that
-never ran, ascending.  Uses the standard library only.
+Prints one JSON object: the workload, the solve's status, iteration count
+and ``math.fsum`` tally, and for each module its number of statement lines
+and those that never ran, ascending.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -79,8 +86,29 @@ def traced(call, root: Path):
     return result, ran
 
 
+def fsum_tally(summation, call):
+    """``call()``'s result and the calls and rows that
+    ``summation._fsum_rows`` took during it, by kind."""
+    tally = {"fallback_calls": 0, "fallback_rows": 0, "whole_calls": 0, "whole_rows": 0}
+    real = summation._fsum_rows
+
+    def fsum_rows(values, starts, which=None):
+        out = real(values, starts, which)
+        kind = "whole" if which is None else "fallback"
+        tally[f"{kind}_calls"] += 1
+        tally[f"{kind}_rows"] += out.size
+        return out
+
+    summation._fsum_rows = fsum_rows
+    try:
+        return call(), tally
+    finally:
+        summation._fsum_rows = real
+
+
 def run(workload: str, seed: int | None = None):
-    """Import ``modap``, set up ``workload`` and solve it once."""
+    """Import ``modap``, set up ``workload`` and solve it once; the solve's
+    outcome and its :func:`fsum_tally`."""
     modap = importlib.import_module("modap")
     arrays = random_dense(seed) if workload == "random-dense" else None
     side = Side(modap, workload, arrays, workers=2 if workload == "model-workers2" else None)
@@ -89,7 +117,7 @@ def run(workload: str, seed: int | None = None):
             path = Path(tmp) / "random-dense.txt"
             write_system_file(path, *arrays)
             side.setup(path)
-    return side.solve()
+    return fsum_tally(importlib.import_module("modap.summation"), side.solve)
 
 
 def unrun_lines(workload: str, seed: int | None = None) -> dict:
@@ -101,14 +129,14 @@ def unrun_lines(workload: str, seed: int | None = None) -> dict:
     if spec is None or not spec.submodule_search_locations:
         raise RuntimeError("no modap package on the path; set PYTHONPATH=src")
     root = Path(spec.submodule_search_locations[0]).resolve()
-    outcome, ran = traced(lambda: run(workload, seed), root)
+    (outcome, tally), ran = traced(lambda: run(workload, seed), root)
     modules = {}
     for path in sorted(root.glob("*.py")):
         lines = statement_lines(path)
         never = sorted(lines - ran.get(path, set()))
         modules[f"modap.{path.stem}"] = {"statements": len(lines), "unrun": never}
     return {"workload": workload, "seed": seed, "status": outcome.status.value,
-            "iterations": outcome.iterations, "modules": modules}
+            "iterations": outcome.iterations, **tally, "modules": modules}
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,10 @@ stores the coefficient rows once, in compressed sparse row (CSR) form:
 row i's non-zero coefficients are ``data[indptr[i]:indptr[i + 1]]``, in the
 strictly ascending columns ``indices[indptr[i]:indptr[i + 1]]``.  Exact
 zeros, ``+0.0`` and ``-0.0``, are not stored, so every kernel below reads
-only the stored entries and costs O(nnz) rather than O(m n).  One method,
+only the stored entries and costs O(nnz) rather than O(m n).  A system whose
+every row is fully stored (``nnz = m n``) keeps no column array: its
+columns are ``0, ..., n - 1`` in each row, and ``indices`` builds them on
+each read.  One method,
 :meth:`InequalitySystem._gather`, reads a row set, in one of two forms.
 When every row from its first to its last is fully stored (``nnz_i = n``),
 the rows are one ``(h, n)`` block: a 2-D view of ``data`` (not a second
@@ -184,9 +187,12 @@ class InequalitySystem:
     ``InequalitySystem(a, b)`` takes a dense ``(m, n)`` array-like;
     ``InequalitySystem((indptr, indices, data), b, n=n)`` takes the CSR
     rows of an m x n matrix (see the module docstring), which must store no
-    zero.  Either way the system keeps ``indptr`` and ``indices`` as intp
-    and ``data`` as float64, without exact zeros.  :attr:`a` builds the
-    dense matrix on each read; set-up and the row pass never do.
+    zero.  Either way the system keeps ``indptr`` as intp, ``data`` as
+    float64, without exact zeros, and the columns ``_indices`` as intp, or
+    None when every row is fully stored: such rows are only read as
+    ``(h, n)`` views of ``data``.  :attr:`indices` gives the columns, built
+    on each read when none are kept, and :attr:`a` the dense matrix, built
+    on each read; set-up and the row pass read neither.
 
     Every coefficient row must be non-zero, every coefficient and bound
     finite.  Instances are treated as immutable: a translation goes through
@@ -207,7 +213,7 @@ class InequalitySystem:
     nothing.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "b", "row_norms_sq", "row_norms",
+    __slots__ = ("n", "indptr", "_indices", "data", "b", "row_norms_sq", "row_norms",
                  "_norm_thresholds", "_floor_threshold", "_layouts")
 
     def __init__(self, a, b, *, n: int | None = None):
@@ -223,7 +229,8 @@ class InequalitySystem:
             )
         for i in np.flatnonzero(~np.isfinite(b)).tolist():
             raise ValueError(f"bound of row {i} is not finite: {float(b[i])!r}")
-        self.n, self.indptr, self.indices, self.data, self.b = n, indptr, indices, data, b
+        self.n, self.indptr, self.data, self.b = n, indptr, data, b
+        self._indices = None if data.size == m * n else indices
         bad = np.flatnonzero(~np.isfinite(data))
         if bad.size:
             row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
@@ -257,6 +264,14 @@ class InequalitySystem:
         return self.indptr.size - 1
 
     @property
+    def indices(self) -> np.ndarray:
+        """The stored entries' columns (intp); for a fully stored system,
+        which keeps none, ``np.tile(np.arange(n), m)`` built on each read."""
+        if self._indices is None:
+            return np.tile(np.arange(self.n, dtype=np.intp), self.m)
+        return self._indices
+
+    @property
     def a(self) -> np.ndarray:
         """The dense ``(m, n)`` coefficient matrix, built anew on each read."""
         return _scattered(*self._gather(range(self.m)), self.n)
@@ -280,13 +295,13 @@ class InequalitySystem:
             block = self.data[first:last].reshape(hi - lo, self.n)
             return block if consecutive else block.take(rows - lo, axis=0), None, None
         if consecutive:
-            return (self.data[first:last], self.indices[first:last],
+            return (self.data[first:last], self._indices[first:last],
                     self.indptr[lo:hi] - first)
         offsets = self.indptr[rows]
         counts = self.indptr[rows + 1] - offsets
         starts = np.cumsum(counts) - counts
         pos = np.arange(counts.sum()) + np.repeat(offsets - starts, counts)
-        return self.data[pos], self.indices[pos], starts
+        return self.data[pos], self._indices[pos], starts
 
     def _estimate(self, y: np.ndarray, start: int, stop: int) -> np.ndarray:
         """``A[start:stop] y`` in float64, a new array, read through the
@@ -307,7 +322,7 @@ class InequalitySystem:
         values = self.data[first:last]
         if block:
             return values.reshape(stop - start, self.n) @ y
-        products = values * y.take(self.indices[first:last])
+        products = values * y.take(self._indices[first:last])
         if starts is None:
             return products
         out = products.take(starts)
@@ -393,11 +408,12 @@ def _range_layout(bounds: np.ndarray, n: int) -> _Layout:
 
 
 def _dense_to_csr(a):
-    """``n`` and the CSR arrays of a dense ``(m, n)`` array-like.  The data
-    of a matrix with no zero is a copy of the matrix, 64-byte aligned,
-    which OpenBLAS reads faster: a 1000 x 100 matrix-vector product took
-    15-18 us aligned and 22-23 us at a 16-byte offset (2-vCPU x86-64 VM,
-    numpy 2.4 with OpenBLAS 0.3.31)."""
+    """``n`` and the CSR arrays of a dense ``(m, n)`` array-like.  A matrix
+    with no zero gets no column array (None): its columns are ``arange(n)``
+    in every row.  Its data is a copy of the matrix, 64-byte aligned, which
+    OpenBLAS reads faster: a 1000 x 100 matrix-vector product took 15-18 us
+    aligned and 22-23 us at a 16-byte offset (2-vCPU x86-64 VM, numpy 2.4
+    with OpenBLAS 0.3.31)."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"coefficient array must be 2-D, got shape {a.shape}")
@@ -413,7 +429,7 @@ def _dense_to_csr(a):
     skip = (-buffer.ctypes.data % 64) // 8
     data = buffer[skip:skip + a.size]
     data.reshape(m, n)[...] = a
-    return n, (indptr, np.tile(np.arange(n), m), data)
+    return n, (indptr, None, data)
 
 
 def _checked_csr(rows, n: int):

@@ -53,6 +53,20 @@ def test_error_exit_one(capsys):
     assert "solver.epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["generate", "--n", "0"], "n must be >= 1"),
+    (["solve", "--workers", "-1"], "engine.workers must be >= 0"),
+])
+def test_bad_size_or_worker_count_exits_one(tmp_path, capsys, argv, message):
+    out = tmp_path / "f.txt"
+    argv = argv + (["--out", str(out)] if argv[0] == "generate"
+                   else ["--set", "problem.n=2", "--set", f"output.path={out}"])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 def test_generate_round_trip(tmp_path):
     path = tmp_path / "sys.txt"
     assert main(["generate", "--n", "4", "--out", str(path)]) == 0
@@ -383,13 +397,13 @@ def test_ab_inprocess_seed_seeds_the_random_dense_system():
     assert proc.returncode == 2 and "--seed" in proc.stderr
 
 
-def test_fsum_fallback_counts_the_rows_left_to_fsum():
+def test_workload_lines_names_the_statements_a_solve_never_runs():
     root = Path(__file__).resolve().parents[1]
-    script = [sys.executable, str(root / "scripts" / "fsum_fallback.py")]
+    script = [sys.executable, str(root / "scripts" / "workload_lines.py")]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     records = []
     for args in (["--workload", "model-translate"], ["--workload", "model-workers2"],
-                 ["--seed", "3"]):
+                 ["--workload", "random-dense", "--seed", "3"]):
         proc = subprocess.run(script + args, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         records.append(json.loads(proc.stdout))
@@ -401,18 +415,7 @@ def test_fsum_fallback_counts_the_rows_left_to_fsum():
     dense = records[2]
     assert dense["seed"] == 3 and dense["iterations"] == 180
     assert 0 < dense["fallback_calls"] <= dense["fallback_rows"] < 180
-
-
-def test_workload_lines_names_the_statements_a_solve_never_runs():
-    root = Path(__file__).resolve().parents[1]
-    script = [sys.executable, str(root / "scripts" / "workload_lines.py")]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run(script + ["--workload", "model-translate"], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
-    assert record["status"] == "converged" and record["iterations"] == 5
-    modules = record["modules"]
+    modules = records[0]["modules"]
     assert set(modules) == {f"modap.{p.stem}" for p in (root / "src" / "modap").glob("*.py")}
     # the solve never reaches the CLI, nor eps_membership's guard, but its
     # loop norms every iteration and the import runs each module's defs

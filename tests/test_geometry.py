@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import one_iteration
-from modap import (InequalitySystem, ModelProblemSpec, generate_model_problem, geometry,
-                   summation)
+from conftest import one_iteration, random_feasible_system
+from modap import (DynamicsSpec, DynamicSystemSource, EngineConfig, InequalitySystem,
+                   ModelProblemSpec, SolverConfig, generate_model_problem, geometry,
+                   run_parallel, solve, summation)
 from modap.dynamics import translate
 from modap.geometry import (_BLOCK_ELEMENTS, eps_membership, max_relative_violation,
                             vector_norms, violated_slices)
@@ -252,6 +253,59 @@ class TestInequalitySystem:
             max_relative_violation(sys, x)
         with pytest.raises(ValueError, match=match):
             eps_membership(sys, x, 1e-7)
+
+
+class TestFullyStoredColumns:
+    def test_fully_stored_rows_keep_no_column_array(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((30, 7)), rng.standard_normal(30)
+        tiled = np.tile(np.arange(7), 30)
+        dense = InequalitySystem(a, b)
+        csr = InequalitySystem((dense.indptr, tiled, a.reshape(-1)), b, n=7)
+        for sys in (dense, csr):
+            assert sys._indices is None
+            first, second = sys.indices, sys.indices
+            assert first.dtype == np.intp and first.tolist() == tiled.tolist()
+            assert not np.shares_memory(first, second)
+        a[3, 2] = 0.0
+        sparse = InequalitySystem(a, b)
+        assert sparse._indices is not None and sparse.indices is sparse.indices
+        assert sparse.indices.tolist() == np.nonzero(a)[1].tolist()
+
+    def test_a_dense_system_holds_its_coefficients_once(self):
+        # the column array would be as large as data again
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((2000, 500)), rng.standard_normal(2000)
+        InequalitySystem(a[:2], b[:2])  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            sys = InequalitySystem(a, b)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * sys.data.nbytes, held
+
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_no_pass_reads_the_column_array(self, monkeypatch, moving):
+        spec = DynamicsSpec(mode="translation", rate=0.4, seconds_per_iteration=0.05)
+
+        def solves():
+            sys, _ = random_feasible_system(np.random.default_rng(20), 8, 60)
+            config = SolverConfig(record_iterates=True, record_trace=True)
+            source = (lambda: DynamicSystemSource(sys, spec)) if moving else (lambda: sys)
+            runs = [solve(source(), config)]
+            runs += [run_parallel(source(), config, EngineConfig(workers=k)) for k in (1, 2, 7)]
+            return [(run.status, [x.tobytes() for x in run.iterates],
+                     [r.max_violation for r in run.trace]) for run in runs]
+
+        plain = solves()
+        assert plain[0][1][1:] and all(run == plain[0] for run in plain)
+
+        def unread(sys):
+            raise AssertionError("the column array was read")
+
+        monkeypatch.setattr(InequalitySystem, "indices", property(unread))
+        assert solves() == plain
 
 
 class TestResidual:

@@ -93,6 +93,10 @@ class TestModelProblem:
         with pytest.raises(ValueError):
             ModelProblemSpec(n=2, box_upper=10.0, sum_lower=100.0, sum_upper=400.0)
 
+    def test_empty_dimension_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            ModelProblemSpec(n=0)
+
 
 class TestSystemFiles:
     def test_round_trip_identity(self, tmp_path):
@@ -328,6 +332,10 @@ output.path = out.csv
     def test_bad_value_named_in_error(self):
         with pytest.raises(ConfigError, match="solver.eps"):
             build_experiment_config({"solver.eps": "tiny"})
+
+    def test_negative_worker_count_rejected(self):
+        with pytest.raises(ConfigError, match="^engine.workers must be >= 0, got -1$"):
+            build_experiment_config({"engine.workers": "-1"})
 
     def test_overrides_parser(self):
         vals = parse_overrides(["solver.eps=1e-9", "engine.workers=2"])
