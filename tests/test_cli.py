@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -397,14 +398,19 @@ def test_ab_inprocess_seed_seeds_the_random_dense_system():
     assert proc.returncode == 2 and "--seed" in proc.stderr
 
 
-def test_workload_lines_names_the_statements_a_solve_never_runs():
+@functools.cache
+def _workload_lines(*args):
     root = Path(__file__).resolve().parents[1]
     script = [sys.executable, str(root / "scripts" / "workload_lines.py")]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run(script + list(args), capture_output=True, text=True, env=env)
+
+
+def test_fsum_fallback_counts_the_rows_left_to_fsum():
     records = []
     for args in (["--workload", "model-translate"], ["--workload", "model-workers2"],
                  ["--workload", "random-dense", "--seed", "3"]):
-        proc = subprocess.run(script + args, capture_output=True, text=True, env=env)
+        proc = _workload_lines(*args)
         assert proc.returncode == 0, proc.stderr
         records.append(json.loads(proc.stdout))
     # the model problem's exact sums are all decided at level 1 or by a
@@ -415,7 +421,15 @@ def test_workload_lines_names_the_statements_a_solve_never_runs():
     dense = records[2]
     assert dense["seed"] == 3 and dense["iterations"] == 180
     assert 0 < dense["fallback_calls"] <= dense["fallback_rows"] < 180
-    modules = records[0]["modules"]
+
+
+def test_workload_lines_names_the_statements_a_solve_never_runs():
+    root = Path(__file__).resolve().parents[1]
+    proc = _workload_lines("--workload", "model-translate")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["status"] == "converged" and record["iterations"] == 5
+    modules = record["modules"]
     assert set(modules) == {f"modap.{p.stem}" for p in (root / "src" / "modap").glob("*.py")}
     # the solve never reaches the CLI, nor eps_membership's guard, but its
     # loop norms every iteration and the import runs each module's defs
@@ -434,7 +448,7 @@ def test_workload_lines_names_the_statements_a_solve_never_runs():
     declared = [i for i, text in enumerate(summation, start=1)
                 if text.strip().startswith("global ")]
     assert declared and not set(declared) & set(modules["modap.summation"]["unrun"])
-    proc = subprocess.run(script + ["--seed", "3"], capture_output=True, text=True, env=env)
+    proc = _workload_lines("--seed", "3")
     assert proc.returncode == 2 and "--seed" in proc.stderr
 
 
