@@ -128,15 +128,15 @@ class DynamicSystemSource:
         return self._current
 
     def advance(self, elapsed: float) -> None:
-        """Move the system forward by ``elapsed`` seconds."""
-        if elapsed < 0:
-            raise ValueError(f"elapsed must be non-negative, got {elapsed}")
-        self.current_time += elapsed
+        """Move the system forward by ``elapsed`` seconds, finite and >= 0.
+        An error leaves the source as it was."""
+        if not (elapsed >= 0 and math.isfinite(elapsed)):
+            raise ValueError(f"elapsed must be finite and non-negative, got {elapsed}")
         if self.spec.mode == TRANSLATION:
-            self.cumulative_displacement = (
-                self.cumulative_displacement + self._rate * elapsed
-            )
-            self._current = translate(self.base, self.cumulative_displacement)
+            displacement = self.cumulative_displacement + self._rate * elapsed
+            self._current = translate(self.base, displacement)
+            self.cumulative_displacement = displacement
+        self.current_time += elapsed
 
     def next_elapsed(self) -> float:
         """Elapsed seconds to charge to the iteration that is about to run."""

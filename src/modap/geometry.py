@@ -136,9 +136,14 @@ stacked into one block or segment array, so the residuals and the sums
 to give the exact bound (one that overflows raises ``ValueError`` naming
 its row); consecutive rows, a single row among them, are read as views of
 ``data``, without a gather, and the slices of a block multiply it as it is
-stored.  The settle test only decides which rows may be skipped; every
-value the pass returns (slices, the maximum violation, and so the
-membership decision) comes from the exact path, bit for bit.  This is a
+stored.  A lone exact row, the most a pass leaves on the translating model
+problem, takes its sums the same way and is finished in Python floats
+(:func:`_lone_row`): its bound, residual, violation test and the two
+quotients round as numpy's float64 operations do, and no division raises,
+as every cached squared norm is positive.  The settle test only decides
+which rows may be skipped; every value the pass returns (slices, the
+maximum violation, and so the membership decision) comes from the exact
+path, bit for bit.  This is a
 floating-point filter in the sense of Shewchuk (DCG 18, 1997); it assumes
 IEEE-754 binary64 with subnormal inputs kept, which numpy and CPython
 provide.
@@ -229,8 +234,7 @@ class InequalitySystem:
             )
         for i in np.flatnonzero(~np.isfinite(b)).tolist():
             raise ValueError(f"bound of row {i} is not finite: {float(b[i])!r}")
-        self.n, self.indptr, self.data, self.b = n, indptr, data, b
-        self._indices = None if data.size == m * n else indices
+        self.n, self.indptr, self._indices, self.data, self.b = n, indptr, indices, data, b
         bad = np.flatnonzero(~np.isfinite(data))
         if bad.size:
             row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
@@ -433,8 +437,11 @@ def _dense_to_csr(a):
 
 
 def _checked_csr(rows, n: int):
-    """Copies of CSR arrays ``(indptr, indices, data)``, checked."""
+    """Copies of CSR arrays ``(indptr, indices, data)``, checked, as intp
+    and float64; the columns are None when every row is fully stored, so
+    such a system never copies them."""
     indptr, indices = (_index_array(part, what) for part, what in zip(rows, ("indptr", "columns")))
+    indptr = indptr.astype(np.intp)
     data = np.array(rows[2], dtype=np.float64).reshape(-1)
     if n < 1 or indptr.size < 2:
         raise ValueError(f"system must have m >= 1 rows and n >= 1 columns, got "
@@ -449,15 +456,17 @@ def _checked_csr(rows, n: int):
         raise ValueError(f"CSR columns must lie in [0, {n}) and ascend within each row")
     if not data.all():
         raise ValueError("CSR rows must store no zero coefficient")
-    return indptr, indices, data
+    full = data.size == (indptr.size - 1) * n
+    return indptr, None if full else indices.astype(np.intp), data
 
 
 def _index_array(part, what: str) -> np.ndarray:
-    """``part`` as a 1-D intp copy; a value that is not an integer raises
-    ``ValueError`` instead of being truncated."""
+    """``part`` as a 1-D integer array, a view when it holds integers, else
+    an intp copy; a value that is not an integer raises ``ValueError``
+    instead of being truncated."""
     raw = np.asarray(part).reshape(-1)
     if raw.dtype.kind in "biu":
-        return raw.astype(np.intp)
+        return raw
     with np.errstate(invalid="ignore"):  # nan and inf are reported below
         out = raw.astype(np.intp)
     if not (out == raw).all():
@@ -607,6 +616,8 @@ def violated_slices(
     if start:
         rows += start
     gathered = sys._gather(rows)
+    if rows.size == 1:
+        return _lone_row(sys, shift, x, rows, gathered)
     if shift is None:
         (r,) = _dots(rows, gathered, x[None], ["its residual"])
         r -= sys.b[rows]
@@ -626,6 +637,29 @@ def violated_slices(
     block = (r / sys.row_norms_sq[rows])[:, None] * a
     worst = float((r / sys.row_norms[rows]).max()) if r.size else 0.0
     return block, worst
+
+
+def _lone_row(sys: InequalitySystem, shift, x: np.ndarray, rows: np.ndarray,
+              gathered: tuple) -> tuple[np.ndarray, float]:
+    """:func:`violated_slices` for its one unsettled row ``rows[0]``: the
+    exact sums as for many rows, the rest in Python floats, which round as
+    numpy's float64 operations do, so the bits, errors and messages are
+    the same.  No division raises, as every cached squared norm is
+    positive."""
+    i = int(rows[0])
+    if shift is None:
+        r = _dots(rows, gathered, x[None], ["its residual"]).item() - sys.b.item(i)
+    else:
+        (r,), (w,) = _dots(rows, gathered, np.array((x, shift)),
+                           ["its residual", _BOUND]).tolist()
+        bound = w + sys.b.item(i)
+        if not math.isfinite(bound):
+            raise ValueError(f"row {i}: {_BOUND} overflows float64")
+        r -= bound
+    if not r > 0.0:
+        return np.zeros((0, sys.n)), 0.0
+    a = gathered[0] if gathered[2] is None else _scattered(*gathered, sys.n)
+    return (r / sys.row_norms_sq.item(i)) * a, r / sys.row_norms.item(i)
 
 
 def _rescaled(v: np.ndarray, norm: float, length: float) -> np.ndarray:

@@ -31,7 +31,8 @@ error; the 2 covers ``gamma_{n-1} <= 2 n u`` (``n <= 2^52``) and rounding
 than half the gap from ``res`` to its nearer neighbour.  The decision costs
 about a dozen numpy calls whatever the row count, so up to :data:`FEW_ROWS`
 rows take it one row at a time in Python floats instead, with the same
-roundings (TwoSum, and ``math.nextafter`` for the gap), so the same bits.
+roundings (TwoSum, and ``math.nextafter`` for the gap), so the same bits;
+when that decides every row of a block, the sums return as one array.
 This is a floating-point filter in the sense of Shewchuk (DCG 18, 1997).
 A sum on a midpoint fails the test however small B is, and so does a zero
 sum, whose gap is 0; such rows go to ``math.fsum``, with one exception on
@@ -113,7 +114,9 @@ __all__ = ["exact_dot", "row_sums", "column_sums"]
 SMALL_BLOCK = 500
 # _rounded decides at most this many rows in Python floats: the two forms
 # cost the same at 15.4 to 16.2 rows (15.6 to 18.4 over six later runs of
-# the same script), and on 2 rows 1.9 us against 5.5 us
+# the same script), and on 2 rows 1.9 us against 5.5 us.  A block of at most
+# this many rows returns its sums at once when that decides every row,
+# without building or counting a decision array
 FEW_ROWS = 16
 # a block maximum in this range keeps every sigma, bound and gap normal
 _MIN_MAX = 2.0 ** -900
@@ -167,8 +170,13 @@ def row_sums(values: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray
     np.subtract(values, q, out=q)  # the remainders, exactly
     tau2 = q @ ones if starts is None else np.add.reduceat(q, starts)
     bound = n * n * 2.0 ** -105 * sigma  # B = 2 n u * n u sigma
-    if starts is None:
-        res, sure = _rounded(tau1, tau2, bound)
+    if starts is None and h <= FEW_ROWS:
+        res, sure = _decided(tau1.tolist(), tau2.tolist(), bound)
+        if all(sure):  # a few rows, all decided: no bookkeeping
+            return np.array(res)
+        res, sure = np.array(res), np.array(sure)
+    elif starts is None:
+        res, sure = _rounded_rows(tau1, tau2, bound)
     else:  # a one-entry segment is its own sum
         res, sure = values[starts] + 0.0, counts == 1
         many = np.flatnonzero(~sure)
@@ -231,15 +239,22 @@ def _rounded_rows(tau1: np.ndarray, tau2: np.ndarray, bound: float):
 
 def _rounded_few(tau1: np.ndarray, tau2: np.ndarray, bound: float):
     """:func:`_rounded` one row at a time in Python floats, for a few rows."""
+    res, sure = _decided(tau1.tolist(), tau2.tolist(), bound)
+    return np.array(res, dtype=np.float64), np.array(sure, dtype=bool)
+
+
+def _decided(tau1: list, tau2: list, bound: float) -> tuple[list, list]:
+    """:func:`_rounded_few`'s decision as two lists, of Python floats and
+    bools."""
     res, sure = [], []
-    for a, b in zip(tau1.tolist(), tau2.tolist()):
+    for a, b in zip(tau1, tau2):
         s = a + b
         z = s - a
         mag = abs(s)
         res.append(s)
         sure.append(abs((a - (s - z)) + (b - z)) + bound
                     < 0.5 * (mag - math.nextafter(mag, 0.0)))
-    return np.array(res, dtype=np.float64), np.array(sure, dtype=bool)
+    return res, sure
 
 
 def column_sums(block: np.ndarray) -> np.ndarray:

@@ -98,6 +98,26 @@ class TestAdvance:
         with pytest.raises(ValueError):
             src.advance(-0.1)
 
+    @pytest.mark.parametrize("mode", ["stationary", "translation"])
+    @pytest.mark.parametrize("elapsed", [math.nan, math.inf, -math.inf, -1.0])
+    def test_a_bad_elapsed_leaves_the_source_as_it_was(self, mode, elapsed):
+        src = DynamicSystemSource(HALF, DynamicsSpec(mode=mode, rate=1.0))
+        src.advance(0.5)
+        before = src.current_time, src.cumulative_displacement.tobytes(), src.snapshot()
+        with pytest.raises(ValueError, match="^elapsed must be finite and non-negative"):
+            src.advance(elapsed)
+        assert (src.current_time, src.cumulative_displacement.tobytes()) == before[:2]
+        assert src.snapshot() is before[2]
+
+    def test_an_overflowing_displacement_leaves_the_source_as_it_was(self):
+        src = DynamicSystemSource(HALF, DynamicsSpec(mode="translation", rate=1e308))
+        src.advance(1.0)
+        before = src.current_time, src.cumulative_displacement.tobytes(), src.snapshot()
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            src.advance(1.0)
+        assert (src.current_time, src.cumulative_displacement.tobytes()) == before[:2]
+        assert src.snapshot() is before[2]
+
     def test_rows_never_change(self):
         src = DynamicSystemSource(
             HALF, DynamicsSpec(mode="translation", rate=2.0)

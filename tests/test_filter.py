@@ -504,6 +504,139 @@ def test_a_translated_pass_takes_one_view_and_one_sum(monkeypatch):
         assert snap.shift.tobytes() == src.cumulative_displacement.tobytes()
 
 
+_MAX_FLOAT = float(np.finfo(np.float64).max)
+
+
+@st.composite
+def lone_row_cases(draw):
+    """A system with one row k that the settle test leaves to the exact
+    path, translated by v or not, and a point x; every other row is settled
+    by a margin.  Row k stores all of its n entries, some of them, or one,
+    as the model problem's box rows do.  Its bound puts x on or a few ulps
+    to either side of its hyperplane, or lies near the top of the float64
+    range, where, with a huge v, ``b_k + <a_k, v>`` may overflow."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(0, m - 1))
+    a = np.array([_scaled(draw, ROW_SCALES, n) for _ in range(m)])
+    a[~a.any(axis=1), 0] = 1.0
+    storage = draw(st.sampled_from(["full", "some", "one"]))
+    if storage == "full":
+        a[k, a[k] == 0.0] = 2.0 ** draw(st.sampled_from(ROW_SCALES))
+    else:
+        keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if storage == "one" or not keep.any():
+            keep = np.arange(n) == draw(st.integers(0, n - 1))
+        a[k, ~keep] = 0.0
+        a[k, keep & (a[k] == 0.0)] = 1.0
+    x = np.zeros(n) if draw(st.booleans()) else _scaled(draw, POINT_SCALES, n)
+    v = None
+    bound = draw(st.sampled_from(["near", "near", "huge", "overflow"]))
+    if bound == "overflow":  # <a_k, v> >= 2^975 when a_k's entries reach 1
+        v = a[k] / np.abs(a[k]).max() * 2.0 ** 975
+    elif draw(st.booleans()):
+        v = _scaled(draw, POINT_SCALES, n)
+    y = x if v is None else x - v
+    s = math.hypot(*x.tolist()) + (0.0 if v is None else math.hypot(*v.tolist()))
+    b = np.empty(m)
+    with np.errstate(all="ignore"):
+        for j, row in enumerate(a):
+            if j != k:  # settled: t_j near -2^-44 ||a_j|| S, far below -T_j
+                margin = 2.0 ** -44 * math.hypot(*row.tolist()) * s
+                assume(margin < 2.0 ** 955)
+                try:
+                    b[j] = exact_dot(row, y) + margin + 1.0
+                except (OverflowError, ValueError):
+                    assume(False)
+            elif bound == "overflow":
+                b[j] = draw(st.sampled_from([_HUGE_BOUND, _MAX_FLOAT]))
+            elif bound == "huge":
+                b[j] = draw(st.sampled_from([-1.0, 1.0])) * draw(
+                    st.sampled_from([_HUGE_BOUND, _MAX_FLOAT]))
+            else:
+                try:
+                    target = exact_dot(row, x) - (0.0 if v is None else exact_dot(row, v))
+                except (OverflowError, ValueError):
+                    target = 0.0
+                b[j] = _near(target, draw(st.integers(-3, 3)))
+    assume(np.isfinite(b).all())
+    try:
+        base = InequalitySystem(a, b)
+    except ValueError:  # a row's squared norm leaves float64
+        assume(False)
+    with np.errstate(all="ignore"):
+        assume(geometry._unsettled_rows(base, v, x, 0, m).tolist() == [k])
+    return base, v, x, k
+
+
+def _lone_want(base, v, x, k, start, stop):
+    """:func:`oracles.row_pass`'s slices and maximum for the case, or, where
+    the oracle overflows, the message the pass raises: its residual's when
+    the products with x do not sum in float64, else its translated
+    bound's."""
+    try:
+        exact = base if v is None else oracles.translate(base, v)
+        slices, worst = oracles.row_pass(exact, x, start, stop)
+    except (OverflowError, ValueError):
+        with np.errstate(over="ignore"):
+            products = (base.a[k] * x).tolist()
+        try:
+            math.fsum(products)
+            what = "its translated bound"
+        except (OverflowError, ValueError):
+            what = "its residual"
+        return ("raised", f"row {k}: {what} overflows float64")
+    return ("ok", slices.shape, slices.tobytes(), np.float64(worst).tobytes())
+
+
+def _lone_got(snap, x, start, stop):
+    try:
+        with np.errstate(all="ignore"):
+            slices, worst = violated_slices(snap, x, start, stop)
+    except ValueError as exc:
+        return ("raised", str(exc))
+    return ("ok", slices.shape, slices.tobytes(), np.float64(worst).tobytes())
+
+
+# the cases' huge bounds and shifts overflow on purpose
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(lone_row_cases(), st.data())
+def test_a_lone_exact_row_equals_the_oracle_bit_for_bit(case, data):
+    """A pass that leaves one row to the exact path finishes it in Python
+    floats; its slice, its maximum and its errors are the oracle's, over
+    any range that holds the row."""
+    base, v, x, k = case
+    snap = base if v is None else translate(base, v)
+    start = data.draw(st.integers(0, k))
+    stop = data.draw(st.integers(k + 1, base.m))
+    assert _lone_got(snap, x, start, stop) == _lone_want(base, v, x, k, start, stop)
+
+
+@pytest.mark.parametrize("translated", [False, True])
+def test_two_exact_rows_take_the_many_row_form(monkeypatch, translated):
+    # two rows an ulp either side of their hyperplanes at x, one violated
+    # and one not, next to a settled row: the pass takes the numpy form,
+    # and each row alone the lone-row form, with the oracle's bits
+    lone = []
+    real = geometry._lone_row
+    monkeypatch.setattr(geometry, "_lone_row", lambda *args: lone.append(args[3]) or real(*args))
+    a = np.array([[3.0, -1.0, 0.5], [0.0, 2.0, 0.0], [1.0, 1.0, 1.0]])
+    x = np.array([0.3, 0.7, -0.2])
+    v = np.array([0.1, -0.4, 0.25]) if translated else np.zeros(3)
+    b = np.array([exact_dot(row, x) - exact_dot(row, v) for row in a])
+    b[0], b[1], b[2] = math.nextafter(b[0], -1.0), math.nextafter(b[1], 9.0), 1e3
+    base = InequalitySystem(a, b)
+    snap = translate(base, v) if translated else base
+    exact = oracles.translate(base, v) if translated else base
+    for start, stop, rows in [(0, 3, [0, 1]), (0, 1, [0]), (1, 3, [1])]:
+        lone.clear()
+        assert _pass_bits(("ok", violated_slices(snap, x, start, stop))) == _pass_bits(
+            ("ok", oracles.row_pass(exact, x, start, stop)))
+        assert [r.tolist() for r in lone] == ([] if len(rows) > 1 else [rows])
+
+
 @st.composite
 def stored_cases(draw):
     """A dense matrix with explicit ``0.0`` and ``-0.0`` entries, fully

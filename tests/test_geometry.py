@@ -273,17 +273,21 @@ class TestFullyStoredColumns:
         assert sparse.indices.tolist() == np.nonzero(a)[1].tolist()
 
     def test_a_dense_system_holds_its_coefficients_once(self):
-        # the column array would be as large as data again
+        # the column array, or its copy on the way in, would be as large as
+        # data again; the same rows given dense and as CSR arrays
         rng = np.random.default_rng(9)
         a, b = rng.standard_normal((2000, 500)), rng.standard_normal(2000)
+        csr = (np.arange(0, a.size + 1, 500), np.tile(np.arange(500), 2000), a.reshape(-1))
         InequalitySystem(a[:2], b[:2])  # lazy imports and caches
-        tracemalloc.start()
-        try:
-            sys = InequalitySystem(a, b)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert held < 1.5 * sys.data.nbytes, held
+        for rows, n in [(a, None), (csr, 500)]:
+            tracemalloc.start()
+            try:
+                sys = InequalitySystem(rows, b, n=n)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held < 1.5 * sys.data.nbytes, (n, held)
+            assert peak < 1.5 * sys.data.nbytes, (n, peak)
 
     @pytest.mark.parametrize("moving", [False, True])
     def test_no_pass_reads_the_column_array(self, monkeypatch, moving):
