@@ -27,11 +27,12 @@ size + c2 h`` and reports where they cross, in the ``size + k h`` form of
 ``summation.SMALL_BLOCK``.  The short-row shapes, blocks past the cut-off
 in rows of 8 to 16 addends, whose sums fall on a midpoint more often than
 long rows' and then go to ``math.fsum`` after the vectorised pass, are
-timed the same way but not fitted.  The level-1 decision
-(``summation._rounded``) is timed the same way in its two forms, Python
-floats and numpy, on 1 to 32 rows, and a line ``c0 + c1 h`` fitted to
-each gives the row count at which they cross, against
-``summation.FEW_ROWS``.  The whole run takes a few seconds.
+timed the same way but not fitted.  The level-1 decision is timed the
+same way in its two forms, on 1 to 32 rows: Python floats
+(``summation._decided``, with the list conversions around it that a block
+of few rows pays in ``row_sums``) and numpy (``summation._rounded_rows``);
+a line ``c0 + c1 h`` fitted to each gives the row count at which they
+cross, against ``summation.FEW_ROWS``.  The whole run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -129,6 +130,13 @@ def setup_squares(n: int = 1000) -> np.ndarray:
     return block * block
 
 
+def decided_block(tau1: np.ndarray, tau2: np.ndarray, bound: float):
+    """``summation._decided`` as ``row_sums`` calls it on a block of a few
+    rows: arrays made lists in, the two lists made arrays out."""
+    res, sure = summation._decided(tau1.tolist(), tau2.tolist(), bound)
+    return np.array(res), np.array(sure)
+
+
 def measure_rounded(rows: list[int]) -> list[dict]:
     """Both forms of the level-1 decision on h rows of a standard normal
     ``tau1`` and a ``tau2`` some 2^-40 smaller, for each h, timed
@@ -137,11 +145,10 @@ def measure_rounded(rows: list[int]) -> list[dict]:
     for h in rows:
         rng = np.random.default_rng(h)
         args = (rng.standard_normal(h), rng.standard_normal(h) * 2.0 ** -40, 2.0 ** -80)
-        few, many = summation._rounded_few(*args), summation._rounded_rows(*args)
+        few, many = decided_block(*args), summation._rounded_rows(*args)
         if not all(a.tobytes() == b.tobytes() for a, b in zip(few, many)):
             raise RuntimeError(f"the two forms of the level-1 decision differ on {h} rows")
-        cases.append(({"few_us": summation._rounded_few,
-                       "rows_us": summation._rounded_rows}, args))
+        cases.append(({"few_us": decided_block, "rows_us": summation._rounded_rows}, args))
     return [{"rows": h, **t} for h, t in zip(rows, _times_us(cases))]
 
 

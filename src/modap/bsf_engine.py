@@ -37,13 +37,12 @@ any K: each value that leaves float64 is caught where it is formed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .dynamics import as_source
 from .geometry import InequalitySystem, Translated, _point
-from .solver import SolveOutcome, SolverConfig, _run_loop, partial_reduction
+from .solver import SolveOutcome, SolverConfig, _check_count, _run_loop, partial_reduction
 
 __all__ = [
     "EngineConfig",
@@ -60,9 +59,7 @@ class EngineConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if (not isinstance(self.workers, Integral) or isinstance(self.workers, bool)
-                or self.workers < 1):
-            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        _check_count("workers", self.workers)
 
 
 def partition_rows(m: int, workers: int) -> list[range]:

@@ -113,7 +113,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_costmodel(args) -> int:
-    n_values = args.n_values or [args.n]
     columns = [f.name for table in (cost_model.CostCounts, cost_model.StageTimes)
                for f in fields(table)]
     lines = [
@@ -121,7 +120,7 @@ def _cmd_costmodel(args) -> int:
         f"tau_op={args.tau_op} tau_tr={args.tau_tr} latency={args.latency}",
         ",".join(["n", "m", *columns, "k_max"]),
     ]
-    for n in n_values:
+    for n in args.n_values:
         m = args.m if args.m is not None else 2 * n + 2
         params = cost_model.CostParams(
             n=n, m=m, tau_op=args.tau_op, tau_tr=args.tau_tr,
@@ -175,14 +174,13 @@ def main(argv=None) -> int:
     p_gen.set_defaults(func=_cmd_generate)
 
     p_cost = sub.add_parser("costmodel", help="cost model table as CSV")
-    p_cost.add_argument("--n", type=int, default=1000)
     p_cost.add_argument("--m", type=int, default=None, help="default 2n+2")
     p_cost.add_argument("--tau-op", type=float, default=cost_model.DEFAULT_TAU_OP)
     p_cost.add_argument("--tau-tr", type=float, default=cost_model.DEFAULT_TAU_TR)
     p_cost.add_argument("--latency", type=float, default=cost_model.DEFAULT_LATENCY)
     p_cost.add_argument("--breadth", choices=["single", "full"], default="single")
-    p_cost.add_argument("--n-values", type=_number_list(int), default=None,
-                        help="comma-separated sweep over n (overrides --n)")
+    p_cost.add_argument("--n-values", type=_number_list(int), default=[1000],
+                        help="comma-separated sweep over n")
     p_cost.add_argument("--out", metavar="PATH")
     p_cost.set_defaults(func=_cmd_costmodel)
 

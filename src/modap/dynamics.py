@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InequalitySystem, Translated
+from .geometry import InequalitySystem, Translated, _as_point
 
 __all__ = [
     "STATIONARY",
@@ -86,19 +86,15 @@ def translate(sys: InequalitySystem | Translated, v) -> Translated:
     original iff ``x + v`` is feasible for the result.  ``b'`` is held
     implicitly (see the module docstring); its bits are those of
     ``b_i + exact_dot(a_i, v)``.  Translating ``Translated(base, u)`` gives
-    ``Translated(base, u + v)``, which costs O(n) and builds no system; the
-    sum must be finite.
+    ``Translated(base, u + v)``, which costs O(n) and builds no system.  v
+    is checked as any point is, and the sum ``u + v`` must be finite too.
     """
-    v = np.array(v, dtype=np.float64)  # a copy
-    if v.shape != (sys.n,):
-        raise ValueError(
-            f"dimension mismatch: displacement has shape {v.shape}, expected ({sys.n},)"
-        )
+    v = _as_point(v, sys.n, "displacement")  # a copy
     if isinstance(sys, Translated):
         with np.errstate(over="ignore"):  # reported below
             sys, v = sys.system, sys.shift + v
-    if not np.isfinite(v).all():
-        raise ValueError("displacement must be finite")
+        if not np.isfinite(v).all():
+            raise ValueError("displacement must be finite")
     return Translated(sys, v)
 
 

@@ -519,12 +519,14 @@ def _scattered(values: np.ndarray, columns, starts, n: int) -> np.ndarray:
     return out
 
 
-def _as_point(x, n: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != n:
-        raise ValueError(
-            f"dimension mismatch: expected a point of length {n}, got shape {arr.shape}"
-        )
+def _as_point(v, n: int, what: str = "point") -> np.ndarray:
+    """The one check of a point given to the package: v as a float64 copy of
+    shape ``(n,)``, or ``ValueError`` naming ``what`` if not, or not finite."""
+    arr = np.array(v, dtype=np.float64)
+    if arr.shape != (n,):
+        raise ValueError(f"dimension mismatch: {what} has shape {arr.shape}, expected ({n},)")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
     return arr
 
 

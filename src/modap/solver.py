@@ -36,6 +36,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from . import dynamics
 # bench/tracer.py traces eps_membership and max_relative_violation here
 from .geometry import (  # noqa: F401
     InequalitySystem,
+    _as_point,
     _rescaled,
     eps_membership,
     max_relative_violation,
@@ -91,8 +93,13 @@ class SolverConfig:
             )
         if self.variant not in (VARIANT_AP, VARIANT_MODAP):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        _check_count("max_iterations", self.max_iterations)
+
+
+def _check_count(name: str, value) -> None:
+    """``ValueError`` unless value is an ``Integral``, not a ``bool``, >= 1."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class SolveStatus(str, Enum):
@@ -171,19 +178,12 @@ def _run_loop(src, config: SolverConfig, evaluate) -> SolveOutcome:
     everything else (membership decision, slice sum, step, source updates,
     bookkeeping) is identical between engines, which is what the bit-level
     equivalence contract rests on.  It runs in one scope that silences
-    floating-point warnings (module docstring).
+    floating-point warnings (module docstring).  A given initial point is
+    checked as any point is (:func:`~modap.geometry._as_point`).
     """
     n = src.snapshot().n
-    if config.initial_point is None:
-        x = np.zeros(n)
-    else:
-        x = np.array(config.initial_point, dtype=np.float64)
-        if x.shape != (n,):
-            raise ValueError(
-                f"initial point has shape {x.shape}, expected ({n},)"
-            )
-        if not np.isfinite(x).all():
-            raise ValueError("initial point must be finite")
+    x = (np.zeros(n) if config.initial_point is None
+         else _as_point(config.initial_point, n, "initial point"))
     trace: list[IterationRecord] | None = [] if config.record_trace else None
     iterates: list[np.ndarray] | None = (
         [x.copy()] if config.record_iterates else None

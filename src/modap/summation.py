@@ -29,10 +29,11 @@ error; the 2 covers ``gamma_{n-1} <= 2 n u`` (``n <= 2^52``) and rounding
 ``n^2``.  TwoSum splits ``tau_1 + tau_2`` exactly into ``res + delta``,
 ``res`` their rounded sum, the rounded exact sum if ``|delta| + B`` is less
 than half the gap from ``res`` to its nearer neighbour.  The decision costs
-about a dozen numpy calls whatever the row count, so up to :data:`FEW_ROWS`
-rows take it one row at a time in Python floats instead, with the same
-roundings (TwoSum, and ``math.nextafter`` for the gap), so the same bits;
-when that decides every row of a block, the sums return as one array.
+about a dozen numpy calls whatever the row count, so a block of up to
+:data:`FEW_ROWS` rows takes it one row at a time in Python floats instead,
+with the same roundings (TwoSum, and ``math.nextafter`` for the gap), so
+the same bits; when that decides every row, the sums return as one array.
+Segments decide with numpy at any count.
 This is a floating-point filter in the sense of Shewchuk (DCG 18, 1997).
 A sum on a midpoint fails the test however small B is, and so does a zero
 sum, whose gap is 0; such rows go to ``math.fsum``, with one exception on
@@ -112,11 +113,11 @@ __all__ = ["exact_dot", "row_sums", "column_sums"]
 # vectorised (10 us against 30 us by fsum), a row of 100 is not (3.3
 # against 8.4 us)
 SMALL_BLOCK = 500
-# _rounded decides at most this many rows in Python floats: the two forms
-# cost the same at 15.4 to 16.2 rows (15.6 to 18.4 over six later runs of
-# the same script), and on 2 rows 1.9 us against 5.5 us.  A block of at most
-# this many rows returns its sums at once when that decides every row,
-# without building or counting a decision array
+# a block of at most this many rows decides level 1 in Python floats, not
+# numpy: the forms cost the same at 15.4 to 16.2 rows (15.6 to 18.4 over six
+# later runs), and on 2 rows 1.9 us against 5.5 us.  It returns its sums at
+# once when that decides every row.  Segments always take numpy's form: only
+# a region that outruns the iterate sends them decisions, a few per pass
 FEW_ROWS = 16
 # a block maximum in this range keeps every sigma, bound and gap normal
 _MIN_MAX = 2.0 ** -900
@@ -180,7 +181,7 @@ def row_sums(values: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray
     else:  # a one-entry segment is its own sum
         res, sure = values[starts] + 0.0, counts == 1
         many = np.flatnonzero(~sure)
-        res[many], sure[many] = _rounded(tau1[many], tau2[many], bound)
+        res[many], sure[many] = _rounded_rows(tau1[many], tau2[many], bound)
     if np.count_nonzero(sure) == h:  # a fraction of sure.all()'s cost
         return res
     left = np.flatnonzero(~sure)
@@ -219,17 +220,9 @@ def _fsum_rows(values: np.ndarray, starts, which=None) -> np.ndarray:
     return np.array([math.fsum(row) for row in rows], dtype=np.float64).reshape(len(rows))
 
 
-def _rounded(tau1: np.ndarray, tau2: np.ndarray, bound: float):
-    """``fl(tau1 + tau2)``, and whether every real number within ``bound`` of
-    ``tau1 + tau2`` rounds to it: in Python floats for at most
-    :data:`FEW_ROWS` rows, else with numpy, the same operations either way."""
-    if tau1.size > FEW_ROWS:
-        return _rounded_rows(tau1, tau2, bound)
-    return _rounded_few(tau1, tau2, bound)
-
-
 def _rounded_rows(tau1: np.ndarray, tau2: np.ndarray, bound: float):
-    """:func:`_rounded` with numpy, for any number of rows."""
+    """``fl(tau1 + tau2)``, and whether every real number within ``bound`` of
+    ``tau1 + tau2`` rounds to it, with numpy, for any number of rows."""
     res = tau1 + tau2
     z = res - tau1
     delta = (tau1 - (res - z)) + (tau2 - z)  # TwoSum: tau1 + tau2 = res + delta
@@ -237,15 +230,9 @@ def _rounded_rows(tau1: np.ndarray, tau2: np.ndarray, bound: float):
     return res, np.abs(delta) + bound < 0.5 * (mag - np.nextafter(mag, 0.0))
 
 
-def _rounded_few(tau1: np.ndarray, tau2: np.ndarray, bound: float):
-    """:func:`_rounded` one row at a time in Python floats, for a few rows."""
-    res, sure = _decided(tau1.tolist(), tau2.tolist(), bound)
-    return np.array(res, dtype=np.float64), np.array(sure, dtype=bool)
-
-
 def _decided(tau1: list, tau2: list, bound: float) -> tuple[list, list]:
-    """:func:`_rounded_few`'s decision as two lists, of Python floats and
-    bools."""
+    """:func:`_rounded_rows` one row at a time in Python floats, for a block
+    of a few rows: the same operations, as lists of floats and bools."""
     res, sure = [], []
     for a, b in zip(tau1, tau2):
         s = a + b

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import modap.dynamics as dynamics
 import modap.geometry as geometry
 import modap.solver as solver
+import modap.summation as summation
 import oracles
 from modap import (
     DynamicsSpec,
@@ -27,6 +28,7 @@ from modap import (
     EngineConfig,
     InequalitySystem,
     ModelProblemSpec,
+    SolveStatus,
     SolverConfig,
     generate_model_problem,
     run_parallel,
@@ -1068,20 +1070,28 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
         assert advance_calls == [collections.Counter()] * out.iterations
 
 
+def _solve_on(workers, source, config):
+    """A solve of ``source()`` on ``workers`` row blocks (0: the sequential
+    solver)."""
+    if workers:
+        return run_parallel(source(), config, EngineConfig(workers=workers))
+    return solve(source(), config)
+
+
+def _oracle_solve_on(monkeypatch, workers, source, config):
+    """:func:`_solve_on` with the oracle's row pass and translation in the
+    loop, for both engines."""
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "violated_slices", oracles.row_pass)
+        mp.setattr(dynamics, "translate", oracles.translate)
+        return _solve_on(workers, source, config)
+
+
 @pytest.mark.parametrize("workers,record_trace", [(0, True), (0, False), (2, True)])
 def test_oracle_kernels_reproduce_a_translating_solve(monkeypatch, workers, record_trace):
-    def run():
-        config = SolverConfig(record_trace=record_trace, record_iterates=True)
-        if workers:
-            return run_parallel(_model_source(200), config, EngineConfig(workers=workers))
-        return solve(_model_source(200), config)
-
-    fast = run()
-    # the loop's one row pass, for both engines
-    monkeypatch.setattr(solver, "violated_slices", oracles.row_pass)
-    monkeypatch.setattr(dynamics, "translate", oracles.translate)
-    exact = run()
-
+    config = SolverConfig(record_trace=record_trace, record_iterates=True)
+    fast = _solve_on(workers, lambda: _model_source(200), config)
+    exact = _oracle_solve_on(monkeypatch, workers, lambda: _model_source(200), config)
     assert fast.status is exact.status
     assert fast.iterations == exact.iterations > 0
     assert [p.tobytes() for p in fast.iterates] == [p.tobytes() for p in exact.iterates]
@@ -1090,3 +1100,42 @@ def test_oracle_kernels_reproduce_a_translating_solve(monkeypatch, workers, reco
         assert [[getattr(r, f) for f in fields] for r in fast.trace] == [
             [getattr(r, f) for f in fields] for r in exact.trace
         ]
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_oracle_kernels_reproduce_a_solve_behind_the_region(monkeypatch, workers):
+    # at rate 30, about 5 times the rate the model problem's iterate keeps
+    # up with, every pass after the first evaluates rows exactly on CSR
+    # segments, two of which (of two or more entries) take the level-1
+    # decision; no benchmark workload runs that path
+    config = SolverConfig(max_iterations=10, record_trace=True, record_iterates=True)
+    source = lambda: DynamicSystemSource(generate_model_problem(ModelProblemSpec(n=300)),
+                                         DynamicsSpec(mode="translation", rate=30.0))
+    decided, segment_sum = [], []  # segments decided per decision; in a segment sum
+    real_row_sums, real_rounded = geometry.row_sums, summation._rounded_rows
+
+    def row_sums(values, starts=None):
+        segment_sum.append(starts is not None)
+        try:
+            return real_row_sums(values, starts)
+        finally:
+            segment_sum.pop()
+
+    def rounded(tau1, tau2, bound):
+        if segment_sum and segment_sum[-1]:
+            decided.append(tau1.size)
+        return real_rounded(tau1, tau2, bound)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(geometry, "row_sums", row_sums)
+        mp.setattr(summation, "_rounded_rows", rounded)
+        fast = _solve_on(workers, source, config)
+    assert decided == [2] * 10
+    exact = _oracle_solve_on(monkeypatch, workers, source, config)
+    assert fast.status is exact.status is SolveStatus.BUDGET_EXHAUSTED
+    assert fast.iterations == exact.iterations == 10
+    assert [p.tobytes() for p in fast.iterates] == [p.tobytes() for p in exact.iterates]
+    fields = ("k", "h", "step_norm", "max_violation", "virtual_time")
+    assert [[getattr(r, f) for f in fields] for r in fast.trace] == [
+        [getattr(r, f) for f in fields] for r in exact.trace
+    ]

@@ -658,7 +658,29 @@ def test_two_stacked_norms_of_1000_take_the_block_levels(monkeypatch):
 )
 def test_membership_is_max_violation_below_eps(sys_x, nan_at, eps):
     """The solver decides membership from the trace's max violation; the two
-    must agree for every eps > 0, also when residuals are NaN."""
+    must agree for every eps > 0 on a finite point, and both reject a point
+    that holds NaN (which used to pass as violation 0)."""
     sys, x = sys_x
     x = np.where(np.array(nan_at[: sys.n]), math.nan, x)
-    assert eps_membership(sys, x, eps) == (max_relative_violation(sys, x) < eps)
+    if np.isnan(x).any():
+        for check in (lambda: eps_membership(sys, x, eps),
+                      lambda: max_relative_violation(sys, x)):
+            with pytest.raises(ValueError, match="point must be finite"):
+                check()
+    else:
+        assert eps_membership(sys, x, eps) == (max_relative_violation(sys, x) < eps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("check", [max_relative_violation,
+                                   lambda sys, x: eps_membership(sys, x, 1e-7)],
+                         ids=["max_relative_violation", "eps_membership"])
+def test_a_point_that_is_not_finite_is_rejected(bad, moved, check):
+    # [nan, 0] used to get violation 0.0 and pass membership at 1e-7, as did
+    # [-inf, 0]; the solver already rejected both as an initial point
+    sys = translate(BOX, [0.5, -0.5]) if moved else BOX
+    with pytest.raises(ValueError, match="point must be finite"):
+        check(sys, [bad, 0.0])
+    with pytest.raises(ValueError, match="dimension mismatch: point has shape"):
+        check(sys, [0.0, 0.0, 0.0])

@@ -218,6 +218,16 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True, 0])
+    def test_max_iterations_must_be_an_integer_of_at_least_one(self, value):
+        # 2.5 used to run 3 iterations, and nan never ends the loop's count
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+            SolverConfig(max_iterations=value)
+
+    def test_max_iterations_takes_any_integral(self):
+        out = solve(BOX, SolverConfig(max_iterations=np.int64(5), initial_point=[9.0, 9.0]))
+        assert out.iterations <= 5
+
     def test_non_finite_initial_point_rejected(self):
         # [nan, 0] used to converge in 0 iterations
         for point in ([math.nan, 0.0], [math.inf, 0.0]):

@@ -479,14 +479,14 @@ def test_one_entry_segments_are_their_own_sums(monkeypatch):
     assert values.size >= SMALL_BLOCK
     want = _fsum_segments(values, starts).tobytes()
     widths = []
-    real = summation._rounded
+    real = summation._rounded_rows
 
     def rounded(tau1, tau2, bound):
         widths.append(len(tau1))
         return real(tau1, tau2, bound)
 
     calls = _counting_fsum(monkeypatch)
-    monkeypatch.setattr(summation, "_rounded", rounded)
+    monkeypatch.setattr(summation, "_rounded_rows", rounded)
     assert row_sums(values, starts).tobytes() == want
     # only the wide segments reach the level-1 test, and none needs fsum
     assert widths == [len(wide)] and calls == []
@@ -538,22 +538,28 @@ def _decision_bits(decision):
           np.frombuffer(bytes.fromhex("2ca07c328650fb7f"), dtype=np.float64), 0.0))
 def test_both_forms_of_the_level_1_decision_agree_bit_for_bit(case):
     tau1, tau2, bound = case
-    few = _decision_bits(summation._rounded_few(tau1, tau2, bound))
+    res, sure = summation._decided(tau1.tolist(), tau2.tolist(), bound)
+    few = _decision_bits((np.array(res), np.array(sure, dtype=bool)))
     with np.errstate(all="ignore"):  # inf and nan, which row_sums never passes
         rows = _decision_bits(summation._rounded_rows(tau1, tau2, bound))
-        chosen = _decision_bits(summation._rounded(tau1, tau2, bound))
-    assert few == rows == chosen
+    assert few == rows
 
 
 def test_the_level_1_decision_takes_python_floats_up_to_few_rows(monkeypatch):
+    # row_sums decides a block of up to FEW_ROWS rows in Python floats, and
+    # a wider block, or segments of any count, with numpy
     forms = []
-    for name in ("_rounded_few", "_rounded_rows"):
+    for name in ("_decided", "_rounded_rows"):
         real = getattr(summation, name)
         monkeypatch.setattr(summation, name,
                             lambda *args, real=real, name=name: forms.append(name) or real(*args))
+    rng = np.random.default_rng(12)
     for h in (1, FEW_ROWS, FEW_ROWS + 1):
-        summation._rounded(np.ones(h), np.zeros(h), 0.0)
-    assert forms == ["_rounded_few", "_rounded_few", "_rounded_rows"]
+        block = rng.standard_normal((h, -(-SMALL_BLOCK // h) + 1))
+        values, starts = _segments(*block)
+        assert _bits(row_sums, block) == _bits(_fsum_rows, block)
+        assert _bits(row_sums, values, starts) == _bits(_fsum_segments, values, starts)
+    assert forms == ["_decided", "_rounded_rows"] * 2 + ["_rounded_rows"] * 2
 
 
 # addends that sum onto midpoints often: short sums of small integers
