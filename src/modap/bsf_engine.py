@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import as_source
-from .geometry import InequalitySystem, Translated, _point
-from .solver import SolveOutcome, SolverConfig, _check_count, _run_loop, partial_reduction
+from .geometry import InequalitySystem, Translated, _check_count, _point
+from .solver import SolveOutcome, SolverConfig, _run_loop, partial_reduction
 
 __all__ = [
     "EngineConfig",
@@ -65,8 +65,7 @@ class EngineConfig:
 def partition_rows(m: int, workers: int) -> list[range]:
     """Balanced contiguous split of m rows: the first ``m % workers``
     ranges get the extra row."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_count("workers", workers)
     if workers > m:
         raise ValueError(f"more workers ({workers}) than rows ({m})")
     base, extra = divmod(m, workers)

@@ -62,6 +62,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
+from .geometry import _check_count, _check_positive
+
 __all__ = [
     "BREADTH_SINGLE",
     "BREADTH_FULL",
@@ -101,9 +103,7 @@ class CostParams:
     def __post_init__(self):
         operation_counts(self.n, self.m, self.update_breadth)  # checks the shape
         for name in ("tau_op", "tau_tr", "latency"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,8 @@ class StageTimes:
 
 def operation_counts(n: int, m: int, update_breadth: str = BREADTH_SINGLE) -> CostCounts:
     """Counts for one iteration; see the module docstring for the tally."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    _check_count("n", n)
+    _check_count("m", m)
     if update_breadth not in (BREADTH_SINGLE, BREADTH_FULL):
         raise ValueError(f"unknown update breadth {update_breadth!r}")
     return CostCounts(

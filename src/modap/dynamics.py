@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InequalitySystem, Translated, _as_point
+from .geometry import InequalitySystem, Translated, _as_point, _check_positive
 
 __all__ = [
     "STATIONARY",
@@ -58,7 +58,8 @@ class DynamicsSpec:
 
     ``rate`` is the per-coordinate displacement in units per second: every
     coordinate gains ``rate * elapsed``, so the total displacement speed is
-    ``sqrt(n) * rate``.
+    ``sqrt(n) * rate``.  A non-zero rate needs ``mode = translation``; a
+    stationary region would drop it without a word.
     """
 
     mode: str = STATIONARY
@@ -73,10 +74,9 @@ class DynamicsSpec:
             raise ValueError(f"unknown clock mode {self.clock!r}")
         if not math.isfinite(self.rate):
             raise ValueError(f"rate must be finite, got {self.rate}")
-        if not (self.seconds_per_iteration > 0 and math.isfinite(self.seconds_per_iteration)):
-            raise ValueError(
-                f"seconds_per_iteration must be positive and finite, got {self.seconds_per_iteration}"
-            )
+        if self.rate and self.mode != TRANSLATION:
+            raise ValueError(f"dynamics.rate = {self.rate} needs dynamics.mode = {TRANSLATION}")
+        _check_positive("seconds_per_iteration", self.seconds_per_iteration)
 
 
 def translate(sys: InequalitySystem | Translated, v) -> Translated:

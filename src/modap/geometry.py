@@ -153,6 +153,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -191,11 +192,12 @@ class InequalitySystem:
 
     ``InequalitySystem(a, b)`` takes a dense ``(m, n)`` array-like;
     ``InequalitySystem((indptr, indices, data), b, n=n)`` takes the CSR
-    rows of an m x n matrix (see the module docstring), which must store no
-    zero.  Either way the system keeps ``indptr`` as intp, ``data`` as
-    float64, without exact zeros, and the columns ``_indices`` as intp, or
-    None when every row is fully stored: such rows are only read as
-    ``(h, n)`` views of ``data``.  :attr:`indices` gives the columns, built
+    rows of an m x n matrix (see the module docstring): integer arrays
+    ``indptr`` and ``indices``, ``data`` with no zero, and n a count.
+    Either way the system keeps ``indptr`` as intp, ``data`` as float64,
+    without exact zeros, and the columns ``_indices`` as intp, or None when
+    every row is fully stored: such rows are only read as ``(h, n)`` views
+    of ``data``.  :attr:`indices` gives the columns, built
     on each read when none are kept, and :attr:`a` the dense matrix, built
     on each read; set-up and the row pass read neither.
 
@@ -440,10 +442,11 @@ def _checked_csr(rows, n: int):
     """Copies of CSR arrays ``(indptr, indices, data)``, checked, as intp
     and float64; the columns are None when every row is fully stored, so
     such a system never copies them."""
+    _check_count("n", n)
     indptr, indices = (_index_array(part, what) for part, what in zip(rows, ("indptr", "columns")))
     indptr = indptr.astype(np.intp)
     data = np.array(rows[2], dtype=np.float64).reshape(-1)
-    if n < 1 or indptr.size < 2:
+    if indptr.size < 2:
         raise ValueError(f"system must have m >= 1 rows and n >= 1 columns, got "
                          f"({indptr.size - 1}, {n})")
     if (indptr[0] != 0 or indptr[-1] != data.size or indices.size != data.size
@@ -461,17 +464,15 @@ def _checked_csr(rows, n: int):
 
 
 def _index_array(part, what: str) -> np.ndarray:
-    """``part`` as a 1-D integer array, a view when it holds integers, else
-    an intp copy; a value that is not an integer raises ``ValueError``
-    instead of being truncated."""
+    """``part`` as a 1-D integer array, a view; an empty one as intp.  Any
+    other dtype, a float one with integral values included, raises
+    ``ValueError``."""
     raw = np.asarray(part).reshape(-1)
-    if raw.dtype.kind in "biu":
+    if raw.dtype.kind in "iu":
         return raw
-    with np.errstate(invalid="ignore"):  # nan and inf are reported below
-        out = raw.astype(np.intp)
-    if not (out == raw).all():
-        raise ValueError(f"CSR {what} must be integers")
-    return out
+    if raw.size:
+        raise ValueError(f"CSR {what} must be integers, got dtype {raw.dtype}")
+    return raw.astype(np.intp)
 
 
 def _dots(rows, gathered: tuple, ys, whats) -> np.ndarray:
@@ -528,6 +529,18 @@ def _as_point(v, n: int, what: str = "point") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
     return arr
+
+
+def _check_count(name: str, value) -> None:
+    """``ValueError`` unless value is an ``Integral``, not a ``bool``, >= 1."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """``ValueError`` unless value is a ``Real``, not a ``bool``, > 0 and finite."""
+    if not isinstance(value, Real) or isinstance(value, bool) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _norm_bound(v: np.ndarray) -> float:
@@ -672,9 +685,9 @@ def _rescaled(v: np.ndarray, norm: float, length: float) -> np.ndarray:
 
 
 def eps_membership(sys: InequalitySystem | Translated, x, eps: float) -> bool:
-    """True iff every row is satisfied or violated by less than ``eps``."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    """True iff every row is satisfied or violated by less than ``eps``,
+    which must be positive and finite."""
+    _check_positive("eps", eps)
     return max_relative_violation(sys, x) < eps
 
 

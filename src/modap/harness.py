@@ -33,7 +33,7 @@ import numpy as np
 
 from .bsf_engine import EngineConfig, run_parallel
 from .dynamics import CLOCK_WALL, TRANSLATION, DynamicsSpec, DynamicSystemSource
-from .geometry import InequalitySystem
+from .geometry import InequalitySystem, _check_count, _check_positive
 from .solver import IterationRecord, SolveOutcome, SolverConfig, solve
 
 __all__ = [
@@ -71,12 +71,10 @@ class ModelProblemSpec:
     sum_lower: float = 100.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_count("n", self.n)
         if self.sum_upper is None:
             self.sum_upper = 100.0 * self.n + 100.0
-        if not self.box_upper > 0:
-            raise ValueError(f"box_upper must be positive, got {self.box_upper}")
+        _check_positive("box_upper", self.box_upper)
         if not self.sum_lower < self.sum_upper:
             raise ValueError(
                 f"need sum_lower < sum_upper, got {self.sum_lower} >= {self.sum_upper}"
@@ -262,13 +260,6 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
     if "problem.file" in values and shape:
         raise ConfigError(f"{', '.join(shape)} shape the generated model problem, "
                           "which problem.file replaces")
-    # a rate moves only a translating system; a stationary one would drop
-    # it without a word
-    dynamics = kwargs["dynamics"]
-    if dynamics.get("rate") and dynamics.get("mode") != TRANSLATION:
-        raise ConfigError(
-            f"dynamics.rate = {dynamics['rate']} needs dynamics.mode = {TRANSLATION}"
-        )
     workers = kwargs["engine"].get("workers", 0)  # 0 = the sequential engine
     if workers < 0:
         raise ConfigError(f"engine.workers must be >= 0, got {workers}")
@@ -276,7 +267,7 @@ def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
         problem=ModelProblemSpec(**kwargs["problem"]),
         solver=SolverConfig(**kwargs["solver"]),
         engine=EngineConfig(workers) if workers else None,
-        dynamics=DynamicsSpec(**dynamics),
+        dynamics=DynamicsSpec(**kwargs["dynamics"]),
         **kwargs["experiment"],
     )
 
@@ -336,20 +327,26 @@ def run_rate_sweep(
     """Run one experiment per displacement rate under translation dynamics.
 
     Writes ``rate_<r>.csv`` per rate plus ``summary.csv`` mapping rate to
-    status and iteration count; returns the outcomes in rate order.
+    status and iteration count; returns the outcomes in rate order.  A rate
+    given twice is an error, as its second run would overwrite the first's
+    file.
     """
     if not rates:
         raise ConfigError("rate sweep needs at least one rate")
+    names = [_format_float(rate) for rate in rates]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"rate {name} is given more than once")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []
-    for rate in rates:
+    for rate, name in zip(rates, names):
         dyn = replace(config.dynamics, mode=TRANSLATION, rate=rate)
         cfg = replace(config, dynamics=dyn)
-        outcome, _ = run_experiment(cfg, out_dir / f"rate_{_format_float(rate)}.csv")
+        outcome, _ = run_experiment(cfg, out_dir / f"rate_{name}.csv")
         results.append((rate, outcome))
     lines = ["rate,status,iterations"]
-    for rate, outcome in results:
-        lines.append(f"{_format_float(rate)},{outcome.status.value},{outcome.iterations}")
+    for name, (_, outcome) in zip(names, results):
+        lines.append(f"{name},{outcome.status.value},{outcome.iterations}")
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     return results

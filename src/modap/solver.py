@@ -32,11 +32,9 @@ overflows is rescaled.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 
 import numpy as np
 
@@ -45,6 +43,8 @@ from . import dynamics
 from .geometry import (  # noqa: F401
     InequalitySystem,
     _as_point,
+    _check_count,
+    _check_positive,
     _rescaled,
     eps_membership,
     max_relative_violation,
@@ -85,21 +85,11 @@ class SolverConfig:
     initial_point: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if not (self.step_length > 0 and math.isfinite(self.step_length)):
-            raise ValueError(
-                f"step_length must be positive and finite, got {self.step_length}"
-            )
+        _check_positive("eps", self.eps)
+        _check_positive("step_length", self.step_length)
         if self.variant not in (VARIANT_AP, VARIANT_MODAP):
             raise ValueError(f"unknown variant {self.variant!r}")
         _check_count("max_iterations", self.max_iterations)
-
-
-def _check_count(name: str, value) -> None:
-    """``ValueError`` unless value is an ``Integral``, not a ``bool``, >= 1."""
-    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class SolveStatus(str, Enum):

@@ -59,9 +59,15 @@ def rng():
     return np.random.default_rng(20260809)
 
 
+# the smallest positive float64
+ONE_ITERATION_EPS = 5e-324
+
+
 def one_iteration(system, x, variant, step_length=1.0):
-    """A traced solve from x stopped after one iteration; the smallest eps
-    makes it step whenever a row is violated."""
-    config = SolverConfig(variant=variant, step_length=step_length, eps=5e-324,
+    """A traced solve from x stopped after one iteration.  Its eps, the
+    smallest positive float, makes it step whenever the largest normalized
+    violation does not round to 0; a row violated by less, such as
+    ``[[2.0]] x <= [5e-324]`` at ``x = [5e-324]``, counts as converged."""
+    config = SolverConfig(variant=variant, step_length=step_length, eps=ONE_ITERATION_EPS,
                           max_iterations=1, record_trace=True, initial_point=x)
     return solve(system, config)

@@ -48,6 +48,12 @@ class TestPartitioning:
         parts = partition_rows(7, 7)
         assert [len(p) for p in parts] == [1] * 7
 
+    @pytest.mark.parametrize("workers", [2.5, True, np.float64(2), 0])
+    def test_a_worker_count_that_is_not_a_count_is_rejected(self, workers):
+        # 2.5 used to raise a TypeError, True to split into one range
+        with pytest.raises(ValueError, match="^workers must be an integer >= 1, got "):
+            partition_rows(10, workers)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             partition_rows(3, 4)

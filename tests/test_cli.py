@@ -55,7 +55,7 @@ def test_error_exit_one(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["generate", "--n", "0"], "n must be >= 1"),
+    (["generate", "--n", "0"], "n must be an integer >= 1"),
     (["solve", "--workers", "-1"], "engine.workers must be >= 0"),
 ])
 def test_bad_size_or_worker_count_exits_one(tmp_path, capsys, argv, message):
@@ -431,14 +431,14 @@ def test_workload_lines_names_the_statements_a_solve_never_runs():
     assert record["status"] == "converged" and record["iterations"] == 5
     modules = record["modules"]
     assert set(modules) == {f"modap.{p.stem}" for p in (root / "src" / "modap").glob("*.py")}
-    # the solve never reaches the CLI, nor eps_membership's guard, but its
+    # the solve never reaches the CLI, nor eps_membership's check, but its
     # loop norms every iteration and the import runs each module's defs
     cli = modules["modap.cli"]
     assert 0 < len(cli["unrun"]) == cli["statements"]
     source = (root / "src" / "modap" / "geometry.py").read_text().splitlines()
     lines = {text.strip(): i for i, text in enumerate(source, start=1)}
     unrun = set(modules["modap.geometry"]["unrun"])
-    assert lines['raise ValueError(f"eps must be positive, got {eps}")'] in unrun
+    assert lines['_check_positive("eps", eps)'] in unrun
     assert lines["squares = vs * vs"] not in unrun
     assert lines["def vector_norms(vs: np.ndarray) -> list[float]:"] not in unrun
     assert all(source[i - 1].strip() and not source[i - 1].lstrip().startswith("#")
@@ -450,6 +450,14 @@ def test_workload_lines_names_the_statements_a_solve_never_runs():
     assert declared and not set(declared) & set(modules["modap.summation"]["unrun"])
     proc = _workload_lines("--seed", "3")
     assert proc.returncode == 2 and "--seed" in proc.stderr
+
+
+def test_sweep_rejects_a_repeated_rate(tmp_path, capsys):
+    # `--rates 1,1.0` used to write both runs to one rate_1.0.csv
+    out = tmp_path / "sw"
+    assert main(["sweep", "--set", "problem.n=5", "--rates", "1,1.0", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: rate 1.0 is given more than once\n"
+    assert not out.exists()
 
 
 def test_bad_arguments_exit_one():

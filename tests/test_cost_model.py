@@ -178,6 +178,16 @@ def test_params_validation():
         CostParams(1, 1, update_breadth="half")
 
 
+@pytest.mark.parametrize("n,m,name", [(2.5, 7, "n"), (7, 2.5, "m"), (True, 7, "n"),
+                                      (0, 7, "n"), (7, -1, "m")])
+def test_a_shape_that_is_not_a_count_is_rejected(n, m, name):
+    # CostParams(n=2.5, m=7) used to give k_max 0.096
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
+        CostParams(n=n, m=m)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
+        operation_counts(n, m)
+
+
 @pytest.mark.parametrize("name", ["tau_op", "tau_tr", "latency"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1e-9])
 def test_params_reject_a_constant_that_is_not_finite_and_positive(name, value):

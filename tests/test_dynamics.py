@@ -68,7 +68,7 @@ class TestTranslate:
 
 class TestAdvance:
     def test_stationary_never_changes(self):
-        src = DynamicSystemSource(HALF, DynamicsSpec(mode="stationary", rate=5.0))
+        src = DynamicSystemSource(HALF, DynamicsSpec(mode="stationary"))
         before = src.snapshot()
         src.advance(10.0)
         assert src.snapshot() is before
@@ -101,7 +101,8 @@ class TestAdvance:
     @pytest.mark.parametrize("mode", ["stationary", "translation"])
     @pytest.mark.parametrize("elapsed", [math.nan, math.inf, -math.inf, -1.0])
     def test_a_bad_elapsed_leaves_the_source_as_it_was(self, mode, elapsed):
-        src = DynamicSystemSource(HALF, DynamicsSpec(mode=mode, rate=1.0))
+        rate = 1.0 if mode == "translation" else 0.0  # a stationary spec takes no rate
+        src = DynamicSystemSource(HALF, DynamicsSpec(mode=mode, rate=rate))
         src.advance(0.5)
         before = src.current_time, src.cumulative_displacement.tobytes(), src.snapshot()
         with pytest.raises(ValueError, match="^elapsed must be finite and non-negative"):
@@ -177,6 +178,21 @@ def test_a_translated_snapshot_solves_as_a_stationary_system(rng):
                 run_parallel(translate(sys, v), cfg, EngineConfig(workers=2))):
         assert out.iterations == want.iterations
         assert [p.tobytes() for p in out.iterates] == [p.tobytes() for p in want.iterates]
+
+
+@pytest.mark.parametrize("spec", [{"rate": 50.0}, {"mode": "stationary", "rate": -1e-300}])
+def test_a_rate_needs_translation(spec):
+    # a stationary source used to drop the rate and report its fixed region
+    with pytest.raises(ValueError,
+                       match="^dynamics.rate = .* needs dynamics.mode = translation$"):
+        DynamicsSpec(**spec)
+    assert DynamicsSpec(rate=-0.0).mode == "stationary"
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, True])
+def test_seconds_per_iteration_must_be_positive_and_finite(value):
+    with pytest.raises(ValueError, match="^seconds_per_iteration must be positive and finite"):
+        DynamicsSpec(seconds_per_iteration=value)
 
 
 def test_spec_rejects_non_finite():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import one_iteration, random_feasible_system
+from conftest import ONE_ITERATION_EPS, one_iteration, random_feasible_system
 from modap import (DynamicsSpec, DynamicSystemSource, EngineConfig, InequalitySystem,
                    ModelProblemSpec, SolverConfig, generate_model_problem, geometry,
                    run_parallel, solve, summation)
@@ -157,7 +157,7 @@ class TestInequalitySystem:
         (([0, 2], [1, 0], [1.0, 2.0]), 2, "columns"),
         (([0, 2], [1, 1], [1.0, 2.0]), 2, "columns"),
         (([0, 2], [0, 1], [1.0, -0.0]), 2, "no zero"),
-        (([0, 1], [0], [1.0]), 0, "n >= 1"),
+        (([0, 1], [0], [1.0]), 0, "n must be an integer"),
         (([0], [], []), 2, "m >= 1"),
         (([0, 1, 1], [0], [1.0]), 2, "row 1 is the zero vector"),
         (([0, 1], [1.7], [2.0]), 3, "columns must be integers"),
@@ -167,6 +167,23 @@ class TestInequalitySystem:
         m = max(len(rows[0]) - 1, 1)
         with pytest.raises(ValueError, match=match):
             InequalitySystem(rows, np.ones(m), n=n)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(2), True],
+                             ids=["2.5", "2.0", "float64", "True"])
+    def test_a_csr_n_that_is_not_a_count_is_rejected(self, n):
+        # n = 2.5 used to build a system whose solve then died with a TypeError
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
+            InequalitySystem(([0, 1, 2], [0, 1], [1.0, 1.0]), [1.0, 1.0], n=n)
+        assert InequalitySystem(([0, 1, 2], [0, 1], [1.0, 1.0]), [1.0, 1.0], n=np.int64(2)).n == 2
+
+    @pytest.mark.parametrize("part,what", [(0, "indptr"), (1, "columns")])
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_csr_indices_must_be_integer_arrays(self, part, what, dtype):
+        # [0.0, 1.0] used to be converted to integers
+        rows = [[0, 1, 2], [0, 1], [1.0, 1.0]]
+        rows[part] = np.array(rows[part], dtype=dtype)
+        with pytest.raises(ValueError, match=f"^CSR {what} must be integers, got dtype "):
+            InequalitySystem(tuple(rows), [1.0, 1.0], n=2)
 
     def test_dense_accessor_is_built_on_each_read(self):
         sys = InequalitySystem([[1.0, -0.0], [2.0, 3.0]], [1.0, 1.0])
@@ -537,13 +554,22 @@ def test_any_row_scaling_agrees_within_rounding(sys_x, c):
 @given(system_strategy(), st.floats(min_value=1e-3, max_value=10.0))
 # phi = [1e-200]: its square underflows to 0
 @example((InequalitySystem([[1.0]], [-1e-200]), np.array([0.0])), 1.0)
+# violated by 5e-324, whose normalized violation rounds to 0 < eps: converged
+@example((InequalitySystem([[2.0]], [5e-324]), np.array([5e-324])), 1.0)
 def test_fixed_step_has_requested_length(sys_x, length):
     sys, x = sys_x
-    if violated_slices(sys, x)[0].shape[0] == 0:
+    if max_relative_violation(sys, x) < ONE_ITERATION_EPS:  # the solve takes no step
         return
     out = one_iteration(sys, x, "modap", length)
     assert out.iterations == 1
     assert out.trace[0].step_norm == pytest.approx(length, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0, True])
+def test_membership_eps_must_be_positive_and_finite(eps):
+    # eps = inf used to pass any finite point, [1e300] here
+    with pytest.raises(ValueError, match="^eps must be positive and finite, got "):
+        eps_membership(InequalitySystem([[1.0]], [0.0]), [1e300], eps)
 
 
 @settings(max_examples=80)

@@ -94,8 +94,19 @@ class TestModelProblem:
             ModelProblemSpec(n=2, box_upper=10.0, sum_lower=100.0, sum_upper=400.0)
 
     def test_empty_dimension_rejected(self):
-        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got 0$"):
             ModelProblemSpec(n=0)
+
+    @pytest.mark.parametrize("n", [True, 2.5, np.float64(3)])
+    def test_a_dimension_that_is_not_a_count_is_rejected(self, n):
+        # n = True used to build the n = 1 problem
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
+            ModelProblemSpec(n=n)
+
+    @pytest.mark.parametrize("box", [float("inf"), float("nan"), 0.0])
+    def test_box_upper_must_be_positive_and_finite(self, box):
+        with pytest.raises(ValueError, match="^box_upper must be positive and finite, got "):
+            ModelProblemSpec(n=3, box_upper=box)
 
 
 class TestSystemFiles:
@@ -443,6 +454,14 @@ class TestRateSweep:
         assert len(summary) == 1 + len(rates)
         assert (tmp_path / "sweep" / "rate_0.5.csv").exists()
         assert (tmp_path / "sweep" / "rate_128.0.csv").exists()
+
+    @pytest.mark.parametrize("rates", [[1, 1.0], [2.0, 0.5, 2.0]])
+    def test_a_repeated_rate_is_rejected(self, tmp_path, rates):
+        # a rate's second run used to overwrite its first's rate_<r>.csv
+        cfg = build_experiment_config({"problem.n": "3"})
+        with pytest.raises(ConfigError, match=r"^rate [12]\.0 is given more than once$"):
+            run_rate_sweep(cfg, rates, tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
 
     def test_empty_rate_list_rejected(self, tmp_path):
         cfg = build_experiment_config({})

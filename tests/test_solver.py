@@ -218,6 +218,11 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["eps", "step_length"])
+    def test_a_bool_is_not_a_positive_real(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got True$"):
+            SolverConfig(**{field: True})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True, 0])
     def test_max_iterations_must_be_an_integer_of_at_least_one(self, value):
         # 2.5 used to run 3 iterations, and nan never ends the loop's count
