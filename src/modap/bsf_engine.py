@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import as_source
-from .geometry import InequalitySystem, Translated, _check_count, _point
+from .geometry import InequalitySystem, _check_count, _point
 from .solver import SolveOutcome, SolverConfig, _run_loop, partial_reduction
 
 __all__ = [
@@ -104,7 +104,7 @@ def superstep(
     :func:`~modap.solver.partial_reduction`.  The point is prepared for the
     snapshot once, and every range's pass reads it.  The caller silences
     floating-point warnings."""
-    point = _point(sys.shift if isinstance(sys, Translated) else None, x)
+    point = _point(sys, x)
     return combine_reports([compute_report(sys, p, x, point) for p in partitions])
 
 

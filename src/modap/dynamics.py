@@ -27,13 +27,12 @@ moving region but is excluded from reproducibility assertions.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InequalitySystem, Translated, _as_point, _check_positive
+from .geometry import InequalitySystem, Translated, _as_point, _check_finite, _check_positive
 
 __all__ = [
     "STATIONARY",
@@ -72,8 +71,7 @@ class DynamicsSpec:
             raise ValueError(f"unknown dynamics mode {self.mode!r}")
         if self.clock not in (CLOCK_VIRTUAL, CLOCK_WALL):
             raise ValueError(f"unknown clock mode {self.clock!r}")
-        if not math.isfinite(self.rate):
-            raise ValueError(f"rate must be finite, got {self.rate}")
+        _check_finite("rate", self.rate)
         if self.rate and self.mode != TRANSLATION:
             raise ValueError(f"dynamics.rate = {self.rate} needs dynamics.mode = {TRANSLATION}")
         _check_positive("seconds_per_iteration", self.seconds_per_iteration)
@@ -126,8 +124,7 @@ class DynamicSystemSource:
     def advance(self, elapsed: float) -> None:
         """Move the system forward by ``elapsed`` seconds, finite and >= 0.
         An error leaves the source as it was."""
-        if not (elapsed >= 0 and math.isfinite(elapsed)):
-            raise ValueError(f"elapsed must be finite and non-negative, got {elapsed}")
+        _check_finite("elapsed", elapsed, non_negative=True)
         if self.spec.mode == TRANSLATION:
             displacement = self.cumulative_displacement + self._rate * elapsed
             self._current = translate(self.base, displacement)

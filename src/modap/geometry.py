@@ -14,10 +14,11 @@ each read.  One method,
 When every row from its first to its last is fully stored (``nnz_i = n``),
 the rows are one ``(h, n)`` block: a 2-D view of ``data`` (not a second
 copy) for consecutive rows, so a dense input keeps its BLAS product and its
-dense row block.  Any other row set is read as its CSR segments, which
-:func:`~modap.summation.row_sums` sums segment by segment, so no row is
-padded.  The system also holds the rows' cached norms and its bounds b; a
-translated system is a :class:`Translated`, the base system plus a shift v.
+dense row block.  Any other row set is gathered as copies of its CSR
+segments, which :func:`~modap.summation.row_sums` sums segment by segment,
+so no row is padded.  The system also holds the rows' cached norms and its
+bounds b; a translated system is a :class:`Translated`, the base system
+plus a shift v.
 :func:`violated_slices` evaluates every row at a point x
 in one pass: it returns the positive slices of the violated rows, i.e. the
 reflection vectors ``((<a_i, x> - b_i) / ||a_i||^2) a_i`` of the rows
@@ -134,13 +135,13 @@ dense row.  On a translated system the products with x and with v are
 stacked into one block or segment array, so the residuals and the sums
 ``<a_i, v>`` take one sum, and b_i is added to each ``<a_i, v>`` in place
 to give the exact bound (one that overflows raises ``ValueError`` naming
-its row); consecutive rows, a single row among them, are read as views of
-``data``, without a gather, and the slices of a block multiply it as it is
-stored.  A lone exact row, the most a pass leaves on the translating model
-problem, takes its sums the same way and is finished in Python floats
-(:func:`_lone_row`): its bound, residual, violation test and the two
-quotients round as numpy's float64 operations do, and no division raises,
-as every cached squared norm is positive.  The settle test only decides
+its row); consecutive fully stored rows, a single row among them, are read
+as a view of ``data``, without a gather, and the slices of a block multiply
+it as it is stored.  A lone exact row, the most a pass leaves on the
+translating model problem, takes its sums the same way and is finished in
+Python floats (:func:`_lone_row`): its bound, residual, violation test and
+the two quotients round as numpy's float64 operations do, and no division
+raises, as every cached squared norm is positive.  The settle test only decides
 which rows may be skipped; every value the pass returns (slices, the
 maximum violation, and so the membership decision) comes from the exact
 path, bit for bit.  This is a
@@ -170,6 +171,8 @@ __all__ = [
 
 _TWO_U = 2.0 ** -52  # twice the unit roundoff of float64
 _MIN_NORMAL = 2.0 ** -1022
+# the largest finite float64; an integer above it is not finite as a float64
+_MAX_FLOAT = float(np.finfo(np.float64).max)
 # an estimate below minus this leaves the row to the exact path, which then
 # behaves (overflow included) exactly as without the filter
 _FILTER_LIMIT = 2.0 ** 960
@@ -283,28 +286,21 @@ class InequalitySystem:
         return _scattered(*self._gather(range(self.m)), self.n)
 
     def _gather(self, rows) -> tuple:
-        """The stored entries of ``rows``, an ascending range or index
-        array, as ``(values, columns, starts)``.  When every row from the
-        first to the last is fully stored, ``values`` is the rows' ``(h, n)``
-        block, a view of ``data`` for consecutive rows, else a gathered
-        copy, and ``columns`` and ``starts`` are None; an empty ``rows``
-        gives a ``(0, n)`` block.  Otherwise they are the rows' CSR
-        segments: the 1-D entries and columns of the rows in turn, views of
-        ``data`` and ``indices`` for consecutive rows, else gathered copies,
-        and the offsets at which each row begins."""
-        if not len(rows):
-            return np.zeros((0, self.n)), None, None
+        """The stored entries of ``rows``, a non-empty ascending range or
+        index array, as ``(values, columns, starts)``.  When every row from
+        the first to the last is fully stored, ``values`` is the rows'
+        ``(h, n)`` block, a view of ``data`` for consecutive rows, else a
+        gathered copy, and ``columns`` and ``starts`` are None.  Otherwise
+        they are the rows' CSR segments, gathered copies: the 1-D entries and
+        columns of the rows in turn, and the offsets at which each row
+        begins."""
         lo, hi = int(rows[0]), int(rows[-1]) + 1
         first, last = self.indptr[lo], self.indptr[hi]
-        consecutive = hi - lo == len(rows)
         if last - first == (hi - lo) * self.n:  # no row stores more than n
             block = self.data[first:last].reshape(hi - lo, self.n)
-            return block if consecutive else block.take(rows - lo, axis=0), None, None
-        if consecutive:
-            return (self.data[first:last], self._indices[first:last],
-                    self.indptr[lo:hi] - first)
+            return block if hi - lo == len(rows) else block.take(rows - lo, axis=0), None, None
         offsets = self.indptr[rows]
-        counts = self.indptr[rows + 1] - offsets
+        counts = self.indptr[1:][rows] - offsets
         starts = np.cumsum(counts) - counts
         pos = np.arange(counts.sum()) + np.repeat(offsets - starts, counts)
         return self.data[pos], self._indices[pos], starts
@@ -539,8 +535,17 @@ def _check_count(name: str, value) -> None:
 
 def _check_positive(name: str, value) -> None:
     """``ValueError`` unless value is a ``Real``, not a ``bool``, > 0 and finite."""
-    if not isinstance(value, Real) or isinstance(value, bool) or not 0 < value < math.inf:
+    if not isinstance(value, Real) or isinstance(value, bool) or not 0 < value <= _MAX_FLOAT:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_finite(name: str, value, non_negative: bool = False) -> None:
+    """``ValueError`` unless value is a ``Real``, not a ``bool``, finite and,
+    if ``non_negative``, >= 0."""
+    if (not isinstance(value, Real) or isinstance(value, bool)
+            or not -_MAX_FLOAT <= value <= _MAX_FLOAT or non_negative and value < 0):
+        rule = "finite and non-negative" if non_negative else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def _norm_bound(v: np.ndarray) -> float:
@@ -571,25 +576,23 @@ def _norm_bound(v: np.ndarray) -> float:
     return h * _NORM_SLACK + 2.0 ** -1074 if h else 0.0
 
 
-def _point(shift, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """x as the settle test reads it on a system translated by ``shift``
-    (None: not translated): ``y = x`` or ``fl(x - v)``, and the bound S on
-    ``||x||`` (+ ``||v||``), see the module docstring.  Every row range of
-    one snapshot and point shares it.  The caller silences floating-point
+def _point(snap: InequalitySystem | Translated, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """x as the settle test reads it on the snapshot ``snap``: ``y = x``, or
+    ``fl(x - v)`` on a system translated by v, and the bound S on ``||x||``
+    (+ ``||v||``), see the module docstring.  Every row range of one
+    snapshot and point shares it.  The caller silences floating-point
     warnings."""
-    if shift is None:
-        return x, _norm_bound(x)
-    return x - shift, _norm_bound(x) + _norm_bound(shift)
+    if isinstance(snap, Translated):
+        return x - snap.shift, _norm_bound(x) + _norm_bound(snap.shift)
+    return x, _norm_bound(x)
 
 
-def _unsettled_rows(sys: InequalitySystem, shift, x: np.ndarray, start: int, stop: int,
-                    point=None):
+def _unsettled_rows(sys: InequalitySystem, start: int, stop: int, point) -> np.ndarray:
     """Rows in [start, stop) that the settle test cannot prove satisfied at
-    x, for ``sys`` translated by ``shift`` (None: not translated; see the
-    module docstring for the test and its proof), ascending and counted
-    from start.  ``point`` is :func:`_point`'s ``(y, S)`` for shift and x,
-    formed here when None.  The caller silences floating-point warnings."""
-    y, s = _point(shift, x) if point is None else point
+    :func:`_point`'s ``point = (y, S)`` (see the module docstring for the
+    test and its proof), ascending and counted from start; ``sys`` is the
+    snapshot's base system.  The caller silences floating-point warnings."""
+    y, s = point
     t = sys._estimate(y, start, stop)
     t -= sys.b[start:stop]
     settled = t >= -_FILTER_LIMIT
@@ -625,7 +628,7 @@ def violated_slices(
     sys, shift = snap if isinstance(snap, Translated) else (snap, None)
     if stop is None:
         stop = sys.m
-    rows = _unsettled_rows(sys, shift, x, start, stop, point)
+    rows = _unsettled_rows(sys, start, stop, _point(snap, x) if point is None else point)
     if not rows.size:
         return np.zeros((0, sys.n)), 0.0
     if start:

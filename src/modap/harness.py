@@ -33,7 +33,7 @@ import numpy as np
 
 from .bsf_engine import EngineConfig, run_parallel
 from .dynamics import CLOCK_WALL, TRANSLATION, DynamicsSpec, DynamicSystemSource
-from .geometry import InequalitySystem, _check_count, _check_positive
+from .geometry import InequalitySystem, _check_count, _check_finite, _check_positive
 from .solver import IterationRecord, SolveOutcome, SolverConfig, solve
 
 __all__ = [
@@ -79,6 +79,8 @@ class ModelProblemSpec:
             raise ValueError(
                 f"need sum_lower < sum_upper, got {self.sum_lower} >= {self.sum_upper}"
             )
+        _check_finite("sum_upper", self.sum_upper)
+        _check_finite("sum_lower", self.sum_lower)
         if self.sum_lower > self.n * self.box_upper:
             raise ValueError(
                 "empty feasible region: sum_lower exceeds the box total "
@@ -329,7 +331,7 @@ def run_rate_sweep(
     Writes ``rate_<r>.csv`` per rate plus ``summary.csv`` mapping rate to
     status and iteration count; returns the outcomes in rate order.  A rate
     given twice is an error, as its second run would overwrite the first's
-    file.
+    file, and so is a bad rate; both are found before any run.
     """
     if not rates:
         raise ConfigError("rate sweep needs at least one rate")
@@ -337,11 +339,11 @@ def run_rate_sweep(
     for name in names:
         if names.count(name) > 1:
             raise ConfigError(f"rate {name} is given more than once")
+    dynamics = [replace(config.dynamics, mode=TRANSLATION, rate=rate) for rate in rates]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []
-    for rate, name in zip(rates, names):
-        dyn = replace(config.dynamics, mode=TRANSLATION, rate=rate)
+    for rate, name, dyn in zip(rates, names, dynamics):
         cfg = replace(config, dynamics=dyn)
         outcome, _ = run_experiment(cfg, out_dir / f"rate_{name}.csv")
         results.append((rate, outcome))

@@ -460,6 +460,15 @@ def test_sweep_rejects_a_repeated_rate(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rates,bad", [("1,nan", "nan"), ("0.5,2,inf", "inf")])
+def test_sweep_checks_every_rate_before_its_first_run(tmp_path, capsys, rates, bad):
+    # `--rates 1,nan` used to run rate 1 and write rate_1.0.csv, then fail
+    out = tmp_path / "sw"
+    assert main(["sweep", "--set", "problem.n=5", "--rates", rates, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: rate must be finite, got {bad}\n"
+    assert not out.exists()
+
+
 def test_bad_arguments_exit_one():
     proc = subprocess.run(
         [sys.executable, "-m", "modap", "solve", "--variant", "fastest"],

@@ -99,7 +99,8 @@ class TestAdvance:
             src.advance(-0.1)
 
     @pytest.mark.parametrize("mode", ["stationary", "translation"])
-    @pytest.mark.parametrize("elapsed", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("elapsed", [math.nan, math.inf, -math.inf, -1.0, True, "1",
+                                         pytest.param(10 ** 400, id="10**400")])
     def test_a_bad_elapsed_leaves_the_source_as_it_was(self, mode, elapsed):
         rate = 1.0 if mode == "translation" else 0.0  # a stationary spec takes no rate
         src = DynamicSystemSource(HALF, DynamicsSpec(mode=mode, rate=rate))
@@ -193,6 +194,15 @@ def test_a_rate_needs_translation(spec):
 def test_seconds_per_iteration_must_be_positive_and_finite(value):
     with pytest.raises(ValueError, match="^seconds_per_iteration must be positive and finite"):
         DynamicsSpec(seconds_per_iteration=value)
+
+
+@pytest.mark.parametrize("mode", ["stationary", "translation"])
+@pytest.mark.parametrize("rate", [True, "1", pytest.param(10 ** 400, id="10**400")])
+def test_a_rate_that_is_not_a_finite_real_is_rejected(mode, rate):
+    # rate = True used to translate at rate 1, rate = "1" raised TypeError,
+    # and 10 ** 400 passed, to raise OverflowError in DynamicSystemSource
+    with pytest.raises(ValueError, match="^rate must be finite, got "):
+        DynamicsSpec(mode=mode, rate=rate)
 
 
 def test_spec_rejects_non_finite():

@@ -208,7 +208,7 @@ def test_a_row_the_filter_settles_has_no_positive_residual(case):
     # without overflow, to a residual of at most 0
     fast, exact, x = case
     with np.errstate(all="ignore"):
-        unsettled = geometry._unsettled_rows(*_parts(fast), x, 0, fast.m).tolist()
+        unsettled = _unsettled(*_parts(fast), x).tolist()
     for i in sorted(set(range(fast.m)) - set(unsettled)):
         assert oracles.residual(exact, i, x) <= 0.0
 
@@ -268,7 +268,7 @@ def _settle_outcome(a, b, x, v):
     except ValueError:  # a row's squared norm leaves float64
         assume(False)
     with np.errstate(all="ignore"):
-        unsettled = set(geometry._unsettled_rows(sys, v, x, 0, sys.m).tolist())
+        unsettled = set(_unsettled(sys, v, x).tolist())
         estimates = sys._estimate(x if v is None else x - v, 0, sys.m) - sys.b
     return sys, unsettled, estimates
 
@@ -354,7 +354,7 @@ def test_wide_pass_equals_the_oracle(translated, mixed):
     fast, exact = (translate(base, v), oracles.translate(base, v)) if translated else (base, base)
     for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
         sys, shift = _parts(fast)
-        rows = geometry._unsettled_rows(sys, shift, point, 0, 400)
+        rows = _unsettled(sys, shift, point)
         assert (sys.indptr[rows + 1] - sys.indptr[rows]).sum() >= 4 * SMALL_BLOCK
         assert (sys._gather(rows)[2] is not None) == mixed
         assert _pass_bits(("ok", violated_slices(fast, point))) == _pass_bits(
@@ -483,14 +483,11 @@ def test_a_translated_pass_takes_one_view_and_one_sum(monkeypatch):
     src.advance(0.03)
     snap = src.snapshot()
     x = np.full(10, 0.05)  # only the row -sum(x) <= -100 is unsettled
-    rows = geometry._unsettled_rows(snap.system, snap.shift, x, 0, snap.m)
+    rows = _unsettled(snap.system, snap.shift, x)
     assert rows.tolist() == [21]
     values, columns, starts = snap.system._gather(rows)
     assert values.shape == (1, 10) and columns is None and starts is None
     assert np.shares_memory(values, snap.system.data)
-    values, columns, starts = snap.system._gather(np.array([3]))  # one stored entry
-    assert (np.shares_memory(values, snap.system.data)
-            and np.shares_memory(columns, snap.system.indices))
     # residuals and translated bounds in one sum: one row as a (2, w)
     # block, then a full row and a one-entry row as four segments; the
     # oracle translates the base itself, and the pass leaves the snapshot
@@ -567,7 +564,7 @@ def lone_row_cases(draw):
     except ValueError:  # a row's squared norm leaves float64
         assume(False)
     with np.errstate(all="ignore"):
-        assume(geometry._unsettled_rows(base, v, x, 0, m).tolist() == [k])
+        assume(_unsettled(base, v, x).tolist() == [k])
     return base, v, x, k
 
 
@@ -688,10 +685,11 @@ def test_stored_rows_pass_equals_the_dense_oracle(case, data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_gather_reads_a_block_or_segments(data):
-    """``_gather`` reads a row set as one block exactly when every row from
-    its first to its last is fully stored, and as views exactly when its
-    rows are consecutive; either form, spread out by ``_scattered``, is the
-    dense input's rows with ``+0.0`` for every zero."""
+    """``_gather`` reads a non-empty row set as one block exactly when every
+    row from its first to its last is fully stored, a view exactly when its
+    rows are consecutive too, and otherwise as copied CSR segments; either
+    form, spread out by ``_scattered``, is the dense input's rows with
+    ``+0.0`` for every zero."""
     n = data.draw(st.integers(1, 6))
     m = data.draw(st.integers(1, 12))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -703,30 +701,28 @@ def test_gather_reads_a_block_or_segments(data):
     a[empty, rng.integers(0, n, empty.size)] = 1.0
     sys = InequalitySystem(a, np.ones(m))
     if data.draw(st.booleans()):
-        lo = data.draw(st.integers(0, m))
-        rows = range(lo, data.draw(st.integers(lo, m)))
+        lo = data.draw(st.integers(0, m - 1))
+        rows = range(lo, data.draw(st.integers(lo + 1, m)))
     else:
-        rows = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1)))), dtype=np.intp)
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1))),
+                        dtype=np.intp)
     values, columns, starts = sys._gather(rows)
     spread = geometry._scattered(values, columns, starts, n)
     assert spread.tobytes() == (a[rows] + 0.0).tobytes()
-    if not len(rows):
-        assert values.shape == (0, n) and starts is None
-        return
     full = (a[rows[0]:rows[-1] + 1] != 0.0).all()
     consecutive = rows[-1] - rows[0] + 1 == len(rows)
     assert (starts is None) == full and (columns is None) == full
-    assert np.shares_memory(values, sys.data) == consecutive
+    assert np.shares_memory(values, sys.data) == (full and consecutive)
     if full:
         assert values.shape == (len(rows), n)
-    else:
-        assert np.shares_memory(columns, sys.indices) == consecutive
 
 
 def _one_reduceat(sys, y, start, stop):
     """``A[start:stop] y`` as the pass took it before layouts: one
     ``np.add.reduceat`` over the gathered segments, or the block's
-    matrix-vector product."""
+    matrix-vector product; an empty range gives an empty array."""
+    if start == stop:
+        return np.zeros(0)
     values, columns, starts = sys._gather(range(start, stop))
     if starts is None:
         return values @ y
@@ -887,7 +883,7 @@ def test_mixed_widths_equal_the_dense_oracle(translated):
         raw = oracles.dense_row_pass(a, b, point, v)
         assert slices.shape == raw[0].shape and worst == raw[1]
         assert slices.tobytes() == oracles.dense_row_pass(a + 0.0, b, point, v)[0].tobytes()
-    assert len(geometry._unsettled_rows(base, v, x, 0, m)) * n >= 4 * SMALL_BLOCK
+    assert len(_unsettled(base, v, x)) * n >= 4 * SMALL_BLOCK
 
 
 @pytest.mark.parametrize("translated", [False, True])
@@ -910,7 +906,7 @@ def test_full_row_view_and_gather_path_agree(translated):
     if translated:
         full, mixed = translate(full, v), translate(mixed, v)
     for point in (x, x * (1 + 2.0 ** -40), np.zeros(n)):
-        assert len(geometry._unsettled_rows(*_parts(full), point, 0, m)) * n >= 4 * SMALL_BLOCK
+        assert len(_unsettled(*_parts(full), point)) * n >= 4 * SMALL_BLOCK
         assert _pass_bits(("ok", violated_slices(full, point))) == _pass_bits(
             ("ok", violated_slices(mixed, point)))
     assert oracles.bounds(full).tobytes() == oracles.bounds(mixed)[:m].tobytes()
@@ -919,6 +915,14 @@ def test_full_row_view_and_gather_path_agree(translated):
 def _parts(snap):
     """A snapshot's base system and shift, None when it is not translated."""
     return (snap.system, snap.shift) if isinstance(snap, Translated) else (snap, None)
+
+
+def _unsettled(sys, shift, x):
+    """The rows of ``sys`` translated by ``shift`` (None: not translated)
+    that the settle test leaves unsettled at x, the point prepared as a pass
+    prepares it."""
+    snap = sys if shift is None else Translated(sys, shift)
+    return geometry._unsettled_rows(sys, 0, sys.m, geometry._point(snap, x))
 
 
 def _model_source(n):
@@ -980,9 +984,11 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     real_advance = DynamicSystemSource.advance
     exact_rows = threading.local()
 
-    def counting_unsettled(sys, shift, x, start, stop, point):
-        rows = real_unsettled(sys, shift, x, start, stop, point)
-        passes.append((sys, shift, np.array(x), start, stop, len(rows),
+    def counting_unsettled(sys, start, stop, point):
+        rows = real_unsettled(sys, start, stop, point)
+        snap, x = exact_rows.snap_x  # the pass that reads these rows
+        assert sys is _parts(snap)[0]
+        passes.append((*_parts(snap), np.array(x), start, stop, len(rows),
                        threading.current_thread()))
         exact_rows.rows = rows + start
         return rows
@@ -992,6 +998,7 @@ def test_each_pass_evaluates_few_rows_exactly(monkeypatch):
     def counting_pass(snap, x, start, stop, point):
         me = threading.get_ident()
         before = _CountingEntries.on_thread(me)
+        exact_rows.snap_x = snap, x
         result = real_pass(snap, x, start, stop, point)
         sys, shift = _parts(snap)
         stop = sys.m if stop is None else stop

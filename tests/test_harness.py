@@ -103,10 +103,21 @@ class TestModelProblem:
         with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
             ModelProblemSpec(n=n)
 
-    @pytest.mark.parametrize("box", [float("inf"), float("nan"), 0.0])
+    @pytest.mark.parametrize("box", [float("inf"), float("nan"), 0.0,
+                                     pytest.param(10 ** 400, id="10**400")])
     def test_box_upper_must_be_positive_and_finite(self, box):
         with pytest.raises(ValueError, match="^box_upper must be positive and finite, got "):
             ModelProblemSpec(n=3, box_upper=box)
+
+    @pytest.mark.parametrize("name,value", [("sum_upper", float("inf")),
+                                            pytest.param("sum_upper", 10 ** 400,
+                                                         id="sum_upper-10**400"),
+                                            ("sum_lower", float("-inf")), ("sum_lower", True)])
+    def test_a_sum_bound_must_be_a_finite_real(self, name, value):
+        # sum_upper = inf used to pass here, and generate_model_problem then
+        # blamed "bound of row 6"; sum_lower = True meant 1
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            ModelProblemSpec(n=3, **{name: value})
 
 
 class TestSystemFiles:
